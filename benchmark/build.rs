@@ -1,0 +1,17 @@
+//! Records the compiler version the benchmark was built with, so every
+//! output names it.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |s| s.trim().to_string());
+    println!("cargo:rustc-env=BENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
