@@ -1,0 +1,264 @@
+//! Golden digests: every observable byte of a fixed corpus of runs, pinned
+//! as three FNV-1a-64 hashes per case in `tests/golden_digests.txt`.
+//!
+//! The determinism suites compare two live runs with each other; this one
+//! compares a live run with a committed number, so a refactor of the round
+//! bodies, the sync-message path or the recovery code cannot change what
+//! the engines compute without a visible diff of the data file. Per case:
+//!
+//! * `report` — the `Debug` text of the `ExecutionReport`(s);
+//! * `values` — the bit patterns of every gathered vertex value;
+//! * `trace`  — the JSONL trace stream, fault events included (batched
+//!   runs emit no trace, so theirs is the hash of no bytes).
+//!
+//! The corpus is {bfs, cc, kcore, pagerank, sssp} × {OEC, IEC, HVC, CVC} ×
+//! {Var1, Var3, Var4} on a weighted R-MAT scale-10 graph over 8 devices,
+//! plus direction-optimizing bfs, K=3 lane batches, a spilled run, and
+//! crash recovery (rejoin and re-home) under both engines.
+//!
+//! After an *intended* change of behaviour, regenerate the file with
+//!
+//! ```sh
+//! cargo test --test golden_digests -- --ignored regenerate
+//! ```
+
+use std::fmt::Write as _;
+use std::path::PathBuf;
+
+use dirgl::core::VertexProgram;
+use dirgl::graph::weights::{randomize_weights, DEFAULT_MAX_WEIGHT};
+use dirgl::prelude::*;
+use dirgl::singlehost::DoBfs;
+
+const POLICIES: [Policy; 4] = [Policy::Oec, Policy::Iec, Policy::Hvc, Policy::Cvc];
+const HASHES: [&str; 3] = ["report", "values", "trace"];
+
+/// Per-device capacity of the spilled case: below the raw sssp footprint
+/// of the fixture's two largest CVC partitions, above their compressed one.
+const SPILL_CAPACITY: u64 = 33_000;
+
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn value_hash<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
+    fnv1a(values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()))
+}
+
+fn graph() -> Csr {
+    let g = RmatConfig::new(10, 8).seed(0xD5).generate();
+    randomize_weights(&g, DEFAULT_MAX_WEIGHT, 0x5EED)
+}
+
+/// One traced run: the report (for the cases' premise checks), the trace
+/// text, and the three digests.
+fn traced<P: VertexProgram>(
+    rt: &Runtime,
+    g: &Csr,
+    program: &P,
+) -> (ExecutionReport, String, [u64; 3]) {
+    let mut buf: Vec<u8> = Vec::new();
+    let mut sink = JsonLinesSink::new(&mut buf);
+    let out = rt.runner(g, program).trace(&mut sink).execute().unwrap();
+    drop(sink);
+    let digest = [
+        fnv1a(format!("{:?}", out.report).bytes()),
+        value_hash(&out.values),
+        fnv1a(buf.iter().copied()),
+    ];
+    let trace = String::from_utf8(buf).expect("JSONL is UTF-8");
+    (out.report, trace, digest)
+}
+
+fn batch<P: MultiSourceProgram>(rt: &Runtime, g: &Csr, program: &P, sources: &[u32]) -> [u64; 3] {
+    let out = rt
+        .runner(g, program)
+        .batch(sources)
+        .backend(Backend::Lanes)
+        .execute()
+        .unwrap();
+    [
+        fnv1a(format!("{:?}", out.engine_reports).bytes()),
+        value_hash(out.lanes.iter().flat_map(|l| &l.values)),
+        fnv1a([]),
+    ]
+}
+
+/// Runs the whole corpus, in file order, on the optimized or the legacy hot
+/// path. The spilled case needs the optimized bodies and is left out of a
+/// legacy pass.
+fn corpus(legacy: bool) -> Vec<(String, [u64; 3])> {
+    let cfg = |policy, variant| RunConfig::new(policy, variant).with_legacy_hotpath(legacy);
+    let g = graph();
+    let src = Runtime::max_out_degree_source(&g).unwrap();
+    let mut cases = Vec::new();
+
+    for bench in ["bfs", "cc", "kcore", "pagerank", "sssp"] {
+        for policy in POLICIES {
+            for variant in [Variant::var1(), Variant::var3(), Variant::var4()] {
+                let rt = Runtime::new(Platform::bridges(8), cfg(policy, variant));
+                let (_, _, digest) = match bench {
+                    "bfs" => traced(&rt, &g, &Bfs::new(src)),
+                    "cc" => traced(&rt, &g, &Cc),
+                    "kcore" => traced(&rt, &g, &KCore::new(4)),
+                    "pagerank" => traced(&rt, &g, &PageRank::new()),
+                    _ => traced(&rt, &g, &Sssp::new(src)),
+                };
+                cases.push((
+                    format!("{bench}/{}/{}", policy.name(), variant.label()),
+                    digest,
+                ));
+            }
+        }
+    }
+
+    // Direction-optimizing bfs: the only hybrid program, so the only one
+    // that runs bottom-up rounds.
+    let rt = Runtime::new(Platform::bridges(8), cfg(Policy::Cvc, Variant::var3()));
+    let (_, trace, digest) = traced(&rt, &g, &DoBfs::new(src));
+    assert!(
+        trace.contains(r#""direction":"pull""#),
+        "premise broken: no bottom-up round ran"
+    );
+    cases.push(("dobfs/CVC/Var3".into(), digest));
+
+    // K=3 lane batches: the dense MS-BFS encoding and the exhaustive
+    // bottom-up scan under BSP, the generic value-lane adapter under BASP.
+    let sources = [src, 1, g.num_vertices() / 2];
+    cases.push((
+        "lanes3/dobfs/CVC/Var3".into(),
+        batch(&rt, &g, &DoBfs::new(src), &sources),
+    ));
+    let rt = Runtime::new(Platform::bridges(8), cfg(Policy::Cvc, Variant::var3()));
+    cases.push((
+        "lanes3/bfs/CVC/Var3".into(),
+        batch(&rt, &g, &Bfs::new(src), &sources),
+    ));
+    let rt = Runtime::new(Platform::bridges(8), cfg(Policy::Cvc, Variant::var4()));
+    cases.push((
+        "lanes3/sssp/CVC/Var4".into(),
+        batch(&rt, &g, &Sssp::new(src), &sources),
+    ));
+
+    // A spilled run: capacity between the compressed and the raw footprint.
+    if !legacy {
+        let config = RunConfig::new(Policy::Cvc, Variant::var1());
+        let (raw, _, _) = traced(
+            &Runtime::new(Platform::bridges(4), config.clone()),
+            &g,
+            &Sssp::new(src),
+        );
+        let mut tight = Platform::bridges(4);
+        for gpu in &mut tight.gpus {
+            gpu.memory_bytes = SPILL_CAPACITY;
+        }
+        let (spilled, _, digest) = traced(
+            &Runtime::new(tight, config.with_spill(true)),
+            &g,
+            &Sssp::new(src),
+        );
+        assert_ne!(
+            spilled.memory_per_device, raw.memory_per_device,
+            "premise broken: nothing spilled at {SPILL_CAPACITY} B"
+        );
+        cases.push(("spill/sssp/CVC/Var1".into(), digest));
+    }
+
+    // Crash recovery, both tails (rejoin, re-home) under both engines, with
+    // lossy links and a straggler window on top.
+    for variant in [Variant::var3(), Variant::var4()] {
+        for rejoin in [true, false] {
+            let plan = FaultPlan::seeded(7)
+                .with_drop(0.05)
+                .with_crash(1, 2, rejoin)
+                .with_straggler(2, 1, 3, 4.0);
+            let rt = Runtime::new(
+                Platform::bridges(8),
+                cfg(Policy::Cvc, variant)
+                    .with_faults(plan)
+                    .with_checkpoints(2),
+            );
+            let (report, _, digest) = traced(&rt, &g, &Bfs::new(src));
+            let r = &report.resilience;
+            assert!(r.crashes == 1 && r.rollbacks >= 1, "no recovery ran: {r:?}");
+            assert_eq!(r.rejoins > 0, rejoin, "wrong recovery tail: {r:?}");
+            cases.push((
+                format!(
+                    "crash-{}/bfs/CVC/{}",
+                    if rejoin { "rejoin" } else { "rehome" },
+                    variant.label()
+                ),
+                digest,
+            ));
+        }
+    }
+    cases
+}
+
+fn data_file() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden_digests.txt")
+}
+
+fn render(cases: &[(String, [u64; 3])]) -> String {
+    let mut text = String::from("# case report values trace (FNV-1a-64; see golden_digests.rs)\n");
+    for (name, d) in cases {
+        writeln!(text, "{name} {:016x} {:016x} {:016x}", d[0], d[1], d[2]).unwrap();
+    }
+    text
+}
+
+#[test]
+fn corpus_matches_committed_digests() {
+    let text = std::fs::read_to_string(data_file()).expect("tests/golden_digests.txt is committed");
+    let want: Vec<(String, [u64; 3])> = text
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| {
+            let f: Vec<&str> = l.split(' ').collect();
+            assert_eq!(f.len(), 4, "malformed line `{l}`");
+            let h = |s| u64::from_str_radix(s, 16).expect("hex digest");
+            (f[0].to_string(), [h(f[1]), h(f[2]), h(f[3])])
+        })
+        .collect();
+    for legacy in [false, true] {
+        let mut want = want.clone();
+        if legacy {
+            want.retain(|c| !c.0.starts_with("spill/"));
+        }
+        let have = corpus(legacy);
+        assert_eq!(
+            have.iter().map(|c| &c.0).collect::<Vec<_>>(),
+            want.iter().map(|c| &c.0).collect::<Vec<_>>(),
+            "the corpus and the data file list different cases"
+        );
+        let mut moved = String::new();
+        for ((name, h), (_, w)) in have.iter().zip(&want) {
+            for k in 0..3 {
+                if h[k] != w[k] {
+                    writeln!(
+                        moved,
+                        "  {name}: {} hash moved ({:016x}, committed {:016x})",
+                        HASHES[k], h[k], w[k]
+                    )
+                    .unwrap();
+                }
+            }
+        }
+        assert!(
+            moved.is_empty(),
+            "golden digests moved (legacy_hotpath = {legacy}):\n{moved}"
+        );
+        println!(
+            "legacy_hotpath = {legacy}: {} cases match the committed digests",
+            have.len()
+        );
+    }
+}
+
+#[test]
+#[ignore = "rewrites tests/golden_digests.txt; run only after an intended change of behaviour"]
+fn regenerate() {
+    std::fs::write(data_file(), render(&corpus(false))).unwrap();
+}
