@@ -6,8 +6,9 @@
 //!
 //! - `uo_indexed` — UO extraction through the sync plan's [`ExtractIndex`]
 //!   (iterates `updated ∧ members`, sparsity-proportional);
-//! - `uo_dense`   — UO extraction via the legacy dense per-entry walk
-//!   (probes every link entry regardless of density);
+//! - `uo_dense`   — UO extraction via the dense per-entry walk (probes
+//!   every link entry regardless of density; what the engines' density
+//!   gate falls back to on near-dense frontiers);
 //! - `as_dense`   — AS extraction (ships every entry; density-independent
 //!   upper bound).
 //!
@@ -57,7 +58,7 @@ fn bench_extract(c: &mut Criterion) {
             lv += stride;
         }
 
-        // The optimized path: updated ∧ membership via the inverse index.
+        // The indexed path: updated ∧ membership via the inverse index.
         group.bench_with_input(BenchmarkId::new("uo_indexed", label), &label, |b, _| {
             b.iter(|| {
                 let mut acc = 0u64;
@@ -84,7 +85,7 @@ fn bench_extract(c: &mut Criterion) {
             })
         });
 
-        // The legacy path: probe every link entry against the bitset.
+        // The dense walk: probe every link entry against the bitset.
         group.bench_with_input(BenchmarkId::new("uo_dense", label), &label, |b, _| {
             b.iter(|| {
                 let mut acc = 0u64;

@@ -10,10 +10,10 @@
 //!   a check can say `per_bench[].identical` and mean every row;
 //! * the per-file check sets ([`check_file`]): correctness invariants
 //!   (identity flags, availability floors) that must hold in both the
-//!   committed file and a freshly regenerated one, plus wall-clock
-//!   speedup floors and a committed-vs-fresh ratio gate that only engages
-//!   when the two files were produced at the same `extra_scale` —
-//!   cross-scale wall-clock comparisons are noise.
+//!   committed file and a freshly regenerated one, plus the hot path's
+//!   committed-vs-fresh gate — equal result digests, no more heap
+//!   allocations — which only engages when the two files were produced at
+//!   the same `extra_scale`.
 
 /// A parsed JSON value (no escapes beyond `\"` and `\\` — the baseline
 /// files contain none).
@@ -232,12 +232,6 @@ pub const BASELINE_FILES: [&str; 8] = [
     "BENCH_scale.json",
 ];
 
-/// Fresh wall-clock speedups may drift this far below the committed
-/// baseline before the gate fails; wall clocks on shared CI hosts are
-/// noisy, so the ratio floor is deliberately loose — it catches "the
-/// optimization stopped working", not "-3% today".
-pub const RATIO_SLACK: f64 = 0.6;
-
 fn require_true(j: &Json, path: &str, who: &str, problems: &mut Vec<String>) {
     let leaves = j.path(path);
     if leaves.is_empty() {
@@ -279,36 +273,37 @@ fn same_scale(committed: &Json, fresh: &Json) -> bool {
     c.is_some() && c == f
 }
 
-/// Committed-vs-fresh ratio floor on one numeric path: the fresh value
-/// must be at least [`RATIO_SLACK`] × the committed one. Skipped (with a
-/// note) when the scales differ.
-fn require_ratio(
-    committed: &Json,
-    fresh: &Json,
-    path: &str,
-    who: &str,
-    problems: &mut Vec<String>,
-) {
+/// The hot path's committed-vs-fresh gate, per benchmark row at matched
+/// scale: the run must still compute the same bytes (`digest` equal) and
+/// must not have started allocating more (`allocs` not above committed).
+/// Wall time is recorded as a trend only — on shared hosts it is noise.
+fn check_hotpath_against(committed: &Json, fresh: &Json, problems: &mut Vec<String>) {
     if !same_scale(committed, fresh) {
         return;
     }
-    let c = committed.path(path);
-    let f = fresh.path(path);
-    if c.len() != f.len() || c.is_empty() {
+    let (c, f) = (committed.path("per_bench[]"), fresh.path("per_bench[]"));
+    if c.len() != f.len() {
         problems.push(format!(
-            "{who}: `{path}` shape mismatch (committed {} leaves, fresh {})",
+            "fresh: `per_bench` shape mismatch (committed {} rows, fresh {})",
             c.len(),
             f.len()
         ));
         return;
     }
-    for (idx, (cv, fv)) in c.iter().zip(&f).enumerate() {
-        match (cv.as_f64(), fv.as_f64()) {
-            (Some(c), Some(f)) if f >= c * RATIO_SLACK => {}
-            (Some(c), Some(f)) => problems.push(format!(
-                "{who}: `{path}`[{idx}] regressed: fresh {f:.4} < {RATIO_SLACK} x committed {c:.4}"
+    for (cr, fr) in c.iter().zip(&f) {
+        let bench = cr.get("bench").and_then(Json::as_str).unwrap_or("?");
+        let (cd, fd) = (cr.get("digest"), fr.get("digest"));
+        if cd.is_none() || cd != fd {
+            problems.push(format!(
+                "fresh: per_bench {bench} digest {fd:?} differs from committed {cd:?}"
+            ));
+        }
+        let allocs = |row: &Json| row.get("allocs").and_then(Json::as_f64);
+        match (allocs(cr), allocs(fr)) {
+            (Some(c), Some(f)) if f <= c => {}
+            (c, f) => problems.push(format!(
+                "fresh: per_bench {bench} allocs {f:?} above committed {c:?}"
             )),
-            _ => problems.push(format!("{who}: `{path}`[{idx}] is not a number")),
         }
     }
 }
@@ -318,10 +313,13 @@ fn require_ratio(
 fn check_invariants(file: &str, j: &Json, who: &str, problems: &mut Vec<String>) {
     match file {
         "BENCH_hotpath.json" => {
-            require_true(j, "identical_reports", who, problems);
-            require_true(j, "per_bench[].identical", who, problems);
-            // The optimized path must never lose to the legacy one.
-            require_min(j, "speedup", 1.0, who, problems);
+            // Every row carries its digest and allocation count.
+            require_min(j, "per_bench[].allocs", 0.0, who, problems);
+            for (idx, row) in j.path("per_bench[]").iter().enumerate() {
+                if row.get("digest").and_then(Json::as_str).is_none() {
+                    problems.push(format!("{who}: `per_bench`[{idx}] has no digest"));
+                }
+            }
         }
         "BENCH_kernels.json" => {
             require_true(j, "values_ok", who, problems);
@@ -406,42 +404,15 @@ fn check_invariants(file: &str, j: &Json, who: &str, problems: &mut Vec<String>)
     }
 }
 
-/// Committed-only floors: the headline numbers the repo's history claims.
-/// These protect the committed baseline from being quietly regenerated
-/// with worse results.
-fn check_committed_floors(file: &str, j: &Json, problems: &mut Vec<String>) {
-    if file == "BENCH_hotpath.json" {
-        // The hot-path optimization campaign's claims: pagerank >= 1.4x,
-        // bfs >= 1.3x over the legacy round loop (measured ~1.5x / ~1.7x;
-        // the floors leave wall-clock noise headroom).
-        for row in j.path("per_bench[]") {
-            let bench = row.get("bench").and_then(Json::as_str).unwrap_or("?");
-            let floor = match bench {
-                "pagerank" => 1.4,
-                "bfs" => 1.3,
-                _ => continue,
-            };
-            match row.get("speedup").and_then(Json::as_f64) {
-                Some(s) if s >= floor => {}
-                other => problems.push(format!(
-                    "committed: per_bench {bench} speedup {other:?} below floor {floor}"
-                )),
-            }
-        }
-    }
-}
-
 /// Full check set for one baseline file. `fresh` is `None` when the gate
 /// run did not regenerate this file; the committed copy is still checked.
 pub fn check_file(file: &str, committed: &Json, fresh: Option<&Json>) -> Vec<String> {
     let mut problems = Vec::new();
     check_invariants(file, committed, "committed", &mut problems);
-    check_committed_floors(file, committed, &mut problems);
     if let Some(f) = fresh {
         check_invariants(file, f, "fresh", &mut problems);
         if file == "BENCH_hotpath.json" {
-            require_ratio(committed, f, "speedup", "fresh", &mut problems);
-            require_ratio(committed, f, "per_bench[].speedup", "fresh", &mut problems);
+            check_hotpath_against(committed, f, &mut problems);
         }
     }
     problems
@@ -477,12 +448,13 @@ mod tests {
         assert!(j.path("nope").is_empty());
     }
 
-    fn hotpath(scale: f64, speedup: f64, pr: f64, bfs: f64, identical: bool) -> Json {
+    fn hotpath(scale: f64, pr_allocs: u64, pr_digest: &str) -> Json {
         Json::parse(&format!(
-            r#"{{"extra_scale": {scale}, "speedup": {speedup}, "identical_reports": {identical},
+            r#"{{"extra_scale": {scale}, "wall_s": 0.8,
                 "per_bench": [
-                  {{"bench": "bfs", "speedup": {bfs}, "identical": {identical}}},
-                  {{"bench": "pagerank", "speedup": {pr}, "identical": {identical}}}
+                  {{"bench": "bfs", "wall_s": 0.1, "allocs": 6349, "digest": "00000000deadbeef"}},
+                  {{"bench": "pagerank", "wall_s": 0.7, "allocs": {pr_allocs},
+                    "digest": "{pr_digest}"}}
                 ]}}"#
         ))
         .unwrap()
@@ -490,29 +462,35 @@ mod tests {
 
     #[test]
     fn hotpath_gate_passes_and_fails() {
-        let committed = hotpath(1.0, 1.6, 1.5, 1.7, true);
+        let committed = hotpath(1.0, 5301, "0123456789abcdef");
         assert!(check_file("BENCH_hotpath.json", &committed, None).is_empty());
+        assert!(check_file("BENCH_hotpath.json", &committed, Some(&committed)).is_empty());
 
-        // Identity flag broken in a fresh run.
-        let bad = hotpath(1.0, 1.6, 1.5, 1.7, false);
-        let p = check_file("BENCH_hotpath.json", &committed, Some(&bad));
-        assert!(p.iter().any(|m| m.contains("identical")), "{p:?}");
+        // Fewer allocations at matched scale are welcome.
+        let leaner = hotpath(1.0, 5000, "0123456789abcdef");
+        assert!(check_file("BENCH_hotpath.json", &committed, Some(&leaner)).is_empty());
 
-        // Fresh speedup collapsed below the ratio floor at matched scale.
-        let slow = hotpath(1.0, 0.5, 1.41, 1.31, true);
-        let p = check_file("BENCH_hotpath.json", &committed, Some(&slow));
-        assert!(p.iter().any(|m| m.contains("regressed")), "{p:?}");
+        // The fresh run computes different bytes.
+        let moved = hotpath(1.0, 5301, "fedcba9876543210");
+        let p = check_file("BENCH_hotpath.json", &committed, Some(&moved));
+        assert!(p.iter().any(|m| m.contains("pagerank digest")), "{p:?}");
 
-        // Same collapse at a different scale: wall clocks not comparable,
-        // only the >= 1.0 invariant fires.
-        let slow_small = hotpath(64.0, 1.05, 1.41, 1.31, true);
-        let p = check_file("BENCH_hotpath.json", &committed, Some(&slow_small));
+        // Per-round allocation crept back in.
+        let leaky = hotpath(1.0, 142857, "0123456789abcdef");
+        let p = check_file("BENCH_hotpath.json", &committed, Some(&leaky));
+        assert!(p.iter().any(|m| m.contains("pagerank allocs")), "{p:?}");
+
+        // Both at a different scale: a different graph, nothing comparable.
+        let small = hotpath(64.0, 142857, "fedcba9876543210");
+        let p = check_file("BENCH_hotpath.json", &committed, Some(&small));
         assert!(p.is_empty(), "{p:?}");
 
-        // Committed floors protect the headline claims.
-        let weak = hotpath(1.0, 1.2, 1.1, 1.2, true);
-        let p = check_file("BENCH_hotpath.json", &weak, None);
-        assert!(p.iter().any(|m| m.contains("below floor")), "{p:?}");
+        // A row without its digest is malformed at any scale.
+        let bare =
+            Json::parse(r#"{"extra_scale": 64, "per_bench": [{"bench": "bfs", "allocs": 1}]}"#)
+                .unwrap();
+        let p = check_file("BENCH_hotpath.json", &committed, Some(&bare));
+        assert!(p.iter().any(|m| m.contains("no digest")), "{p:?}");
     }
 
     #[test]

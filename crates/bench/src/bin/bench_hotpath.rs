@@ -1,21 +1,23 @@
-//! Before/after wall-clock + allocation benchmark for the host hot path:
-//! fig3-style 16-device runs (twitter50, IEC, Var3) timed with the legacy
-//! round loop (dense UO walks, fresh per-round allocations) and with the
-//! optimized one (sparsity-proportional [`ExtractIndex`] extraction,
-//! scratch-buffer pooling), asserting byte-identical `ExecutionReport`s
-//! and vertex values, then writing the numbers to `BENCH_hotpath.json`.
+//! Wall-clock + allocation + digest benchmark for the host hot path:
+//! fig3-style 16-device runs (twitter50, IEC, Var3) of the engine alone
+//! (sparsity-proportional [`ExtractIndex`] extraction behind a density
+//! gate, scratch-buffer pooling, word-at-a-time kernel bodies), written to
+//! `BENCH_hotpath.json`.
 //!
-//! Heap allocations are counted by the shared
-//! [`TrackingAlloc`](dirgl_bench::alloc::TrackingAlloc) wrapper, so the
-//! `allocs_*` columns are exact call counts (and `peak_rss_bytes` the
-//! exact byte high-water mark), not estimates.
+//! Per benchmark the file records `wall_s`, the exact heap-allocation
+//! count `allocs` (from the shared
+//! [`TrackingAlloc`](dirgl_bench::alloc::TrackingAlloc) wrapper; the
+//! top-level `peak_rss_bytes` is the exact byte high-water mark) and
+//! `digest`, the FNV-1a-64 hash of the run's `ExecutionReport` `Debug`
+//! text and vertex-value bits. `bench_gate` holds a fresh file against the
+//! committed one at matched `extra_scale`: the digests must be equal and
+//! the allocation counts must not have grown. Wall time is a trend, not a
+//! gate.
 //!
-//! Each timed pass runs `--reps` times (default 1) and reports the
-//! minimum wall time. Raising reps is the standard noise-robust
-//! estimator on a shared host, but note that warm repetitions flatter
-//! the legacy path: its per-round allocations hit a pre-grown heap from
-//! rep 2 on, hiding exactly the allocator pressure the optimized path
-//! eliminates. The committed baseline is therefore single-shot.
+//! Each timed pass runs `--reps` times (default 1) after one untimed
+//! warm-up and reports the minimum wall time; the allocation count and
+//! the digest are those of the last pass (every pass of a deterministic
+//! engine produces the same ones).
 //!
 //! ```sh
 //! cargo run --release --bin bench_hotpath -- [--scale N] [--reps N] [--out PATH]
@@ -28,7 +30,7 @@ use std::time::Instant;
 use dirgl_apps::{Bfs, PageRank};
 use dirgl_bench::alloc::{self, TrackingAlloc};
 use dirgl_bench::cli::{or_exit, write_output, ArgStream, CliError};
-use dirgl_bench::{BenchId, LoadedDataset};
+use dirgl_bench::{fnv1a64, BenchId, LoadedDataset};
 use dirgl_core::{PreparedPartition, RunConfig, RunOutput, Runtime, Variant};
 use dirgl_gpusim::Platform;
 use dirgl_graph::DatasetId;
@@ -65,13 +67,6 @@ fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
     Ok(o)
 }
 
-fn runtime(ld: &LoadedDataset, platform: &Platform, legacy: bool) -> Runtime {
-    let mut cfg = RunConfig::new(Policy::Iec, Variant::var3()).with_legacy_hotpath(legacy);
-    cfg.scale_divisor = ld.ds.divisor;
-    cfg.seed = 0x5EED;
-    Runtime::new(platform.clone(), cfg)
-}
-
 fn run(bench: BenchId, ld: &LoadedDataset, rt: &Runtime, prep: &PreparedPartition) -> RunOutput {
     let g = prep.graph();
     match bench {
@@ -94,90 +89,64 @@ fn main() {
     let reps = reps.max(1);
 
     let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale);
-    let platform = Platform::bridges(DEVICES);
-    let rt_legacy = runtime(&ld, &platform, true);
-    let rt_opt = runtime(&ld, &platform, false);
-    // One prepared partition (plan + degrees) shared by both paths, so
-    // the timed region is the engine alone — per-run partitioning, sync-
-    // plan construction and degree scans all happen once, out here.
-    let prep = rt_opt.prepare(&ld.ds.graph, false).unwrap();
+    let mut cfg = RunConfig::new(Policy::Iec, Variant::var3());
+    cfg.scale_divisor = ld.ds.divisor;
+    cfg.seed = 0x5EED;
+    let rt = Runtime::new(Platform::bridges(DEVICES), cfg);
+    // One prepared partition (plan + degrees), so the timed region is the
+    // engine alone — per-run partitioning, sync-plan construction and
+    // degree scans all happen once, out here.
+    let prep = rt.prepare(&ld.ds.graph, false).unwrap();
 
-    println!("bench_hotpath: twitter50/IEC/Var3 @ {DEVICES} devices, legacy vs optimized\n");
+    println!("bench_hotpath: twitter50/IEC/Var3 @ {DEVICES} devices\n");
 
     let mut rows = Vec::new();
-    let (mut wall_legacy, mut wall_opt) = (0.0f64, 0.0f64);
-    let mut identical = true;
+    let mut wall_total = 0.0f64;
     for bench in BENCHES {
         // Untimed warm-up: first contact with a workload pays allocator and
         // page-fault costs that would otherwise be billed to the first pass.
-        run(bench, &ld, &rt_legacy, &prep);
+        run(bench, &ld, &rt, &prep);
 
-        let (mut legacy_s, mut opt_s) = (f64::INFINITY, f64::INFINITY);
-        let (mut allocs_legacy, mut allocs_opt) = (0, 0);
-        let (mut legacy, mut opt) = (None, None);
+        let mut wall_s = f64::INFINITY;
+        let mut allocs = 0;
+        let mut last = None;
         for _ in 0..reps {
             let a0 = alloc::alloc_count();
             let t0 = Instant::now();
-            let out = run(bench, &ld, &rt_legacy, &prep);
-            legacy_s = legacy_s.min(t0.elapsed().as_secs_f64());
-            allocs_legacy = alloc::alloc_count() - a0;
-            legacy = Some(out);
-
-            let a1 = alloc::alloc_count();
-            let t1 = Instant::now();
-            let out = run(bench, &ld, &rt_opt, &prep);
-            opt_s = opt_s.min(t1.elapsed().as_secs_f64());
-            allocs_opt = alloc::alloc_count() - a1;
-            opt = Some(out);
+            let out = run(bench, &ld, &rt, &prep);
+            wall_s = wall_s.min(t0.elapsed().as_secs_f64());
+            allocs = alloc::alloc_count() - a0;
+            last = Some(out);
         }
-        let (legacy, opt) = (legacy.unwrap(), opt.unwrap());
-
-        let same = format!("{:?}", legacy.report) == format!("{:?}", opt.report)
-            && legacy
-                .values
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-                == opt.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        identical &= same;
+        let out = last.expect("reps >= 1");
+        let report = format!("{:?}", out.report).into_bytes();
+        let values = out.values.iter().flat_map(|v| v.to_bits().to_le_bytes());
+        let digest = fnv1a64(report.into_iter().chain(values));
         println!(
-            "{:>8}: legacy {legacy_s:.3}s / {allocs_legacy} allocs, \
-             optimized {opt_s:.3}s / {allocs_opt} allocs, speedup {:.2}x, identical: {same}",
-            bench.name(),
-            legacy_s / opt_s
+            "{:>8}: {wall_s:.3}s, {allocs} allocs, digest {digest:016x}",
+            bench.name()
         );
-        wall_legacy += legacy_s;
-        wall_opt += opt_s;
+        wall_total += wall_s;
         rows.push(format!(
-            "    {{\"bench\": \"{}\", \"wall_legacy_s\": {legacy_s:.6}, \
-             \"wall_opt_s\": {opt_s:.6}, \"speedup\": {:.4}, \
-             \"allocs_legacy\": {allocs_legacy}, \"allocs_opt\": {allocs_opt}, \
-             \"identical\": {same}}}",
-            bench.name(),
-            legacy_s / opt_s
+            "    {{\"bench\": \"{}\", \"wall_s\": {wall_s:.6}, \"allocs\": {allocs}, \
+             \"digest\": \"{digest:016x}\"}}",
+            bench.name()
         ));
     }
 
-    assert!(
-        identical,
-        "optimized hot path diverged from the legacy path"
-    );
-    let speedup = wall_legacy / wall_opt;
     let peak_rss_bytes = alloc::peak_bytes();
-    println!("\ntotal: legacy {wall_legacy:.3}s, optimized {wall_opt:.3}s, speedup {speedup:.2}x");
+    println!("\ntotal: {wall_total:.3}s");
 
     let json = format!(
         "{{\n  \"dataset\": \"twitter50\",\n  \"policy\": \"iec\",\n  \"variant\": \"Var3\",\n  \
          \"devices\": {DEVICES},\n  \"extra_scale\": {extra_scale},\n  \
-         \"peak_rss_bytes\": {peak_rss_bytes},\n  \
-         \"wall_legacy_s\": {wall_legacy:.6},\n  \"wall_opt_s\": {wall_opt:.6},\n  \
-         \"speedup\": {speedup:.4},\n  \"identical_reports\": {identical},\n  \
+         \"peak_rss_bytes\": {peak_rss_bytes},\n  \"wall_s\": {wall_total:.6},\n  \
          \"per_bench\": [\n{}\n  ],\n  \
-         \"note\": \"Min-over-reps wall-clock and exact heap-allocation counts for the engine only \
-         (prepared partition, sync plan and degrees built once outside the timed region), legacy hot path (dense UO walks, per-round allocation) vs optimized \
-         (ExtractIndex extraction with a density gate, scratch pooling). identical_reports \
-         asserts the byte-identical ExecutionReport + vertex values contract between the two \
-         paths.\"\n}}\n",
+         \"note\": \"Min-over-reps wall-clock, exact heap-allocation counts and FNV-1a-64 result \
+         digests (ExecutionReport Debug text + vertex value bits) for the engine only (prepared \
+         partition, sync plan and degrees built once outside the timed region). bench_gate \
+         compares digests (equal) and allocs (not grown) with the committed file at matched \
+         extra_scale.\"\n}}\n",
         rows.join(",\n")
     );
     or_exit(write_output(&out_path, &json), USAGE);

@@ -45,6 +45,14 @@ use dirgl_partition::{Partition, Policy};
 /// file.
 pub type TraceFileSink = JsonLinesSink<std::io::BufWriter<std::fs::File>>;
 
+/// FNV-1a-64 of a byte stream: the digest `bench_hotpath` records and the
+/// golden-digest corpus (`tests/golden_digests.rs`) pins.
+pub fn fnv1a64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// k for the kcore benchmark across the harness. The paper does not state
 /// its threshold; the partitioning study it builds on (Gill et al., PVLDB
 /// 2018) uses kcore-100, which triggers deep cascading peeling on every

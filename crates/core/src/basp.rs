@@ -32,119 +32,93 @@
 //! forward to the detection instant. Without rejoin the dead device's
 //! partition is re-homed onto a survivor and the simulation continues
 //! degraded.
+//!
+//! This module owns the BASP *schedule* only: the event heap, same-instant
+//! batching, send injection and the time-shifted restore. The messages
+//! themselves ([`DeviceRun::build_sync`] / [`DeviceRun::apply_sync`]) and
+//! the checkpoint / recovery steps ([`crate::engine`]) are shared with
+//! the BSP driver.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use rayon::prelude::*;
 
-use dirgl_comm::SyncPlan;
-use dirgl_comm::{CrashSpec, NetModel, NetState, SendDesc, SimTime};
+use dirgl_comm::{CrashSpec, NetModel, NetState, SendDesc, SimTime, SyncPlan};
 use dirgl_partition::Partition;
 
-use crate::bsp::{EngineOutcome, FaultCtx};
 use crate::config::RunConfig;
-use crate::device::DeviceRun;
+use crate::device::{DeviceRun, SyncDir, SyncMsg};
+use crate::engine::{capture_checkpoint, restore_checkpoint, scale_time, EngineOutcome, FaultCtx};
 use crate::program::{Style, VertexProgram};
-use crate::resilience::{checkpoint_bytes, pcie_transfer_time, DeviceSnapshot, ResilienceStats};
+use crate::resilience::{DeviceSnapshot, ResilienceStats};
 use crate::trace::{EngineKind, FaultEvent, RoundRecord, TraceDirection, TraceSink};
 
-enum Payload<P: VertexProgram> {
-    /// Mirror deltas travelling holder → owner.
-    Reduce {
-        holder: u32,
-        owner: u32,
-        data: Vec<(u32, P::Wire)>,
-    },
-    /// Canonical values travelling owner → holder.
-    Bcast {
-        owner: u32,
-        holder: u32,
-        data: Vec<(u32, P::Wire)>,
-    },
-}
-
-// Manual impls: `P` itself is not `Clone`, only the payload data is, so
-// the derives would put the wrong bound on. Cloning exists for the BASP
-// checkpoint, which snapshots in-flight messages.
-impl<P: VertexProgram> Clone for Payload<P> {
-    fn clone(&self) -> Self {
-        match self {
-            Payload::Reduce {
-                holder,
-                owner,
-                data,
-            } => Payload::Reduce {
-                holder: *holder,
-                owner: *owner,
-                data: data.clone(),
-            },
-            Payload::Bcast {
-                owner,
-                holder,
-                data,
-            } => Payload::Bcast {
-                owner: *owner,
-                holder: *holder,
-                data: data.clone(),
-            },
-        }
-    }
-}
-
-struct Event<P: VertexProgram> {
+#[derive(Clone)]
+struct Event<W> {
     time: SimTime,
     seq: u64,
-    kind: EventKind<P>,
+    kind: EventKind<W>,
 }
 
-enum EventKind<P: VertexProgram> {
+#[derive(Clone)]
+enum EventKind<W> {
+    /// A device's next local round.
     Round(u32),
-    /// Receiver, payload, wire bytes (bytes ride along for the trace's
-    /// received-volume attribution).
-    Arrive(u32, Payload<P>, u64),
+    /// A sync message reaching `msg.to`.
+    Arrive(SyncMsg<W>),
 }
 
-impl<P: VertexProgram> Clone for EventKind<P> {
-    fn clone(&self) -> Self {
-        match self {
-            EventKind::Round(d) => EventKind::Round(*d),
-            EventKind::Arrive(d, payload, bytes) => EventKind::Arrive(*d, payload.clone(), *bytes),
-        }
-    }
-}
-
-impl<P: VertexProgram> Clone for Event<P> {
-    fn clone(&self) -> Self {
-        Event {
-            time: self.time,
-            seq: self.seq,
-            kind: self.kind.clone(),
-        }
-    }
-}
-
-impl<P: VertexProgram> PartialEq for Event<P> {
+impl<W> PartialEq for Event<W> {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<P: VertexProgram> Eq for Event<P> {}
-impl<P: VertexProgram> PartialOrd for Event<P> {
+impl<W> Eq for Event<W> {}
+impl<W> PartialOrd for Event<W> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<P: VertexProgram> Ord for Event<P> {
+impl<W> Ord for Event<W> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap: invert for earliest-first.
         (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
 
+/// The discrete-event state of the simulation besides the devices
+/// themselves: what a checkpoint captures and a recovery restores
+/// (time-shifted). Sequence counters and per-link fault sequence numbers
+/// are deliberately *not* here: a replay draws fresh fault fates, so a
+/// drop that killed the first timeline cannot recur forever
+/// (livelock-freedom).
+#[derive(Clone)]
+struct Schedule<W> {
+    /// When each device's current round (with its sends) ends.
+    busy: Vec<SimTime>,
+    /// Since when each idle device has been waiting for mail.
+    idle_since: Vec<Option<SimTime>>,
+    /// Devices with a `Round` event in the heap.
+    round_pending: Vec<bool>,
+    /// Pull programs: devices whose last round changed nothing.
+    converged: Vec<bool>,
+    /// Arrived, not yet applied messages per device.
+    inbox: Vec<Vec<SyncMsg<W>>>,
+    /// In-flight events.
+    heap: BinaryHeap<Event<W>>,
+    /// Link occupancy.
+    net_state: NetState,
+    /// Trace accumulator: wait since each device's previous local round.
+    tr_wait: Vec<SimTime>,
+    /// Trace accumulator: (bytes, messages) received since then.
+    tr_recv: Vec<(u64, u64)>,
+}
+
 /// Device-local outcome of one round, produced by the parallel phase and
-/// consumed by the sequential injection phase.
-struct LocalRound<P: VertexProgram> {
+/// consumed by the sequential injection phase. The outgoing messages stay
+/// in the device's `scratch.built`.
+struct LocalRound<W> {
     /// Post-round convergence flag (pull programs).
     conv: bool,
     /// The round ended before computing (no work, or round-capped).
@@ -157,83 +131,26 @@ struct LocalRound<P: VertexProgram> {
     pack: SimTime,
     /// Masters changed across the pre- and post-compute absorbs.
     absorb_changed: u32,
-    /// Outgoing `(destination, payload, bytes)` in partner order.
-    msgs: Vec<(u32, Payload<P>, u64)>,
     /// The device's drained inbox vector, returned (emptied) so phase B
     /// can hand it back to `inbox[d]` instead of allocating a fresh one.
-    mail: Vec<Payload<P>>,
+    mail: Vec<SyncMsg<W>>,
 }
 
 /// One unit of parallel phase-A work: batch index, device id, the device's
 /// exclusive slot, its drained mail, and its going-in convergence flag.
-type PhaseAWork<'a, P> = (usize, u32, &'a mut DeviceRun<P>, Vec<Payload<P>>, bool);
+type PhaseAWork<'a, P> = (
+    usize,
+    u32,
+    &'a mut DeviceRun<P>,
+    Vec<SyncMsg<<P as VertexProgram>::Wire>>,
+    bool,
+);
 
-/// A restorable point of the whole BASP simulation: device state plus
-/// every piece of discrete-event machinery (in-flight events, inboxes,
-/// link occupancy, per-device flags). Sequence counters and per-link
-/// fault sequence numbers are deliberately *not* captured: a replay draws
-/// fresh fault fates, so a drop that killed the first timeline cannot
-/// recur forever (livelock-freedom).
+/// A restorable point of the whole BASP simulation.
 struct BaspCheckpoint<P: VertexProgram> {
     taken_at: SimTime,
     devs: Vec<DeviceSnapshot<P>>,
-    busy: Vec<SimTime>,
-    idle_since: Vec<Option<SimTime>>,
-    round_pending: Vec<bool>,
-    converged: Vec<bool>,
-    inbox: Vec<Vec<Payload<P>>>,
-    events: Vec<Event<P>>,
-    net_state: NetState,
-    tr_wait: Vec<SimTime>,
-    tr_recv: Vec<(u64, u64)>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn take_basp_checkpoint<P: VertexProgram>(
-    program: &P,
-    devices: &[DeviceRun<P>],
-    busy: &mut [SimTime],
-    idle_since: &[Option<SimTime>],
-    round_pending: &[bool],
-    converged: &[bool],
-    inbox: &[Vec<Payload<P>>],
-    heap: &BinaryHeap<Event<P>>,
-    net_state: &NetState,
-    tr_wait: &[SimTime],
-    tr_recv: &[(u64, u64)],
-    divisor: u64,
-    net: &NetModel,
-    stats: &mut ResilienceStats,
-    sink: &mut dyn TraceSink,
-) -> BaspCheckpoint<P> {
-    let cluster = net.platform().cluster;
-    let mut total = 0u64;
-    for (i, dev) in devices.iter().enumerate() {
-        let bytes = checkpoint_bytes(dev, program, divisor);
-        total += bytes;
-        busy[i] += pcie_transfer_time(&cluster, bytes);
-    }
-    let taken_at = busy.iter().copied().max().unwrap_or(SimTime::ZERO);
-    stats.checkpoints_taken += 1;
-    stats.checkpoint_bytes += total;
-    sink.fault(FaultEvent::CheckpointTaken {
-        at: taken_at,
-        round: devices.iter().map(|d| d.rounds).min().unwrap_or(0),
-        bytes: total,
-    });
-    BaspCheckpoint {
-        taken_at,
-        devs: devices.iter().map(DeviceSnapshot::capture).collect(),
-        busy: busy.to_vec(),
-        idle_since: idle_since.to_vec(),
-        round_pending: round_pending.to_vec(),
-        converged: converged.to_vec(),
-        inbox: inbox.to_vec(),
-        events: heap.iter().cloned().collect(),
-        net_state: net_state.clone(),
-        tr_wait: tr_wait.to_vec(),
-        tr_recv: tr_recv.to_vec(),
-    }
+    sched: Schedule<P::Wire>,
 }
 
 /// Rolls the whole simulation back to `ckpt`, shifted forward so it
@@ -248,102 +165,61 @@ fn recover_basp<P: VertexProgram>(
     ckpt: &BaspCheckpoint<P>,
     detect_at: SimTime,
     devices: &mut [DeviceRun<P>],
-    busy: &mut [SimTime],
-    idle_since: &mut [Option<SimTime>],
-    round_pending: &mut [bool],
-    converged: &mut [bool],
-    inbox: &mut [Vec<Payload<P>>],
-    heap: &mut BinaryHeap<Event<P>>,
-    net_state: &mut NetState,
+    sched: &mut Schedule<P::Wire>,
     phys_free: &mut [SimTime],
-    tr_wait: &mut [SimTime],
-    tr_recv: &mut [(u64, u64)],
     ctx: &mut FaultCtx<'_>,
     stats: &mut ResilienceStats,
     sink: &mut dyn TraceSink,
 ) {
-    stats.rollbacks += 1;
     stats.rounds_replayed += devices
         .iter()
         .zip(&ckpt.devs)
         .map(|(d, s)| d.rounds.saturating_sub(s.rounds()))
         .sum::<u32>();
-    let pre_max = busy.iter().copied().max().unwrap_or(SimTime::ZERO);
-
     // Every device reloads its snapshot over PCIe; the simulation resumes
     // once the slowest reload completes.
-    let cluster = net.platform().cluster;
-    let mut resume = detect_at;
-    for dev in devices.iter() {
-        let cost = pcie_transfer_time(&cluster, checkpoint_bytes(dev, program, divisor));
-        resume = resume.max(detect_at + cost);
-    }
-    stats.recovery_time += resume.saturating_sub(pre_max);
+    let resume = restore_checkpoint(
+        program,
+        devices,
+        &ckpt.devs,
+        &mut sched.busy,
+        detect_at,
+        divisor,
+        net,
+        stats,
+    );
 
     // Restore, time-shifted: everything the snapshot scheduled `x` seconds
     // into its future stays `x` seconds into the resumed run's future.
+    // Original sequence numbers are kept: relative event order inside the
+    // snapshot is part of the restored state. The live counter was never
+    // rolled back, so post-recovery events sort after all restored ones at
+    // equal instants.
     let delta = resume.saturating_sub(ckpt.taken_at);
-    for (dev, snap) in devices.iter_mut().zip(&ckpt.devs) {
-        snap.restore(dev);
+    *sched = ckpt.sched.clone();
+    sched.busy.iter_mut().for_each(|b| *b += delta);
+    for t in sched.idle_since.iter_mut().flatten() {
+        *t += delta;
     }
-    for (b, s) in busy.iter_mut().zip(&ckpt.busy) {
-        *b = *s + delta;
-    }
-    for (i, s) in idle_since.iter_mut().zip(&ckpt.idle_since) {
-        *i = s.map(|t| t + delta);
-    }
-    round_pending.copy_from_slice(&ckpt.round_pending);
-    converged.copy_from_slice(&ckpt.converged);
-    for (ib, s) in inbox.iter_mut().zip(&ckpt.inbox) {
-        *ib = s.clone();
-    }
-    tr_wait.copy_from_slice(&ckpt.tr_wait);
-    tr_recv.copy_from_slice(&ckpt.tr_recv);
-    *net_state = ckpt.net_state.clone();
-    net_state.shift(delta);
-    heap.clear();
-    for e in &ckpt.events {
-        // Original sequence numbers are kept: relative event order inside
-        // the snapshot is part of the restored state. The live counter
-        // was never rolled back, so post-recovery events sort after all
-        // restored ones at equal instants.
-        heap.push(Event {
+    sched.net_state.shift(delta);
+    sched.heap = std::mem::take(&mut sched.heap)
+        .into_iter()
+        .map(|e| Event {
             time: e.time + delta,
-            seq: e.seq,
-            kind: e.kind.clone(),
-        });
-    }
+            ..e
+        })
+        .collect();
 
-    if cr.rejoin {
-        ctx.health.revive(cr.device);
-        stats.rejoins += 1;
-    } else {
-        let adopter = ctx
-            .home
-            .pick_adopter(&ctx.health.alive_flags())
-            .expect("at least one survivor");
-        let masters = devices[cr.device as usize].lg.num_masters as u64;
-        ctx.home.rehome(cr.device, adopter);
-        stats.masters_reassigned += masters;
-        sink.fault(FaultEvent::MastersReassigned {
-            at: resume,
-            from_device: cr.device,
-            to_device: adopter,
-            masters,
-        });
-    }
+    let masters = devices[cr.device as usize].lg.num_masters as u64;
+    let to_round = ckpt.devs.iter().map(|s| s.rounds()).min().unwrap_or(0);
+    ctx.finish_recovery(cr, masters, resume, to_round, stats, sink);
     for f in phys_free.iter_mut() {
         *f = SimTime::ZERO;
     }
-    for l in 0..busy.len() as u32 {
-        let pd = ctx.home.phys(l) as usize;
-        phys_free[pd] = phys_free[pd].max(busy[l as usize]);
+    for (l, &b) in sched.busy.iter().enumerate() {
+        let pd = ctx.home.phys(l as u32) as usize;
+        phys_free[pd] = phys_free[pd].max(b);
     }
-    sink.fault(FaultEvent::Rollback {
-        at: resume,
-        to_round: ckpt.devs.iter().map(|s| s.rounds()).min().unwrap_or(0),
-        device: cr.device,
-    });
 }
 
 /// Runs `program` to quiescence under BASP, emitting one
@@ -362,22 +238,13 @@ pub fn run_basp<P: VertexProgram>(
     sink: &mut dyn TraceSink,
 ) -> EngineOutcome {
     let p = devices.len();
-    let mode = config.variant.comm;
     let divisor = config.scale_divisor;
     let balancer = config.variant.balancer;
     let pull = program.style() == Style::PullTopologyDriven;
     let tracing = sink.enabled();
-    // Sparsity-proportional UO extraction and payload-buffer pooling (see
-    // `run_bsp`; both paths byte-identical, pinned by tests).
-    let use_index = !config.legacy_hotpath;
-    for d in devices.iter_mut() {
-        d.scratch.pooling = use_index;
-        d.scratch.vector_kernels = use_index;
-    }
 
-    let mut heap: BinaryHeap<Event<P>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let push_ev = |heap: &mut BinaryHeap<Event<P>>, seq: &mut u64, time, kind| {
+    let push_ev = |heap: &mut BinaryHeap<Event<P::Wire>>, seq: &mut u64, time, kind| {
         *seq += 1;
         heap.push(Event {
             time,
@@ -386,14 +253,19 @@ pub fn run_basp<P: VertexProgram>(
         });
     };
 
-    let mut busy = vec![SimTime::ZERO; p];
-    let mut idle_since: Vec<Option<SimTime>> = vec![None; p];
-    let mut round_pending = vec![false; p];
-    let mut converged = vec![false; p];
-    let mut inbox: Vec<Vec<Payload<P>>> = (0..p).map(|_| Vec::new()).collect();
+    let mut sched = Schedule {
+        busy: vec![SimTime::ZERO; p],
+        idle_since: vec![None; p],
+        round_pending: vec![false; p],
+        converged: vec![false; p],
+        inbox: (0..p).map(|_| Vec::new()).collect(),
+        heap: BinaryHeap::new(),
+        net_state: net.new_state(),
+        tr_wait: vec![SimTime::ZERO; p],
+        tr_recv: vec![(0u64, 0u64); p],
+    };
     let mut comm_bytes = 0u64;
     let mut messages = 0u64;
-    let mut net_state = net.new_state();
 
     // Fault layer (None unless configured; a none-plan context is inert
     // and byte-identical to the raw path — pinned by tests).
@@ -409,67 +281,75 @@ pub fn run_basp<P: VertexProgram>(
     let mut pending_failures: Vec<SimTime> = Vec::new();
     let mut straggler_announced = false;
 
-    // Per-device trace accumulators: wait since the previous local round,
-    // and (bytes, messages) received since the previous local round.
-    let mut tr_wait = vec![SimTime::ZERO; p];
-    let mut tr_recv = vec![(0u64, 0u64); p];
-
     for d in 0..p as u32 {
         if pull || devices[d as usize].has_work() {
-            round_pending[d as usize] = true;
-            push_ev(&mut heap, &mut seq, SimTime::ZERO, EventKind::Round(d));
+            sched.round_pending[d as usize] = true;
+            push_ev(
+                &mut sched.heap,
+                &mut seq,
+                SimTime::ZERO,
+                EventKind::Round(d),
+            );
         } else {
-            idle_since[d as usize] = Some(SimTime::ZERO);
+            sched.idle_since[d as usize] = Some(SimTime::ZERO);
         }
     }
 
-    let mut checkpoint: Option<BaspCheckpoint<P>> = None;
-    if recovery_on {
-        checkpoint = Some(take_basp_checkpoint(
+    // Captures the devices (charging each dump to its `busy` clock), then
+    // the schedule as it stands after that charge.
+    let take_checkpoint = |devices: &[DeviceRun<P>],
+                           sched: &mut Schedule<P::Wire>,
+                           stats: &mut ResilienceStats,
+                           sink: &mut dyn TraceSink| {
+        let round = devices.iter().map(|d| d.rounds).min().unwrap_or(0);
+        let (taken_at, devs) = capture_checkpoint(
             program,
             devices,
-            &mut busy,
-            &idle_since,
-            &round_pending,
-            &converged,
-            &inbox,
-            &heap,
-            &net_state,
-            &tr_wait,
-            &tr_recv,
+            &mut sched.busy,
+            round,
             divisor,
             net,
-            &mut stats,
+            stats,
             sink,
-        ));
+        );
+        BaspCheckpoint {
+            taken_at,
+            devs,
+            sched: sched.clone(),
+        }
+    };
+    let mut checkpoint: Option<BaspCheckpoint<P>> = None;
+    if recovery_on {
+        checkpoint = Some(take_checkpoint(devices, &mut sched, &mut stats, sink));
     }
 
     'sim: loop {
-        while let Some(ev) = heap.pop() {
+        while let Some(ev) = sched.heap.pop() {
             match ev.kind {
-                EventKind::Arrive(d, payload, bytes) => {
+                EventKind::Arrive(msg) => {
                     // Mail for a dead partition evaporates; the sender's
                     // failure detection happens on the transport side.
-                    if fctx.as_ref().is_some_and(|c| !c.alive_logical(d)) {
+                    if fctx.as_ref().is_some_and(|c| !c.alive_logical(msg.to)) {
                         continue;
                     }
+                    let d = msg.to;
                     let du = d as usize;
-                    inbox[du].push(payload);
                     if tracing {
-                        tr_recv[du].0 += bytes;
-                        tr_recv[du].1 += 1;
+                        sched.tr_recv[du].0 += msg.bytes;
+                        sched.tr_recv[du].1 += 1;
                     }
-                    if !round_pending[du] {
+                    sched.inbox[du].push(msg);
+                    if !sched.round_pending[du] {
                         // Wake the device at whichever is later: now or when its
                         // current round ends.
-                        let wake = ev.time.max(busy[du]);
-                        if let Some(s) = idle_since[du].take() {
+                        let wake = ev.time.max(sched.busy[du]);
+                        if let Some(s) = sched.idle_since[du].take() {
                             let blocked = wake.saturating_sub(s);
                             devices[du].idle_time += blocked;
-                            tr_wait[du] += blocked;
+                            sched.tr_wait[du] += blocked;
                         }
-                        round_pending[du] = true;
-                        push_ev(&mut heap, &mut seq, wake, EventKind::Round(d));
+                        sched.round_pending[du] = true;
+                        push_ev(&mut sched.heap, &mut seq, wake, EventKind::Round(d));
                     }
                 }
                 EventKind::Round(d) => {
@@ -478,11 +358,11 @@ pub fn run_basp<P: VertexProgram>(
                     // interleaved same-time Arrive ends the batch: its effect
                     // must stay ordered between the rounds around it).
                     let mut batch: Vec<u32> = vec![d];
-                    while let Some(top) = heap.peek() {
+                    while let Some(top) = sched.heap.peek() {
                         if top.time != t || !matches!(top.kind, EventKind::Round(_)) {
                             break;
                         }
-                        match heap.pop() {
+                        match sched.heap.pop() {
                             Some(Event {
                                 kind: EventKind::Round(d2),
                                 ..
@@ -491,7 +371,7 @@ pub fn run_basp<P: VertexProgram>(
                         }
                     }
                     for &bd in &batch {
-                        round_pending[bd as usize] = false;
+                        sched.round_pending[bd as usize] = false;
                     }
 
                     // Scheduled crash: fires when the victim is about to
@@ -503,14 +383,7 @@ pub fn run_basp<P: VertexProgram>(
                             && batch.contains(&cr.device)
                             && devices[cr.device as usize].rounds == cr.round
                         {
-                            ctx.crash_fired = true;
-                            ctx.health.mark_dead(cr.device);
-                            stats.crashes += 1;
-                            sink.fault(FaultEvent::FaultInjected {
-                                at: t,
-                                device: cr.device,
-                                kind: "crash",
-                            });
+                            ctx.fire_crash(cr, t, &mut stats, sink);
                         }
                         batch.retain(|&bd| ctx.alive_logical(bd));
                         if batch.is_empty() {
@@ -524,42 +397,18 @@ pub fn run_basp<P: VertexProgram>(
                     // (net state, seq, heap), so batched devices fan out across
                     // the pool.
                     let phase_a = |dev: &mut DeviceRun<P>,
-                                   d: u32,
-                                   mut mail: Vec<Payload<P>>,
+                                   mut mail: Vec<SyncMsg<P::Wire>>,
                                    mut conv: bool|
-                     -> LocalRound<P> {
+                     -> LocalRound<P::Wire> {
                         // 1. Drain arrived messages. Only payloads that actually
                         // change state un-converge the device: header-only sync
                         // messages must not cause compute chatter. Applied
                         // payload vectors recycle into this device's pool.
-                        let mut arrivals_changed = false;
-                        for payload in mail.drain(..) {
-                            match payload {
-                                Payload::Reduce {
-                                    holder,
-                                    owner,
-                                    data,
-                                } => {
-                                    debug_assert_eq!(owner, d);
-                                    let link = part.link(holder, owner);
-                                    arrivals_changed |= dev.apply_reduce(program, link, &data);
-                                    dev.scratch.recycle(data);
-                                }
-                                Payload::Bcast {
-                                    owner,
-                                    holder,
-                                    data,
-                                } => {
-                                    debug_assert_eq!(holder, d);
-                                    let link = part.link(holder, owner);
-                                    arrivals_changed |=
-                                        dev.apply_broadcast(program, link, &data, true);
-                                    dev.scratch.recycle(data);
-                                }
+                        for msg in mail.drain(..) {
+                            if dev.apply_sync(program, part, &msg, true) {
+                                conv = false;
                             }
-                        }
-                        if arrivals_changed {
-                            conv = false;
+                            dev.scratch.recycle(msg.data);
                         }
                         // 2. Pre-compute absorb (data-driven): reduced deltas may
                         // activate masters. Idempotent against an empty accumulator.
@@ -582,7 +431,6 @@ pub fn run_basp<P: VertexProgram>(
                                 dt: SimTime::ZERO,
                                 pack: SimTime::ZERO,
                                 absorb_changed: 0,
-                                msgs: Vec::new(),
                                 mail,
                             };
                         }
@@ -604,79 +452,22 @@ pub fn run_basp<P: VertexProgram>(
                             conv = changed == 0;
                         }
 
-                        // 5a. Build outgoing payloads (timing and injection
-                        // happen in the sequential phase below). Every
-                        // computing round syncs with every partner, as
-                        // Gluon(-Async) does; an empty payload still costs the
-                        // presence-bitset header.
-                        let mut msgs: Vec<(u32, Payload<P>, u64)> = Vec::new();
-                        // Density gate (see `run_bsp`): the index engages
-                        // only when the frontier is sparse relative to the
-                        // link; the dense walk wins otherwise. Identical
-                        // bytes either way.
-                        let (upd, dirty) = if use_index {
-                            (
-                                dev.updated.count_ones() as usize,
-                                dev.bcast_dirty.count_ones() as usize,
-                            )
-                        } else {
-                            (usize::MAX, usize::MAX)
-                        };
-                        for other in 0..p as u32 {
-                            if other == d {
-                                continue;
-                            }
-                            // Reduce: this device's mirror deltas to their masters.
-                            let entries = plan.reduce(d, other);
-                            if !entries.is_empty() {
-                                let link = part.link(d, other);
-                                let idx = if upd < entries.len() / 2 {
-                                    plan.reduce_index(d, other)
-                                } else {
-                                    None
-                                };
-                                let (data, bytes) =
-                                    dev.build_reduce(program, link, entries, idx, mode, divisor);
-                                msgs.push((
-                                    other,
-                                    Payload::Reduce {
-                                        holder: d,
-                                        owner: other,
-                                        data,
-                                    },
-                                    bytes,
-                                ));
-                            }
-                            // Broadcast: this device's updated masters to mirrors.
-                            let entries = plan.bcast(other, d);
-                            if !entries.is_empty() {
-                                let link = part.link(other, d);
-                                let idx = if dirty < entries.len() / 2 {
-                                    plan.bcast_index(other, d)
-                                } else {
-                                    None
-                                };
-                                let (data, bytes) = dev.build_broadcast(
-                                    program, link, entries, idx, mode, divisor, true,
-                                );
-                                msgs.push((
-                                    other,
-                                    Payload::Bcast {
-                                        owner: d,
-                                        holder: other,
-                                        data,
-                                    },
-                                    bytes,
-                                ));
-                            }
-                        }
+                        // 5a. Build outgoing messages into `scratch.built`
+                        // (timing and injection happen in the sequential phase
+                        // below). Every computing round syncs with every
+                        // partner, as Gluon(-Async) does: this device's mirror
+                        // deltas to their masters, and its updated masters to
+                        // their mirrors.
+                        let pack = dev.build_sync(
+                            program,
+                            &[SyncDir::Reduce, SyncDir::Broadcast],
+                            part,
+                            plan,
+                            config,
+                            true,
+                        );
                         dev.after_broadcast_round(program);
                         dev.clear_sync_marks(program);
-                        let pack = if msgs.is_empty() {
-                            SimTime::ZERO
-                        } else {
-                            dev.pack_time(mode, divisor)
-                        };
                         LocalRound {
                             conv,
                             idle: false,
@@ -684,16 +475,15 @@ pub fn run_basp<P: VertexProgram>(
                             dt,
                             pack,
                             absorb_changed: pre_changed + changed,
-                            msgs,
                             mail,
                         }
                     };
 
-                    let outs: Vec<(u32, LocalRound<P>)> = if batch.len() == 1 {
+                    let outs: Vec<(u32, LocalRound<P::Wire>)> = if batch.len() == 1 {
                         let d = batch[0];
                         let du = d as usize;
-                        let mail = std::mem::take(&mut inbox[du]);
-                        vec![(d, phase_a(&mut devices[du], d, mail, converged[du]))]
+                        let mail = std::mem::take(&mut sched.inbox[du]);
+                        vec![(d, phase_a(&mut devices[du], mail, sched.converged[du]))]
                     } else {
                         // Select disjoint `&mut` device slots in ascending index
                         // order, then fan out. Results return to pop order via
@@ -714,13 +504,13 @@ pub fn run_basp<P: VertexProgram>(
                                 i,
                                 batch[i],
                                 dev,
-                                std::mem::take(&mut inbox[du]),
-                                converged[du],
+                                std::mem::take(&mut sched.inbox[du]),
+                                sched.converged[du],
                             ));
                         }
-                        let mut outs: Vec<(usize, u32, LocalRound<P>)> = work
+                        let mut outs: Vec<(usize, u32, LocalRound<P::Wire>)> = work
                             .into_par_iter()
-                            .map(|(bi, bd, dev, mail, conv)| (bi, bd, phase_a(dev, bd, mail, conv)))
+                            .map(|(bi, bd, dev, mail, conv)| (bi, bd, phase_a(dev, mail, conv)))
                             .collect();
                         outs.sort_unstable_by_key(|o| o.0);
                         outs.into_iter().map(|(_, bd, a)| (bd, a)).collect()
@@ -736,10 +526,10 @@ pub fn run_basp<P: VertexProgram>(
                         // no Arrive event is processed between the take in
                         // phase A and this point, so nothing was pushed to
                         // the placeholder.
-                        inbox[du] = std::mem::take(&mut a.mail);
-                        converged[du] = a.conv;
+                        sched.inbox[du] = std::mem::take(&mut a.mail);
+                        sched.converged[du] = a.conv;
                         if a.idle {
-                            idle_since[du] = Some(t);
+                            sched.idle_since[du] = Some(t);
                             continue;
                         }
                         // Straggler: scale this round's kernel time when the
@@ -750,19 +540,15 @@ pub fn run_basp<P: VertexProgram>(
                                 let f = ctx
                                     .injector()
                                     .slowdown(phys, devices[du].rounds.saturating_sub(1));
-                                if f == 1.0 {
-                                    a.dt
-                                } else {
-                                    if !straggler_announced {
-                                        straggler_announced = true;
-                                        sink.fault(FaultEvent::FaultInjected {
-                                            at: t,
-                                            device: phys,
-                                            kind: "straggler",
-                                        });
-                                    }
-                                    SimTime::from_secs_f64(a.dt.as_secs_f64() * f)
+                                if f != 1.0 && !straggler_announced {
+                                    straggler_announced = true;
+                                    sink.fault(FaultEvent::FaultInjected {
+                                        at: t,
+                                        device: phys,
+                                        kind: "straggler",
+                                    });
                                 }
+                                scale_time(a.dt, f)
                             }
                             None => a.dt,
                         };
@@ -775,23 +561,27 @@ pub fn run_basp<P: VertexProgram>(
                         let start = match &fctx {
                             Some(ctx) if !ctx.home.is_identity() => {
                                 let pd = ctx.home.phys(bd) as usize;
-                                t.max(busy[du]).max(phys_free[pd])
+                                t.max(sched.busy[du]).max(phys_free[pd])
                             }
-                            _ => t.max(busy[du]),
+                            _ => t.max(sched.busy[du]),
                         };
                         let mut depart = start + dt;
                         let mut sender_free = depart;
                         depart += a.pack;
                         let mut sent_bytes = 0u64;
                         let mut sent_msgs = 0u64;
-                        for (other, payload, bytes) in a.msgs {
+                        let mut built = std::mem::take(&mut devices[du].scratch.built);
+                        for msg in built.drain(..) {
+                            let (other, bytes) = (msg.to, msg.bytes);
                             messages += 1;
                             sent_bytes += bytes;
                             sent_msgs += 1;
-                            match fctx.as_mut() {
+                            // When the message arrives; `None` when its
+                            // receiver is dead.
+                            let arrival = match fctx.as_mut() {
                                 None => {
                                     let delivery = net.send(
-                                        &mut net_state,
+                                        &mut sched.net_state,
                                         SendDesc {
                                             from: bd,
                                             to: other,
@@ -801,12 +591,7 @@ pub fn run_basp<P: VertexProgram>(
                                     );
                                     comm_bytes += bytes;
                                     sender_free = sender_free.max(delivery.sender_free);
-                                    push_ev(
-                                        &mut heap,
-                                        &mut seq,
-                                        delivery.arrival,
-                                        EventKind::Arrive(other, payload, bytes),
-                                    );
+                                    Some(delivery.arrival)
                                 }
                                 Some(ctx) => {
                                     let pf = ctx.home.phys(bd);
@@ -814,65 +599,49 @@ pub fn run_basp<P: VertexProgram>(
                                     if pf == pt {
                                         // Co-homed after degradation: the
                                         // payload never leaves device memory.
-                                        push_ev(
-                                            &mut heap,
-                                            &mut seq,
-                                            depart,
-                                            EventKind::Arrive(other, payload, bytes),
+                                        Some(depart)
+                                    } else {
+                                        let alive = ctx.health.is_alive(pt);
+                                        let v = ctx.rnet.send_reliable(
+                                            &mut sched.net_state,
+                                            &mut ctx.rstate,
+                                            SendDesc {
+                                                from: pf,
+                                                to: pt,
+                                                bytes,
+                                                depart,
+                                            },
+                                            alive,
+                                            &mut stats.faults,
+                                            &mut ctx.events,
                                         );
-                                        continue;
-                                    }
-                                    let alive = ctx.health.is_alive(pt);
-                                    let v = ctx.rnet.send_reliable(
-                                        &mut net_state,
-                                        &mut ctx.rstate,
-                                        SendDesc {
-                                            from: pf,
-                                            to: pt,
-                                            bytes,
-                                            depart,
-                                        },
-                                        alive,
-                                        &mut stats.faults,
-                                        &mut ctx.events,
-                                    );
-                                    comm_bytes += v.wire_bytes;
-                                    sender_free = sender_free.max(v.sender_free);
-                                    match v.arrival {
-                                        Some(arr) => push_ev(
-                                            &mut heap,
-                                            &mut seq,
-                                            arr,
-                                            EventKind::Arrive(other, payload, bytes),
-                                        ),
-                                        None => {
+                                        comm_bytes += v.wire_bytes;
+                                        sender_free = sender_free.max(v.sender_free);
+                                        // Alive receiver, every attempt lost:
+                                        // escalate out-of-band and deliver at
+                                        // the give-up instant (correctness
+                                        // must not depend on luck).
+                                        v.arrival.or_else(|| {
                                             let gave =
                                                 v.gave_up_at.expect("no arrival implies give-up");
-                                            if alive {
-                                                // Alive receiver, every attempt
-                                                // lost: escalate out-of-band and
-                                                // deliver at the give-up instant
-                                                // (correctness must not depend
-                                                // on luck).
-                                                push_ev(
-                                                    &mut heap,
-                                                    &mut seq,
-                                                    gave,
-                                                    EventKind::Arrive(other, payload, bytes),
-                                                );
-                                            } else {
+                                            if !alive {
                                                 pending_failures.push(gave);
                                             }
-                                        }
+                                            alive.then_some(gave)
+                                        })
                                     }
                                 }
+                            };
+                            if let Some(at) = arrival {
+                                push_ev(&mut sched.heap, &mut seq, at, EventKind::Arrive(msg));
                             }
                         }
-                        busy[du] = depart.max(sender_free);
+                        devices[du].scratch.built = built;
+                        sched.busy[du] = depart.max(sender_free);
                         if let Some(ctx) = &fctx {
                             if !ctx.home.is_identity() {
                                 let pd = ctx.home.phys(bd) as usize;
-                                phys_free[pd] = phys_free[pd].max(busy[du]);
+                                phys_free[pd] = phys_free[pd].max(sched.busy[du]);
                             }
                         }
 
@@ -889,21 +658,21 @@ pub fn run_basp<P: VertexProgram>(
                                 frontier: a.frontier,
                                 compute: dt,
                                 pack: a.pack,
-                                wait: tr_wait[du],
+                                wait: sched.tr_wait[du],
                                 bytes_sent: sent_bytes,
-                                bytes_received: tr_recv[du].0,
+                                bytes_received: sched.tr_recv[du].0,
                                 messages_sent: sent_msgs,
-                                messages_received: tr_recv[du].1,
+                                messages_received: sched.tr_recv[du].1,
                                 absorb_changed: a.absorb_changed,
-                                clock_end: busy[du],
+                                clock_end: sched.busy[du],
                             });
-                            tr_wait[du] = SimTime::ZERO;
-                            tr_recv[du] = (0, 0);
+                            sched.tr_wait[du] = SimTime::ZERO;
+                            sched.tr_recv[du] = (0, 0);
                         }
 
                         // 6. Keep rounding while local work remains; otherwise idle.
                         let more = if pull {
-                            !converged[du]
+                            !sched.converged[du]
                         } else {
                             devices[du].has_work()
                         };
@@ -912,11 +681,11 @@ pub fn run_basp<P: VertexProgram>(
                             // the next round instead of each triggering redundant
                             // recomputation (the paper's §VII recommendation).
                             let next =
-                                busy[du] + SimTime::from_secs_f64(config.basp_round_gap_secs);
-                            round_pending[du] = true;
-                            push_ev(&mut heap, &mut seq, next, EventKind::Round(bd));
+                                sched.busy[du] + SimTime::from_secs_f64(config.basp_round_gap_secs);
+                            sched.round_pending[du] = true;
+                            push_ev(&mut sched.heap, &mut seq, next, EventKind::Round(bd));
                         } else {
-                            idle_since[du] = Some(busy[du]);
+                            sched.idle_since[du] = Some(sched.busy[du]);
                         }
                     }
 
@@ -931,29 +700,19 @@ pub fn run_basp<P: VertexProgram>(
                             .drain(..)
                             .max()
                             .expect("non-empty failures");
-                        let cr = crash_plan.expect("only a scheduled crash kills devices");
-                        let ctx = fctx.as_mut().expect("failures imply a fault context");
                         recover_basp(
                             program,
                             net,
                             divisor,
-                            cr,
+                            crash_plan.expect("only a scheduled crash kills devices"),
                             checkpoint
                                 .as_ref()
                                 .expect("recovery_on guarantees an initial checkpoint"),
                             detect_at,
                             devices,
-                            &mut busy,
-                            &mut idle_since,
-                            &mut round_pending,
-                            &mut converged,
-                            &mut inbox,
-                            &mut heap,
-                            &mut net_state,
+                            &mut sched,
                             &mut phys_free,
-                            &mut tr_wait,
-                            &mut tr_recv,
-                            ctx,
+                            fctx.as_mut().expect("failures imply a fault context"),
                             &mut stats,
                             sink,
                         );
@@ -966,23 +725,8 @@ pub fn run_basp<P: VertexProgram>(
                         let minr = devices.iter().map(|d| d.rounds).min().unwrap_or(0);
                         if minr >= next_ckpt && fctx.as_ref().is_none_or(|c| !c.dead_unrecovered(p))
                         {
-                            checkpoint = Some(take_basp_checkpoint(
-                                program,
-                                devices,
-                                &mut busy,
-                                &idle_since,
-                                &round_pending,
-                                &converged,
-                                &inbox,
-                                &heap,
-                                &net_state,
-                                &tr_wait,
-                                &tr_recv,
-                                divisor,
-                                net,
-                                &mut stats,
-                                sink,
-                            ));
+                            checkpoint =
+                                Some(take_checkpoint(devices, &mut sched, &mut stats, sink));
                             next_ckpt = (minr / ckpt_every + 1) * ckpt_every;
                         }
                     }
@@ -995,31 +739,21 @@ pub fn run_basp<P: VertexProgram>(
         // is the failure detector: the lease on the silent peer expires one
         // full retry ladder past the last activity.
         if fctx.as_ref().is_some_and(|c| c.dead_unrecovered(p)) {
-            let detect_at =
-                busy.iter().copied().max().unwrap_or(SimTime::ZERO) + config.retry.give_up_after();
-            let cr = crash_plan.expect("only a scheduled crash kills devices");
-            let ctx = fctx.as_mut().expect("dead device implies a fault context");
+            let detect_at = sched.busy.iter().copied().max().unwrap_or(SimTime::ZERO)
+                + config.retry.give_up_after();
             recover_basp(
                 program,
                 net,
                 divisor,
-                cr,
+                crash_plan.expect("only a scheduled crash kills devices"),
                 checkpoint
                     .as_ref()
                     .expect("recovery_on guarantees an initial checkpoint"),
                 detect_at,
                 devices,
-                &mut busy,
-                &mut idle_since,
-                &mut round_pending,
-                &mut converged,
-                &mut inbox,
-                &mut heap,
-                &mut net_state,
+                &mut sched,
                 &mut phys_free,
-                &mut tr_wait,
-                &mut tr_recv,
-                ctx,
+                fctx.as_mut().expect("dead device implies a fault context"),
                 &mut stats,
                 sink,
             );
@@ -1043,7 +777,7 @@ pub fn run_basp<P: VertexProgram>(
     }
     let min_rounds = devices.iter().map(|d| d.rounds).min().unwrap_or(0);
     EngineOutcome {
-        clocks: busy,
+        clocks: sched.busy,
         host_wait,
         comm_bytes,
         messages,

@@ -14,211 +14,36 @@
 //! the result is bit-identical at any thread count.
 //!
 //! Resilience: when [`RunConfig::faults`] is set, every exchange goes
-//! through the retry/ack [`ReliableNet`] (byte-identical to the raw path
-//! when the plan schedules nothing), device crashes are detected through
-//! exhausted retry budgets — the BSP barrier itself is the failure
-//! detector: a silent peer times out every partner — and recovery either
-//! rolls every device back to the last checkpoint (crash with rejoin) or
-//! permanently re-homes the dead device's partition onto a survivor
-//! (graceful degradation). Logical partitions are unchanged by re-homing;
-//! only the transport addressing and compute serialization change, which
-//! is why a degraded run still converges to reference values.
+//! through the retry/ack [`dirgl_comm::ReliableNet`] (byte-identical to
+//! the raw path when the plan schedules nothing), device crashes are
+//! detected through exhausted retry budgets — the BSP barrier itself is
+//! the failure detector: a silent peer times out every partner — and
+//! recovery either rolls every device back to the last checkpoint (crash
+//! with rejoin) or permanently re-homes the dead device's partition onto a
+//! survivor (graceful degradation). Logical partitions are unchanged by
+//! re-homing; only the transport addressing and compute serialization
+//! change, which is why a degraded run still converges to reference values.
+//!
+//! This module owns the BSP *schedule* only: the global round loop, send
+//! stamping, the exchange and barrier-side crash detection. The messages
+//! themselves ([`DeviceRun::build_sync`] / [`DeviceRun::apply_sync`]) and
+//! the checkpoint / recovery steps ([`crate::engine`]) are shared with
+//! the BASP driver.
 
 use rayon::prelude::*;
 
-use dirgl_comm::SyncPlan;
-use dirgl_comm::{
-    FaultCounters, FaultInjector, LinkEvent, LinkEventKind, NetModel, NetState, ReliableNet,
-    ReliableState, SendDesc, SimTime,
-};
-use dirgl_gpusim::HealthTracker;
+use dirgl_comm::{FaultCounters, NetModel, NetState, SendDesc, SimTime, SyncPlan};
 use dirgl_partition::Partition;
 
 use crate::config::RunConfig;
-use crate::device::DeviceRun;
-use crate::resilience::{
-    checkpoint_bytes, pcie_transfer_time, DeviceSnapshot, HomeMap, ResilienceStats,
+use crate::device::{DeviceRun, SyncDir, SyncMsg};
+use crate::engine::{
+    capture_checkpoint, restore_checkpoint, scale_time, termination_check_cost, EngineOutcome,
+    FaultCtx,
 };
-use crate::trace::{EngineKind, FaultEvent, RoundRecord, TraceDirection, TraceSink};
-
-/// A built sync payload awaiting application: (builder, partner, values).
-type Payloads<W> = Vec<(u32, u32, Vec<(u32, W)>)>;
 use crate::program::{Style, VertexProgram};
-
-/// Raw outcome of a BSP/BASP run, consumed by the runtime's report
-/// assembly.
-pub struct EngineOutcome {
-    /// Final per-device clocks; the max is the execution time.
-    pub clocks: Vec<SimTime>,
-    /// Accumulated per-host blocking time.
-    pub host_wait: Vec<SimTime>,
-    /// Paper-equivalent bytes moved.
-    pub comm_bytes: u64,
-    /// Messages sent.
-    pub messages: u64,
-    /// Headline round count. Under BSP this is the number of global
-    /// rounds. Under BASP there are no global rounds, so this equals
-    /// [`EngineOutcome::min_rounds`], the minimum per-device local round
-    /// count — the conservative "every device got at least this far"
-    /// statistic. (BASP's work inflation from stale reads shows up in
-    /// [`EngineOutcome::max_rounds`], not here.) This field is the single
-    /// source of truth for that convention; `ExecutionReport::rounds`
-    /// copies it verbatim.
-    pub rounds: u32,
-    /// Minimum per-device local round count. Under BSP a device with no
-    /// active work skips its compute kernel, so this can be *below* the
-    /// global round count.
-    pub min_rounds: u32,
-    /// Maximum per-device local round count.
-    pub max_rounds: u32,
-    /// Fault, retry and recovery counters (all zero on a healthy run).
-    pub resilience: ResilienceStats,
-}
-
-/// Per-round cost of the distributed termination check (an allreduce over
-/// the hosts).
-pub(crate) fn termination_check_cost(net: &NetModel) -> SimTime {
-    let hosts = net.platform().num_hosts();
-    if hosts <= 1 {
-        return SimTime::ZERO;
-    }
-    let c = net.platform().cluster;
-    let hops = (hosts as f64).log2().ceil().max(1.0);
-    SimTime::from_secs_f64(c.msg_overhead + c.net_latency * hops)
-}
-
-/// The engines' fault-layer context, built once per run when
-/// [`RunConfig::faults`] is set. Bundles the reliable transport with the
-/// mutable recovery state every exchange needs.
-pub(crate) struct FaultCtx<'a> {
-    /// Retry/ack transport over the raw network.
-    pub rnet: ReliableNet<'a>,
-    /// Per-link sequence numbers (never checkpointed — replays draw fresh
-    /// fault fates).
-    pub rstate: ReliableState,
-    /// Which physical devices are alive.
-    pub health: HealthTracker,
-    /// Logical→physical partition placement.
-    pub home: HomeMap,
-    /// Link-level incident buffer, drained into the trace sink.
-    pub events: Vec<LinkEvent>,
-    /// The crash already fired (crashes are one-shot even across replays).
-    pub crash_fired: bool,
-}
-
-impl<'a> FaultCtx<'a> {
-    pub(crate) fn new(net: &'a NetModel, config: &RunConfig) -> Option<FaultCtx<'a>> {
-        let plan = config.faults.clone()?;
-        let p = net.platform().num_devices();
-        Some(FaultCtx {
-            rnet: ReliableNet::new(net, plan, config.retry),
-            rstate: ReliableState::for_devices(p),
-            health: HealthTracker::new(p),
-            home: HomeMap::identity(p),
-            events: Vec::new(),
-            crash_fired: false,
-        })
-    }
-
-    pub(crate) fn injector(&self) -> &FaultInjector {
-        self.rnet.injector()
-    }
-
-    /// True while some logical partition has no live physical host — a
-    /// crash happened and recovery has not yet run.
-    pub(crate) fn dead_unrecovered(&self, p: usize) -> bool {
-        (0..p as u32).any(|l| !self.health.is_alive(self.home.phys(l)))
-    }
-
-    /// Whether logical partition `l` can execute right now.
-    pub(crate) fn alive_logical(&self, l: u32) -> bool {
-        self.health.is_alive(self.home.phys(l))
-    }
-
-    /// Forwards buffered link incidents to the sink as trace events.
-    pub(crate) fn drain_events(&mut self, sink: &mut dyn TraceSink, tracing: bool) {
-        if !tracing {
-            self.events.clear();
-            return;
-        }
-        for e in self.events.drain(..) {
-            let ev = match e.kind {
-                LinkEventKind::Drop => FaultEvent::FaultInjected {
-                    at: e.at,
-                    device: e.from,
-                    kind: "link-drop",
-                },
-                LinkEventKind::Duplicate => FaultEvent::FaultInjected {
-                    at: e.at,
-                    device: e.from,
-                    kind: "link-duplicate",
-                },
-                LinkEventKind::DelaySpike => FaultEvent::FaultInjected {
-                    at: e.at,
-                    device: e.from,
-                    kind: "link-delay",
-                },
-                LinkEventKind::Timeout => FaultEvent::Timeout {
-                    at: e.at,
-                    from: e.from,
-                    to: e.to,
-                    attempt: e.attempt,
-                },
-                LinkEventKind::Retransmit => FaultEvent::Retransmit {
-                    at: e.at,
-                    from: e.from,
-                    to: e.to,
-                    attempt: e.attempt,
-                },
-                LinkEventKind::GiveUp => FaultEvent::FaultInjected {
-                    at: e.at,
-                    device: e.from,
-                    kind: "delivery-failure",
-                },
-            };
-            sink.fault(ev);
-        }
-    }
-}
-
-/// A restorable point of a BSP run.
-struct BspCheckpoint<P: VertexProgram> {
-    round: u32,
-    devs: Vec<DeviceSnapshot<P>>,
-}
-
-/// Captures every device, charging each device's PCIe dump time to its
-/// clock.
-#[allow(clippy::too_many_arguments)]
-fn take_bsp_checkpoint<P: VertexProgram>(
-    program: &P,
-    devices: &[DeviceRun<P>],
-    clocks: &mut [SimTime],
-    round: u32,
-    divisor: u64,
-    net: &NetModel,
-    stats: &mut ResilienceStats,
-    sink: &mut dyn TraceSink,
-) -> BspCheckpoint<P> {
-    let cluster = net.platform().cluster;
-    let mut total = 0u64;
-    for (l, dev) in devices.iter().enumerate() {
-        let bytes = checkpoint_bytes(dev, program, divisor);
-        total += bytes;
-        clocks[l] += pcie_transfer_time(&cluster, bytes);
-    }
-    stats.checkpoints_taken += 1;
-    stats.checkpoint_bytes += total;
-    sink.fault(FaultEvent::CheckpointTaken {
-        at: clocks.iter().copied().max().unwrap_or(SimTime::ZERO),
-        round,
-        bytes: total,
-    });
-    BspCheckpoint {
-        round,
-        devs: devices.iter().map(DeviceSnapshot::capture).collect(),
-    }
-}
+use crate::resilience::{DeviceSnapshot, ResilienceStats};
+use crate::trace::{EngineKind, FaultEvent, RoundRecord, TraceDirection, TraceSink};
 
 /// Runs `program` to convergence under BSP, emitting one
 /// [`RoundRecord`] per (round, device) into `sink`. With a disabled sink
@@ -233,7 +58,6 @@ pub fn run_bsp<P: VertexProgram>(
     sink: &mut dyn TraceSink,
 ) -> EngineOutcome {
     let p = devices.len();
-    let mode = config.variant.comm;
     let divisor = config.scale_divisor;
     let balancer = config.variant.balancer;
     let hybrid = program.style() == Style::HybridPushPull;
@@ -245,14 +69,6 @@ pub fn run_bsp<P: VertexProgram>(
     let term_cost =
         termination_check_cost(net) + SimTime::from_secs_f64(config.runtime_round_overhead_secs);
     let tracing = sink.enabled();
-    // Sparsity-proportional UO extraction and scratch-buffer reuse, unless
-    // the config pins the legacy path for before/after benchmarking. Both
-    // paths are byte-identical in every observable (pinned by tests).
-    let use_index = !config.legacy_hotpath;
-    for d in devices.iter_mut() {
-        d.scratch.pooling = use_index;
-        d.scratch.vector_kernels = use_index;
-    }
 
     let mut clocks = vec![SimTime::ZERO; p];
     let mut host_wait = vec![SimTime::ZERO; net.platform().num_hosts() as usize];
@@ -271,19 +87,9 @@ pub fn run_bsp<P: VertexProgram>(
     let straggler_plan = config.faults.as_ref().and_then(|f| f.straggler);
     let ckpt_every = config.checkpoint_every_rounds;
     let recovery_on = fctx.is_some() && (crash_plan.is_some() || ckpt_every > 0);
-    let mut checkpoint: Option<BspCheckpoint<P>> = None;
-    if recovery_on {
-        checkpoint = Some(take_bsp_checkpoint(
-            program,
-            devices,
-            &mut clocks,
-            0,
-            divisor,
-            net,
-            &mut stats,
-            sink,
-        ));
-    }
+    // A restorable point of the run: the round it was taken at, and every
+    // device's state.
+    let mut checkpoint: Option<(u32, Vec<DeviceSnapshot<P>>)> = None;
 
     // Per-round, per-device trace accumulators (only touched when tracing).
     let mut tr_frontier = vec![0u64; p];
@@ -297,19 +103,17 @@ pub fn run_bsp<P: VertexProgram>(
     let mut times = vec![SimTime::ZERO; p];
     let mut absorbed = vec![0u32; p];
     let mut sends: Vec<SendDesc> = Vec::new();
-    let mut payloads: Payloads<P::Wire> = Vec::new();
+    let mut msgs: Vec<SyncMsg<P::Wire>> = Vec::new();
     let mut round_failures: Vec<SimTime> = Vec::new();
     loop {
         round_failures.clear();
         // --- Scheduled checkpoint (skipped when a rollback just restored
-        // this very round).
+        // this very round); round 0 always gets one.
         if recovery_on
-            && ckpt_every > 0
-            && rounds > 0
-            && rounds.is_multiple_of(ckpt_every)
-            && checkpoint.as_ref().is_none_or(|c| c.round != rounds)
+            && (rounds == 0 || ckpt_every > 0 && rounds.is_multiple_of(ckpt_every))
+            && checkpoint.as_ref().is_none_or(|c| c.0 != rounds)
         {
-            checkpoint = Some(take_bsp_checkpoint(
+            let (_, devs) = capture_checkpoint(
                 program,
                 devices,
                 &mut clocks,
@@ -318,20 +122,14 @@ pub fn run_bsp<P: VertexProgram>(
                 net,
                 &mut stats,
                 sink,
-            ));
+            );
+            checkpoint = Some((rounds, devs));
         }
         // --- Scheduled device faults fire at round start.
         if let Some(ctx) = fctx.as_mut() {
             if let Some(cr) = crash_plan {
                 if !ctx.crash_fired && rounds == cr.round {
-                    ctx.crash_fired = true;
-                    ctx.health.mark_dead(cr.device);
-                    stats.crashes += 1;
-                    sink.fault(FaultEvent::FaultInjected {
-                        at: clocks[cr.device as usize],
-                        device: cr.device,
-                        kind: "crash",
-                    });
+                    ctx.fire_crash(cr, clocks[cr.device as usize], &mut stats, sink);
                 }
             }
             if let Some(sg) = straggler_plan {
@@ -396,89 +194,45 @@ pub fn run_bsp<P: VertexProgram>(
             ctx.injector().slowdown(phys, rounds)
         });
 
-        // --- Reduce exchange: mirrors -> masters. Every holder builds all
-        // of its partner payloads on its own device state, so the build
-        // fans out per holder; pack charging and send stamping follow
-        // sequentially in holder-major order (identical clocks and
-        // `SendDesc` order to a sequential build).
-        devices.par_iter_mut().enumerate().for_each(|(h, dev)| {
-            let holder = h as u32;
-            dev.scratch.built.clear();
-            dev.scratch.pack_t = SimTime::ZERO;
-            if !alive[h] {
-                return;
+        // --- One exchange of the messages the devices just built: pack
+        // charging and send stamping run sequentially in builder-major
+        // order (identical clocks and `SendDesc` order to a sequential
+        // build), then the network, then the grouped apply.
+        let mut exchange = |devices: &mut [DeviceRun<P>]| {
+            stamp_sends(
+                &mut clocks,
+                devices,
+                &mut sends,
+                &mut msgs,
+                tracing.then_some(&mut tr_pack),
+            );
+            let delivered = run_exchange(
+                net,
+                &mut net_state,
+                &mut clocks,
+                &mut host_wait,
+                &mut comm_bytes,
+                &mut messages,
+                &sends,
+                tracing.then_some(&mut tr_wait),
+                fctx.as_mut(),
+                &mut stats.faults,
+                &mut round_failures,
+            );
+            if let Some(ctx) = fctx.as_mut() {
+                ctx.drain_events(sink, tracing);
             }
-            // Density gate: on near-dense frontiers (pagerank-style rounds)
-            // the sequential dense walk beats the intersection's per-hit
-            // rank arithmetic, so the index only engages when the frontier
-            // is small relative to the link. Either path emits identical
-            // bytes, so this is purely a cost heuristic.
-            let upd = if use_index {
-                dev.updated.count_ones() as usize
-            } else {
-                usize::MAX
-            };
-            for owner in 0..p as u32 {
-                if holder == owner {
-                    continue;
-                }
-                let entries = plan.reduce(holder, owner);
-                if entries.is_empty() {
-                    continue;
-                }
-                let link = part.link(holder, owner);
-                let idx = if upd < entries.len() / 2 {
-                    plan.reduce_index(holder, owner)
-                } else {
-                    None
-                };
-                // Even an empty payload is sent: under BSP every host
-                // waits to hear from each of its partners every round,
-                // so UO messages carry at least the presence bitset.
-                // This per-partner cost is what makes CVC's restricted
-                // partner sets matter (SIII-D1).
-                let (payload, bytes) = dev.build_reduce(program, link, entries, idx, mode, divisor);
-                dev.scratch.built.push((owner, payload, bytes));
+            if tracing {
+                tally_sends(&sends, &mut tr_sent, &mut tr_recv);
             }
-            if !dev.scratch.built.is_empty() {
-                dev.scratch.pack_t = dev.pack_time(mode, divisor);
-            }
+            apply_grouped(program, part, devices, &mut msgs, delivered.as_deref());
+        };
+
+        // --- Reduce exchange: mirrors -> masters.
+        build_all(devices, &alive, |dev| {
+            dev.build_sync(program, &[SyncDir::Reduce], part, plan, config, false)
         });
-        stamp_sends::<P>(
-            &mut clocks,
-            devices,
-            &mut sends,
-            &mut payloads,
-            tracing.then_some(&mut tr_pack),
-        );
-        let delivered = run_exchange(
-            net,
-            &mut net_state,
-            &mut clocks,
-            &mut host_wait,
-            &mut comm_bytes,
-            &mut messages,
-            &sends,
-            tracing.then_some(&mut tr_wait),
-            fctx.as_mut(),
-            &mut stats.faults,
-            &mut round_failures,
-        );
-        if let Some(ctx) = fctx.as_mut() {
-            ctx.drain_events(sink, tracing);
-        }
-        if tracing {
-            tally_sends(&sends, &mut tr_sent, &mut tr_recv);
-        }
-        apply_grouped(
-            devices,
-            &mut payloads,
-            delivered.as_deref(),
-            |dev, builder, payload| {
-                let link = part.link(builder, dev.dev);
-                dev.apply_reduce(program, link, payload);
-            },
-        );
+        exchange(devices);
 
         // --- Absorb: masters fold accumulators once per round.
         devices.par_iter_mut().enumerate().for_each(|(i, d)| {
@@ -493,78 +247,11 @@ pub fn run_bsp<P: VertexProgram>(
         }
         let changed: u32 = absorbed.iter().sum();
 
-        // --- Broadcast exchange: masters -> mirrors (same parallel
-        // build / sequential stamp split, owner-major).
-        devices.par_iter_mut().enumerate().for_each(|(o, dev)| {
-            let owner = o as u32;
-            dev.scratch.built.clear();
-            dev.scratch.pack_t = SimTime::ZERO;
-            if !alive[o] {
-                return;
-            }
-            // Same density gate as the reduce build, over `bcast_dirty`.
-            let dirty = if use_index {
-                dev.bcast_dirty.count_ones() as usize
-            } else {
-                usize::MAX
-            };
-            for holder in 0..p as u32 {
-                if holder == owner {
-                    continue;
-                }
-                let entries = plan.bcast(holder, owner);
-                if entries.is_empty() {
-                    continue;
-                }
-                let link = part.link(holder, owner);
-                let idx = if dirty < entries.len() / 2 {
-                    plan.bcast_index(holder, owner)
-                } else {
-                    None
-                };
-                let (payload, bytes) =
-                    dev.build_broadcast(program, link, entries, idx, mode, divisor, false);
-                dev.scratch.built.push((holder, payload, bytes));
-            }
-            if !dev.scratch.built.is_empty() {
-                dev.scratch.pack_t = dev.pack_time(mode, divisor);
-            }
+        // --- Broadcast exchange: masters -> mirrors.
+        build_all(devices, &alive, |dev| {
+            dev.build_sync(program, &[SyncDir::Broadcast], part, plan, config, false)
         });
-        stamp_sends::<P>(
-            &mut clocks,
-            devices,
-            &mut sends,
-            &mut payloads,
-            tracing.then_some(&mut tr_pack),
-        );
-        let delivered = run_exchange(
-            net,
-            &mut net_state,
-            &mut clocks,
-            &mut host_wait,
-            &mut comm_bytes,
-            &mut messages,
-            &sends,
-            tracing.then_some(&mut tr_wait),
-            fctx.as_mut(),
-            &mut stats.faults,
-            &mut round_failures,
-        );
-        if let Some(ctx) = fctx.as_mut() {
-            ctx.drain_events(sink, tracing);
-        }
-        if tracing {
-            tally_sends(&sends, &mut tr_sent, &mut tr_recv);
-        }
-        apply_grouped(
-            devices,
-            &mut payloads,
-            delivered.as_deref(),
-            |dev, builder, payload| {
-                let link = part.link(dev.dev, builder);
-                dev.apply_broadcast(program, link, payload, false);
-            },
-        );
+        exchange(devices);
 
         // --- Round end: clear update tracking, pay the termination check.
         devices
@@ -608,57 +295,31 @@ pub fn run_bsp<P: VertexProgram>(
         if fctx.as_ref().is_some_and(|c| c.dead_unrecovered(p)) {
             let ctx = fctx.as_mut().expect("dead device implies fault context");
             let cr = crash_plan.expect("only a scheduled crash kills devices");
-            let ckpt = checkpoint
+            let (ckpt_round, snaps) = checkpoint
                 .as_ref()
                 .expect("recovery_on guarantees an initial checkpoint");
-            stats.rollbacks += 1;
-            stats.rounds_replayed += rounds.saturating_sub(ckpt.round);
+            stats.rounds_replayed += rounds.saturating_sub(*ckpt_round);
             let pre_max = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
             let detect_at = round_failures
                 .iter()
                 .copied()
                 .max()
                 .unwrap_or(pre_max + config.retry.give_up_after());
-
-            // Restore every device from the checkpoint and charge each
-            // restore's PCIe reload. Monotonic accounting (compute time,
-            // work items) is preserved: the lost rounds were really run.
-            let cluster = net.platform().cluster;
-            let mut resume = detect_at;
-            for (l, (dev, snap)) in devices.iter_mut().zip(&ckpt.devs).enumerate() {
-                snap.restore(dev);
-                let cost = pcie_transfer_time(&cluster, checkpoint_bytes(dev, program, divisor));
-                clocks[l] = detect_at + cost;
-                resume = resume.max(clocks[l]);
-            }
-            stats.recovery_time += resume.saturating_sub(pre_max);
+            let resume = restore_checkpoint(
+                program,
+                devices,
+                snaps,
+                &mut clocks,
+                detect_at,
+                divisor,
+                net,
+                &mut stats,
+            );
             // Old link occupancy all predates the detection instant.
             net_state = net.new_state();
-            rounds = ckpt.round;
-
-            if cr.rejoin {
-                ctx.health.revive(cr.device);
-                stats.rejoins += 1;
-            } else {
-                let adopter = ctx
-                    .home
-                    .pick_adopter(&ctx.health.alive_flags())
-                    .expect("at least one survivor");
-                let masters = devices[cr.device as usize].lg.num_masters as u64;
-                ctx.home.rehome(cr.device, adopter);
-                stats.masters_reassigned += masters;
-                sink.fault(FaultEvent::MastersReassigned {
-                    at: resume,
-                    from_device: cr.device,
-                    to_device: adopter,
-                    masters,
-                });
-            }
-            sink.fault(FaultEvent::Rollback {
-                at: resume,
-                to_round: ckpt.round,
-                device: cr.device,
-            });
+            rounds = *ckpt_round;
+            let masters = devices[cr.device as usize].lg.num_masters as u64;
+            ctx.finish_recovery(cr, masters, resume, rounds, &mut stats, sink);
             continue;
         }
 
@@ -699,13 +360,6 @@ fn advance_compute_clocks(
     fctx: Option<&FaultCtx<'_>>,
     factor_of: impl Fn(&FaultCtx<'_>, u32) -> f64,
 ) {
-    let scale = |t: SimTime, f: f64| {
-        if f == 1.0 {
-            t
-        } else {
-            SimTime::from_secs_f64(t.as_secs_f64() * f)
-        }
-    };
     match fctx {
         None => {
             for (c, t) in clocks.iter_mut().zip(times) {
@@ -714,7 +368,7 @@ fn advance_compute_clocks(
         }
         Some(ctx) if ctx.home.is_identity() => {
             for (l, (c, t)) in clocks.iter_mut().zip(times).enumerate() {
-                *c += scale(*t, factor_of(ctx, ctx.home.phys(l as u32)));
+                *c += scale_time(*t, factor_of(ctx, ctx.home.phys(l as u32)));
             }
         }
         Some(ctx) => {
@@ -730,7 +384,7 @@ fn advance_compute_clocks(
                     .max()
                     .expect("non-empty residents");
                 for &l in &residents {
-                    cur += scale(times[l as usize], f);
+                    cur += scale_time(times[l as usize], f);
                     clocks[l as usize] = cur;
                 }
             }
@@ -738,20 +392,34 @@ fn advance_compute_clocks(
     }
 }
 
+/// Parallel half of a payload build: every live builder extracts all of
+/// its partner payloads from its own device state (`build` is
+/// [`DeviceRun::build_sync`] with the exchange's direction fixed at the
+/// call site), so the build fans out per builder. `scratch.built` is empty
+/// on entry: the previous stamping drained it.
+fn build_all<P: VertexProgram>(
+    devices: &mut [DeviceRun<P>],
+    alive: &[bool],
+    build: impl Fn(&mut DeviceRun<P>) -> SimTime + Sync,
+) {
+    devices.par_iter_mut().enumerate().for_each(|(i, dev)| {
+        dev.scratch.pack_t = if alive[i] { build(dev) } else { SimTime::ZERO };
+    });
+}
+
 /// Sequential half of a payload build: walks builders in device order,
 /// charges each non-idle builder's pack time, and stamps every send with
-/// the builder's post-pack clock — exactly what the former inline loop
-/// produced. Drains each device's `scratch.built` into the reused
-/// `sends`/`payloads` vectors.
+/// the builder's post-pack clock. Drains each device's `scratch.built`
+/// into the reused `sends`/`msgs` vectors (index-parallel).
 fn stamp_sends<P: VertexProgram>(
     clocks: &mut [SimTime],
     devices: &mut [DeviceRun<P>],
     sends: &mut Vec<SendDesc>,
-    payloads: &mut Payloads<P::Wire>,
+    msgs: &mut Vec<SyncMsg<P::Wire>>,
     mut tr_pack: Option<&mut Vec<SimTime>>,
 ) {
     sends.clear();
-    payloads.clear();
+    msgs.clear();
     for (builder, dev) in devices.iter_mut().enumerate() {
         if dev.scratch.built.is_empty() {
             continue;
@@ -761,48 +429,49 @@ fn stamp_sends<P: VertexProgram>(
         if let Some(tp) = tr_pack.as_deref_mut() {
             tp[builder] += pack;
         }
-        for (partner, payload, bytes) in dev.scratch.built.drain(..) {
+        for msg in dev.scratch.built.drain(..) {
             sends.push(SendDesc {
-                from: builder as u32,
-                to: partner,
-                bytes,
+                from: msg.from,
+                to: msg.to,
+                bytes: msg.bytes,
                 depart: clocks[builder],
             });
-            payloads.push((builder as u32, partner, payload));
+            msgs.push(msg);
         }
     }
 }
 
-/// Applies payloads in parallel across receiving devices. Each receiver
-/// sees its payloads in the same (ascending-builder) order a sequential
+/// Applies messages in parallel across receiving devices. Each receiver
+/// sees its messages in the same (ascending-builder) order a sequential
 /// apply loop would deliver them, so accumulation order per device — and
 /// with it every float result — is unchanged. `delivered`, when present,
-/// is index-parallel to the payloads; undelivered ones (lost to a dead
+/// is index-parallel to the messages; undelivered ones (lost to a dead
 /// receiver) are skipped. Grouping bins live in each receiver's
 /// `scratch.inbox`, and consumed payload vectors recycle into the
 /// receiver's own pool — no cross-device sharing, no locking.
 fn apply_grouped<P: VertexProgram>(
+    program: &P,
+    part: &Partition,
     devices: &mut [DeviceRun<P>],
-    payloads: &mut Payloads<P::Wire>,
+    msgs: &mut Vec<SyncMsg<P::Wire>>,
     delivered: Option<&[bool]>,
-    apply: impl Fn(&mut DeviceRun<P>, u32, &[(u32, P::Wire)]) + Sync,
 ) {
-    if payloads.is_empty() {
+    if msgs.is_empty() {
         return;
     }
-    for (i, (builder, partner, payload)) in payloads.drain(..).enumerate() {
-        let dev = &mut devices[partner as usize];
+    for (i, msg) in msgs.drain(..).enumerate() {
+        let dev = &mut devices[msg.to as usize];
         if delivered.is_none_or(|d| d[i]) {
-            dev.scratch.inbox.push((builder, payload));
+            dev.scratch.inbox.push(msg);
         } else {
-            dev.scratch.recycle(payload);
+            dev.scratch.recycle(msg.data);
         }
     }
     devices.par_iter_mut().for_each(|dev| {
         let mut items = std::mem::take(&mut dev.scratch.inbox);
-        for (builder, payload) in items.drain(..) {
-            apply(dev, builder, &payload);
-            dev.scratch.recycle(payload);
+        for msg in items.drain(..) {
+            dev.apply_sync(program, part, &msg, false);
+            dev.scratch.recycle(msg.data);
         }
         dev.scratch.inbox = items;
     });

@@ -130,13 +130,6 @@ pub struct RunConfig {
     /// checkpoint taken when the plan schedules a crash). Rollback-based
     /// recovery replays from the most recent checkpoint.
     pub checkpoint_every_rounds: u32,
-    /// Disable the host-side hot-path optimizations (sparsity-proportional
-    /// UO extraction via [`dirgl_comm::ExtractIndex`] and per-device
-    /// scratch-buffer reuse), reverting to the dense walk and per-round
-    /// allocation. Both paths produce byte-identical reports, values, and
-    /// traces (pinned by tests); the flag exists so `bench_hotpath` can
-    /// measure before/after in one binary.
-    pub legacy_hotpath: bool,
     /// Allow devices whose raw working set exceeds capacity to run
     /// *spilled*: the adjacency is held in delta-gap varint form
     /// ([`dirgl_graph::CompressedCsr`]) and decoded row-by-row into scratch
@@ -144,9 +137,7 @@ pub struct RunConfig {
     /// compute phase. Admission stays raw whenever raw fits — spill only
     /// widens the feasible region, it never changes an admitted raw run.
     /// Values, reports, and traces are byte-identical either way (the
-    /// decode reproduces the exact CSR windows; pinned by tests). Mutually
-    /// exclusive with `legacy_hotpath`, whose scalar bodies index the raw
-    /// arrays directly.
+    /// decode reproduces the exact CSR windows; pinned by tests).
     pub spill: bool,
     /// Per-device kernel layout selection applied at
     /// [`crate::Runtime::prepare`] time (see [`crate::layout`]). The
@@ -174,7 +165,6 @@ impl RunConfig {
             faults: None,
             retry: RetryConfig::default(),
             checkpoint_every_rounds: 0,
-            legacy_hotpath: false,
             spill: false,
             layout: LayoutChoice::Insertion,
         }
@@ -201,12 +191,6 @@ impl RunConfig {
     /// Sets the retry policy (builder style).
     pub fn with_retry(mut self, retry: RetryConfig) -> RunConfig {
         self.retry = retry;
-        self
-    }
-
-    /// Reverts to the pre-optimization host hot path (builder style).
-    pub fn with_legacy_hotpath(mut self, legacy: bool) -> RunConfig {
-        self.legacy_hotpath = legacy;
         self
     }
 

@@ -9,12 +9,35 @@
 use dirgl_comm::{message, CommMode, DenseBitset, ExtractIndex, SimTime, SyncPlan};
 use dirgl_gpusim::{Balancer, GpuSpec, KernelModel};
 use dirgl_graph::CompressedCsr;
-use dirgl_partition::{LocalGraph, PairLink};
+use dirgl_partition::{LocalGraph, PairLink, Partition};
 
+use crate::config::RunConfig;
 use crate::program::{InitCtx, Style, VertexProgram};
 
-/// A built sync message awaiting stamping: `(partner, payload, bytes)`.
-pub type BuiltMsg<W> = (u32, Vec<(u32, W)>, u64);
+/// Which way a sync message travels over a `(holder, owner)` link.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SyncDir {
+    /// Mirror deltas, holder → owner.
+    Reduce,
+    /// Canonical values, owner → holder.
+    Broadcast,
+}
+
+/// One sync message, the same value from build through stamping and the
+/// (simulated) wire to application — under both engines.
+#[derive(Clone)]
+pub struct SyncMsg<W> {
+    /// Direction; with `from`/`to` it names the link.
+    pub dir: SyncDir,
+    /// Building device.
+    pub from: u32,
+    /// Receiving device.
+    pub to: u32,
+    /// `(link entry index, value)` pairs in ascending entry order.
+    pub data: Vec<(u32, W)>,
+    /// Wire size in paper-equivalent bytes.
+    pub bytes: u64,
+}
 
 /// Per-device reusable buffers for the round hot path. Everything here is
 /// *host-side* scratch with no simulated-model meaning: the engines clear
@@ -24,18 +47,8 @@ pub type BuiltMsg<W> = (u32, Vec<(u32, W)>, u64);
 pub struct RoundScratch<W> {
     /// Recycled payload vectors for `build_reduce`/`build_broadcast`.
     pool: Vec<Vec<(u32, W)>>,
-    /// When false, `take_buf` always allocates and `recycle` drops — the
-    /// pre-optimization allocation behavior, kept reachable for
-    /// before/after benchmarking ([`crate::RunConfig::legacy_hotpath`]).
-    pub pooling: bool,
-    /// When false, the compute phases run the legacy scalar bodies
-    /// (per-edge weight probing, worklist materialized into a `Vec`)
-    /// instead of the monomorphized word-at-a-time loops. Both produce
-    /// byte-identical results; the flag exists so
-    /// [`crate::RunConfig::legacy_hotpath`] benchmarks the before/after.
-    pub vector_kernels: bool,
-    /// Frontier snapshot for the vectorized push phase (swapped with the
-    /// live active set, walked word-at-a-time, cleared after use).
+    /// Frontier snapshot for the push phase (swapped with the live active
+    /// set, walked word-at-a-time, cleared after use).
     frontier: DenseBitset,
     /// Local rows with at least one in-edge, in ascending order: the pull
     /// phase iterates only these. Derived once per run from the immutable
@@ -48,19 +61,16 @@ pub struct RoundScratch<W> {
     /// Cached `(time, total_work)` of the topology-driven pull launch:
     /// the balancer sees the same static degree sequence every round, and
     /// [`dirgl_gpusim::KernelModel::launch`] is pure, so one evaluation
-    /// serves the whole run. Only the optimized path uses it — the
-    /// per-round model evaluation is part of the legacy baseline cost.
+    /// serves the whole run.
     pull_launch: Option<(f64, u64)>,
-    /// Active-list staging for the push compute phase.
-    pub actives: Vec<u32>,
     /// Probe-count staging for the bottom-up compute phase.
-    pub probes: Vec<u32>,
+    probes: Vec<u32>,
     /// Built sync messages of the current build phase, in ascending
-    /// partner order.
-    pub built: Vec<BuiltMsg<W>>,
-    /// Grouped-apply inbox: `(builder, payload)` per delivered message, in
-    /// ascending-builder order.
-    pub inbox: Vec<(u32, Vec<(u32, W)>)>,
+    /// partner order ([`DeviceRun::build_sync`]).
+    pub built: Vec<SyncMsg<W>>,
+    /// Grouped-apply inbox (BSP): delivered messages in ascending-builder
+    /// order.
+    pub inbox: Vec<SyncMsg<W>>,
     /// Kernel time of this round's compute phase (BSP staging).
     pub compute_t: SimTime,
     /// Pack time of this round's build phase (BSP staging).
@@ -73,13 +83,10 @@ impl<W> RoundScratch<W> {
     fn new() -> RoundScratch<W> {
         RoundScratch {
             pool: Vec::new(),
-            pooling: true,
-            vector_kernels: true,
             frontier: DenseBitset::new(0),
             pull_rows: Vec::new(),
             pull_rows_built: false,
             pull_launch: None,
-            actives: Vec::new(),
             probes: Vec::new(),
             built: Vec::new(),
             inbox: Vec::new(),
@@ -90,20 +97,14 @@ impl<W> RoundScratch<W> {
     }
 
     /// An empty payload buffer: recycled when available, fresh otherwise.
-    pub fn take_buf(&mut self) -> Vec<(u32, W)> {
-        if self.pooling {
-            self.pool.pop().unwrap_or_default()
-        } else {
-            Vec::new()
-        }
+    fn take_buf(&mut self) -> Vec<(u32, W)> {
+        self.pool.pop().unwrap_or_default()
     }
 
-    /// Returns a payload buffer to the pool (dropped when pooling is off).
+    /// Returns a payload buffer to the pool.
     pub fn recycle(&mut self, mut buf: Vec<(u32, W)>) {
-        if self.pooling {
-            buf.clear();
-            self.pool.push(buf);
-        }
+        buf.clear();
+        self.pool.push(buf);
     }
 }
 
@@ -194,8 +195,8 @@ pub struct DeviceRun<P: VertexProgram> {
     /// Reusable host-side round buffers (never checkpointed).
     pub scratch: RoundScratch<P::Wire>,
     /// `Some` when this device runs with compressed adjacency
-    /// (over-capacity spill); the vectorized bodies then decode each row
-    /// into scratch instead of slicing the raw CSR. Never checkpointed —
+    /// (over-capacity spill); the kernel bodies then decode each row into
+    /// scratch instead of slicing the raw CSR. Never checkpointed —
     /// the compressed arrays are immutable and the scratch is transient.
     pub spill: Option<SpillState>,
 }
@@ -236,42 +237,26 @@ impl<P: VertexProgram> DeviceRun<P> {
     }
 
     /// Switches this device to compressed-adjacency residency (see
-    /// [`SpillState`]). Requires the vectorized bodies: the legacy scalar
-    /// bodies index the raw arrays directly, so `legacy_hotpath` and spill
-    /// are mutually exclusive (enforced at admission).
+    /// [`SpillState`]).
     pub fn enable_spill(&mut self) {
-        assert!(
-            self.scratch.vector_kernels,
-            "spill requires the vectorized kernel bodies (legacy_hotpath is incompatible)"
-        );
         self.spill = Some(SpillState::new(&self.lg));
     }
 
     /// Paper-equivalent bytes this device must allocate to run `program`
-    /// with `plan` (CSR + labels + bitsets + worklist + comm buffers).
-    pub fn required_bytes(
+    /// with `plan` (CSR + labels + bitsets + worklist + comm buffers) under
+    /// either adjacency representation: `spilled` charges the CSR terms at
+    /// their exact compressed size (the footprint a [`SpillState`] device
+    /// holds) while every other array — labels, l2g, bitsets, worklist,
+    /// comm buffers — stays raw.
+    pub(crate) fn required_bytes(
         lg: &LocalGraph,
         plan: &SyncPlan,
         program: &P,
-        state_bytes: u64,
-        divisor: u64,
-    ) -> u64 {
-        Self::required_bytes_with(lg, plan, program, state_bytes, divisor, false)
-    }
-
-    /// [`DeviceRun::required_bytes`] under either adjacency representation:
-    /// `spilled` charges the CSR terms at their exact compressed size (the
-    /// footprint a [`SpillState`] device holds) while every other array —
-    /// labels, l2g, bitsets, worklist, comm buffers — stays raw.
-    pub fn required_bytes_with(
-        lg: &LocalGraph,
-        plan: &SyncPlan,
-        program: &P,
-        state_bytes: u64,
         divisor: u64,
         spilled: bool,
     ) -> u64 {
         let style = program.style();
+        let state_bytes = program.state_bytes();
         let n = lg.num_vertices() as u64;
         // Only the arrays the program traverses are loaded: push programs
         // hold the out-CSR, pull programs the in-CSR, hybrid both; weights
@@ -319,9 +304,6 @@ impl<P: VertexProgram> DeviceRun<P> {
     }
 
     fn compute_push(&mut self, program: &P, balancer: Balancer, work_scale: u64) -> f64 {
-        if !self.scratch.vector_kernels {
-            return self.compute_push_legacy(program, balancer, work_scale);
-        }
         let n = self.lg.num_vertices();
         if self.scratch.frontier.len() != n {
             self.scratch.frontier = DenseBitset::new(n);
@@ -329,7 +311,7 @@ impl<P: VertexProgram> DeviceRun<P> {
         // Snapshot-and-clear the worklist without materializing a Vec:
         // `active` swaps with the (empty) scratch frontier, which the body
         // then walks word-at-a-time. The degree sequence fed to the launch
-        // model is ascending-id, exactly as the legacy Vec's.
+        // model is in ascending local-id order.
         std::mem::swap(&mut self.active, &mut self.scratch.frontier);
         let kr = self.kernel.launch(
             balancer,
@@ -343,7 +325,7 @@ impl<P: VertexProgram> DeviceRun<P> {
         // Monomorphize on the weighted-ness of the traversal so the
         // unweighted loop (every program but sssp) never touches the
         // weight array. Unweighted programs ignore the weight argument,
-        // so passing 0 is value-identical to the legacy per-edge probe.
+        // so the unweighted loop passes 0.
         if program.uses_weights() && self.lg.csr.is_weighted() {
             self.push_body::<true>(program);
         } else {
@@ -417,56 +399,11 @@ impl<P: VertexProgram> DeviceRun<P> {
         }
     }
 
-    fn compute_push_legacy(&mut self, program: &P, balancer: Balancer, work_scale: u64) -> f64 {
-        let mut actives = std::mem::take(&mut self.scratch.actives);
-        actives.clear();
-        actives.extend(self.active.iter_set());
-        self.active.clear_all();
-        let kr = self.kernel.launch(
-            balancer,
-            actives.iter().map(|&lv| self.lg.csr.out_degree(lv)),
-            work_scale,
-        );
-        self.work_items += kr.work.total_work;
-        // Weighted edges are a per-graph property, not per-edge: bind the
-        // slice once instead of probing the Option on every edge.
-        let ws = self.lg.csr.weights().unwrap_or(&[]);
-        for &lv in &actives {
-            let before = self.state[lv as usize];
-            let mut src = before;
-            let push = program.begin_push(&mut src);
-            self.state[lv as usize] = src;
-            // begin_push may flip canonical state (kcore's death): masters
-            // must rebroadcast it.
-            if src != before && self.lg.is_master(lv) {
-                self.bcast_dirty.set(lv);
-            }
-            if !push {
-                continue;
-            }
-            // Iterate this proxy's local out-edges, accumulating into the
-            // local destination proxies.
-            let lo = self.lg.csr.offsets()[lv as usize] as usize;
-            let hi = self.lg.csr.offsets()[lv as usize + 1] as usize;
-            for i in lo..hi {
-                let n = self.lg.csr.targets()[i];
-                let w = if ws.is_empty() { 0 } else { ws[i] };
-                if let Some(m) = program.edge_msg(&src, w) {
-                    if program.accumulate(&mut self.state[n as usize], m) {
-                        self.updated.set(n);
-                    }
-                }
-            }
-        }
-        self.scratch.actives = actives;
-        kr.time
-    }
-
     fn compute_pull(&mut self, program: &P, balancer: Balancer, work_scale: u64) -> f64 {
         let n = self.lg.num_vertices();
         let (time, total_work) = match self.scratch.pull_launch {
-            Some(cached) if self.scratch.vector_kernels => cached,
-            _ => {
+            Some(cached) => cached,
+            None => {
                 let kr = self.kernel.launch(
                     balancer,
                     (0..n).map(|lv| self.lg.in_csr.out_degree(lv)),
@@ -478,9 +415,7 @@ impl<P: VertexProgram> DeviceRun<P> {
             }
         };
         self.work_items += total_work;
-        if !self.scratch.vector_kernels {
-            self.pull_body_legacy(program);
-        } else if program.uses_weights() && self.lg.in_csr.is_weighted() {
+        if program.uses_weights() && self.lg.in_csr.is_weighted() {
             self.pull_body_weighted(program);
         } else {
             self.pull_body_unweighted(program);
@@ -488,13 +423,12 @@ impl<P: VertexProgram> DeviceRun<P> {
         time + self.drain_decode_charge()
     }
 
-    /// Unweighted pull over the precomputed nonempty rows. Three
-    /// value-identical savings over the legacy dense walk: only rows with
+    /// Unweighted pull over the precomputed nonempty rows: only rows with
     /// in-edges are visited (mirrors are pulled *from*, so most local
-    /// in-windows are empty), the per-edge weight probe is gone (weight 0
-    /// for an unweighted program), and the write-back is skipped when no
-    /// contribution accumulated (`accumulate` returning false means the
-    /// local copy still equals the stored state).
+    /// in-windows are empty), every edge passes weight 0, and the
+    /// write-back is skipped when no contribution accumulated
+    /// (`accumulate` returning false means the local copy still equals the
+    /// stored state).
     fn pull_body_unweighted(&mut self, program: &P) {
         let DeviceRun {
             lg,
@@ -580,32 +514,6 @@ impl<P: VertexProgram> DeviceRun<P> {
         }
     }
 
-    fn pull_body_legacy(&mut self, program: &P) {
-        let ws = self.lg.in_csr.weights().unwrap_or(&[]);
-        for lv in 0..self.lg.num_vertices() {
-            let lo = self.lg.in_csr.offsets()[lv as usize] as usize;
-            let hi = self.lg.in_csr.offsets()[lv as usize + 1] as usize;
-            if lo == hi {
-                continue;
-            }
-            let mut changed = false;
-            // Accumulate into a local copy so reads of other entries are
-            // unaffected within the round.
-            let mut st = self.state[lv as usize];
-            for i in lo..hi {
-                let u = self.lg.in_csr.targets()[i];
-                let w = if ws.is_empty() { 0 } else { ws[i] };
-                if let Some(c) = program.pull_contribution(&self.state[u as usize], w) {
-                    changed |= program.accumulate(&mut st, c);
-                }
-            }
-            self.state[lv as usize] = st;
-            if changed {
-                self.updated.set(lv);
-            }
-        }
-    }
-
     /// Bottom-up round for hybrid programs (direction-optimizing BFS):
     /// instead of expanding the frontier, every still-unsettled vertex
     /// ([`VertexProgram::pull_ready`]) scans its local in-edges for a
@@ -628,9 +536,7 @@ impl<P: VertexProgram> DeviceRun<P> {
         // `accumulate` keeps the per-lane minimum.
         let mut probes = std::mem::take(&mut self.scratch.probes);
         probes.clear();
-        if !self.scratch.vector_kernels {
-            self.bottom_up_body_legacy(program, &mut probes);
-        } else if program.uses_weights() && self.lg.in_csr.is_weighted() {
+        if program.uses_weights() && self.lg.in_csr.is_weighted() {
             self.bottom_up_body::<true>(program, &mut probes);
         } else {
             self.bottom_up_body::<false>(program, &mut probes);
@@ -695,35 +601,6 @@ impl<P: VertexProgram> DeviceRun<P> {
         }
     }
 
-    fn bottom_up_body_legacy(&mut self, program: &P, probes: &mut Vec<u32>) {
-        let exhaustive = program.pull_exhaustive();
-        let ws = self.lg.in_csr.weights().unwrap_or(&[]);
-        for lv in 0..self.lg.num_vertices() {
-            if !program.pull_ready(&self.state[lv as usize]) {
-                continue;
-            }
-            let lo = self.lg.in_csr.offsets()[lv as usize] as usize;
-            let hi = self.lg.in_csr.offsets()[lv as usize + 1] as usize;
-            let mut st = self.state[lv as usize];
-            let mut probed = 0u32;
-            for i in lo..hi {
-                probed += 1;
-                let u = self.lg.in_csr.targets()[i];
-                let w = if ws.is_empty() { 0 } else { ws[i] };
-                if let Some(m) = program.pull_msg(&self.state[u as usize], w) {
-                    if program.accumulate(&mut st, m) {
-                        self.updated.set(lv);
-                    }
-                    if !exhaustive {
-                        break;
-                    }
-                }
-            }
-            self.state[lv as usize] = st;
-            probes.push(probed);
-        }
-    }
-
     /// Global frontier contribution for the hybrid direction decision.
     pub fn active_count(&self) -> u64 {
         self.active.count_ones() as u64
@@ -780,6 +657,111 @@ impl<P: VertexProgram> DeviceRun<P> {
         changed
     }
 
+    /// Builds this device's outgoing sync messages into `scratch.built`:
+    /// partners in ascending order, and per partner one message for each
+    /// direction in `dirs` whose link has entries. Even an empty payload is
+    /// sent — every host waits to hear from each of its partners, so UO
+    /// messages carry at least the presence bitset; this per-partner cost
+    /// is what makes CVC's restricted partner sets matter (§III-D1).
+    /// Returns the pack time to charge (zero when nothing was built).
+    ///
+    /// BSP builds one direction per exchange; BASP builds both at once, so
+    /// its sends interleave reduce and broadcast per partner. `async_take`
+    /// selects the asynchronous canonical read for broadcasts.
+    ///
+    /// Inlined into its (three) call sites, each of which passes a literal
+    /// `dirs`: the per-partner direction loop then unrolls at compile time.
+    /// Dispatching on a runtime slice inside the partner loop costs the
+    /// many-device, many-round BSP case about a tenth of its host time.
+    #[inline(always)]
+    pub fn build_sync(
+        &mut self,
+        program: &P,
+        dirs: &[SyncDir],
+        part: &Partition,
+        plan: &SyncPlan,
+        config: &RunConfig,
+        async_take: bool,
+    ) -> SimTime {
+        self.scratch.built.clear();
+        let me = self.dev;
+        let (mode, divisor) = (config.variant.comm, config.scale_divisor);
+        // Size of each requested direction's marked set, for the density
+        // gate below (building never changes the marks).
+        let mut marked = [0usize; 2];
+        for &dir in dirs {
+            marked[dir as usize] = match dir {
+                SyncDir::Reduce => self.updated.count_ones(),
+                SyncDir::Broadcast => self.bcast_dirty.count_ones(),
+            } as usize;
+        }
+        for other in 0..part.num_devices {
+            if other == me {
+                continue;
+            }
+            for &dir in dirs {
+                let (holder, owner, entries) = match dir {
+                    SyncDir::Reduce => (me, other, plan.reduce(me, other)),
+                    SyncDir::Broadcast => (other, me, plan.bcast(other, me)),
+                };
+                if entries.is_empty() {
+                    continue;
+                }
+                let link = part.link(holder, owner);
+                // Density gate: on near-dense frontiers (pagerank-style
+                // rounds) the sequential dense walk beats the
+                // intersection's per-hit rank arithmetic, so the index only
+                // engages when the marked set is small relative to the
+                // link. Either path emits identical bytes, so this is
+                // purely a cost heuristic.
+                let sparse = marked[dir as usize] < entries.len() / 2;
+                let (data, bytes) = match dir {
+                    SyncDir::Reduce => {
+                        let idx = plan.reduce_index(holder, owner).filter(|_| sparse);
+                        self.build_reduce(program, link, entries, idx, mode, divisor)
+                    }
+                    SyncDir::Broadcast => {
+                        let idx = plan.bcast_index(holder, owner).filter(|_| sparse);
+                        self.build_broadcast(program, link, entries, idx, mode, divisor, async_take)
+                    }
+                };
+                self.scratch.built.push(SyncMsg {
+                    dir,
+                    from: me,
+                    to: other,
+                    data,
+                    bytes,
+                });
+            }
+        }
+        if self.scratch.built.is_empty() {
+            SimTime::ZERO
+        } else {
+            self.pack_time(mode, divisor)
+        }
+    }
+
+    /// Applies a delivered sync message addressed to this device. Returns
+    /// true if any local state changed. Asynchronous engines pass
+    /// `async_merge` so mass-conserving programs can merge a broadcast
+    /// additively instead of overwriting.
+    pub fn apply_sync(
+        &mut self,
+        program: &P,
+        part: &Partition,
+        msg: &SyncMsg<P::Wire>,
+        async_merge: bool,
+    ) -> bool {
+        debug_assert_eq!(msg.to, self.dev);
+        match msg.dir {
+            SyncDir::Reduce => self.apply_reduce(program, part.link(msg.from, msg.to), &msg.data),
+            SyncDir::Broadcast => {
+                let link = part.link(msg.to, msg.from);
+                self.apply_broadcast(program, link, &msg.data, async_merge)
+            }
+        }
+    }
+
     /// Builds the reduce payload for one link: `(entry index, delta)` pairs
     /// plus the wire size (paper-equivalent bytes). Under UO only updated
     /// mirrors are extracted; under AS every participating entry is sent.
@@ -827,12 +809,7 @@ impl<P: VertexProgram> DeviceRun<P> {
 
     /// Applies a reduce payload on the master side, accumulating deltas and
     /// marking recipients updated. Returns true if anything changed.
-    pub fn apply_reduce(
-        &mut self,
-        program: &P,
-        link: &PairLink,
-        payload: &[(u32, P::Wire)],
-    ) -> bool {
+    fn apply_reduce(&mut self, program: &P, link: &PairLink, payload: &[(u32, P::Wire)]) -> bool {
         let mut any = false;
         for &(e, v) in payload {
             let lv = link.master_side[e as usize];
@@ -849,7 +826,7 @@ impl<P: VertexProgram> DeviceRun<P> {
     /// index fast path and ordering argument as [`DeviceRun::build_reduce`],
     /// over `bcast_dirty ∧ members` of the link's master side.
     #[allow(clippy::too_many_arguments)]
-    pub fn build_broadcast(
+    fn build_broadcast(
         &mut self,
         program: &P,
         link: &PairLink,
@@ -876,10 +853,8 @@ impl<P: VertexProgram> DeviceRun<P> {
                 // Fully-dirty fast path: residual-style rounds mark every
                 // master, making the per-entry dirty test pure overhead
                 // (`bcast_dirty` only ever holds masters, so a full count
-                // means every link entry passes). Same payload bytes; the
-                // legacy baseline keeps the per-entry walk.
+                // means every link entry passes). Same payload bytes.
                 let all_dirty = mode == CommMode::UpdatedOnly
-                    && self.scratch.vector_kernels
                     && self.bcast_dirty.count_ones() == self.lg.num_masters;
                 if all_dirty {
                     // Known-length extraction: one reservation, no
@@ -914,10 +889,8 @@ impl<P: VertexProgram> DeviceRun<P> {
     }
 
     /// Applies a broadcast payload on the mirror side; changed mirrors
-    /// activate (data-driven). Asynchronous engines pass `async_merge` so
-    /// mass-conserving programs can merge additively instead of
-    /// overwriting.
-    pub fn apply_broadcast(
+    /// activate (data-driven).
+    fn apply_broadcast(
         &mut self,
         program: &P,
         link: &PairLink,
@@ -981,7 +954,7 @@ impl<P: VertexProgram> DeviceRun<P> {
 
     /// UO extraction cost for one sync direction on this device (prefix
     /// scan over all local proxies, in paper-equivalent items).
-    pub fn pack_time(&self, mode: CommMode, divisor: u64) -> SimTime {
+    fn pack_time(&self, mode: CommMode, divisor: u64) -> SimTime {
         match mode {
             CommMode::AllShared => SimTime::ZERO,
             CommMode::UpdatedOnly => SimTime::from_secs_f64(

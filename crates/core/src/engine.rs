@@ -1,20 +1,33 @@
-//! One entry point over both execution models.
+//! What the two execution models share: one entry point, the run outcome,
+//! and the fault-layer steps that do not depend on the schedule.
 //!
 //! [`run_engine`] dispatches a prepared device set to [`crate::bsp`] or
 //! [`crate::basp`] by [`ExecutionModel`], with the trace sink always in the
 //! signature (pass a [`crate::trace::NoopSink`] for untraced runs — a
 //! disabled sink skips all record assembly, so the untraced path costs
 //! nothing).
+//!
+//! BSP and BASP are one Gluon substrate under two schedules (§III-B): the
+//! sync messages are built and applied by [`DeviceRun::build_sync`] /
+//! [`DeviceRun::apply_sync`], and a crash is fired, checkpointed against
+//! and recovered from by the helpers here. Each engine module keeps only
+//! what its schedule decides — when a device computes, when its messages
+//! depart, and how a crash is detected.
 
-use dirgl_comm::{NetModel, SyncPlan};
+use dirgl_comm::{
+    CrashSpec, FaultInjector, LinkEvent, LinkEventKind, NetModel, ReliableNet, ReliableState,
+    SimTime, SyncPlan,
+};
+use dirgl_gpusim::HealthTracker;
 use dirgl_partition::Partition;
 
 use crate::basp::run_basp;
-use crate::bsp::{run_bsp, EngineOutcome};
+use crate::bsp::run_bsp;
 use crate::config::RunConfig;
 use crate::device::DeviceRun;
 use crate::program::VertexProgram;
-use crate::trace::TraceSink;
+use crate::resilience::{checkpoint_transfer, DeviceSnapshot, HomeMap, ResilienceStats};
+use crate::trace::{FaultEvent, TraceSink};
 
 /// Which engine executes the run — a clearer-named alias of
 /// [`crate::config::ExecModel`] for dispatch call sites.
@@ -37,4 +50,266 @@ pub fn run_engine<P: VertexProgram>(
         ExecutionModel::Sync => run_bsp(program, devices, part, plan, net, config, sink),
         ExecutionModel::Async => run_basp(program, devices, part, plan, net, config, sink),
     }
+}
+
+/// Raw outcome of a BSP/BASP run, consumed by the runtime's report
+/// assembly.
+pub struct EngineOutcome {
+    /// Final per-device clocks; the max is the execution time.
+    pub clocks: Vec<SimTime>,
+    /// Accumulated per-host blocking time.
+    pub host_wait: Vec<SimTime>,
+    /// Paper-equivalent bytes moved.
+    pub comm_bytes: u64,
+    /// Messages sent.
+    pub messages: u64,
+    /// Headline round count. Under BSP this is the number of global
+    /// rounds. Under BASP there are no global rounds, so this equals
+    /// [`EngineOutcome::min_rounds`], the minimum per-device local round
+    /// count — the conservative "every device got at least this far"
+    /// statistic. (BASP's work inflation from stale reads shows up in
+    /// [`EngineOutcome::max_rounds`], not here.) This field is the single
+    /// source of truth for that convention; `ExecutionReport::rounds`
+    /// copies it verbatim.
+    pub rounds: u32,
+    /// Minimum per-device local round count. Under BSP a device with no
+    /// active work skips its compute kernel, so this can be *below* the
+    /// global round count.
+    pub min_rounds: u32,
+    /// Maximum per-device local round count.
+    pub max_rounds: u32,
+    /// Fault, retry and recovery counters (all zero on a healthy run).
+    pub resilience: ResilienceStats,
+}
+
+/// Per-round cost of the distributed termination check (an allreduce over
+/// the hosts).
+pub(crate) fn termination_check_cost(net: &NetModel) -> SimTime {
+    let hosts = net.platform().num_hosts();
+    if hosts <= 1 {
+        return SimTime::ZERO;
+    }
+    let c = net.platform().cluster;
+    let hops = (hosts as f64).log2().ceil().max(1.0);
+    SimTime::from_secs_f64(c.msg_overhead + c.net_latency * hops)
+}
+
+/// The engines' fault-layer context, built once per run when
+/// [`RunConfig::faults`] is set. Bundles the reliable transport with the
+/// mutable recovery state every exchange needs.
+pub(crate) struct FaultCtx<'a> {
+    /// Retry/ack transport over the raw network.
+    pub rnet: ReliableNet<'a>,
+    /// Per-link sequence numbers (never checkpointed — replays draw fresh
+    /// fault fates).
+    pub rstate: ReliableState,
+    /// Which physical devices are alive.
+    pub health: HealthTracker,
+    /// Logical→physical partition placement.
+    pub home: HomeMap,
+    /// Link-level incident buffer, drained into the trace sink.
+    pub events: Vec<LinkEvent>,
+    /// The crash already fired.
+    pub crash_fired: bool,
+}
+
+impl<'a> FaultCtx<'a> {
+    pub(crate) fn new(net: &'a NetModel, config: &RunConfig) -> Option<FaultCtx<'a>> {
+        let plan = config.faults.clone()?;
+        let p = net.platform().num_devices();
+        Some(FaultCtx {
+            rnet: ReliableNet::new(net, plan, config.retry),
+            rstate: ReliableState::for_devices(p),
+            health: HealthTracker::new(p),
+            home: HomeMap::identity(p),
+            events: Vec::new(),
+            crash_fired: false,
+        })
+    }
+
+    pub(crate) fn injector(&self) -> &FaultInjector {
+        self.rnet.injector()
+    }
+
+    /// True while some logical partition has no live physical host — a
+    /// crash happened and recovery has not yet run.
+    pub(crate) fn dead_unrecovered(&self, p: usize) -> bool {
+        (0..p as u32).any(|l| !self.health.is_alive(self.home.phys(l)))
+    }
+
+    /// Whether logical partition `l` can execute right now.
+    pub(crate) fn alive_logical(&self, l: u32) -> bool {
+        self.health.is_alive(self.home.phys(l))
+    }
+
+    /// Fires the scheduled crash: crashes are one-shot even across replays.
+    pub(crate) fn fire_crash(
+        &mut self,
+        cr: CrashSpec,
+        at: SimTime,
+        stats: &mut ResilienceStats,
+        sink: &mut dyn TraceSink,
+    ) {
+        self.crash_fired = true;
+        self.health.mark_dead(cr.device);
+        stats.crashes += 1;
+        sink.fault(FaultEvent::FaultInjected {
+            at,
+            device: cr.device,
+            kind: "crash",
+        });
+    }
+
+    /// The tail of a recovery, once the engine has restored the checkpoint
+    /// and resumes at `resume`: the crashed device rejoins, or its
+    /// partition (`masters` master vertices) is re-homed onto a survivor
+    /// for good; then the rollback is announced.
+    pub(crate) fn finish_recovery(
+        &mut self,
+        cr: CrashSpec,
+        masters: u64,
+        resume: SimTime,
+        to_round: u32,
+        stats: &mut ResilienceStats,
+        sink: &mut dyn TraceSink,
+    ) {
+        if cr.rejoin {
+            self.health.revive(cr.device);
+            stats.rejoins += 1;
+        } else {
+            let adopter = self
+                .home
+                .pick_adopter(&self.health.alive_flags())
+                .expect("at least one survivor");
+            self.home.rehome(cr.device, adopter);
+            stats.masters_reassigned += masters;
+            sink.fault(FaultEvent::MastersReassigned {
+                at: resume,
+                from_device: cr.device,
+                to_device: adopter,
+                masters,
+            });
+        }
+        sink.fault(FaultEvent::Rollback {
+            at: resume,
+            to_round,
+            device: cr.device,
+        });
+    }
+
+    /// Forwards buffered link incidents to the sink as trace events.
+    pub(crate) fn drain_events(&mut self, sink: &mut dyn TraceSink, tracing: bool) {
+        if !tracing {
+            self.events.clear();
+            return;
+        }
+        for e in self.events.drain(..) {
+            let ev = match e.kind {
+                LinkEventKind::Drop => FaultEvent::FaultInjected {
+                    at: e.at,
+                    device: e.from,
+                    kind: "link-drop",
+                },
+                LinkEventKind::Duplicate => FaultEvent::FaultInjected {
+                    at: e.at,
+                    device: e.from,
+                    kind: "link-duplicate",
+                },
+                LinkEventKind::DelaySpike => FaultEvent::FaultInjected {
+                    at: e.at,
+                    device: e.from,
+                    kind: "link-delay",
+                },
+                LinkEventKind::Timeout => FaultEvent::Timeout {
+                    at: e.at,
+                    from: e.from,
+                    to: e.to,
+                    attempt: e.attempt,
+                },
+                LinkEventKind::Retransmit => FaultEvent::Retransmit {
+                    at: e.at,
+                    from: e.from,
+                    to: e.to,
+                    attempt: e.attempt,
+                },
+                LinkEventKind::GiveUp => FaultEvent::FaultInjected {
+                    at: e.at,
+                    device: e.from,
+                    kind: "delivery-failure",
+                },
+            };
+            sink.fault(ev);
+        }
+    }
+}
+
+/// A compute time under a straggler slowdown factor (1.0 = healthy, and
+/// then bit-exact).
+pub(crate) fn scale_time(t: SimTime, factor: f64) -> SimTime {
+    if factor == 1.0 {
+        t
+    } else {
+        SimTime::from_secs_f64(t.as_secs_f64() * factor)
+    }
+}
+
+/// Captures every device, charging each device's PCIe dump time to its
+/// clock. Returns the instant the slowest dump completes with the
+/// snapshots; the engine adds whatever schedule state it must restore.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn capture_checkpoint<P: VertexProgram>(
+    program: &P,
+    devices: &[DeviceRun<P>],
+    clocks: &mut [SimTime],
+    round: u32,
+    divisor: u64,
+    net: &NetModel,
+    stats: &mut ResilienceStats,
+    sink: &mut dyn TraceSink,
+) -> (SimTime, Vec<DeviceSnapshot<P>>) {
+    let cluster = net.platform().cluster;
+    let mut total = 0u64;
+    for (clock, dev) in clocks.iter_mut().zip(devices) {
+        let (bytes, time) = checkpoint_transfer(dev, program, divisor, &cluster);
+        total += bytes;
+        *clock += time;
+    }
+    let at = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
+    stats.checkpoints_taken += 1;
+    stats.checkpoint_bytes += total;
+    sink.fault(FaultEvent::CheckpointTaken {
+        at,
+        round,
+        bytes: total,
+    });
+    (at, devices.iter().map(DeviceSnapshot::capture).collect())
+}
+
+/// Rolls every device back to `snaps` after a crash was detected at
+/// `detect_at`: restores its state and sets its clock to the instant its
+/// PCIe reload completes. Returns the latest of those, when the run
+/// resumes. Monotonic accounting (compute time, work items) is preserved:
+/// the lost rounds were really run.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn restore_checkpoint<P: VertexProgram>(
+    program: &P,
+    devices: &mut [DeviceRun<P>],
+    snaps: &[DeviceSnapshot<P>],
+    clocks: &mut [SimTime],
+    detect_at: SimTime,
+    divisor: u64,
+    net: &NetModel,
+    stats: &mut ResilienceStats,
+) -> SimTime {
+    let cluster = net.platform().cluster;
+    let pre_max = clocks.iter().copied().max().unwrap_or(SimTime::ZERO);
+    let mut resume = detect_at;
+    for ((dev, snap), clock) in devices.iter_mut().zip(snaps).zip(clocks.iter_mut()) {
+        snap.restore(dev);
+        *clock = detect_at + checkpoint_transfer(dev, program, divisor, &cluster).1;
+        resume = resume.max(*clock);
+    }
+    stats.rollbacks += 1;
+    stats.recovery_time += resume.saturating_sub(pre_max);
+    resume
 }

@@ -7,8 +7,15 @@
 //!   data-driven or pull topology-driven, §III-E);
 //! * [`config::Variant`] — the four optimization variants of §IV-C
 //!   (TWC/ALB × AS/UO × Sync/Async);
-//! * [`bsp`] / [`basp`] — the two execution models of §III-B, dispatched
-//!   through [`engine::run_engine`] by [`engine::ExecutionModel`];
+//! * [`device`] — one device's state, its compute bodies (one hot path),
+//!   and the sync-message core both engines use: [`device::SyncMsg`],
+//!   [`device::DeviceRun::build_sync`], [`device::DeviceRun::apply_sync`];
+//! * [`bsp`] / [`basp`] — the two execution models of §III-B, each reduced
+//!   to its schedule (global rounds vs. a virtual-time event heap),
+//!   dispatched through [`engine::run_engine`] by
+//!   [`engine::ExecutionModel`]; [`engine`] also holds what the fault
+//!   layer shares between them (crash firing, checkpoint capture and
+//!   restore, the rejoin-or-rehome recovery tail);
 //! * [`layout`] — cache-conscious per-device kernel layouts
 //!   (degree-sorted / segmented CSR orderings selected by a skew
 //!   heuristic at prepare time);
@@ -18,8 +25,9 @@
 //! * [`resilience`] — checkpoint/rollback recovery and graceful
 //!   degradation, driven by the fault layer in `dirgl_comm::faults` when
 //!   [`config::RunConfig::faults`] is set;
-//! * [`runtime::Runtime`] — partition, load (with device-memory OOM
-//!   checking), execute, and report;
+//! * [`runtime::Runtime`] — partition, load, execute, and report; the
+//!   load check ([`runtime::Runtime::footprint`]) is the one place a
+//!   device's memory is costed and its adjacency representation chosen;
 //! * [`report::ExecutionReport`] — the Max Compute / Min Wait / Device
 //!   Comm. decomposition with volume, rounds, work items and per-device
 //!   memory, feeding every figure and table of the evaluation.
@@ -37,9 +45,8 @@ pub mod resilience;
 pub mod runtime;
 pub mod trace;
 
-pub use bsp::EngineOutcome;
 pub use config::{ExecModel, RunConfig, Variant};
-pub use engine::{run_engine, ExecutionModel};
+pub use engine::{run_engine, EngineOutcome, ExecutionModel};
 pub use layout::{LayoutChoice, LayoutKind, LayoutPlan, LocalLayout};
 pub use multi::{
     lanes_of, BatchedProgram, LaneState, LaneWire, Lanes, MsBfs, MsBfsState, MultiSourceProgram,
@@ -49,8 +56,8 @@ pub use program::{InitCtx, Style, VertexProgram};
 pub use report::{ExecutionReport, RoundSummary};
 pub use resilience::ResilienceStats;
 pub use runtime::{
-    Backend, LaneOutput, LaneSummary, MultiRunOutput, MultiRunner, PartitionArg, PreparedPartition,
-    RunError, RunOutput, Runner, Runtime,
+    Backend, DeviceFootprint, LaneOutput, LaneSummary, MultiRunOutput, MultiRunner, PartitionArg,
+    PreparedPartition, RunError, RunOutput, Runner, Runtime,
 };
 pub use trace::{
     CollectingSink, EngineKind, FaultEvent, JsonLinesSink, NoopSink, RoundRecord, TraceDirection,

@@ -83,7 +83,7 @@ pub struct ExecutionReport {
     /// Messages sent.
     pub messages: u64,
     /// Headline round count, copied verbatim from
-    /// [`crate::bsp::EngineOutcome::rounds`] (the single place that
+    /// [`crate::engine::EngineOutcome::rounds`] (the single place that
     /// convention is defined): global rounds under BSP, minimum local
     /// rounds under BASP.
     pub rounds: u32,

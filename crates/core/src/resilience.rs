@@ -90,21 +90,20 @@ impl<P: VertexProgram> DeviceSnapshot<P> {
     }
 }
 
-/// Paper-equivalent bytes a checkpoint of `dev` writes: every proxy label
-/// plus the three tracking bitsets.
-pub(crate) fn checkpoint_bytes<P: VertexProgram>(
+/// Size of a checkpoint of `dev` in paper-equivalent bytes (every proxy
+/// label plus the three tracking bitsets), and the simulated time to move
+/// it over the device's PCIe link — the cost of dumping the checkpoint to
+/// host memory, or of restoring it.
+pub(crate) fn checkpoint_transfer<P: VertexProgram>(
     dev: &DeviceRun<P>,
     program: &P,
     divisor: u64,
-) -> u64 {
+    cluster: &ClusterSpec,
+) -> (u64, SimTime) {
     let n = dev.lg.num_vertices() as u64;
-    (n * program.state_bytes() + 3 * n.div_ceil(8)) * divisor
-}
-
-/// Simulated time to move `bytes` over a device's PCIe link — the cost of
-/// dumping a checkpoint to host memory, or of restoring one.
-pub(crate) fn pcie_transfer_time(cluster: &ClusterSpec, bytes: u64) -> SimTime {
-    SimTime::from_secs_f64(cluster.pcie_latency + bytes as f64 / cluster.pcie_bandwidth)
+    let bytes = (n * program.state_bytes() + 3 * n.div_ceil(8)) * divisor;
+    let secs = cluster.pcie_latency + bytes as f64 / cluster.pcie_bandwidth;
+    (bytes, SimTime::from_secs_f64(secs))
 }
 
 /// Logical→physical device mapping. Starts as the identity; graceful

@@ -90,6 +90,29 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+/// One device's memory cost for one job (see [`Runtime::footprint`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DeviceFootprint {
+    /// Bytes under each adjacency representation. The compressed candidate
+    /// is costed only under [`RunConfig::spill`]; without it, it repeats
+    /// the raw one.
+    pub cost: ReprCost,
+    /// The representation the load check picks, `None` when the device
+    /// cannot hold the partition (the run OOMs).
+    pub repr: Option<GraphRepr>,
+}
+
+impl DeviceFootprint {
+    /// Bytes the device is charged — or, when nothing fits, the smallest
+    /// footprint that was refused.
+    pub fn bytes(&self) -> u64 {
+        match self.repr {
+            Some(repr) => self.cost.bytes(repr),
+            None => self.cost.raw.min(self.cost.compressed),
+        }
+    }
+}
+
 /// A completed run: the report plus per-global-vertex outputs for
 /// verification.
 pub struct RunOutput {
@@ -724,48 +747,23 @@ fn execute_job<P: VertexProgram>(
     sink: Option<&mut dyn TraceSink>,
 ) -> Result<(RunOutput, Vec<P::State>), RunError> {
     let config = &rt.config;
-    let divisor = config.scale_divisor;
 
-    // --- Load check: every device must hold its partition. With
-    // `config.spill`, a device whose raw footprint exceeds capacity is
-    // re-costed at the compressed-adjacency footprint and, when that fits,
-    // runs spilled ([`crate::device::SpillState`]). Raw admission is
-    // unchanged: spill only widens the feasible region.
-    assert!(
-        !(config.spill && config.legacy_hotpath),
-        "spill requires the vectorized kernel bodies; legacy_hotpath is incompatible"
-    );
-    let state_bytes = program.state_bytes();
-    let mut memory = Vec::with_capacity(locals.len());
-    let mut spilled = Vec::with_capacity(locals.len());
-    for lg in &locals {
-        let raw =
-            DeviceRun::<P>::required_bytes_with(lg, plan, program, state_bytes, divisor, false);
-        let compressed = if config.spill {
-            DeviceRun::<P>::required_bytes_with(lg, plan, program, state_bytes, divisor, true)
-        } else {
-            raw // spill disabled: the fallback candidate is the raw cost itself
-        };
-        let cost = ReprCost { raw, compressed };
-        let capacity = rt.platform.gpus[lg.device as usize].memory_bytes;
-        match cost.choose(capacity) {
-            Some(repr) => {
-                spilled.push(repr == GraphRepr::Compressed);
-                memory.push(cost.bytes(repr));
-            }
-            None => {
-                return Err(RunError::Oom {
-                    device: lg.device,
-                    err: OomError {
-                        // The smallest footprint that was refused: raw
-                        // without spill, compressed with it.
-                        requested: raw.min(compressed),
-                        in_use: 0,
-                        capacity,
-                    },
-                });
-            }
-        }
+    // --- Load check: every device must hold its partition, raw or (with
+    // `config.spill`) compressed.
+    let footprint = rt.footprint_of(&locals, plan, program);
+    if let Some((lg, fp)) = locals
+        .iter()
+        .zip(&footprint)
+        .find(|(_, fp)| fp.repr.is_none())
+    {
+        return Err(RunError::Oom {
+            device: lg.device,
+            err: OomError {
+                requested: fp.bytes(),
+                in_use: 0,
+                capacity: rt.platform.gpus[lg.device as usize].memory_bytes,
+            },
+        });
     }
 
     // --- Initialize device state.
@@ -776,11 +774,12 @@ fn execute_job<P: VertexProgram>(
     };
     let mut devices: Vec<DeviceRun<P>> = locals
         .into_iter()
-        .map(|lg| {
+        .zip(&footprint)
+        .map(|(lg, fp)| {
             let spec = rt.platform.gpus[lg.device as usize];
             let mut d = DeviceRun::new(lg, spec, program, &ctx);
-            d.peak_memory = memory[d.dev as usize];
-            if spilled[d.dev as usize] {
+            d.peak_memory = fp.bytes();
+            if fp.repr == Some(GraphRepr::Compressed) {
                 d.enable_spill();
             }
             d
@@ -909,53 +908,51 @@ impl Runtime {
     }
 
     /// Predicts the per-device memory footprint of running `program`
-    /// against `prep`, **by the same formula the load check charges**
-    /// ([`crate::device::DeviceRun::required_bytes`], including the
-    /// K-scaled `state_bytes` of batched programs): `footprint(...)[d]`
-    /// equals what a run would record in
+    /// against `prep`. This is the computation the load check of every
+    /// run performs ([`Runtime::footprint_of`]), so `footprint(...)[d]
+    /// .bytes()` equals what a run records in
     /// [`ExecutionReport::memory_per_device`] for device `d`, and the run
-    /// OOMs iff some `footprint(...)[d]` exceeds device `d`'s capacity.
-    /// This is the admission governor's oracle: prediction and engine
-    /// admission cannot disagree because they are one computation.
-    pub fn footprint<P: VertexProgram>(&self, prep: &PreparedPartition, program: &P) -> Vec<u64> {
-        self.footprint_with(prep, program, false)
-    }
-
-    /// [`Runtime::footprint`] with the adjacency held compressed — the
-    /// spill ladder's oracle: what a device admitted under
-    /// [`RunConfig::spill`] would record when its raw footprint does not
-    /// fit. Same one-computation guarantee: this is the exact compressed
-    /// candidate the load check costs.
-    pub fn footprint_spilled<P: VertexProgram>(
+    /// OOMs iff some `footprint(...)[d].repr` is `None`. The admission
+    /// governor predicts with it: prediction and engine admission cannot
+    /// disagree because they are one computation.
+    pub fn footprint<P: VertexProgram>(
         &self,
         prep: &PreparedPartition,
         program: &P,
-    ) -> Vec<u64> {
-        self.footprint_with(prep, program, true)
+    ) -> Vec<DeviceFootprint> {
+        self.footprint_of(&prep.part.locals, &prep.plan, program)
     }
 
-    fn footprint_with<P: VertexProgram>(
+    /// Costs every device of `locals` for `program` (including the
+    /// K-scaled `state_bytes` of batched programs) and picks its adjacency
+    /// representation: raw whenever raw fits the device's capacity, else —
+    /// only with [`RunConfig::spill`] — compressed
+    /// ([`crate::device::SpillState`]) when that fits. Spill only widens
+    /// the feasible region; it never changes an admitted raw run.
+    fn footprint_of<P: VertexProgram>(
         &self,
-        prep: &PreparedPartition,
+        locals: &[LocalGraph],
+        plan: &SyncPlan,
         program: &P,
-        spilled: bool,
-    ) -> Vec<u64> {
-        let state_bytes = program.state_bytes();
-        let mut out = vec![0u64; self.platform.num_devices() as usize];
-        for lg in &prep.part.locals {
-            let need = DeviceRun::<P>::required_bytes_with(
-                lg,
-                &prep.plan,
-                program,
-                state_bytes,
-                self.config.scale_divisor,
-                spilled,
-            );
-            if let Some(slot) = out.get_mut(lg.device as usize) {
-                *slot = need;
-            }
-        }
-        out
+    ) -> Vec<DeviceFootprint> {
+        let divisor = self.config.scale_divisor;
+        locals
+            .iter()
+            .map(|lg| {
+                let raw = DeviceRun::required_bytes(lg, plan, program, divisor, false);
+                let compressed = if self.config.spill {
+                    DeviceRun::required_bytes(lg, plan, program, divisor, true)
+                } else {
+                    raw
+                };
+                let cost = ReprCost { raw, compressed };
+                let capacity = self.platform.gpus[lg.device as usize].memory_bytes;
+                DeviceFootprint {
+                    cost,
+                    repr: cost.choose(capacity),
+                }
+            })
+            .collect()
     }
 
     /// Starts building one job of `program` against a resident prepared

@@ -8,8 +8,8 @@
 //!
 //! 1. **Predict.** Before launching, the server computes the job's
 //!    per-device footprint with [`dirgl_core::Runtime::footprint`] — the
-//!    *same* `required_bytes` formula the engine's load check charges
-//!    (K-scaled `state_bytes`, CSR arrays, bitsets, comm buffers), so
+//!    engine's load check itself (K-scaled `state_bytes`, CSR arrays,
+//!    bitsets, comm buffers, and the raw-or-spilled decision), so
 //!    prediction and engine admission cannot disagree.
 //! 2. **Check.** The predicted bytes are held against each device's
 //!    *residual* capacity: raw capacity minus bytes already reserved by

@@ -374,81 +374,61 @@ impl Inner {
         }
     }
 
-    /// One program's per-device footprint, by the representation the
-    /// engine's load check would pick. Without [`RunConfig::spill`] this
-    /// is the raw oracle ([`dirgl_core::Runtime::footprint`]); with it, a
-    /// device whose raw footprint exceeds its *capacity* is charged the
-    /// compressed footprint instead ([`Runtime::footprint_spilled`]) —
-    /// the same raw-first-then-compressed decision the admission makes,
-    /// so prediction and engine charge still cannot disagree.
-    fn fp<P: dirgl_core::VertexProgram>(&self, prep: &PreparedPartition, prog: &P) -> Vec<u64> {
-        let raw = self.rt.footprint(prep, prog);
-        if !self.rt.config.spill {
-            return raw;
-        }
-        let spilled = self.rt.footprint_spilled(prep, prog);
-        raw.iter()
-            .zip(&spilled)
-            .zip(&self.rt.platform.gpus)
-            .map(|((&r, &s), gpu)| if r <= gpu.memory_bytes { r } else { s })
-            .collect()
-    }
-
     /// Predicts `spec`'s per-device footprint at lane width `width` with
-    /// the engine's own `required_bytes` formula
-    /// ([`dirgl_core::Runtime::footprint`] /
-    /// [`Runtime::footprint_spilled`] per the spill decision — see
-    /// [`Inner::fp`]), instantiating exactly the program
+    /// the engine's own load check ([`dirgl_core::Runtime::footprint`],
+    /// spill decision included), instantiating exactly the program
     /// [`Inner::execute_at`] would launch — batched adapter for
     /// `width ≥ 2`, the scalar program for the scalar rung — so
-    /// prediction and the engine's load check cannot disagree. Chunked
+    /// prediction and the engine's charge cannot disagree. Chunked
     /// runs execute sequentially and a full-width chunk's footprint
     /// dominates its narrower tail, so the first chunk is the maximum.
     fn predict(&self, spec: &JobSpec, width: usize) -> Vec<u64> {
-        match spec {
-            JobSpec::Bfs { sources } => {
-                let k = width.clamp(1, LANE_WIDTH).min(sources.len());
-                if k > 1 {
-                    let prog = Bfs::new(sources[0]).batched(&sources[..k]);
-                    self.fp(&self.directed, &prog)
-                } else {
-                    self.fp(&self.directed, &Bfs::new(sources[0]))
-                }
+        let rt = &self.rt;
+        let k = spec
+            .sources()
+            .map_or(1, |s| width.clamp(1, LANE_WIDTH).min(s.len()));
+        // One footprint per engine phase the job runs.
+        let phases = match spec {
+            JobSpec::Bfs { sources } if k > 1 => {
+                let prog = Bfs::new(sources[0]).batched(&sources[..k]);
+                vec![rt.footprint(&self.directed, &prog)]
+            }
+            JobSpec::Bfs { sources } => vec![rt.footprint(&self.directed, &Bfs::new(sources[0]))],
+            JobSpec::Sssp { sources } if k > 1 => {
+                let prog = Sssp::new(sources[0]).batched(&sources[..k]);
+                vec![rt.footprint(&self.directed, &prog)]
             }
             JobSpec::Sssp { sources } => {
-                let k = width.clamp(1, LANE_WIDTH).min(sources.len());
+                vec![rt.footprint(&self.directed, &Sssp::new(sources[0]))]
+            }
+            JobSpec::Pagerank => vec![rt.footprint(&self.directed, &PageRank::new())],
+            JobSpec::Cc => vec![rt.footprint(&self.symmetric, &Cc)],
+            JobSpec::KCore { k } => vec![rt.footprint(&self.symmetric, &KCore::new(*k))],
+            JobSpec::Bc { sources } => {
+                // Two sequential phases on two views.
+                let fwd = BcForward { source: sources[0] };
                 if k > 1 {
-                    let prog = Sssp::new(sources[0]).batched(&sources[..k]);
-                    self.fp(&self.directed, &prog)
+                    let bwd: Vec<BcBackward> = (0..k).map(|_| BcBackward::new(0)).collect();
+                    vec![
+                        rt.footprint(&self.directed, &Lanes::new(&fwd, &sources[..k])),
+                        rt.footprint(&self.transpose, &Lanes::from_programs(bwd)),
+                    ]
                 } else {
-                    self.fp(&self.directed, &Sssp::new(sources[0]))
+                    vec![
+                        rt.footprint(&self.directed, &fwd),
+                        rt.footprint(&self.transpose, &BcBackward::new(0)),
+                    ]
                 }
             }
-            JobSpec::Pagerank => self.fp(&self.directed, &PageRank::new()),
-            JobSpec::Cc => self.fp(&self.symmetric, &Cc),
-            JobSpec::KCore { k } => self.fp(&self.symmetric, &KCore::new(*k)),
-            JobSpec::Bc { sources } => {
-                // Two sequential phases on two views: the job's footprint
-                // on a device is the larger phase's.
-                let k = width.clamp(1, LANE_WIDTH).min(sources.len());
-                let fwd = BcForward { source: sources[0] };
-                let (f, b) = if k > 1 {
-                    let bwd: Vec<BcBackward> = (0..k).map(|_| BcBackward::new(0)).collect();
-                    (
-                        self.rt
-                            .footprint(&self.directed, &Lanes::new(&fwd, &sources[..k])),
-                        self.rt
-                            .footprint(&self.transpose, &Lanes::from_programs(bwd)),
-                    )
-                } else {
-                    (
-                        self.fp(&self.directed, &fwd),
-                        self.fp(&self.transpose, &BcBackward::new(0)),
-                    )
-                };
-                f.iter().zip(&b).map(|(&x, &y)| x.max(y)).collect()
+        };
+        // The job's footprint on a device is its largest phase's.
+        let mut bytes = vec![0u64; rt.platform.num_devices() as usize];
+        for phase in &phases {
+            for (b, fp) in bytes.iter_mut().zip(phase) {
+                *b = (*b).max(fp.bytes());
             }
         }
+        bytes
     }
 
     /// The full serve path for one (possibly coalesced) launch: governor

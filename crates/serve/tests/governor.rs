@@ -208,13 +208,14 @@ fn spill_serves_full_width_where_raw_cannot() {
         sources: srcs.clone(),
     };
 
-    // Probe both representations' footprints with the engine's own
-    // oracles, on exactly the partition the server prepares.
-    let rt = Runtime::new(Platform::bridges(4), config.clone());
+    // Probe both representations' footprints with the engine's own load
+    // check, on exactly the partition the server prepares.
+    let rt = Runtime::new(Platform::bridges(4), config.clone().with_spill(true));
     let prep = rt.prepare(&g, false).unwrap();
     let prog = dirgl_apps::Sssp::new(srcs[0]).batched(&srcs);
-    let raw16 = *rt.footprint(&prep, &prog).iter().max().unwrap();
-    let spilled16 = *rt.footprint_spilled(&prep, &prog).iter().max().unwrap();
+    let costs = rt.footprint(&prep, &prog);
+    let raw16 = costs.iter().map(|fp| fp.cost.raw).max().unwrap();
+    let spilled16 = costs.iter().map(|fp| fp.cost.compressed).max().unwrap();
     assert!(
         spilled16 < raw16,
         "premise broken: compression saved nothing ({spilled16} !< {raw16})"
@@ -269,6 +270,44 @@ fn spill_serves_full_width_where_raw_cannot() {
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.degraded, 0);
     reconciles(&stats);
+}
+
+/// The same contract for a batched bc job: both of its phases run K-lane
+/// programs, and the prediction must make the engine's spill decision for
+/// them too. At a capacity one byte under the job's largest raw footprint
+/// the spilling server predicts within capacity, serves all K lanes
+/// undegraded, and measures exactly the predicted charge.
+#[test]
+fn spill_prediction_covers_batched_bc() {
+    let g = dirgl_graph::RmatConfig::new(10, 32).seed(13).generate();
+    let config = RunConfig::new(Policy::Cvc, Variant::var1());
+    let serve_config = || ServeConfig {
+        cache_capacity: 0,
+        ..ServeConfig::default()
+    };
+    let spec = JobSpec::Bc {
+        sources: sources(&g, 4),
+    };
+    let ample = JobServer::load(&g, Platform::bridges(4), config.clone(), serve_config()).unwrap();
+    let cap = *ample.predict_footprint(&spec, 4).iter().max().unwrap() - 1;
+
+    let srv = JobServer::load(&g, capped(4, cap), config.with_spill(true), serve_config()).unwrap();
+    let predicted = srv.predict_footprint(&spec, 4);
+    assert!(
+        predicted.iter().all(|&b| b <= cap),
+        "prediction ignores spill: {predicted:?} over cap {cap}"
+    );
+    let r = srv.submit_spec(spec).unwrap().wait().unwrap();
+    assert_eq!(r.resilience.granted_width, 4, "spill must avoid degrading");
+    assert!(!r.resilience.degraded);
+    let fwd = &r.outcome.reports[0].memory_per_device;
+    let bwd = &r.outcome.reports[1].memory_per_device;
+    let peak: Vec<u64> = fwd.iter().zip(bwd).map(|(&a, &b)| a.max(b)).collect();
+    assert_eq!(
+        peak, predicted,
+        "spill-aware prediction must equal the larger phase's measured peak"
+    );
+    reconciles(&srv.stats());
 }
 
 /// With the governor disabled the engine itself OOMs at the requested

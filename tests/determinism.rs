@@ -20,28 +20,13 @@ fn run_case(
     variant: Variant,
     bench: &'static str,
 ) -> (String, Vec<u64>, Vec<u8>) {
-    run_case_cfg(threads, policy, variant, bench, false)
-}
-
-/// [`run_case`] with control over the hot-path toggle
-/// ([`RunConfig::legacy_hotpath`]).
-fn run_case_cfg(
-    threads: usize,
-    policy: Policy,
-    variant: Variant,
-    bench: &'static str,
-    legacy: bool,
-) -> (String, Vec<u64>, Vec<u8>) {
     let pool = ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .unwrap();
     pool.install(|| {
         let graph = RmatConfig::new(10, 8).seed(0xD5).generate();
-        let rt = Runtime::new(
-            Platform::bridges(8),
-            RunConfig::new(policy, variant).with_legacy_hotpath(legacy),
-        );
+        let rt = Runtime::new(Platform::bridges(8), RunConfig::new(policy, variant));
         let mut buf: Vec<u8> = Vec::new();
         let mut sink = JsonLinesSink::new(&mut buf);
         let out = match bench {
@@ -114,41 +99,4 @@ fn four_threads_match_one() {
     let seq = run_case(1, Policy::Cvc, Variant::var4(), "bfs");
     let par = run_case(4, Policy::Cvc, Variant::var4(), "bfs");
     assert_eq!(seq, par);
-}
-
-/// The optimized hot path (sparsity-proportional UO extraction via the
-/// sync plan's inverse indexes, plus scratch-buffer reuse) and the legacy
-/// path (dense per-entry walk, fresh allocations) must be byte-identical
-/// in every observable: report Debug text, vertex value bits, trace JSONL.
-#[test]
-fn legacy_hotpath_matches_optimized() {
-    for bench in ["bfs", "pagerank"] {
-        for policy in [Policy::Oec, Policy::Iec, Policy::Hvc, Policy::Cvc] {
-            for variant in [Variant::var1(), Variant::var4()] {
-                let opt = run_case_cfg(2, policy, variant, bench, false);
-                let legacy = run_case_cfg(2, policy, variant, bench, true);
-                assert_eq!(
-                    opt.0,
-                    legacy.0,
-                    "{bench}/{}/{}: report differs between hot paths",
-                    policy.name(),
-                    variant.label(),
-                );
-                assert_eq!(
-                    opt.1,
-                    legacy.1,
-                    "{bench}/{}/{}: vertex values differ between hot paths",
-                    policy.name(),
-                    variant.label(),
-                );
-                assert_eq!(
-                    opt.2,
-                    legacy.2,
-                    "{bench}/{}/{}: trace JSONL differs between hot paths",
-                    policy.name(),
-                    variant.label(),
-                );
-            }
-        }
-    }
 }

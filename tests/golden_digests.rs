@@ -29,6 +29,7 @@ use dirgl::core::VertexProgram;
 use dirgl::graph::weights::{randomize_weights, DEFAULT_MAX_WEIGHT};
 use dirgl::prelude::*;
 use dirgl::singlehost::DoBfs;
+use dirgl_bench::fnv1a64;
 
 const POLICIES: [Policy; 4] = [Policy::Oec, Policy::Iec, Policy::Hvc, Policy::Cvc];
 const HASHES: [&str; 3] = ["report", "values", "trace"];
@@ -37,14 +38,8 @@ const HASHES: [&str; 3] = ["report", "values", "trace"];
 /// of the fixture's two largest CVC partitions, above their compressed one.
 const SPILL_CAPACITY: u64 = 33_000;
 
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 fn value_hash<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
-    fnv1a(values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()))
+    fnv1a64(values.into_iter().flat_map(|v| v.to_bits().to_le_bytes()))
 }
 
 fn graph() -> Csr {
@@ -64,9 +59,9 @@ fn traced<P: VertexProgram>(
     let out = rt.runner(g, program).trace(&mut sink).execute().unwrap();
     drop(sink);
     let digest = [
-        fnv1a(format!("{:?}", out.report).bytes()),
+        fnv1a64(format!("{:?}", out.report).bytes()),
         value_hash(&out.values),
-        fnv1a(buf.iter().copied()),
+        fnv1a64(buf.iter().copied()),
     ];
     let trace = String::from_utf8(buf).expect("JSONL is UTF-8");
     (out.report, trace, digest)
@@ -80,17 +75,14 @@ fn batch<P: MultiSourceProgram>(rt: &Runtime, g: &Csr, program: &P, sources: &[u
         .execute()
         .unwrap();
     [
-        fnv1a(format!("{:?}", out.engine_reports).bytes()),
+        fnv1a64(format!("{:?}", out.engine_reports).bytes()),
         value_hash(out.lanes.iter().flat_map(|l| &l.values)),
-        fnv1a([]),
+        fnv1a64([]),
     ]
 }
 
-/// Runs the whole corpus, in file order, on the optimized or the legacy hot
-/// path. The spilled case needs the optimized bodies and is left out of a
-/// legacy pass.
-fn corpus(legacy: bool) -> Vec<(String, [u64; 3])> {
-    let cfg = |policy, variant| RunConfig::new(policy, variant).with_legacy_hotpath(legacy);
+/// Runs the whole corpus, in file order.
+fn corpus() -> Vec<(String, [u64; 3])> {
     let g = graph();
     let src = Runtime::max_out_degree_source(&g).unwrap();
     let mut cases = Vec::new();
@@ -98,7 +90,7 @@ fn corpus(legacy: bool) -> Vec<(String, [u64; 3])> {
     for bench in ["bfs", "cc", "kcore", "pagerank", "sssp"] {
         for policy in POLICIES {
             for variant in [Variant::var1(), Variant::var3(), Variant::var4()] {
-                let rt = Runtime::new(Platform::bridges(8), cfg(policy, variant));
+                let rt = Runtime::new(Platform::bridges(8), RunConfig::new(policy, variant));
                 let (_, _, digest) = match bench {
                     "bfs" => traced(&rt, &g, &Bfs::new(src)),
                     "cc" => traced(&rt, &g, &Cc),
@@ -116,7 +108,10 @@ fn corpus(legacy: bool) -> Vec<(String, [u64; 3])> {
 
     // Direction-optimizing bfs: the only hybrid program, so the only one
     // that runs bottom-up rounds.
-    let rt = Runtime::new(Platform::bridges(8), cfg(Policy::Cvc, Variant::var3()));
+    let rt = Runtime::new(
+        Platform::bridges(8),
+        RunConfig::new(Policy::Cvc, Variant::var3()),
+    );
     let (_, trace, digest) = traced(&rt, &g, &DoBfs::new(src));
     assert!(
         trace.contains(r#""direction":"pull""#),
@@ -131,40 +126,44 @@ fn corpus(legacy: bool) -> Vec<(String, [u64; 3])> {
         "lanes3/dobfs/CVC/Var3".into(),
         batch(&rt, &g, &DoBfs::new(src), &sources),
     ));
-    let rt = Runtime::new(Platform::bridges(8), cfg(Policy::Cvc, Variant::var3()));
+    let rt = Runtime::new(
+        Platform::bridges(8),
+        RunConfig::new(Policy::Cvc, Variant::var3()),
+    );
     cases.push((
         "lanes3/bfs/CVC/Var3".into(),
         batch(&rt, &g, &Bfs::new(src), &sources),
     ));
-    let rt = Runtime::new(Platform::bridges(8), cfg(Policy::Cvc, Variant::var4()));
+    let rt = Runtime::new(
+        Platform::bridges(8),
+        RunConfig::new(Policy::Cvc, Variant::var4()),
+    );
     cases.push((
         "lanes3/sssp/CVC/Var4".into(),
         batch(&rt, &g, &Sssp::new(src), &sources),
     ));
 
     // A spilled run: capacity between the compressed and the raw footprint.
-    if !legacy {
-        let config = RunConfig::new(Policy::Cvc, Variant::var1());
-        let (raw, _, _) = traced(
-            &Runtime::new(Platform::bridges(4), config.clone()),
-            &g,
-            &Sssp::new(src),
-        );
-        let mut tight = Platform::bridges(4);
-        for gpu in &mut tight.gpus {
-            gpu.memory_bytes = SPILL_CAPACITY;
-        }
-        let (spilled, _, digest) = traced(
-            &Runtime::new(tight, config.with_spill(true)),
-            &g,
-            &Sssp::new(src),
-        );
-        assert_ne!(
-            spilled.memory_per_device, raw.memory_per_device,
-            "premise broken: nothing spilled at {SPILL_CAPACITY} B"
-        );
-        cases.push(("spill/sssp/CVC/Var1".into(), digest));
+    let config = RunConfig::new(Policy::Cvc, Variant::var1());
+    let (raw, _, _) = traced(
+        &Runtime::new(Platform::bridges(4), config.clone()),
+        &g,
+        &Sssp::new(src),
+    );
+    let mut tight = Platform::bridges(4);
+    for gpu in &mut tight.gpus {
+        gpu.memory_bytes = SPILL_CAPACITY;
     }
+    let (spilled, _, digest) = traced(
+        &Runtime::new(tight, config.with_spill(true)),
+        &g,
+        &Sssp::new(src),
+    );
+    assert_ne!(
+        spilled.memory_per_device, raw.memory_per_device,
+        "premise broken: nothing spilled at {SPILL_CAPACITY} B"
+    );
+    cases.push(("spill/sssp/CVC/Var1".into(), digest));
 
     // Crash recovery, both tails (rejoin, re-home) under both engines, with
     // lossy links and a straggler window on top.
@@ -176,7 +175,7 @@ fn corpus(legacy: bool) -> Vec<(String, [u64; 3])> {
                 .with_straggler(2, 1, 3, 4.0);
             let rt = Runtime::new(
                 Platform::bridges(8),
-                cfg(Policy::Cvc, variant)
+                RunConfig::new(Policy::Cvc, variant)
                     .with_faults(plan)
                     .with_checkpoints(2),
             );
@@ -222,43 +221,30 @@ fn corpus_matches_committed_digests() {
             (f[0].to_string(), [h(f[1]), h(f[2]), h(f[3])])
         })
         .collect();
-    for legacy in [false, true] {
-        let mut want = want.clone();
-        if legacy {
-            want.retain(|c| !c.0.starts_with("spill/"));
-        }
-        let have = corpus(legacy);
-        assert_eq!(
-            have.iter().map(|c| &c.0).collect::<Vec<_>>(),
-            want.iter().map(|c| &c.0).collect::<Vec<_>>(),
-            "the corpus and the data file list different cases"
-        );
-        let mut moved = String::new();
-        for ((name, h), (_, w)) in have.iter().zip(&want) {
-            for k in 0..3 {
-                if h[k] != w[k] {
-                    writeln!(
-                        moved,
-                        "  {name}: {} hash moved ({:016x}, committed {:016x})",
-                        HASHES[k], h[k], w[k]
-                    )
-                    .unwrap();
-                }
+    let have = corpus();
+    assert_eq!(
+        have.iter().map(|c| &c.0).collect::<Vec<_>>(),
+        want.iter().map(|c| &c.0).collect::<Vec<_>>(),
+        "the corpus and the data file list different cases"
+    );
+    let mut moved = String::new();
+    for ((name, h), (_, w)) in have.iter().zip(&want) {
+        for k in 0..3 {
+            if h[k] != w[k] {
+                writeln!(
+                    moved,
+                    "  {name}: {} hash moved ({:016x}, committed {:016x})",
+                    HASHES[k], h[k], w[k]
+                )
+                .unwrap();
             }
         }
-        assert!(
-            moved.is_empty(),
-            "golden digests moved (legacy_hotpath = {legacy}):\n{moved}"
-        );
-        println!(
-            "legacy_hotpath = {legacy}: {} cases match the committed digests",
-            have.len()
-        );
     }
+    assert!(moved.is_empty(), "golden digests moved:\n{moved}");
 }
 
 #[test]
 #[ignore = "rewrites tests/golden_digests.txt; run only after an intended change of behaviour"]
 fn regenerate() {
-    std::fs::write(data_file(), render(&corpus(false))).unwrap();
+    std::fs::write(data_file(), render(&corpus())).unwrap();
 }

@@ -102,9 +102,14 @@ fn spill_admits_deeper_and_is_value_identical_bsp() {
     let prep = rt.prepare(&g, false).unwrap();
     let prog = Sssp::new(Runtime::max_out_degree_source(prep.graph()).unwrap());
 
-    let raw_max = *rt.footprint(&prep, &prog).iter().max().unwrap();
-    let spilled = rt.footprint_spilled(&prep, &prog);
-    let spilled_max = *spilled.iter().max().unwrap();
+    // Both candidates of every device, from the load check's own costing.
+    let costs: Vec<_> = Runtime::new(Platform::bridges(4), config.clone().with_spill(true))
+        .footprint(&prep, &prog)
+        .iter()
+        .map(|fp| fp.cost)
+        .collect();
+    let raw_max = costs.iter().map(|c| c.raw).max().unwrap();
+    let spilled_max = costs.iter().map(|c| c.compressed).max().unwrap();
     assert!(
         spilled_max < raw_max,
         "compressed footprint must be smaller ({spilled_max} !< {raw_max})"
@@ -134,13 +139,13 @@ fn spill_admits_deeper_and_is_value_identical_bsp() {
     // Over-capacity devices are charged the compressed footprint.
     for (d, &mem) in out.report.memory_per_device.iter().enumerate() {
         assert!(mem <= cap, "device {d} over budget: {mem} > {cap}");
-        let raw_d = rt.footprint(&prep, &prog)[d];
-        let want = if raw_d > cap { spilled[d] } else { raw_d };
+        let c = costs[d];
+        let want = if c.raw > cap { c.compressed } else { c.raw };
         assert_eq!(mem, want, "device {d} memory charge");
     }
     // At least one device actually spilled, and decoding is not free.
     assert!(
-        rt.footprint(&prep, &prog).iter().any(|&b| b > cap),
+        costs.iter().any(|c| c.raw > cap),
         "premise broken: nothing needed to spill"
     );
     let t_spill: f64 = out
@@ -182,8 +187,10 @@ fn spill_reaches_the_same_fixed_point_basp() {
     let prep = rt.prepare(&g, false).unwrap();
     let prog = Bfs::from_max_out_degree(prep.graph());
 
-    let raw_max = *rt.footprint(&prep, &prog).iter().max().unwrap();
-    let spilled_max = *rt.footprint_spilled(&prep, &prog).iter().max().unwrap();
+    let costs =
+        Runtime::new(Platform::bridges(4), config.clone().with_spill(true)).footprint(&prep, &prog);
+    let raw_max = costs.iter().map(|fp| fp.cost.raw).max().unwrap();
+    let spilled_max = costs.iter().map(|fp| fp.cost.compressed).max().unwrap();
     let cap = spilled_max + (raw_max - spilled_max) / 2;
 
     let baseline = rt.job(&prep, &prog).execute().unwrap();
