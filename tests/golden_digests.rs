@@ -14,7 +14,10 @@
 //! The corpus is {bfs, cc, kcore, pagerank, sssp} × {OEC, IEC, HVC, CVC} ×
 //! {Var1, Var3, Var4} on a weighted R-MAT scale-10 graph over 8 devices,
 //! plus direction-optimizing bfs, K=3 lane batches, a spilled run, and
-//! crash recovery (rejoin and re-home) under both engines.
+//! crash recovery (rejoin and re-home) under both engines; then bfs and
+//! sssp on a long-tail web crawl over 32 devices (100+ rounds of mostly
+//! idle devices and empty messages), plain and through a mid-run crash
+//! with message drops.
 //!
 //! After an *intended* change of behaviour, regenerate the file with
 //!
@@ -193,7 +196,68 @@ fn corpus() -> Vec<(String, [u64; 3])> {
             ));
         }
     }
+
+    // High-diameter runs: a long-tail web crawl on 32 devices, where bfs
+    // takes over a hundred rounds and in most of them most devices have no
+    // active vertex, no mark and no mail, so nearly every sync message is
+    // empty. The R-MAT cases above converge in a handful of rounds and
+    // barely reach that regime. Var1 sends All-Shared payloads: there an
+    // unmarked direction still ships every entry.
+    let hg = highdiam_graph();
+    let hsrc = Runtime::max_out_degree_source(&hg).unwrap();
+    for variant in [Variant::var1(), Variant::var3(), Variant::var4()] {
+        let rt = Runtime::new(Platform::bridges(32), RunConfig::new(Policy::Cvc, variant));
+        let (report, _, digest) = traced(&rt, &hg, &Bfs::new(hsrc));
+        assert!(
+            report.max_rounds >= 100,
+            "premise broken: bfs ran {} rounds",
+            report.max_rounds
+        );
+        cases.push((format!("highdiam/bfs/CVC/{}", variant.label()), digest));
+    }
+    let rt = Runtime::new(
+        Platform::bridges(32),
+        RunConfig::new(Policy::Cvc, Variant::var4()),
+    );
+    let (_, _, digest) = traced(&rt, &hg, &Sssp::new(hsrc));
+    cases.push(("highdiam/sssp/CVC/Var4".into(), digest));
+
+    // The same bfs through a mid-run crash with lossy links: every exchange
+    // takes the reliable path, so which payload each delivery flag belongs
+    // to is pinned over a hundred mostly-empty rounds, before and after a
+    // rollback and after a re-homing.
+    for rejoin in [true, false] {
+        let plan = FaultPlan::seeded(11)
+            .with_drop(0.05)
+            .with_crash(5, 60, rejoin);
+        let rt = Runtime::new(
+            Platform::bridges(32),
+            RunConfig::new(Policy::Cvc, Variant::var3())
+                .with_faults(plan)
+                .with_checkpoints(25),
+        );
+        let (report, _, digest) = traced(&rt, &hg, &Bfs::new(hsrc));
+        let r = &report.resilience;
+        assert!(r.crashes == 1 && r.rollbacks >= 1, "no recovery ran: {r:?}");
+        assert!(r.faults.drops_injected > 0, "no message was dropped: {r:?}");
+        assert_eq!(r.rejoins > 0, rejoin, "wrong recovery tail: {r:?}");
+        cases.push((
+            format!(
+                "highdiam-crash-{}/bfs/CVC/Var3",
+                if rejoin { "rejoin" } else { "rehome" }
+            ),
+            digest,
+        ));
+    }
     cases
+}
+
+/// A weighted web crawl of 4 000 pages with a 150-page tail.
+fn highdiam_graph() -> Csr {
+    let g = WebCrawlConfig::new(4_000, 48_000, 200, 150, 150)
+        .seed(0xD1A)
+        .generate();
+    randomize_weights(&g, DEFAULT_MAX_WEIGHT, 0x5EED)
 }
 
 fn data_file() -> PathBuf {
