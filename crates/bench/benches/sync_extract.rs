@@ -15,13 +15,19 @@
 //! The tentpole claim pinned here: at ≤1% density the indexed path beats
 //! the dense walk by ≥5× (checked offline from the printed numbers; the
 //! bench itself only measures).
+//!
+//! Beside the sweep, `sync_build/cvc64`: one whole [`DeviceRun::build_sync`]
+//! of the reduce direction on a device of a 64-device CVC partition, with
+//! nothing marked (every message is the empty one and no link is looked
+//! at) and with one vertex marked (every link of the device is extracted
+//! from) — what a device-round of a high-diameter run costs when idle.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use dirgl_apps::Bfs;
 use dirgl_comm::{CommMode, SyncPlan};
-use dirgl_core::device::DeviceRun;
-use dirgl_core::InitCtx;
+use dirgl_core::device::{DeviceRun, SyncDir};
+use dirgl_core::{InitCtx, RunConfig, Variant};
 use dirgl_gpusim::Platform;
 use dirgl_graph::RmatConfig;
 use dirgl_partition::{Partition, Policy};
@@ -41,7 +47,7 @@ fn bench_extract(c: &mut Criterion) {
     let ctx = InitCtx::new(g.num_vertices(), &out_degrees);
     let platform = Platform::bridges(DEVICES);
     let mut dev = DeviceRun::new(
-        part.locals[DEV as usize].clone(),
+        &part.locals[DEV as usize],
         platform.gpus[DEV as usize],
         &program,
         &ctx,
@@ -62,19 +68,13 @@ fn bench_extract(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("uo_indexed", label), &label, |b, _| {
             b.iter(|| {
                 let mut acc = 0u64;
-                for owner in 0..DEVICES {
-                    if owner == DEV {
-                        continue;
-                    }
-                    let entries = plan.reduce(DEV, owner);
-                    if entries.is_empty() {
-                        continue;
-                    }
+                for pn in plan.reduce_to(DEV) {
+                    let (entries, index) = plan.reduce_at(pn.pair);
                     let (payload, bytes) = dev.build_reduce(
                         &program,
-                        part.link(DEV, owner),
+                        part.link(DEV, pn.other),
                         entries,
-                        plan.reduce_index(DEV, owner),
+                        index,
                         CommMode::UpdatedOnly,
                         1,
                     );
@@ -89,17 +89,11 @@ fn bench_extract(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("uo_dense", label), &label, |b, _| {
             b.iter(|| {
                 let mut acc = 0u64;
-                for owner in 0..DEVICES {
-                    if owner == DEV {
-                        continue;
-                    }
-                    let entries = plan.reduce(DEV, owner);
-                    if entries.is_empty() {
-                        continue;
-                    }
+                for pn in plan.reduce_to(DEV) {
+                    let (entries, _) = plan.reduce_at(pn.pair);
                     let (payload, bytes) = dev.build_reduce(
                         &program,
-                        part.link(DEV, owner),
+                        part.link(DEV, pn.other),
                         entries,
                         None,
                         CommMode::UpdatedOnly,
@@ -116,17 +110,11 @@ fn bench_extract(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("as_dense", label), &label, |b, _| {
             b.iter(|| {
                 let mut acc = 0u64;
-                for owner in 0..DEVICES {
-                    if owner == DEV {
-                        continue;
-                    }
-                    let entries = plan.reduce(DEV, owner);
-                    if entries.is_empty() {
-                        continue;
-                    }
+                for pn in plan.reduce_to(DEV) {
+                    let (entries, _) = plan.reduce_at(pn.pair);
                     let (payload, bytes) = dev.build_reduce(
                         &program,
-                        part.link(DEV, owner),
+                        part.link(DEV, pn.other),
                         entries,
                         None,
                         CommMode::AllShared,
@@ -142,5 +130,48 @@ fn bench_extract(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_extract);
+fn bench_build(c: &mut Criterion) {
+    const WIDE: u32 = 64;
+    let g = RmatConfig::new(16, 16).seed(0xE5).generate();
+    let part = Partition::build(&g, Policy::Cvc, WIDE, 0);
+    let plan = SyncPlan::build(&part, true, true);
+    let program = Bfs::from_max_out_degree(&g);
+    let out_degrees: Vec<u32> = (0..g.num_vertices()).map(|v| g.out_degree(v)).collect();
+    let ctx = InitCtx::new(g.num_vertices(), &out_degrees);
+    let config = RunConfig::new(Policy::Cvc, Variant::var3());
+    let mut dev = DeviceRun::new(
+        &part.locals[DEV as usize],
+        Platform::bridges(WIDE).gpus[DEV as usize],
+        &program,
+        &ctx,
+    );
+    // A mirror, so that the one mark is one the reduce direction reads.
+    let mirror = dev.lg.num_masters;
+
+    let mut group = c.benchmark_group("sync_build");
+    group.sample_size(20);
+    for (label, mark) in [("unmarked", false), ("one_marked", true)] {
+        dev.updated.clear_all();
+        if mark {
+            dev.updated.set(mirror);
+        }
+        group.bench_with_input(BenchmarkId::new("cvc64", label), &label, |b, _| {
+            b.iter(|| {
+                let pack =
+                    dev.build_sync(&program, &[SyncDir::Reduce], &part, &plan, &config, false);
+                let mut acc = pack.0;
+                let mut built = std::mem::take(&mut dev.scratch.built);
+                for msg in built.drain(..) {
+                    acc += msg.bytes + msg.data.len() as u64;
+                    dev.scratch.recycle(msg.data);
+                }
+                dev.scratch.built = built;
+                black_box(acc)
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_extract, bench_build);
 criterion_main!(benches);

@@ -44,6 +44,12 @@ pub struct NetState {
     pcie_out_free: Vec<SimTime>,
     pcie_in_free: Vec<SimTime>,
     nic_free: Vec<SimTime>,
+    /// Scratch of the exchange in progress, kept here so that a run's
+    /// exchanges allocate once: the service order as index ranges into the
+    /// sends, and per host when it finished sending. Means nothing between
+    /// exchanges.
+    order: Vec<(u32, u32)>,
+    host_send_done: Vec<SimTime>,
 }
 
 impl NetState {
@@ -53,6 +59,8 @@ impl NetState {
             pcie_out_free: vec![SimTime::ZERO; num_devices as usize],
             pcie_in_free: vec![SimTime::ZERO; num_devices as usize],
             nic_free: vec![SimTime::ZERO; num_hosts as usize],
+            order: Vec::new(),
+            host_send_done: Vec::new(),
         }
     }
 
@@ -124,6 +132,10 @@ pub struct NetModel {
     platform: Platform,
     /// Model GPUDirect: device↔device transfers bypass host staging.
     pub direct_device: bool,
+    /// What every message needs of the platform, worked out once: the host
+    /// of each device and the network latency in nanoseconds.
+    host_of: Vec<u32>,
+    net_latency: SimTime,
 }
 
 /// Aggregate outcome of a whole exchange phase (BSP use).
@@ -165,8 +177,12 @@ impl NetModel {
     /// paper do).
     pub fn new(platform: Platform) -> NetModel {
         NetModel {
-            platform,
             direct_device: false,
+            host_of: (0..platform.num_devices())
+                .map(|d| platform.host_of(d))
+                .collect(),
+            net_latency: SimTime::from_secs_f64(platform.cluster.net_latency),
+            platform,
         }
     }
 
@@ -183,17 +199,17 @@ impl NetModel {
     /// Delivers one message, updating link occupancy.
     pub fn send(&self, st: &mut NetState, msg: SendDesc) -> Delivery {
         let c = &self.platform.cluster;
-        let pcie =
-            |bytes: u64| SimTime::from_secs_f64(c.pcie_latency + bytes as f64 / c.pcie_bandwidth);
+        let pcie = || SimTime::from_secs_f64(c.pcie_latency + msg.bytes as f64 / c.pcie_bandwidth);
+        let nic = || SimTime::from_secs_f64(c.msg_overhead + msg.bytes as f64 / c.net_bandwidth);
         let (hf, ht) = (
-            self.platform.host_of(msg.from),
-            self.platform.host_of(msg.to),
+            self.host_of[msg.from as usize],
+            self.host_of[msg.to as usize],
         );
 
         if self.direct_device {
             // GPUDirect P2P / RDMA: one hop, no host staging.
             if hf == ht {
-                let arrival = msg.depart + pcie(msg.bytes);
+                let arrival = msg.depart + pcie();
                 return Delivery {
                     arrival,
                     sender_free: arrival,
@@ -203,13 +219,12 @@ impl NetModel {
                     pcie_in_queue: SimTime::ZERO,
                 };
             }
-            let nic = &mut st.nic_free[hf as usize];
-            let start = msg.depart.max(*nic);
+            let nic_free = &mut st.nic_free[hf as usize];
+            let start = msg.depart.max(*nic_free);
             let nic_queue = start.saturating_sub(msg.depart);
-            let done =
-                start + SimTime::from_secs_f64(c.msg_overhead + msg.bytes as f64 / c.net_bandwidth);
-            *nic = done;
-            let arrival = done + SimTime::from_secs_f64(c.net_latency);
+            let done = start + nic();
+            *nic_free = done;
+            let arrival = done + self.net_latency;
             return Delivery {
                 arrival,
                 sender_free: done,
@@ -220,11 +235,14 @@ impl NetModel {
             };
         }
 
+        // Both PCIe hops move the same bytes over the same kind of lane.
+        let pcie = pcie();
+
         // Hop 1: device -> host over the sender's PCIe lane.
         let out = &mut st.pcie_out_free[msg.from as usize];
         let up_start = msg.depart.max(*out);
         let pcie_out_queue = up_start.saturating_sub(msg.depart);
-        let up_done = up_start + pcie(msg.bytes);
+        let up_done = up_start + pcie;
         *out = up_done;
 
         // Hop 2: host -> host (skipped within a host: staged in pinned
@@ -232,24 +250,19 @@ impl NetModel {
         let (at_recv_host, host_send_done, nic_queue) = if hf == ht {
             (up_done, up_done, SimTime::ZERO)
         } else {
-            let nic = &mut st.nic_free[hf as usize];
-            let start = up_done.max(*nic);
+            let nic_free = &mut st.nic_free[hf as usize];
+            let start = up_done.max(*nic_free);
             let nic_queue = start.saturating_sub(up_done);
-            let done =
-                start + SimTime::from_secs_f64(c.msg_overhead + msg.bytes as f64 / c.net_bandwidth);
-            *nic = done;
-            (
-                done + SimTime::from_secs_f64(c.net_latency),
-                done,
-                nic_queue,
-            )
+            let done = start + nic();
+            *nic_free = done;
+            (done + self.net_latency, done, nic_queue)
         };
 
         // Hop 3: host -> device over the receiver's PCIe lane.
         let inl = &mut st.pcie_in_free[msg.to as usize];
         let down_start = at_recv_host.max(*inl);
         let pcie_in_queue = down_start.saturating_sub(at_recv_host);
-        let down_done = down_start + pcie(msg.bytes);
+        let down_done = down_start + pcie;
         *inl = down_done;
 
         Delivery {
@@ -267,89 +280,167 @@ impl NetModel {
     /// [`NetModel::exchange_with`] instead so congestion carries across
     /// rounds.
     pub fn exchange(&self, device_clock: &[SimTime], sends: &[SendDesc]) -> ExchangeOutcome {
-        self.exchange_with(&mut self.new_state(), device_clock, sends, None)
+        let mut out = ExchangeOutcome::default();
+        self.exchange_with(&mut self.new_state(), device_clock, sends, None, &mut out);
+        out
     }
 
     /// Runs a whole barrier-style exchange (all messages known up front)
     /// against *caller-owned* link state and summarizes it per device/host
-    /// — the BSP communication phase. Link occupancy left in `st` by
-    /// earlier exchanges delays this one and vice versa. When `trace` is
-    /// given, one [`MessageTrace`] per send is appended, attributing each
-    /// message's queueing to the PCIe lanes and NIC it crossed.
+    /// into `out` — the BSP communication phase. Link occupancy left in
+    /// `st` by earlier exchanges delays this one and vice versa. When
+    /// `trace` is given, one [`MessageTrace`] per send is appended,
+    /// attributing each message's queueing to the PCIe lanes and NIC it
+    /// crossed. A caller that keeps `st` and `out` across exchanges pays no
+    /// allocation after the first.
     pub fn exchange_with(
         &self,
         st: &mut NetState,
         device_clock: &[SimTime],
         sends: &[SendDesc],
         mut trace: Option<&mut Vec<MessageTrace>>,
-    ) -> ExchangeOutcome {
-        let p = self.platform.num_devices() as usize;
-        let h = self.platform.num_hosts() as usize;
-        let mut device_done: Vec<SimTime> = device_clock.to_vec();
-        let mut host_send_done: Vec<SimTime> = (0..h)
-            .map(|i| host_work_floor(&self.platform, device_clock, i as u32))
-            .collect();
-        let mut host_last_arrival: Vec<SimTime> = vec![SimTime::ZERO; h];
-        let mut sender_free: Vec<SimTime> = device_clock.to_vec();
-        let mut total_bytes = 0u64;
-
-        // Deterministic service order: by departure, then endpoints.
-        let mut order: Vec<&SendDesc> = sends.iter().collect();
-        order.sort_by_key(|m| (m.depart, m.from, m.to));
-
-        for msg in order {
-            let d = self.send(st, *msg);
-            total_bytes += msg.bytes;
-            let hf = self.platform.host_of(msg.from) as usize;
-            let ht = self.platform.host_of(msg.to) as usize;
-            device_done[msg.to as usize] = device_done[msg.to as usize].max(d.arrival);
-            sender_free[msg.from as usize] = sender_free[msg.from as usize].max(d.sender_free);
-            host_send_done[hf] = host_send_done[hf].max(d.host_send_done);
-            host_last_arrival[ht] = host_last_arrival[ht].max(d.arrival);
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.push(MessageTrace {
-                    from: msg.from,
-                    to: msg.to,
-                    bytes: msg.bytes,
-                    depart: msg.depart,
-                    arrival: d.arrival,
-                    pcie_out_queue: d.pcie_out_queue,
-                    nic_queue: d.nic_queue,
-                    pcie_in_queue: d.pcie_in_queue,
-                });
+        out: &mut ExchangeOutcome,
+    ) {
+        let order = self.begin_exchange(st, device_clock, sends, out);
+        for &(start, end) in &order {
+            for msg in &sends[start as usize..end as usize] {
+                let d = self.send(st, *msg);
+                out.total_bytes += msg.bytes;
+                self.tally(
+                    st,
+                    out,
+                    msg,
+                    d.sender_free,
+                    d.host_send_done,
+                    Some(d.arrival),
+                );
+                if let Some(tr) = trace.as_deref_mut() {
+                    tr.push(MessageTrace {
+                        from: msg.from,
+                        to: msg.to,
+                        bytes: msg.bytes,
+                        depart: msg.depart,
+                        arrival: d.arrival,
+                        pcie_out_queue: d.pcie_out_queue,
+                        nic_queue: d.nic_queue,
+                        pcie_in_queue: d.pcie_in_queue,
+                    });
+                }
             }
         }
+        self.finish_exchange(st, order, out);
+    }
+
+    /// Opens an exchange, for the raw and the reliable transport alike:
+    /// resets `out` to "nothing sent yet" and returns the service order of
+    /// `sends` as index ranges (hand it back to
+    /// [`NetModel::finish_exchange`]). `out.host_wait` accumulates each
+    /// host's last arrival until the exchange is finished.
+    pub(crate) fn begin_exchange(
+        &self,
+        st: &mut NetState,
+        device_clock: &[SimTime],
+        sends: &[SendDesc],
+        out: &mut ExchangeOutcome,
+    ) -> Vec<(u32, u32)> {
+        let p = self.host_of.len();
+        let h = self.platform.num_hosts() as usize;
+        out.device_done.clear();
+        out.device_done.extend_from_slice(device_clock);
+        out.sender_free.clear();
+        out.sender_free.extend_from_slice(device_clock);
+        out.host_wait.clear();
+        out.host_wait.resize(h, SimTime::ZERO);
+        out.total_bytes = 0;
+        out.num_messages = sends.len() as u64;
+        // The earliest a host can be considered "done with its own work":
+        // the latest compute-finish among its devices.
+        st.host_send_done.clear();
+        st.host_send_done.resize(h, SimTime::ZERO);
+        for (&host, &clock) in self.host_of.iter().zip(&device_clock[..p]) {
+            let floor = &mut st.host_send_done[host as usize];
+            *floor = (*floor).max(clock);
+        }
+        let mut order = std::mem::take(&mut st.order);
+        service_order(sends, &mut order);
+        order
+    }
+
+    /// Folds one serviced message into the exchange's aggregates. `arrival`
+    /// is `None` when the payload never reached its receiver.
+    pub(crate) fn tally(
+        &self,
+        st: &mut NetState,
+        out: &mut ExchangeOutcome,
+        msg: &SendDesc,
+        sender_free: SimTime,
+        host_send_done: SimTime,
+        arrival: Option<SimTime>,
+    ) {
+        let (from, to) = (msg.from as usize, msg.to as usize);
+        let (hf, ht) = (self.host_of[from] as usize, self.host_of[to] as usize);
+        out.sender_free[from] = out.sender_free[from].max(sender_free);
+        st.host_send_done[hf] = st.host_send_done[hf].max(host_send_done);
+        if let Some(arrival) = arrival {
+            out.device_done[to] = out.device_done[to].max(arrival);
+            out.host_wait[ht] = out.host_wait[ht].max(arrival);
+        }
+    }
+
+    /// Closes an exchange opened by [`NetModel::begin_exchange`].
+    pub(crate) fn finish_exchange(
+        &self,
+        st: &mut NetState,
+        order: Vec<(u32, u32)>,
+        out: &mut ExchangeOutcome,
+    ) {
+        st.order = order;
         // A sender is not "done" until its uploads finish even if it
         // receives nothing.
-        for dev in 0..p {
-            device_done[dev] = device_done[dev].max(sender_free[dev]);
+        for (done, free) in out.device_done.iter_mut().zip(&out.sender_free) {
+            *done = (*done).max(*free);
         }
-        let host_wait = (0..h)
-            .map(|i| host_last_arrival[i].saturating_sub(host_send_done[i]))
-            .collect();
-        ExchangeOutcome {
-            device_done,
-            host_wait,
-            sender_free,
-            total_bytes,
-            num_messages: sends.len() as u64,
+        for (last_arrival, send_done) in out.host_wait.iter_mut().zip(&st.host_send_done) {
+            *last_arrival = last_arrival.saturating_sub(*send_done);
         }
     }
 }
 
-/// The earliest a host can be considered "done with its own work": the
-/// latest compute-finish among its devices.
-pub(crate) fn host_work_floor(platform: &Platform, device_clock: &[SimTime], host: u32) -> SimTime {
-    (0..platform.num_devices())
-        .filter(|&d| platform.host_of(d) == host)
-        .map(|d| device_clock[d as usize])
-        .max()
-        .unwrap_or(SimTime::ZERO)
+/// Fills `order` with the service order of `sends` — ascending
+/// `(depart, from, to)`, equal keys in input order — as index ranges into
+/// `sends` to be served one after the other.
+///
+/// The engines hand over one run of messages per builder, constant in
+/// `(depart, from)` and ascending in `to`. Such runs are already in order
+/// inside, and runs with different `(depart, from)` do not interleave, so
+/// ordering the run heads orders the messages. That holds only while no
+/// two runs share a `(depart, from)`; an input where they do (which
+/// includes any run whose `to` steps down, since the cut makes two) is
+/// ordered message by message.
+fn service_order(sends: &[SendDesc], order: &mut Vec<(u32, u32)>) {
+    let key = |i: u32| (sends[i as usize].depart, sends[i as usize].from);
+    let n = sends.len() as u32;
+    order.clear();
+    let mut start = 0;
+    for i in 1..=n {
+        if i == n || key(i) != key(i - 1) || sends[i as usize].to < sends[i as usize - 1].to {
+            order.push((start, i));
+            start = i;
+        }
+    }
+    order.sort_unstable_by_key(|&(s, _)| (key(s), s));
+    if order.windows(2).any(|w| key(w[0].0) == key(w[1].0)) {
+        order.clear();
+        order.extend((0..n).map(|i| (i, i + 1)));
+        order.sort_unstable_by_key(|&(i, _)| (key(i), sends[i as usize].to, i));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn model(n: u32) -> NetModel {
         NetModel::new(Platform::bridges(n))
@@ -496,8 +587,9 @@ mod tests {
         }];
 
         let mut st = m.new_state();
-        let first = m.exchange_with(&mut st, &clocks, &sends, None);
-        let second = m.exchange_with(&mut st, &clocks, &sends, None);
+        let (mut first, mut second) = (ExchangeOutcome::default(), ExchangeOutcome::default());
+        m.exchange_with(&mut st, &clocks, &sends, None, &mut first);
+        m.exchange_with(&mut st, &clocks, &sends, None, &mut second);
         assert!(
             second.device_done[2] > first.device_done[2],
             "second exchange must queue behind the first's link occupancy"
@@ -563,7 +655,13 @@ mod tests {
         ];
         let mut trace = Vec::new();
         let mut st = m.new_state();
-        let _ = m.exchange_with(&mut st, &clocks, &sends, Some(&mut trace));
+        m.exchange_with(
+            &mut st,
+            &clocks,
+            &sends,
+            Some(&mut trace),
+            &mut ExchangeOutcome::default(),
+        );
         assert_eq!(trace.len(), 2);
         let a = trace.iter().find(|t| t.from == 0).unwrap();
         let b = trace.iter().find(|t| t.from == 1).unwrap();
@@ -618,5 +716,164 @@ mod tests {
         let m = model(4);
         let out = m.exchange(&[SimTime::ZERO; 4], &[]);
         assert_eq!(out.makespan(), SimTime::ZERO);
+    }
+
+    /// The exchange as first written: one stable sort of every send by
+    /// `(depart, from, to)`, fresh vectors, a per-host scan for the floor.
+    /// What [`NetModel::exchange_with`] must keep computing.
+    fn reference_exchange(
+        m: &NetModel,
+        st: &mut NetState,
+        device_clock: &[SimTime],
+        sends: &[SendDesc],
+        trace: &mut Vec<MessageTrace>,
+    ) -> ExchangeOutcome {
+        let platform = m.platform();
+        let h = platform.num_hosts() as usize;
+        let mut device_done = device_clock.to_vec();
+        let mut sender_free = device_clock.to_vec();
+        let mut host_send_done: Vec<SimTime> = (0..h as u32)
+            .map(|host| {
+                (0..platform.num_devices())
+                    .filter(|&d| platform.host_of(d) == host)
+                    .map(|d| device_clock[d as usize])
+                    .max()
+                    .unwrap_or(SimTime::ZERO)
+            })
+            .collect();
+        let mut host_last_arrival = vec![SimTime::ZERO; h];
+        let mut total_bytes = 0;
+        let mut order: Vec<&SendDesc> = sends.iter().collect();
+        order.sort_by_key(|s| (s.depart, s.from, s.to));
+        for msg in order {
+            let d = m.send(st, *msg);
+            total_bytes += msg.bytes;
+            let (hf, ht) = (
+                platform.host_of(msg.from) as usize,
+                platform.host_of(msg.to) as usize,
+            );
+            device_done[msg.to as usize] = device_done[msg.to as usize].max(d.arrival);
+            sender_free[msg.from as usize] = sender_free[msg.from as usize].max(d.sender_free);
+            host_send_done[hf] = host_send_done[hf].max(d.host_send_done);
+            host_last_arrival[ht] = host_last_arrival[ht].max(d.arrival);
+            trace.push(MessageTrace {
+                from: msg.from,
+                to: msg.to,
+                bytes: msg.bytes,
+                depart: msg.depart,
+                arrival: d.arrival,
+                pcie_out_queue: d.pcie_out_queue,
+                nic_queue: d.nic_queue,
+                pcie_in_queue: d.pcie_in_queue,
+            });
+        }
+        for (done, free) in device_done.iter_mut().zip(&sender_free) {
+            *done = (*done).max(*free);
+        }
+        ExchangeOutcome {
+            host_wait: (0..h)
+                .map(|i| host_last_arrival[i].saturating_sub(host_send_done[i]))
+                .collect(),
+            device_done,
+            sender_free,
+            total_bytes,
+            num_messages: sends.len() as u64,
+        }
+    }
+
+    /// The sends of one exchange the way the engines hand them over: per
+    /// builder in ascending order one run, stamped with the builder's clock
+    /// and ascending in `to`. Clocks collide now and then, and bytes are
+    /// all different, so that any reordering shows.
+    fn engine_shaped(rng: &mut TestRng, p: u32) -> (Vec<SimTime>, Vec<SendDesc>) {
+        let clocks: Vec<SimTime> = (0..p).map(|_| SimTime(1_000 * rng.below(6))).collect();
+        let mut sends = Vec::new();
+        for from in 0..p {
+            for to in (0..p).filter(|&to| to != from) {
+                if rng.below(3) > 0 {
+                    sends.push(SendDesc {
+                        from,
+                        to,
+                        bytes: 64 + 1_000 * sends.len() as u64,
+                        depart: clocks[from as usize],
+                    });
+                }
+            }
+        }
+        (clocks, sends)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Whatever the shape of the input — the engines' runs, the same
+        /// shuffled or reversed, or with runs that share a `(depart, from)` — two
+        /// exchanges in a row give the outcome, the per-message trace and
+        /// the link state of the full sort.
+        #[test]
+        fn service_order_is_the_full_sort(
+            seed in any::<u64>(),
+            p in prop::sample::select(vec![2u32, 4, 8, 16]),
+            shape in 0u32..4,
+            gpudirect in any::<bool>(),
+        ) {
+            let mut rng = TestRng::seed(seed);
+            let mut m = model(p);
+            m.direct_device = gpudirect;
+            let (mut st, mut ref_st) = (m.new_state(), m.new_state());
+            let mut out = ExchangeOutcome::default();
+            for _ in 0..2 {
+                let (clocks, mut sends) = engine_shaped(&mut rng, p);
+                match shape {
+                    0 => {}
+                    // Any order at all.
+                    1 => {
+                        for i in (1..sends.len()).rev() {
+                            sends.swap(i, rng.below(i as u64 + 1) as usize);
+                        }
+                    }
+                    // One run per builder still, each descending in `to`.
+                    2 => sends.reverse(),
+                    // A second run of some builders (what two partitions
+                    // re-homed onto one device send), whose receivers fall
+                    // between and upon those of the first.
+                    _ => {
+                        let again: Vec<SendDesc> = sends
+                            .iter()
+                            .filter(|s| s.from % 2 == 0 && rng.below(2) == 0)
+                            .map(|s| SendDesc { bytes: s.bytes + 7, ..*s })
+                            .collect();
+                        sends.extend(again);
+                    }
+                }
+                let (mut trace, mut ref_trace) = (Vec::new(), Vec::new());
+                m.exchange_with(&mut st, &clocks, &sends, Some(&mut trace), &mut out);
+                let want = reference_exchange(&m, &mut ref_st, &clocks, &sends, &mut ref_trace);
+                prop_assert_eq!(format!("{out:?}"), format!("{want:?}"));
+                prop_assert_eq!(trace, ref_trace);
+                prop_assert_eq!(&st.pcie_out_free, &ref_st.pcie_out_free);
+                prop_assert_eq!(&st.pcie_in_free, &ref_st.pcie_in_free);
+                prop_assert_eq!(&st.nic_free, &ref_st.nic_free);
+            }
+        }
+    }
+
+    #[test]
+    fn engine_shaped_sends_are_served_run_by_run() {
+        // The premise of the test above: the engines' shape takes the
+        // short way (one range per builder), anything else the long one.
+        let mut rng = TestRng::seed(7);
+        let (_, mut sends) = engine_shaped(&mut rng, 8);
+        let mut order = Vec::new();
+        service_order(&sends, &mut order);
+        assert!(order.len() <= 8, "{} ranges for 8 builders", order.len());
+        assert_eq!(
+            order.iter().map(|&(s, e)| (e - s) as usize).sum::<usize>(),
+            sends.len()
+        );
+        let last = sends.len() - 1;
+        sends.swap(0, last);
+        service_order(&sends, &mut order);
+        assert_eq!(order.len(), sends.len(), "one range per message");
     }
 }

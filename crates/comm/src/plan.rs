@@ -16,8 +16,10 @@
 //! * **CVC**: mirrors with in-edges share the master's grid column and
 //!   mirrors with out-edges its grid row → reduce/broadcast partner sets
 //!   collapse from all-to-all to one grid column/row.
-
-use serde::{Deserialize, Serialize};
+//!
+//! The plan also lists, per device and direction, the partners left after
+//! that filtering ([`SyncPlan::reduce_to`], [`SyncPlan::bcast_to`]), so a
+//! round walks its real partners and never probes the other devices.
 
 use dirgl_partition::Partition;
 
@@ -36,7 +38,7 @@ use crate::bitset::DenseBitset;
 /// storing a `local vertex → entry` vector. Hand-built links that violate
 /// the ordering get no index ([`ExtractIndex::build`] returns `None`) and
 /// fall back to the dense walk.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExtractIndex {
     /// Local vertices that participate in this direction's exchange (the
     /// filtered entry subset, as a bitset over the device's local ids).
@@ -119,8 +121,24 @@ impl ExtractIndex {
     }
 }
 
+/// One sync message a device sends (or receives) every round in one
+/// direction: the device at the other end of the link, where the link's
+/// participant set lives in the plan, and how many entries it has.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Partner {
+    /// The device at the other end.
+    pub other: u32,
+    /// Index of the link's `(holder, owner)` pair, for
+    /// [`SyncPlan::reduce_at`] / [`SyncPlan::bcast_at`].
+    pub pair: u32,
+    /// Number of participating entries (never zero: a pair with no entry in
+    /// a direction exchanges no message in it).
+    pub entries: u32,
+}
+
 /// Precomputed participant sets for one (program, partition) pairing.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// [`SyncPlan::build`] is the only constructor.
+#[derive(Clone, Debug)]
 pub struct SyncPlan {
     num_devices: u32,
     /// For pair `(holder, owner)` at `holder * P + owner`: indices into the
@@ -130,12 +148,21 @@ pub struct SyncPlan {
     bcast_entries: Vec<Vec<u32>>,
     /// Inverse indexes over the *holder's* local ids for each reduce set
     /// (mirror side extracts). `None` where the pair is empty or unsorted.
-    #[serde(default)]
     reduce_index: Vec<Option<ExtractIndex>>,
     /// Inverse indexes over the *owner's* local ids for each broadcast set
     /// (master side extracts).
-    #[serde(default)]
     bcast_index: Vec<Option<ExtractIndex>>,
+    /// Per device, ascending by partner: the owners it sends a reduce
+    /// message to, as a mirror holder.
+    reduce_to: Vec<Vec<Partner>>,
+    /// Per device, ascending: the holders it receives a reduce message from.
+    reduce_from: Vec<Vec<Partner>>,
+    /// Per device, ascending: the holders it sends a broadcast message to,
+    /// as a master owner.
+    bcast_to: Vec<Vec<Partner>>,
+    /// Per device, ascending: the owners it receives a broadcast message
+    /// from.
+    bcast_from: Vec<Vec<Partner>>,
 }
 
 impl SyncPlan {
@@ -149,6 +176,9 @@ impl SyncPlan {
         let mut bcast_entries = Vec::with_capacity((p * p) as usize);
         let mut reduce_index = Vec::with_capacity((p * p) as usize);
         let mut bcast_index = Vec::with_capacity((p * p) as usize);
+        let lists = || vec![Vec::new(); p as usize];
+        let (mut reduce_to, mut reduce_from) = (lists(), lists());
+        let (mut bcast_to, mut bcast_from) = (lists(), lists());
         for holder in 0..p {
             for owner in 0..p {
                 let link = part.link(holder, owner);
@@ -171,6 +201,22 @@ impl SyncPlan {
                     &link.master_side,
                     &bc,
                 ));
+                // The partner lists come out ascending because the pairs
+                // are visited holder-major, owner-minor: a holder's lists
+                // grow while `owner` climbs, an owner's while `holder` does.
+                let at = |other: u32, entries: &[u32]| Partner {
+                    other,
+                    pair: holder * p + owner,
+                    entries: entries.len() as u32,
+                };
+                if !red.is_empty() {
+                    reduce_to[holder as usize].push(at(owner, &red));
+                    reduce_from[owner as usize].push(at(holder, &red));
+                }
+                if !bc.is_empty() {
+                    bcast_to[owner as usize].push(at(holder, &bc));
+                    bcast_from[holder as usize].push(at(owner, &bc));
+                }
                 reduce_entries.push(red);
                 bcast_entries.push(bc);
             }
@@ -181,6 +227,10 @@ impl SyncPlan {
             bcast_entries,
             reduce_index,
             bcast_index,
+            reduce_to,
+            reduce_from,
+            bcast_to,
+            bcast_from,
         }
     }
 
@@ -196,66 +246,79 @@ impl SyncPlan {
         &self.bcast_entries[(holder * self.num_devices + owner) as usize]
     }
 
-    /// Inverse index for the `(holder, owner)` reduce set, over the
-    /// holder's local ids. `None` (dense-walk fallback) for empty pairs,
-    /// unsorted hand-built links, or plans deserialized from an older
-    /// format.
+    /// The reduce messages `dev` sends each round, ascending by receiver.
     #[inline]
-    pub fn reduce_index(&self, holder: u32, owner: u32) -> Option<&ExtractIndex> {
-        self.reduce_index
-            .get((holder * self.num_devices + owner) as usize)?
-            .as_ref()
+    pub fn reduce_to(&self, dev: u32) -> &[Partner] {
+        &self.reduce_to[dev as usize]
     }
 
-    /// Inverse index for the `(holder, owner)` broadcast set, over the
-    /// owner's local ids.
+    /// The broadcast messages `dev` sends each round, ascending by receiver.
     #[inline]
-    pub fn bcast_index(&self, holder: u32, owner: u32) -> Option<&ExtractIndex> {
-        self.bcast_index
-            .get((holder * self.num_devices + owner) as usize)?
-            .as_ref()
+    pub fn bcast_to(&self, dev: u32) -> &[Partner] {
+        &self.bcast_to[dev as usize]
+    }
+
+    /// Reduce participant entries of the pair at [`Partner::pair`], and
+    /// their inverse index over the holder's local ids: `None` (dense-walk
+    /// fallback) for unsorted hand-built links.
+    #[inline]
+    pub fn reduce_at(&self, pair: u32) -> (&[u32], Option<&ExtractIndex>) {
+        let pair = pair as usize;
+        (&self.reduce_entries[pair], self.reduce_index[pair].as_ref())
+    }
+
+    /// Broadcast participant entries of the pair at [`Partner::pair`], and
+    /// their inverse index over the owner's local ids.
+    #[inline]
+    pub fn bcast_at(&self, pair: u32) -> (&[u32], Option<&ExtractIndex>) {
+        let pair = pair as usize;
+        (&self.bcast_entries[pair], self.bcast_index[pair].as_ref())
+    }
+
+    /// The four partner lists of `dev`: what it sends and what it receives,
+    /// in both directions.
+    fn partner_lists(&self, dev: u32) -> [&[Partner]; 4] {
+        let dev = dev as usize;
+        [
+            &self.reduce_to[dev],
+            &self.reduce_from[dev],
+            &self.bcast_to[dev],
+            &self.bcast_from[dev],
+        ]
     }
 
     /// Total shared proxies the plan can ever move (both directions), for
-    /// communication-buffer memory accounting on each device.
+    /// communication-buffer memory accounting on each device: every entry
+    /// `dev` sends or receives, as mirror holder and as master owner.
     pub fn buffer_entries_for_device(&self, dev: u32) -> u64 {
-        let p = self.num_devices;
-        let mut total = 0u64;
-        for other in 0..p {
-            if other == dev {
-                continue;
-            }
-            // dev as mirror holder (sends reduce, receives broadcast)...
-            total += self.reduce(dev, other).len() as u64;
-            total += self.bcast(dev, other).len() as u64;
-            // ...and as master owner (receives reduce, sends broadcast).
-            total += self.reduce(other, dev).len() as u64;
-            total += self.bcast(other, dev).len() as u64;
-        }
-        total
+        self.partner_lists(dev)
+            .iter()
+            .flat_map(|l| l.iter())
+            .map(|pn| pn.entries as u64)
+            .sum()
     }
 
     /// True when no reduce message exists anywhere (e.g. IEC + push).
     pub fn reduce_is_elided(&self) -> bool {
-        self.reduce_entries.iter().all(|e| e.is_empty())
+        self.reduce_to.iter().all(|l| l.is_empty())
     }
 
     /// True when no broadcast message exists anywhere (e.g. OEC + push).
     pub fn bcast_is_elided(&self) -> bool {
-        self.bcast_entries.iter().all(|e| e.is_empty())
+        self.bcast_to.iter().all(|l| l.is_empty())
     }
 
     /// Distinct devices this device exchanges at least one message with.
     pub fn partner_count(&self, dev: u32) -> u32 {
-        (0..self.num_devices)
-            .filter(|&o| {
-                o != dev
-                    && (!self.reduce(dev, o).is_empty()
-                        || !self.bcast(dev, o).is_empty()
-                        || !self.reduce(o, dev).is_empty()
-                        || !self.bcast(o, dev).is_empty())
-            })
-            .count() as u32
+        let mut others: Vec<u32> = self
+            .partner_lists(dev)
+            .iter()
+            .flat_map(|l| l.iter())
+            .map(|pn| pn.other)
+            .collect();
+        others.sort_unstable();
+        others.dedup();
+        others.len() as u32
     }
 }
 
@@ -264,6 +327,7 @@ mod tests {
     use super::*;
     use dirgl_graph::RmatConfig;
     use dirgl_partition::Policy;
+    use proptest::prelude::*;
 
     fn graph() -> dirgl_graph::Csr {
         RmatConfig::new(10, 8).seed(11).generate()
@@ -339,7 +403,7 @@ mod tests {
         for holder in 0..8 {
             for owner in 0..8 {
                 let link = part.link(holder, owner);
-                if let Some(idx) = plan.reduce_index(holder, owner) {
+                if let Some(idx) = plan.reduce_at(holder * 8 + owner).1 {
                     indexed_links += 1;
                     let via_index: Vec<u32> = idx
                         .members()
@@ -351,7 +415,7 @@ mod tests {
                         assert_eq!(idx.entry_of(link.mirror_side[e as usize]), e);
                     }
                 }
-                if let Some(idx) = plan.bcast_index(holder, owner) {
+                if let Some(idx) = plan.bcast_at(holder * 8 + owner).1 {
                     let via_index: Vec<u32> = idx
                         .members()
                         .iter_set()
@@ -374,7 +438,7 @@ mod tests {
         let mut checked = 0;
         for holder in 0..8 {
             for owner in 0..8 {
-                let Some(idx) = plan.reduce_index(holder, owner) else {
+                let Some(idx) = plan.reduce_at(holder * 8 + owner).1 else {
                     continue;
                 };
                 let len = idx.members().len();
@@ -412,6 +476,74 @@ mod tests {
         assert_eq!(idx.entry_of(3), 1);
         assert_eq!(idx.entry_of(5), 2);
         assert!(idx.members().get(1) && !idx.members().get(3) && idx.members().get(5));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The partner lists are the brute-force scan of the other devices
+        /// for a non-empty participant set, in content and in order.
+        #[test]
+        fn partner_lists_equal_the_full_scan(
+            seed in 0u64..1_000,
+            scale in 7u32..10,
+            policy in prop::sample::select(vec![Policy::Oec, Policy::Iec, Policy::Hvc, Policy::Cvc]),
+            devices in prop::sample::select(vec![4u32, 9, 16]),
+        ) {
+            let g = RmatConfig::new(scale, 8).seed(seed).generate();
+            let part = Partition::build(&g, policy, devices, seed);
+            let plan = SyncPlan::build(&part, true, true);
+            let scan = |other_of: &dyn Fn(u32) -> (u32, u32), entries: &dyn Fn(u32, u32) -> usize| {
+                (0..devices)
+                    .map(|o| (o, other_of(o)))
+                    .filter(|&(_, (h, w))| entries(h, w) > 0)
+                    .map(|(o, (h, w))| Partner {
+                        other: o,
+                        pair: h * devices + w,
+                        entries: entries(h, w) as u32,
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let red = |h, o| plan.reduce(h, o).len();
+            let bc = |h, o| plan.bcast(h, o).len();
+            for d in 0..devices {
+                // `d` sends reduce as holder and broadcast as owner, and
+                // receives them the other way round.
+                prop_assert_eq!(plan.reduce_to(d), scan(&|o| (d, o), &red));
+                prop_assert_eq!(plan.bcast_to(d), scan(&|o| (o, d), &bc));
+                prop_assert_eq!(&plan.reduce_from[d as usize], &scan(&|o| (o, d), &red));
+                prop_assert_eq!(&plan.bcast_from[d as usize], &scan(&|o| (d, o), &bc));
+                for pn in plan.reduce_to(d) {
+                    prop_assert_eq!(plan.reduce_at(pn.pair).0, plan.reduce(d, pn.other));
+                }
+                for pn in plan.bcast_to(d) {
+                    prop_assert_eq!(plan.bcast_at(pn.pair).0, plan.bcast(pn.other, d));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accounting_equals_the_full_scan() {
+        // What the lists replaced: a probe of every other device.
+        for policy in [Policy::Oec, Policy::Iec, Policy::Hvc, Policy::Cvc] {
+            let part = Partition::build(&graph(), policy, 9, 0);
+            let plan = SyncPlan::build(&part, true, true);
+            for d in 0..9 {
+                let sets = |o: u32| {
+                    [
+                        plan.reduce(d, o).len(),
+                        plan.bcast(d, o).len(),
+                        plan.reduce(o, d).len(),
+                        plan.bcast(o, d).len(),
+                    ]
+                };
+                let entries: usize = (0..9).flat_map(sets).sum();
+                let partners = (0..9).filter(|&o| sets(o).iter().any(|&n| n > 0)).count();
+                assert_eq!(plan.buffer_entries_for_device(d), entries as u64);
+                assert_eq!(plan.partner_count(d), partners as u32);
+            }
+        }
     }
 
     #[test]

@@ -22,9 +22,7 @@
 
 use crate::clock::SimTime;
 use crate::faults::{FaultCounters, FaultInjector, FaultPlan, LinkFate, RetryConfig};
-use crate::net::{
-    host_work_floor, Delivery, ExchangeOutcome, MessageTrace, NetModel, NetState, SendDesc,
-};
+use crate::net::{Delivery, ExchangeOutcome, MessageTrace, NetModel, NetState, SendDesc};
 
 /// Receiver/sender bookkeeping for reliable delivery: the next sequence
 /// number per ordered device pair. Lives with the caller, like
@@ -322,35 +320,32 @@ impl<'a> ReliableNet<'a> {
         events: &mut Vec<LinkEvent>,
         mut trace: Option<&mut Vec<MessageTrace>>,
     ) -> ReliableExchange {
-        let p = self.net.platform().num_devices() as usize;
-        let h = self.net.platform().num_hosts() as usize;
-        let mut device_done: Vec<SimTime> = device_clock.to_vec();
-        let mut host_send_done: Vec<SimTime> = (0..h)
-            .map(|i| host_work_floor(self.net.platform(), device_clock, i as u32))
-            .collect();
-        let mut host_last_arrival: Vec<SimTime> = vec![SimTime::ZERO; h];
-        let mut sender_free: Vec<SimTime> = device_clock.to_vec();
-        let mut total_bytes = 0u64;
+        let mut outcome = ExchangeOutcome::default();
         let mut delivered = vec![false; sends.len()];
         let mut failures = Vec::new();
 
-        // Deterministic service order, identical to the raw exchange.
-        let mut order: Vec<usize> = (0..sends.len()).collect();
-        order.sort_by_key(|&i| (sends[i].depart, sends[i].from, sends[i].to));
-
-        for i in order {
+        // The raw exchange's own opening, service order and closing.
+        let order = self
+            .net
+            .begin_exchange(st, device_clock, sends, &mut outcome);
+        for i in order
+            .iter()
+            .flat_map(|&(start, end)| start as usize..end as usize)
+        {
             let msg = sends[i];
             let v = self.send_reliable(st, rst, msg, dest_alive[msg.to as usize], counters, events);
-            total_bytes += v.wire_bytes;
-            let hf = self.net.platform().host_of(msg.from) as usize;
-            let ht = self.net.platform().host_of(msg.to) as usize;
-            sender_free[msg.from as usize] = sender_free[msg.from as usize].max(v.sender_free);
-            host_send_done[hf] = host_send_done[hf].max(v.host_send_done);
+            outcome.total_bytes += v.wire_bytes;
+            self.net.tally(
+                st,
+                &mut outcome,
+                &msg,
+                v.sender_free,
+                v.host_send_done,
+                v.arrival,
+            );
             match v.arrival {
                 Some(arrival) => {
                     delivered[i] = true;
-                    device_done[msg.to as usize] = device_done[msg.to as usize].max(arrival);
-                    host_last_arrival[ht] = host_last_arrival[ht].max(arrival);
                     if let Some(tr) = trace.as_deref_mut() {
                         tr.push(MessageTrace {
                             from: msg.from,
@@ -372,20 +367,9 @@ impl<'a> ReliableNet<'a> {
                 }),
             }
         }
-        for dev in 0..p {
-            device_done[dev] = device_done[dev].max(sender_free[dev]);
-        }
-        let host_wait = (0..h)
-            .map(|i| host_last_arrival[i].saturating_sub(host_send_done[i]))
-            .collect();
+        self.net.finish_exchange(st, order, &mut outcome);
         ReliableExchange {
-            outcome: ExchangeOutcome {
-                device_done,
-                host_wait,
-                sender_free,
-                total_bytes,
-                num_messages: sends.len() as u64,
-            },
+            outcome,
             delivered,
             failures,
         }
@@ -425,7 +409,8 @@ mod tests {
 
         let mut raw_st = m.new_state();
         let mut raw_trace = Vec::new();
-        let raw = m.exchange_with(&mut raw_st, &clocks, &sends, Some(&mut raw_trace));
+        let mut raw = ExchangeOutcome::default();
+        m.exchange_with(&mut raw_st, &clocks, &sends, Some(&mut raw_trace), &mut raw);
 
         let r = ReliableNet::new(&m, FaultPlan::none(), RetryConfig::default());
         let mut st = m.new_state();

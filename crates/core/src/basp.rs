@@ -138,10 +138,10 @@ struct LocalRound<W> {
 
 /// One unit of parallel phase-A work: batch index, device id, the device's
 /// exclusive slot, its drained mail, and its going-in convergence flag.
-type PhaseAWork<'a, P> = (
+type PhaseAWork<'a, 'g, P> = (
     usize,
     u32,
-    &'a mut DeviceRun<P>,
+    &'a mut DeviceRun<'g, P>,
     Vec<SyncMsg<<P as VertexProgram>::Wire>>,
     bool,
 );
@@ -164,7 +164,7 @@ fn recover_basp<P: VertexProgram>(
     cr: CrashSpec,
     ckpt: &BaspCheckpoint<P>,
     detect_at: SimTime,
-    devices: &mut [DeviceRun<P>],
+    devices: &mut [DeviceRun<'_, P>],
     sched: &mut Schedule<P::Wire>,
     phys_free: &mut [SimTime],
     ctx: &mut FaultCtx<'_>,
@@ -230,7 +230,7 @@ fn recover_basp<P: VertexProgram>(
 /// [`crate::trace::NoopSink`]) no records are assembled.
 pub fn run_basp<P: VertexProgram>(
     program: &P,
-    devices: &mut [DeviceRun<P>],
+    devices: &mut [DeviceRun<'_, P>],
     part: &Partition,
     plan: &SyncPlan,
     net: &NetModel,
@@ -297,7 +297,7 @@ pub fn run_basp<P: VertexProgram>(
 
     // Captures the devices (charging each dump to its `busy` clock), then
     // the schedule as it stands after that charge.
-    let take_checkpoint = |devices: &[DeviceRun<P>],
+    let take_checkpoint = |devices: &[DeviceRun<'_, P>],
                            sched: &mut Schedule<P::Wire>,
                            stats: &mut ResilienceStats,
                            sink: &mut dyn TraceSink| {
@@ -338,7 +338,11 @@ pub fn run_basp<P: VertexProgram>(
                         sched.tr_recv[du].0 += msg.bytes;
                         sched.tr_recv[du].1 += 1;
                     }
-                    sched.inbox[du].push(msg);
+                    // An empty message wakes its receiver like any other
+                    // but leaves nothing to apply.
+                    if !msg.data.is_empty() {
+                        sched.inbox[du].push(msg);
+                    }
                     if !sched.round_pending[du] {
                         // Wake the device at whichever is later: now or when its
                         // current round ends.
@@ -396,7 +400,7 @@ pub fn run_basp<P: VertexProgram>(
                     // writes another device or the simulation's shared order
                     // (net state, seq, heap), so batched devices fan out across
                     // the pool.
-                    let phase_a = |dev: &mut DeviceRun<P>,
+                    let phase_a = |dev: &mut DeviceRun<'_, P>,
                                    mut mail: Vec<SyncMsg<P::Wire>>,
                                    mut conv: bool|
                      -> LocalRound<P::Wire> {
@@ -490,8 +494,8 @@ pub fn run_basp<P: VertexProgram>(
                         // the carried batch index.
                         let mut order: Vec<usize> = (0..batch.len()).collect();
                         order.sort_unstable_by_key(|&i| batch[i]);
-                        let mut work: Vec<PhaseAWork<P>> = Vec::with_capacity(batch.len());
-                        let mut rest: &mut [DeviceRun<P>] = devices;
+                        let mut work: Vec<PhaseAWork<'_, '_, P>> = Vec::with_capacity(batch.len());
+                        let mut rest: &mut [DeviceRun<'_, P>] = devices;
                         let mut base = 0usize;
                         for &i in &order {
                             let du = batch[i] as usize;

@@ -13,6 +13,14 @@
 //! exchange, trace emission — stays sequential in device-major order, so
 //! the result is bit-identical at any thread count.
 //!
+//! Host cost: a round costs what its frontier and its messages cost. The
+//! loop keeps, per device, whether it can have active vertices and whether
+//! it can hold sync marks; a device with neither and no mail — most
+//! devices, in most rounds of a high-diameter run — is passed over with a
+//! branch in each phase, sends its (empty) messages inline, and never
+//! becomes a pool task. Only messages that carry a payload travel on to
+//! the apply stage.
+//!
 //! Resilience: when [`RunConfig::faults`] is set, every exchange goes
 //! through the retry/ack [`dirgl_comm::ReliableNet`] (byte-identical to
 //! the raw path when the plan schedules nothing), device crashes are
@@ -32,7 +40,9 @@
 
 use rayon::prelude::*;
 
-use dirgl_comm::{FaultCounters, NetModel, NetState, SendDesc, SimTime, SyncPlan};
+use dirgl_comm::{
+    CommMode, ExchangeOutcome, FaultCounters, NetModel, NetState, SendDesc, SimTime, SyncPlan,
+};
 use dirgl_partition::Partition;
 
 use crate::config::RunConfig;
@@ -50,7 +60,7 @@ use crate::trace::{EngineKind, FaultEvent, RoundRecord, TraceDirection, TraceSin
 /// (e.g. [`crate::trace::NoopSink`]) no records are assembled.
 pub fn run_bsp<P: VertexProgram>(
     program: &P,
-    devices: &mut [DeviceRun<P>],
+    devices: &mut [DeviceRun<'_, P>],
     part: &Partition,
     plan: &SyncPlan,
     net: &NetModel,
@@ -65,6 +75,10 @@ pub fn run_bsp<P: VertexProgram>(
         program.style(),
         Style::PullTopologyDriven | Style::PushTopologyDriven
     );
+    let pull_topo = program.style() == Style::PullTopologyDriven;
+    // Under AS a device with nothing marked still ships every entry, so
+    // every live device builds in earnest.
+    let all_shared = config.variant.comm == CommMode::AllShared;
     let total_vertices: u64 = devices.iter().map(|d| d.lg.num_masters as u64).sum();
     let term_cost =
         termination_check_cost(net) + SimTime::from_secs_f64(config.runtime_round_overhead_secs);
@@ -100,10 +114,21 @@ pub fn run_bsp<P: VertexProgram>(
 
     // Round-lived vectors, hoisted out of the loop and refilled in place.
     let mut alive = vec![true; p];
+    // May have active vertices: every device until a compute phase has
+    // looked, then those whose masters absorbed a change or that got a
+    // broadcast payload. Nothing else activates a vertex.
+    let mut cand = vec![true; p];
+    // Computes this round.
+    let mut runs = vec![false; p];
+    // May hold sync marks: it computed this round, or got a reduce payload.
+    // Marks are cleared at round end, so nothing else holds any.
+    let mut marks = vec![false; p];
     let mut times = vec![SimTime::ZERO; p];
     let mut absorbed = vec![0u32; p];
     let mut sends: Vec<SendDesc> = Vec::new();
-    let mut msgs: Vec<SyncMsg<P::Wire>> = Vec::new();
+    // The messages that carry a payload, each with its index into `sends`.
+    let mut mail: Vec<(usize, SyncMsg<P::Wire>)> = Vec::new();
+    let mut outcome = ExchangeOutcome::default();
     let mut round_failures: Vec<SimTime> = Vec::new();
     loop {
         round_failures.clear();
@@ -156,8 +181,12 @@ pub fn run_bsp<P: VertexProgram>(
 
         program.on_round_start(rounds);
         if tracing {
-            for (d, f) in devices.iter().zip(tr_frontier.iter_mut()) {
-                *f = d.active_count();
+            for (d, f) in tr_frontier.iter_mut().enumerate() {
+                *f = if cand[d] {
+                    devices[d].active_count()
+                } else {
+                    0
+                };
             }
             tr_pack.iter_mut().for_each(|t| *t = SimTime::ZERO);
             tr_wait.iter_mut().for_each(|t| *t = SimTime::ZERO);
@@ -172,24 +201,39 @@ pub fn run_bsp<P: VertexProgram>(
             // against the lane-scaled vertex count — for scalar programs
             // (`lanes() == 1`, unit weights) this is bit-for-bit the old
             // `active_count()` test.
-            let frontier: u64 = devices.iter().map(|d| d.frontier_weight(program)).sum();
+            let frontier: u64 = devices
+                .iter()
+                .zip(&cand)
+                .filter(|(_, &c)| c)
+                .map(|(d, _)| d.frontier_weight(program))
+                .sum();
             program.pull_when(frontier, total_vertices * program.lanes())
         };
         // --- Compute phase (devices in parallel; each sequential inside).
-        devices.par_iter_mut().enumerate().for_each(|(i, d)| {
-            d.scratch.compute_t = if !alive[i] {
-                SimTime::ZERO
-            } else if use_pull {
-                d.compute_bottom_up(program, balancer, divisor)
-            } else if topo || d.has_work() {
-                d.compute(program, balancer, divisor)
+        for d in 0..p {
+            runs[d] = alive[d] && (use_pull || topo || cand[d] && devices[d].has_work());
+            // A live device's frontier is consumed below, or it has none.
+            cand[d] &= !alive[d];
+        }
+        for_each_picked(
+            devices,
+            |i, _| runs[i],
+            |d| {
+                d.scratch.compute_t = if use_pull {
+                    d.compute_bottom_up(program, balancer, divisor)
+                } else {
+                    d.compute(program, balancer, divisor)
+                };
+            },
+        );
+        for d in 0..p {
+            times[d] = if runs[d] {
+                devices[d].scratch.compute_t
             } else {
                 SimTime::ZERO
             };
-        });
-        for (t, d) in times.iter_mut().zip(devices.iter()) {
-            *t = d.scratch.compute_t;
         }
+        marks.copy_from_slice(&runs);
         advance_compute_clocks(&mut clocks, &times, fctx.as_ref(), |ctx, phys| {
             ctx.injector().slowdown(phys, rounds)
         });
@@ -197,18 +241,20 @@ pub fn run_bsp<P: VertexProgram>(
         // --- One exchange of the messages the devices just built: pack
         // charging and send stamping run sequentially in builder-major
         // order (identical clocks and `SendDesc` order to a sequential
-        // build), then the network, then the grouped apply.
-        let mut exchange = |devices: &mut [DeviceRun<P>]| {
+        // build), then the network, then the grouped apply, which flags in
+        // `got` every device a payload reached.
+        let mut exchange = |devices: &mut [DeviceRun<'_, P>], got: &mut [bool]| {
             stamp_sends(
                 &mut clocks,
                 devices,
                 &mut sends,
-                &mut msgs,
+                &mut mail,
                 tracing.then_some(&mut tr_pack),
             );
             let delivered = run_exchange(
                 net,
                 &mut net_state,
+                &mut outcome,
                 &mut clocks,
                 &mut host_wait,
                 &mut comm_bytes,
@@ -225,40 +271,49 @@ pub fn run_bsp<P: VertexProgram>(
             if tracing {
                 tally_sends(&sends, &mut tr_sent, &mut tr_recv);
             }
-            apply_grouped(program, part, devices, &mut msgs, delivered.as_deref());
+            apply_grouped(program, part, devices, &mut mail, delivered.as_deref(), got);
         };
 
         // --- Reduce exchange: mirrors -> masters.
-        build_all(devices, &alive, |dev| {
-            dev.build_sync(program, &[SyncDir::Reduce], part, plan, config, false)
-        });
-        exchange(devices);
+        build_all(
+            devices,
+            &alive,
+            if all_shared { &alive } else { &marks },
+            |dev| dev.build_sync(program, &[SyncDir::Reduce], part, plan, config, false),
+        );
+        exchange(devices, &mut marks);
 
-        // --- Absorb: masters fold accumulators once per round.
-        devices.par_iter_mut().enumerate().for_each(|(i, d)| {
-            d.scratch.absorbed = if alive[i] {
-                d.absorb_masters(program)
+        // --- Absorb: masters fold accumulators once per round (only
+        // marked masters can, but for pull programs, whose masters all do).
+        let absorbs = if pull_topo { &alive } else { &marks };
+        for_each_picked(
+            devices,
+            |i, _| absorbs[i],
+            |d| d.scratch.absorbed = d.absorb_masters(program),
+        );
+        for d in 0..p {
+            absorbed[d] = if absorbs[d] {
+                devices[d].scratch.absorbed
             } else {
                 0
             };
-        });
-        for (a, d) in absorbed.iter_mut().zip(devices.iter()) {
-            *a = d.scratch.absorbed;
+            cand[d] |= absorbed[d] > 0;
         }
         let changed: u32 = absorbed.iter().sum();
 
         // --- Broadcast exchange: masters -> mirrors.
-        build_all(devices, &alive, |dev| {
-            dev.build_sync(program, &[SyncDir::Broadcast], part, plan, config, false)
-        });
-        exchange(devices);
+        build_all(
+            devices,
+            &alive,
+            if all_shared { &alive } else { &marks },
+            |dev| dev.build_sync(program, &[SyncDir::Broadcast], part, plan, config, false),
+        );
+        exchange(devices, &mut cand);
 
         // --- Round end: clear update tracking, pay the termination check.
-        devices
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| alive[*i])
-            .for_each(|(_, d)| d.clear_sync_marks(program));
+        for (d, _) in marks.iter().enumerate().filter(|(_, &m)| m) {
+            devices[d].clear_sync_marks(program);
+        }
         for c in clocks.iter_mut() {
             *c += term_cost;
         }
@@ -317,6 +372,8 @@ pub fn run_bsp<P: VertexProgram>(
             );
             // Old link occupancy all predates the detection instant.
             net_state = net.new_state();
+            // The restored worklists are whatever the checkpoint held.
+            cand.fill(true);
             rounds = *ckpt_round;
             let masters = devices[cr.device as usize].lg.num_masters as u64;
             ctx.finish_recovery(cr, masters, resume, rounds, &mut stats, sink);
@@ -329,7 +386,7 @@ pub fn run_bsp<P: VertexProgram>(
             Style::PullTopologyDriven => changed > 0,
             // Round-gated: runs for exactly max_rounds rounds.
             Style::PushTopologyDriven => true,
-            _ => devices.iter().any(|d| d.has_work()),
+            _ => devices.iter().zip(&cand).any(|(d, &c)| c && d.has_work()),
         };
         if !work_left || rounds >= program.max_rounds() {
             break;
@@ -392,34 +449,70 @@ fn advance_compute_clocks(
     }
 }
 
+/// Runs `f` on every device `pick` selects: inline while fewer than two are
+/// selected, fanned out across the pool otherwise. Devices not selected
+/// cost the call to `pick`.
+fn for_each_picked<'g, P: VertexProgram>(
+    devices: &mut [DeviceRun<'g, P>],
+    pick: impl Fn(usize, &DeviceRun<'g, P>) -> bool,
+    f: impl Fn(&mut DeviceRun<'g, P>) + Sync,
+) {
+    let mut picked = devices
+        .iter_mut()
+        .enumerate()
+        .filter(|(i, d)| pick(*i, d))
+        .map(|(_, d)| d);
+    let Some(first) = picked.next() else {
+        return;
+    };
+    match picked.next() {
+        None => f(first),
+        Some(second) => {
+            let all: Vec<_> = [first, second].into_iter().chain(picked).collect();
+            all.into_par_iter().for_each(f);
+        }
+    }
+}
+
 /// Parallel half of a payload build: every live builder extracts all of
 /// its partner payloads from its own device state (`build` is
 /// [`DeviceRun::build_sync`] with the exchange's direction fixed at the
-/// call site), so the build fans out per builder. `scratch.built` is empty
-/// on entry: the previous stamping drained it.
-fn build_all<P: VertexProgram>(
-    devices: &mut [DeviceRun<P>],
+/// call site) into its `scratch.built`, which is empty on entry: the
+/// previous stamping drained it. The builders flagged in `marked` fan out;
+/// the others hold no mark, so every message of theirs is the empty one,
+/// and they are served inline.
+fn build_all<'g, P: VertexProgram>(
+    devices: &mut [DeviceRun<'g, P>],
     alive: &[bool],
-    build: impl Fn(&mut DeviceRun<P>) -> SimTime + Sync,
+    marked: &[bool],
+    build: impl Fn(&mut DeviceRun<'g, P>) -> SimTime + Sync,
 ) {
-    devices.par_iter_mut().enumerate().for_each(|(i, dev)| {
-        dev.scratch.pack_t = if alive[i] { build(dev) } else { SimTime::ZERO };
-    });
+    for_each_picked(
+        devices,
+        |i, _| marked[i],
+        |dev| dev.scratch.pack_t = build(dev),
+    );
+    for (i, dev) in devices.iter_mut().enumerate() {
+        if alive[i] && !marked[i] {
+            dev.scratch.pack_t = build(dev);
+        }
+    }
 }
 
 /// Sequential half of a payload build: walks builders in device order,
 /// charges each non-idle builder's pack time, and stamps every send with
-/// the builder's post-pack clock. Drains each device's `scratch.built`
-/// into the reused `sends`/`msgs` vectors (index-parallel).
+/// the builder's post-pack clock. Drains each device's `scratch.built`:
+/// every message gives a `SendDesc` (the model prices them all), and those
+/// with a payload move on into `mail` with the index of their send.
 fn stamp_sends<P: VertexProgram>(
     clocks: &mut [SimTime],
-    devices: &mut [DeviceRun<P>],
+    devices: &mut [DeviceRun<'_, P>],
     sends: &mut Vec<SendDesc>,
-    msgs: &mut Vec<SyncMsg<P::Wire>>,
+    mail: &mut Vec<(usize, SyncMsg<P::Wire>)>,
     mut tr_pack: Option<&mut Vec<SimTime>>,
 ) {
     sends.clear();
-    msgs.clear();
+    mail.clear();
     for (builder, dev) in devices.iter_mut().enumerate() {
         if dev.scratch.built.is_empty() {
             continue;
@@ -436,45 +529,51 @@ fn stamp_sends<P: VertexProgram>(
                 bytes: msg.bytes,
                 depart: clocks[builder],
             });
-            msgs.push(msg);
+            if !msg.data.is_empty() {
+                mail.push((sends.len() - 1, msg));
+            }
         }
     }
 }
 
-/// Applies messages in parallel across receiving devices. Each receiver
-/// sees its messages in the same (ascending-builder) order a sequential
-/// apply loop would deliver them, so accumulation order per device — and
-/// with it every float result — is unchanged. `delivered`, when present,
-/// is index-parallel to the messages; undelivered ones (lost to a dead
-/// receiver) are skipped. Grouping bins live in each receiver's
-/// `scratch.inbox`, and consumed payload vectors recycle into the
-/// receiver's own pool — no cross-device sharing, no locking.
+/// Applies the payloads in `mail` in parallel across the devices that got
+/// any. Each receiver sees its messages in the same (ascending-builder)
+/// order a sequential apply loop would deliver them, so accumulation order
+/// per device — and with it every float result — is unchanged.
+/// `delivered`, when present, is indexed by send; undelivered payloads
+/// (lost to a dead receiver) are skipped. Every device a payload reached is
+/// flagged in `got`. Grouping bins live in each receiver's `scratch.inbox`,
+/// and consumed payload vectors recycle into the receiver's own pool — no
+/// cross-device sharing, no locking.
 fn apply_grouped<P: VertexProgram>(
     program: &P,
     part: &Partition,
-    devices: &mut [DeviceRun<P>],
-    msgs: &mut Vec<SyncMsg<P::Wire>>,
+    devices: &mut [DeviceRun<'_, P>],
+    mail: &mut Vec<(usize, SyncMsg<P::Wire>)>,
     delivered: Option<&[bool]>,
+    got: &mut [bool],
 ) {
-    if msgs.is_empty() {
-        return;
-    }
-    for (i, msg) in msgs.drain(..).enumerate() {
-        let dev = &mut devices[msg.to as usize];
+    for (i, msg) in mail.drain(..) {
+        let to = msg.to as usize;
         if delivered.is_none_or(|d| d[i]) {
-            dev.scratch.inbox.push(msg);
+            got[to] = true;
+            devices[to].scratch.inbox.push(msg);
         } else {
-            dev.scratch.recycle(msg.data);
+            devices[to].scratch.recycle(msg.data);
         }
     }
-    devices.par_iter_mut().for_each(|dev| {
-        let mut items = std::mem::take(&mut dev.scratch.inbox);
-        for msg in items.drain(..) {
-            dev.apply_sync(program, part, &msg, false);
-            dev.scratch.recycle(msg.data);
-        }
-        dev.scratch.inbox = items;
-    });
+    for_each_picked(
+        devices,
+        |_, dev| !dev.scratch.inbox.is_empty(),
+        |dev| {
+            let mut items = std::mem::take(&mut dev.scratch.inbox);
+            for msg in items.drain(..) {
+                dev.apply_sync(program, part, &msg, false);
+                dev.scratch.recycle(msg.data);
+            }
+            dev.scratch.inbox = items;
+        },
+    );
 }
 
 /// Adds one exchange's sends to per-device (bytes, messages) tallies.
@@ -489,15 +588,17 @@ fn tally_sends(sends: &[SendDesc], sent: &mut [(u64, u64)], recv: &mut [(u64, u6
 
 /// Runs one exchange and folds its timing into the running clocks/waits.
 /// Without a fault context this is the raw [`NetModel::exchange_with`]
-/// path, unchanged; with one, every message goes through the reliable
-/// transport (addressed by *physical* device), abandoned sends to dead
-/// receivers are reported through `failures`, and the per-send delivery
-/// flags come back for the apply stage. Returns `None` when every payload
+/// path, unchanged, summarized into the reused `outcome`; with one, every
+/// message goes through the reliable transport (addressed by *physical*
+/// device), abandoned sends to dead receivers are reported through
+/// `failures`, and the per-send delivery flags come back for the apply
+/// stage. Returns `None` when every payload
 /// was delivered (raw path), `Some(flags)` otherwise.
 #[allow(clippy::too_many_arguments)]
 fn run_exchange(
     net: &NetModel,
     st: &mut NetState,
+    outcome: &mut ExchangeOutcome,
     clocks: &mut [SimTime],
     host_wait: &mut [SimTime],
     comm_bytes: &mut u64,
@@ -514,7 +615,7 @@ fn run_exchange(
     let ctx = match fctx {
         None => {
             // Raw path: exactly the pre-fault-layer behavior.
-            let outcome = net.exchange_with(st, clocks, sends, None);
+            net.exchange_with(st, clocks, sends, None, outcome);
             if let Some(wait) = device_wait {
                 for (d, w) in wait.iter_mut().enumerate() {
                     *w += outcome.device_done[d].saturating_sub(outcome.sender_free[d]);

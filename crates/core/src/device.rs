@@ -1,12 +1,14 @@
 //! Per-device execution state shared by the BSP and BASP drivers.
 //!
-//! A [`DeviceRun`] owns one partition's proxies and labels and performs the
-//! *real* computation (label updates) while charging *simulated* time
+//! A [`DeviceRun`] owns one partition's proxies and labels (the partition's
+//! local graph itself is borrowed: nothing here writes it, so every job
+//! against a resident partition reads the one copy) and performs the *real*
+//! computation (label updates) while charging *simulated* time
 //! through [`dirgl_gpusim::KernelModel`]. Each device's round is executed
 //! sequentially (devices run in parallel via rayon), which keeps the whole
 //! simulation bit-for-bit deterministic.
 
-use dirgl_comm::{message, CommMode, DenseBitset, ExtractIndex, SimTime, SyncPlan};
+use dirgl_comm::{message, CommMode, DenseBitset, ExtractIndex, Partner, SimTime, SyncPlan};
 use dirgl_gpusim::{Balancer, GpuSpec, KernelModel};
 use dirgl_graph::CompressedCsr;
 use dirgl_partition::{LocalGraph, PairLink, Partition};
@@ -33,7 +35,10 @@ pub struct SyncMsg<W> {
     pub from: u32,
     /// Receiving device.
     pub to: u32,
-    /// `(link entry index, value)` pairs in ascending entry order.
+    /// `(link entry index, value)` pairs in ascending entry order. An empty
+    /// payload is always `Vec::new()`: most messages of a high-diameter run
+    /// carry none, and those hold no allocation on their way through the
+    /// engines.
     pub data: Vec<(u32, W)>,
     /// Wire size in paper-equivalent bytes.
     pub bytes: u64,
@@ -101,10 +106,13 @@ impl<W> RoundScratch<W> {
         self.pool.pop().unwrap_or_default()
     }
 
-    /// Returns a payload buffer to the pool.
+    /// Returns a payload buffer to the pool (one that never allocated is
+    /// not worth keeping).
     pub fn recycle(&mut self, mut buf: Vec<(u32, W)>) {
-        buf.clear();
-        self.pool.push(buf);
+        if buf.capacity() > 0 {
+            buf.clear();
+            self.pool.push(buf);
+        }
     }
 }
 
@@ -161,11 +169,11 @@ impl SpillState {
 }
 
 /// One device's live state during a run.
-pub struct DeviceRun<P: VertexProgram> {
+pub struct DeviceRun<'a, P: VertexProgram> {
     /// Device index.
     pub dev: u32,
-    /// The partition this device owns.
-    pub lg: LocalGraph,
+    /// The partition this device runs on.
+    pub lg: &'a LocalGraph,
     /// Per-proxy program state.
     pub state: Vec<P::State>,
     /// Data-driven worklist (which local proxies are active).
@@ -201,9 +209,14 @@ pub struct DeviceRun<P: VertexProgram> {
     pub spill: Option<SpillState>,
 }
 
-impl<P: VertexProgram> DeviceRun<P> {
+impl<'a, P: VertexProgram> DeviceRun<'a, P> {
     /// Initializes device state from a partition and the program.
-    pub fn new(lg: LocalGraph, spec: GpuSpec, program: &P, ctx: &InitCtx<'_>) -> DeviceRun<P> {
+    pub fn new(
+        lg: &'a LocalGraph,
+        spec: GpuSpec,
+        program: &P,
+        ctx: &InitCtx<'_>,
+    ) -> DeviceRun<'a, P> {
         let n = lg.num_vertices();
         let mut state = Vec::with_capacity(n as usize);
         let mut active = DenseBitset::new(n);
@@ -239,7 +252,7 @@ impl<P: VertexProgram> DeviceRun<P> {
     /// Switches this device to compressed-adjacency residency (see
     /// [`SpillState`]).
     pub fn enable_spill(&mut self) {
-        self.spill = Some(SpillState::new(&self.lg));
+        self.spill = Some(SpillState::new(self.lg));
     }
 
     /// Paper-equivalent bytes this device must allocate to run `program`
@@ -659,11 +672,14 @@ impl<P: VertexProgram> DeviceRun<P> {
 
     /// Builds this device's outgoing sync messages into `scratch.built`:
     /// partners in ascending order, and per partner one message for each
-    /// direction in `dirs` whose link has entries. Even an empty payload is
-    /// sent — every host waits to hear from each of its partners, so UO
-    /// messages carry at least the presence bitset; this per-partner cost
-    /// is what makes CVC's restricted partner sets matter (§III-D1).
-    /// Returns the pack time to charge (zero when nothing was built).
+    /// direction in `dirs` whose link has entries — the plan's partner
+    /// lists, merged by partner. Even an empty payload is sent — every host
+    /// waits to hear from each of its partners, so UO messages carry at
+    /// least the presence bitset; this per-partner cost is what makes CVC's
+    /// restricted partner sets matter (§III-D1). On the host an empty
+    /// message costs O(1): under UO a direction with nothing marked never
+    /// looks at a link. Returns the pack time to charge (zero when nothing
+    /// was built).
     ///
     /// BSP builds one direction per exchange; BASP builds both at once, so
     /// its sends interleave reduce and broadcast per partner. `async_take`
@@ -686,45 +702,63 @@ impl<P: VertexProgram> DeviceRun<P> {
         self.scratch.built.clear();
         let me = self.dev;
         let (mode, divisor) = (config.variant.comm, config.scale_divisor);
-        // Size of each requested direction's marked set, for the density
-        // gate below (building never changes the marks).
+        // Per requested direction: the partners still to be served, and the
+        // size of the marked set (building never changes the marks).
+        let mut todo: [&[Partner]; 2] = [&[], &[]];
         let mut marked = [0usize; 2];
         for &dir in dirs {
-            marked[dir as usize] = match dir {
-                SyncDir::Reduce => self.updated.count_ones(),
-                SyncDir::Broadcast => self.bcast_dirty.count_ones(),
-            } as usize;
+            (todo[dir as usize], marked[dir as usize]) = match dir {
+                SyncDir::Reduce => (plan.reduce_to(me), self.updated.count_ones() as usize),
+                SyncDir::Broadcast => (plan.bcast_to(me), self.bcast_dirty.count_ones() as usize),
+            };
         }
-        for other in 0..part.num_devices {
-            if other == me {
-                continue;
-            }
+        let all_dirty = marked[SyncDir::Broadcast as usize] == self.lg.num_masters as usize;
+        while let Some(other) = dirs
+            .iter()
+            .filter_map(|&dir| todo[dir as usize].first())
+            .map(|pn| pn.other)
+            .min()
+        {
             for &dir in dirs {
-                let (holder, owner, entries) = match dir {
-                    SyncDir::Reduce => (me, other, plan.reduce(me, other)),
-                    SyncDir::Broadcast => (other, me, plan.bcast(other, me)),
+                let pn = match todo[dir as usize].split_first() {
+                    Some((pn, rest)) if pn.other == other => {
+                        todo[dir as usize] = rest;
+                        *pn
+                    }
+                    _ => continue,
                 };
-                if entries.is_empty() {
-                    continue;
+                let (mut data, bytes) = if mode == CommMode::UpdatedOnly
+                    && marked[dir as usize] == 0
+                {
+                    // Nothing marked: the message is the presence header
+                    // alone, the same for every partner but for its entry
+                    // count.
+                    let bytes = sized_wire_bytes(program, mode, pn.entries as u64, &[]) * divisor;
+                    (Vec::new(), bytes)
+                } else {
+                    let (link, (entries, idx)) = match dir {
+                        SyncDir::Reduce => (part.link(me, other), plan.reduce_at(pn.pair)),
+                        SyncDir::Broadcast => (part.link(other, me), plan.bcast_at(pn.pair)),
+                    };
+                    // Density gate: on near-dense frontiers (pagerank-style
+                    // rounds) the sequential dense walk beats the
+                    // intersection's per-hit rank arithmetic, so the index
+                    // only engages when the marked set is small relative to
+                    // the link. Either path emits identical bytes, so this
+                    // is purely a cost heuristic.
+                    let idx = idx.filter(|_| marked[dir as usize] < entries.len() / 2);
+                    match dir {
+                        SyncDir::Reduce => {
+                            self.build_reduce(program, link, entries, idx, mode, divisor)
+                        }
+                        SyncDir::Broadcast => self.build_broadcast(
+                            program, link, entries, idx, mode, divisor, async_take, all_dirty,
+                        ),
+                    }
+                };
+                if data.is_empty() {
+                    self.scratch.recycle(std::mem::take(&mut data));
                 }
-                let link = part.link(holder, owner);
-                // Density gate: on near-dense frontiers (pagerank-style
-                // rounds) the sequential dense walk beats the
-                // intersection's per-hit rank arithmetic, so the index only
-                // engages when the marked set is small relative to the
-                // link. Either path emits identical bytes, so this is
-                // purely a cost heuristic.
-                let sparse = marked[dir as usize] < entries.len() / 2;
-                let (data, bytes) = match dir {
-                    SyncDir::Reduce => {
-                        let idx = plan.reduce_index(holder, owner).filter(|_| sparse);
-                        self.build_reduce(program, link, entries, idx, mode, divisor)
-                    }
-                    SyncDir::Broadcast => {
-                        let idx = plan.bcast_index(holder, owner).filter(|_| sparse);
-                        self.build_broadcast(program, link, entries, idx, mode, divisor, async_take)
-                    }
-                };
                 self.scratch.built.push(SyncMsg {
                     dir,
                     from: me,
@@ -824,9 +858,10 @@ impl<P: VertexProgram> DeviceRun<P> {
     /// Builds the broadcast payload for one link (master side): canonical
     /// values of updated (UO) or all (AS) participating masters. Same
     /// index fast path and ordering argument as [`DeviceRun::build_reduce`],
-    /// over `bcast_dirty ∧ members` of the link's master side.
+    /// over `bcast_dirty ∧ members` of the link's master side. `all_dirty`
+    /// says every master of this device is marked.
     #[allow(clippy::too_many_arguments)]
-    fn build_broadcast(
+    pub fn build_broadcast(
         &mut self,
         program: &P,
         link: &PairLink,
@@ -835,6 +870,7 @@ impl<P: VertexProgram> DeviceRun<P> {
         mode: CommMode,
         divisor: u64,
         async_take: bool,
+        all_dirty: bool,
     ) -> (Vec<(u32, P::Wire)>, u64) {
         let mut payload = self.scratch.take_buf();
         match index {
@@ -852,11 +888,10 @@ impl<P: VertexProgram> DeviceRun<P> {
             _ => {
                 // Fully-dirty fast path: residual-style rounds mark every
                 // master, making the per-entry dirty test pure overhead
-                // (`bcast_dirty` only ever holds masters, so a full count
-                // means every link entry passes). Same payload bytes.
-                let all_dirty = mode == CommMode::UpdatedOnly
-                    && self.bcast_dirty.count_ones() == self.lg.num_masters;
-                if all_dirty {
+                // (`bcast_dirty` only ever holds masters, so `all_dirty`, a
+                // full count, means every link entry passes). Same payload
+                // bytes.
+                if mode == CommMode::UpdatedOnly && all_dirty {
                     // Known-length extraction: one reservation, no
                     // per-entry capacity or dirty test.
                     let state = &self.state;

@@ -39,7 +39,7 @@ pub use crate::config::ExecModel as ExecutionModel;
 pub fn run_engine<P: VertexProgram>(
     model: ExecutionModel,
     program: &P,
-    devices: &mut [DeviceRun<P>],
+    devices: &mut [DeviceRun<'_, P>],
     part: &Partition,
     plan: &SyncPlan,
     net: &NetModel,
@@ -259,7 +259,7 @@ pub(crate) fn scale_time(t: SimTime, factor: f64) -> SimTime {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn capture_checkpoint<P: VertexProgram>(
     program: &P,
-    devices: &[DeviceRun<P>],
+    devices: &[DeviceRun<'_, P>],
     clocks: &mut [SimTime],
     round: u32,
     divisor: u64,
@@ -293,7 +293,7 @@ pub(crate) fn capture_checkpoint<P: VertexProgram>(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn restore_checkpoint<P: VertexProgram>(
     program: &P,
-    devices: &mut [DeviceRun<P>],
+    devices: &mut [DeviceRun<'_, P>],
     snaps: &[DeviceSnapshot<P>],
     clocks: &mut [SimTime],
     detect_at: SimTime,

@@ -64,7 +64,7 @@ pub(crate) struct DeviceSnapshot<P: VertexProgram> {
 
 impl<P: VertexProgram> DeviceSnapshot<P> {
     /// Captures `dev`'s logical state.
-    pub(crate) fn capture(dev: &DeviceRun<P>) -> DeviceSnapshot<P> {
+    pub(crate) fn capture(dev: &DeviceRun<'_, P>) -> DeviceSnapshot<P> {
         DeviceSnapshot {
             state: dev.state.clone(),
             active: dev.active.clone(),
@@ -76,7 +76,7 @@ impl<P: VertexProgram> DeviceSnapshot<P> {
 
     /// Restores the captured state into `dev`, leaving monotonic
     /// accounting (compute/idle time, work items, peak memory) untouched.
-    pub(crate) fn restore(&self, dev: &mut DeviceRun<P>) {
+    pub(crate) fn restore(&self, dev: &mut DeviceRun<'_, P>) {
         dev.state.clone_from(&self.state);
         dev.active = self.active.clone();
         dev.updated = self.updated.clone();
@@ -95,7 +95,7 @@ impl<P: VertexProgram> DeviceSnapshot<P> {
 /// it over the device's PCIe link — the cost of dumping the checkpoint to
 /// host memory, or of restoring it.
 pub(crate) fn checkpoint_transfer<P: VertexProgram>(
-    dev: &DeviceRun<P>,
+    dev: &DeviceRun<'_, P>,
     program: &P,
     divisor: u64,
     cluster: &ClusterSpec,

@@ -358,11 +358,10 @@ impl PreparedPartition {
 }
 
 /// How a [`Runner`] receives its partition: borrowed (harnesses reusing a
-/// cached partition across variants pay one per-run copy of the local
-/// graphs, never of the exchange links), owned (local graphs are moved
-/// straight into the devices), or prepared (a resident
-/// [`PreparedPartition`] whose plan and degrees are reused as well — the
-/// handle's graph view overrides the runner's graph argument).
+/// cached partition across variants), owned (built for this run), or
+/// prepared (a resident [`PreparedPartition`] whose plan and degrees are
+/// reused as well — the handle's graph view overrides the runner's graph
+/// argument). A run only ever reads the partition, whichever way it came.
 pub enum PartitionArg<'a> {
     /// Reuse a caller-held partition.
     Borrowed(&'a Partition),
@@ -486,37 +485,19 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
         // are missing. Storage for the owned variants lives here so the
         // borrows handed to `execute_job` all have one lifetime.
         let sym;
-        let mut owned_part;
+        let owned_part;
         let built_plan;
         let built_degrees;
 
-        let (g, part_ref, plan, out_degrees, locals): (
-            &Csr,
-            &Partition,
-            &SyncPlan,
-            &[u32],
-            Vec<LocalGraph>,
-        ) = match part {
+        let (g, part_ref, plan, out_degrees): (&Csr, &Partition, &SyncPlan, &[u32]) = match part {
             Some(PartitionArg::Prepared(prep)) => {
                 // Jobs run on the permuted view when the handle carries a
                 // layout the program may use (see LayoutPlan::applies_to);
                 // gathered values are keyed by global id through l2g, so
                 // the permutation is invisible in the output.
                 match prep.layouts.as_ref().filter(|lp| lp.applies_to(program)) {
-                    Some(lp) => (
-                        &prep.graph,
-                        &lp.part,
-                        &lp.plan,
-                        &prep.out_degrees[..],
-                        lp.part.locals.clone(),
-                    ),
-                    None => (
-                        &prep.graph,
-                        &prep.part,
-                        &prep.plan,
-                        &prep.out_degrees[..],
-                        prep.part.locals.clone(),
-                    ),
+                    Some(lp) => (&prep.graph, &lp.part, &lp.plan, &prep.out_degrees[..]),
+                    None => (&prep.graph, &prep.part, &prep.plan, &prep.out_degrees[..]),
                 }
             }
             Some(PartitionArg::Borrowed(p)) => {
@@ -525,7 +506,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
                 }
                 built_plan = SyncPlan::build(p, true, true);
                 built_degrees = compute_out_degrees(graph);
-                (graph, p, &built_plan, &built_degrees, p.locals.clone())
+                (graph, p, &built_plan, &built_degrees)
             }
             Some(PartitionArg::Owned(p)) => {
                 if graph.num_vertices() == 0 {
@@ -534,10 +515,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
                 owned_part = p;
                 built_plan = SyncPlan::build(&owned_part, true, true);
                 built_degrees = compute_out_degrees(graph);
-                // An owned partition donates its local graphs to the
-                // devices instead of copying them.
-                let locals = std::mem::take(&mut owned_part.locals);
-                (graph, &owned_part, &built_plan, &built_degrees, locals)
+                (graph, &owned_part, &built_plan, &built_degrees)
             }
             None => {
                 if graph.num_vertices() == 0 {
@@ -557,22 +535,11 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
                 );
                 built_plan = SyncPlan::build(&owned_part, true, true);
                 built_degrees = compute_out_degrees(g);
-                let locals = std::mem::take(&mut owned_part.locals);
-                (g, &owned_part, &built_plan, &built_degrees, locals)
+                (g, &owned_part, &built_plan, &built_degrees)
             }
         };
 
-        execute_job(
-            rt,
-            g,
-            part_ref,
-            plan,
-            out_degrees,
-            locals,
-            program,
-            aux,
-            sink,
-        )
+        execute_job(rt, g, part_ref, plan, out_degrees, program, aux, sink)
     }
 }
 
@@ -677,7 +644,6 @@ where
                         &prep.part,
                         &prep.plan,
                         &prep.out_degrees,
-                        prep.part.locals.clone(),
                         &prog,
                         aux,
                         None,
@@ -699,7 +665,6 @@ where
                         &prep.part,
                         &prep.plan,
                         &prep.out_degrees,
-                        prep.part.locals.clone(),
                         &batched,
                         aux,
                         None,
@@ -730,10 +695,10 @@ fn compute_out_degrees(g: &Csr) -> Vec<u32> {
 }
 
 /// The per-job execution path: OOM admission, device-state initialization
-/// (each job gets its own `DeviceRun`s — and thus its own round scratch),
-/// engine dispatch, and master gather. Everything passed in is shared
-/// immutable state a resident service keeps loaded; nothing here mutates
-/// it.
+/// (each job gets its own `DeviceRun`s — and thus its own round scratch —
+/// over the partition's one set of local graphs), engine dispatch, and
+/// master gather. Everything passed in is shared immutable state a
+/// resident service keeps loaded; nothing here mutates or copies it.
 #[allow(clippy::too_many_arguments)]
 fn execute_job<P: VertexProgram>(
     rt: &Runtime,
@@ -741,16 +706,16 @@ fn execute_job<P: VertexProgram>(
     part: &Partition,
     plan: &SyncPlan,
     out_degrees: &[u32],
-    locals: Vec<LocalGraph>,
     program: &P,
     aux: Option<&[u64]>,
     sink: Option<&mut dyn TraceSink>,
 ) -> Result<(RunOutput, Vec<P::State>), RunError> {
     let config = &rt.config;
+    let locals = &part.locals[..];
 
     // --- Load check: every device must hold its partition, raw or (with
     // `config.spill`) compressed.
-    let footprint = rt.footprint_of(&locals, plan, program);
+    let footprint = rt.footprint_of(locals, plan, program);
     if let Some((lg, fp)) = locals
         .iter()
         .zip(&footprint)
@@ -772,8 +737,8 @@ fn execute_job<P: VertexProgram>(
         out_degrees,
         aux,
     };
-    let mut devices: Vec<DeviceRun<P>> = locals
-        .into_iter()
+    let mut devices: Vec<DeviceRun<'_, P>> = locals
+        .iter()
         .zip(&footprint)
         .map(|(lg, fp)| {
             let spec = rt.platform.gpus[lg.device as usize];
