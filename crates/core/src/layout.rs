@@ -244,12 +244,14 @@ impl LayoutPlan {
     }
 }
 
-/// Renames every device's local graph per `layouts` and rebuilds the
-/// exchange links. Mirrors keep their holder and owner — only their
-/// local ids move — so the link *entry sets* are unchanged as sets;
-/// walking holders in ascending new local id restores the strictly
-/// ascending side arrays the [`dirgl_comm::ExtractIndex`] fast path
-/// requires.
+/// Renames every device's local graph per `layouts` and renames the
+/// exchange links through the same permutations: entry `i` of an old link
+/// pairs an old mirror id on the holder with an old master id on the
+/// owner, and each side's `new_of_old` gives the new id, so no global id
+/// is looked up. Mirrors keep their holder and owner, so the link *entry
+/// sets* are unchanged as sets; walking a holder's mirrors in ascending new
+/// local id restores the strictly ascending mirror side the
+/// [`dirgl_comm::ExtractIndex`] fast path requires.
 pub fn permute_partition(part: &Partition, layouts: &[LocalLayout]) -> Partition {
     assert_eq!(layouts.len(), part.locals.len());
     let locals: Vec<LocalGraph> = part
@@ -260,13 +262,23 @@ pub fn permute_partition(part: &Partition, layouts: &[LocalLayout]) -> Partition
         .collect();
     let p = part.num_devices as usize;
     let mut links = vec![PairLink::default(); p * p];
-    for (holder, lg) in locals.iter().enumerate() {
+    for (holder, (lg, lay)) in locals.iter().zip(layouts).enumerate() {
+        // Which entry of its old link each old mirror is.
+        let mut entry_of = vec![0u32; lg.num_mirrors() as usize];
+        for owner in 0..part.num_devices {
+            let old = part.link(holder as u32, owner);
+            for (i, &mirror) in old.mirror_side.iter().enumerate() {
+                entry_of[(mirror - lg.num_masters) as usize] = i as u32;
+            }
+        }
         for lv in lg.num_masters..lg.num_vertices() {
-            let owner = lg.master_device[lv as usize] as usize;
-            let gid = lg.l2g[lv as usize];
-            let link = &mut links[holder * p + owner];
+            let owner = lg.master_device[lv as usize];
+            let old = part.link(holder as u32, owner);
+            let i = entry_of[(lay.old_of_new[lv as usize] - lg.num_masters) as usize] as usize;
+            let link = &mut links[holder * p + owner as usize];
             link.mirror_side.push(lv);
-            link.master_side.push(locals[owner].g2l[&gid]);
+            link.master_side
+                .push(layouts[owner as usize].new_of_old[old.master_side[i] as usize]);
             link.mirror_has_out.push(lg.has_out_edges(lv));
             link.mirror_has_in.push(lg.has_in_edges(lv));
         }
@@ -291,11 +303,6 @@ fn permute_local(lg: &LocalGraph, lay: &LocalLayout) -> LocalGraph {
     let master_device: Vec<u32> = (0..n)
         .map(|i| lg.master_device[lay.old_of_new[i] as usize])
         .collect();
-    let g2l = l2g
-        .iter()
-        .enumerate()
-        .map(|(i, &g)| (g, i as VertexId))
-        .collect();
     let csr = lg.csr.permute(&lay.old_of_new, &lay.new_of_old);
     // The in-CSR is the transpose of the permuted out-CSR (not the
     // permutation of the old in-CSR): per-destination source order
@@ -309,7 +316,6 @@ fn permute_local(lg: &LocalGraph, lay: &LocalLayout) -> LocalGraph {
         master_device: master_device.into_boxed_slice(),
         csr,
         in_csr,
-        g2l,
     }
 }
 
@@ -416,6 +422,43 @@ mod tests {
                 a.sort_unstable();
                 b.sort_unstable();
                 assert_eq!(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn permuted_links_pair_equal_global_ids() {
+        let g = RmatConfig::new(9, 8).seed(42).generate();
+        for policy in [Policy::Oec, Policy::Iec, Policy::Hvc, Policy::Cvc] {
+            for devices in [4, 9] {
+                let p = Partition::build(&g, policy, devices, 0);
+                for kind in [LayoutKind::DegreeSorted, LayoutKind::Segmented] {
+                    let lp = LayoutPlan::build(&p, LayoutChoice::Force(kind)).unwrap();
+                    for h in 0..devices {
+                        for o in 0..devices {
+                            let (link, old) = (lp.part.link(h, o), p.link(h, o));
+                            let (holder, owner) =
+                                (&lp.part.locals[h as usize], &lp.part.locals[o as usize]);
+                            assert_eq!(link.len(), old.len());
+                            for i in 0..link.len() {
+                                assert!(owner.is_master(link.master_side[i]));
+                                assert_eq!(
+                                    holder.l2g[link.mirror_side[i] as usize],
+                                    owner.l2g[link.master_side[i] as usize],
+                                    "{policy} p={devices} {kind:?} link {h}->{o} entry {i}"
+                                );
+                            }
+                            // The mirror side ascends again. The master
+                            // side cannot in general: holder and owner each
+                            // order the shared vertices by their own local
+                            // degrees. It stays free of repeats.
+                            assert!(link.mirror_side.windows(2).all(|w| w[0] < w[1]));
+                            let mut masters = link.master_side.clone();
+                            masters.sort_unstable();
+                            assert!(masters.windows(2).all(|w| w[0] < w[1]));
+                        }
+                    }
+                }
             }
         }
     }

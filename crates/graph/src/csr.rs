@@ -9,13 +9,36 @@
 //! `u32::MAX` vertices — and edge offsets are `u64` so the builder is safe
 //! for any edge count we can hold in memory.
 
-use rayon::prelude::*;
-
 /// A vertex identifier. Global and partition-local ids share this type.
 pub type VertexId = u32;
 
 /// Sentinel for "no vertex".
 pub const INVALID_VERTEX: VertexId = VertexId::MAX;
+
+/// Stable counting sort by bucket: a histogram, its prefix sums, one
+/// scatter. `items` yields `(bucket, item)` pairs and is walked twice;
+/// `place(slot, item)` runs once per item, in `items` order, so a bucket's
+/// items keep that order in its slots. Returns the `n + 1` bucket offsets.
+fn bucket<T>(
+    n: usize,
+    items: impl Iterator<Item = (VertexId, T)> + Clone,
+    mut place: impl FnMut(usize, T),
+) -> Vec<u64> {
+    let mut offsets = vec![0u64; n + 1];
+    for (b, _) in items.clone() {
+        offsets[b as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor: Vec<u64> = offsets[..n].to_vec();
+    for (b, item) in items {
+        let at = &mut cursor[b as usize];
+        place(*at as usize, item);
+        *at += 1;
+    }
+    offsets
+}
 
 /// An edge list: `(src, dst)` pairs plus optional weights, the input to
 /// [`CsrBuilder`] and the output of the synthetic generators.
@@ -50,29 +73,56 @@ impl EdgeList {
     }
 
     /// Removes duplicate edges and self-loops (keeping the first weight seen
-    /// for a retained edge). Generators call this so the analogues match the
-    /// simple-digraph inputs of the paper.
+    /// for a retained edge) and leaves the list ascending by `(src, dst)`.
+    /// Generators call this so the analogues match the simple-digraph
+    /// inputs of the paper.
+    ///
+    /// Edges are bucketed by source with a counting sort and each row is
+    /// sorted on its own, so no comparison sort ever sees the whole list.
     pub fn dedup(&mut self) {
-        let mut keyed: Vec<(u64, u32)> = self
-            .edges
-            .iter()
-            .enumerate()
-            .filter(|(_, (s, d))| s != d)
-            .map(|(i, (s, d))| (((*s as u64) << 32) | *d as u64, i as u32))
-            .collect();
-        keyed.par_sort_unstable();
-        keyed.dedup_by_key(|(k, _)| *k);
-        let weights = self.weights.take();
-        let mut edges = Vec::with_capacity(keyed.len());
-        let mut new_weights = weights.as_ref().map(|_| Vec::with_capacity(keyed.len()));
-        for (k, i) in keyed {
-            edges.push(((k >> 32) as u32, k as u32));
-            if let (Some(nw), Some(w)) = (new_weights.as_mut(), weights.as_ref()) {
-                nw.push(w[i as usize]);
+        match self.weights.take() {
+            None => self.edges = self.unique_rows(|_, d| d, |d| d),
+            Some(ws) => {
+                // (target, original index): of a target's records the first
+                // edge seen sorts first, and its weight is the one kept.
+                let kept = self.unique_rows(|i, d| (d, i as u32), |r| r.0);
+                self.edges = kept.iter().map(|&(s, (d, _))| (s, d)).collect();
+                self.weights = Some(kept.iter().map(|&(_, (_, i))| ws[i as usize]).collect());
             }
         }
-        self.edges = edges;
-        self.weights = new_weights;
+    }
+
+    /// One record per non-loop edge (`rec(index, dst)`), bucketed by source,
+    /// each row sorted, the first record of each target kept: the surviving
+    /// `(src, record)` pairs, ascending.
+    fn unique_rows<R: Copy + Ord + Default>(
+        &self,
+        rec: impl Fn(usize, VertexId) -> R,
+        dst: impl Fn(R) -> VertexId,
+    ) -> Vec<(VertexId, R)> {
+        let mut rows = vec![R::default(); self.edges.len()];
+        let offsets = bucket(
+            self.num_vertices as usize,
+            self.edges
+                .iter()
+                .enumerate()
+                .filter(|(_, (s, d))| s != d)
+                .map(|(i, &(s, d))| (s, rec(i, d))),
+            |at, r| rows[at] = r,
+        );
+        let mut kept = Vec::with_capacity(rows.len());
+        for (s, w) in offsets.windows(2).enumerate() {
+            let row = &mut rows[w[0] as usize..w[1] as usize];
+            row.sort_unstable();
+            let mut last = INVALID_VERTEX;
+            for &r in row.iter() {
+                if dst(r) != last {
+                    last = dst(r);
+                    kept.push((s as VertexId, r));
+                }
+            }
+        }
+        kept
     }
 
     /// Builds the CSR for this edge list.
@@ -152,40 +202,20 @@ impl CsrBuilder {
     /// Finalizes into a [`Csr`] (counting sort by source; destination order
     /// within a vertex's adjacency list follows insertion order).
     pub fn build(self) -> Csr {
-        let n = self.num_vertices as usize;
         let m = self.srcs.len();
-        let mut offsets = vec![0u64; n + 1];
-        for &s in &self.srcs {
-            offsets[s as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor: Vec<u64> = offsets[..n].to_vec();
         let mut targets = vec![INVALID_VERTEX; m];
-        let mut weights = if self.weighted {
-            vec![0u32; m]
-        } else {
-            Vec::new()
-        };
-        for i in 0..m {
-            let s = self.srcs[i] as usize;
-            let at = cursor[s] as usize;
-            cursor[s] += 1;
-            targets[at] = self.dsts[i];
-            if self.weighted {
-                weights[at] = self.weights[i];
-            }
-        }
-        Csr {
-            offsets: offsets.into_boxed_slice(),
-            targets: targets.into_boxed_slice(),
-            weights: if self.weighted {
-                Some(weights.into_boxed_slice())
-            } else {
-                None
+        let mut weights = self.weighted.then(|| vec![0u32; m]);
+        let offsets = bucket(
+            self.num_vertices as usize,
+            self.srcs.iter().copied().zip(0..m),
+            |at, i| {
+                targets[at] = self.dsts[i];
+                if let Some(ws) = weights.as_mut() {
+                    ws[at] = self.weights[i];
+                }
             },
-        }
+        );
+        Csr::from_raw(offsets, targets, weights)
     }
 }
 
@@ -205,6 +235,25 @@ impl Csr {
             targets: Box::new([]),
             weights: None,
         }
+    }
+
+    /// Assembles a graph from its arrays. A graph without edges is
+    /// unweighted, whatever built it: [`CsrBuilder`] only turns weighted on
+    /// its first weighted edge, and every other constructor follows it.
+    fn from_raw(offsets: Vec<u64>, targets: Vec<VertexId>, weights: Option<Vec<u32>>) -> Csr {
+        Csr {
+            offsets: offsets.into_boxed_slice(),
+            targets: targets.into_boxed_slice(),
+            weights: weights
+                .filter(|ws| !ws.is_empty())
+                .map(Vec::into_boxed_slice),
+        }
+    }
+
+    /// The same topology carrying `weights`, one per edge in CSR order.
+    pub(crate) fn with_weights(&self, weights: Vec<u32>) -> Csr {
+        assert_eq!(weights.len(), self.targets.len(), "one weight per edge");
+        Csr::from_raw(self.offsets.to_vec(), self.targets.to_vec(), Some(weights))
     }
 
     /// Number of vertices.
@@ -304,57 +353,91 @@ impl Csr {
     /// Pull-style programs (pagerank in the paper) iterate in-edges, which
     /// the engines obtain from the transpose.
     pub fn transpose(&self) -> Csr {
-        let n = self.num_vertices() as usize;
         let m = self.targets.len();
-        let mut offsets = vec![0u64; n + 1];
-        for &t in self.targets.iter() {
-            offsets[t as usize + 1] += 1;
-        }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor: Vec<u64> = offsets[..n].to_vec();
         let mut targets = vec![INVALID_VERTEX; m];
         let mut weights = self.weights.as_ref().map(|_| vec![0u32; m]);
-        for u in 0..n as u32 {
-            let lo = self.offsets[u as usize] as usize;
-            let hi = self.offsets[u as usize + 1] as usize;
-            for i in lo..hi {
-                let v = self.targets[i] as usize;
-                let at = cursor[v] as usize;
-                cursor[v] += 1;
-                targets[at] = u;
+        // Edge `i` belongs to the row `u` with `offsets[u] <= i <
+        // offsets[u + 1]`; `i` only climbs, so `u` does too.
+        let mut u = 0usize;
+        let offsets = bucket(
+            self.num_vertices() as usize,
+            self.targets.iter().copied().zip(0..m),
+            |at, i| {
+                while self.offsets[u + 1] <= i as u64 {
+                    u += 1;
+                }
+                targets[at] = u as VertexId;
                 if let (Some(tw), Some(sw)) = (weights.as_mut(), self.weights.as_ref()) {
                     tw[at] = sw[i];
                 }
-            }
-        }
-        Csr {
-            offsets: offsets.into_boxed_slice(),
-            targets: targets.into_boxed_slice(),
-            weights: weights.map(Vec::into_boxed_slice),
-        }
+            },
+        );
+        Csr::from_raw(offsets, targets, weights)
     }
 
-    /// The symmetric closure: for every edge `(u, v)` ensures `(v, u)` also
-    /// exists (weights copied), then deduplicates. Undirected benchmarks
-    /// (cc, kcore) run on this view, as in Galois/D-IrGL.
+    /// The symmetric closure: row `a` is the ascending union of `a`'s out-
+    /// and in-neighbours, without `a` itself and with duplicates collapsed.
+    /// Undirected benchmarks (cc, kcore) run on this view, as in
+    /// Galois/D-IrGL.
+    ///
+    /// **Weights.** Both directions of a pair `{a, b}` with `a < b` carry
+    /// one weight: that of the first `a → b` edge in row `a` if there is
+    /// one, else that of the first `b → a` edge in row `b`. A closure that
+    /// ends up with no edges is unweighted.
+    ///
+    /// The closure is a transpose and one linear merge per row. A graph
+    /// with a row whose targets do not ascend (generator output has none;
+    /// [`CsrBuilder`] input may) is transposed back first, which sorts every
+    /// row by target and keeps an earlier edge before a later equal one.
     pub fn symmetrize(&self) -> Csr {
         let n = self.num_vertices();
-        let mut el = EdgeList::new(n);
-        el.weights = self.weights.as_ref().map(|_| Vec::new());
-        for u in 0..n {
-            for (v, w) in self.edges(u) {
-                el.edges.push((u, v));
-                el.edges.push((v, u));
-                if let Some(ws) = el.weights.as_mut() {
-                    ws.push(w);
-                    ws.push(w);
+        let incoming = self.transpose();
+        let resorted;
+        let out = if (0..n).all(|u| self.neighbors(u).windows(2).all(|w| w[0] <= w[1])) {
+            self
+        } else {
+            resorted = incoming.transpose();
+            &resorted
+        };
+        let weighted = self.weights.is_some();
+        let cap = 2 * self.targets.len();
+        let mut offsets = Vec::with_capacity(n as usize + 1);
+        offsets.push(0u64);
+        let mut targets: Vec<VertexId> = Vec::with_capacity(cap);
+        let mut weights: Vec<u32> = Vec::with_capacity(if weighted { cap } else { 0 });
+        for a in 0..n {
+            let (out_ts, out_ws) = out.edge_window(a);
+            // In-neighbours ascend by source, an earlier edge of one source
+            // before a later one.
+            let (in_ts, in_ws) = incoming.edge_window(a);
+            let (mut i, mut j) = (0, 0);
+            while i < out_ts.len() || j < in_ts.len() {
+                let b = (*out_ts.get(i).unwrap_or(&INVALID_VERTEX))
+                    .min(*in_ts.get(j).unwrap_or(&INVALID_VERTEX));
+                let (first_out, first_in) = (i, j);
+                while out_ts.get(i) == Some(&b) {
+                    i += 1;
+                }
+                while in_ts.get(j) == Some(&b) {
+                    j += 1;
+                }
+                if b == a {
+                    continue;
+                }
+                targets.push(b);
+                if weighted {
+                    // The lower endpoint's own edge wins when there is one.
+                    let from_out = i > first_out && (a < b || j == first_in);
+                    weights.push(if from_out {
+                        out_ws[first_out]
+                    } else {
+                        in_ws[first_in]
+                    });
                 }
             }
+            offsets.push(targets.len() as u64);
         }
-        el.dedup();
-        el.into_csr()
+        Csr::from_raw(offsets, targets, weighted.then_some(weights))
     }
 
     /// The vertex with the highest out-degree (ties broken by lowest id).
@@ -419,11 +502,7 @@ impl Csr {
                 nw[at..at + ws.len()].copy_from_slice(ws);
             }
         }
-        Csr {
-            offsets: offsets.into_boxed_slice(),
-            targets: targets.into_boxed_slice(),
-            weights: weights.map(Vec::into_boxed_slice),
-        }
+        Csr::from_raw(offsets, targets, weights)
     }
 }
 
@@ -595,5 +674,104 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.out_degree(4), 0);
         assert_eq!(g.max_out_degree_vertex(), 0);
+    }
+
+    #[test]
+    fn symmetrize_takes_the_weight_of_the_lower_endpoints_first_edge() {
+        let mut b = CsrBuilder::new(4);
+        b.add_weighted(2, 1, 7); // {1, 2}: row 1 has its own edge below, which wins
+        b.add_weighted(1, 2, 3);
+        b.add_weighted(1, 2, 4); // a later duplicate loses to the first
+        b.add_weighted(3, 0, 9); // {0, 3}: only the upper endpoint has an edge
+        b.add_weighted(3, 0, 8);
+        b.add_weighted(2, 2, 5); // a self-loop vanishes
+        let s = b.build().symmetrize();
+        assert_eq!(s.edges(0).collect::<Vec<_>>(), vec![(3, 9)]);
+        assert_eq!(s.edges(1).collect::<Vec<_>>(), vec![(2, 3)]);
+        assert_eq!(s.edges(2).collect::<Vec<_>>(), vec![(1, 3)]);
+        assert_eq!(s.edges(3).collect::<Vec<_>>(), vec![(0, 9)]);
+        // Nothing but self-loops: the closure has no edges and no weights.
+        let mut b = CsrBuilder::new(2);
+        b.add_weighted(1, 1, 6);
+        assert_eq!(b.build().symmetrize(), Csr::empty(2));
+    }
+
+    /// The closure as it was first written, kept as the reference: every
+    /// edge and its reverse into one list, the first of each `(src, dst)`
+    /// kept, found by a comparison sort over all `2·|E|` records.
+    fn symmetrize_by_sorting(g: &Csr) -> Csr {
+        let mut el = EdgeList::new(g.num_vertices());
+        el.weights = g.is_weighted().then(Vec::new);
+        for (u, v, w) in g.iter_all_edges() {
+            el.edges.extend([(u, v), (v, u)]);
+            if let Some(ws) = el.weights.as_mut() {
+                ws.extend([w, w]);
+            }
+        }
+        dedup_by_sorting(&mut el);
+        el.into_csr()
+    }
+
+    /// `EdgeList::dedup` as it was first written: one comparison sort over
+    /// `(src, dst, index)`, the lowest index of each `(src, dst)` kept.
+    fn dedup_by_sorting(el: &mut EdgeList) {
+        let mut keyed: Vec<((VertexId, VertexId), usize)> = el
+            .edges
+            .iter()
+            .copied()
+            .zip(0..)
+            .filter(|((s, d), _)| s != d)
+            .collect();
+        keyed.sort_unstable();
+        keyed.dedup_by_key(|(e, _)| *e);
+        el.edges = keyed.iter().map(|&(e, _)| e).collect();
+        if let Some(ws) = el.weights.take() {
+            el.weights = Some(keyed.iter().map(|&(_, i)| ws[i]).collect());
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// A random multigraph: duplicate edges, self-loops and rows in no
+    /// order are all likely. Half the lists carry weights, drawn per edge,
+    /// so the two directions of a pair disagree.
+    fn arb_edge_list() -> impl Strategy<Value = EdgeList> {
+        (1u32..24)
+            .prop_flat_map(|n| {
+                let edges = prop::collection::vec(((0..n, 0..n), 1u32..100), 0..160);
+                (Just(n), edges, any::<bool>())
+            })
+            .prop_map(|(n, edges, weighted)| EdgeList {
+                num_vertices: n,
+                edges: edges.iter().map(|&(e, _)| e).collect(),
+                weights: weighted.then(|| edges.iter().map(|&(_, w)| w).collect()),
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn symmetrize_matches_the_sort_based_closure(el in arb_edge_list()) {
+            let g = el.clone().into_csr();
+            let s = g.symmetrize();
+            prop_assert_eq!(&s, &symmetrize_by_sorting(&g));
+            prop_assert_eq!(&s.symmetrize(), &s);
+            // Generator-shaped input (rows ascending, no duplicates) takes
+            // the path that does not re-sort.
+            let mut el = el;
+            el.dedup();
+            let g = el.into_csr();
+            prop_assert_eq!(g.symmetrize(), symmetrize_by_sorting(&g));
+        }
+
+        #[test]
+        fn dedup_matches_sort_and_dedup_by_key(el in arb_edge_list()) {
+            let (mut have, mut want) = (el.clone(), el);
+            have.dedup();
+            dedup_by_sorting(&mut want);
+            prop_assert_eq!(have.edges, want.edges);
+            prop_assert_eq!(have.weights, want.weights);
+        }
     }
 }

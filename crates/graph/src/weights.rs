@@ -19,13 +19,11 @@ pub const DEFAULT_MAX_WEIGHT: u32 = 100;
 pub fn randomize_weights(g: &Csr, max_weight: u32, seed: u64) -> Csr {
     assert!(max_weight >= 1);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut b = crate::csr::CsrBuilder::with_capacity(g.num_vertices(), g.num_edges() as usize);
-    for u in 0..g.num_vertices() {
-        for &v in g.neighbors(u) {
-            b.add_weighted(u, v, rng.gen_range(1..=max_weight));
-        }
-    }
-    b.build()
+    g.with_weights(
+        (0..g.num_edges())
+            .map(|_| rng.gen_range(1..=max_weight))
+            .collect(),
+    )
 }
 
 #[cfg(test)]

@@ -61,23 +61,18 @@ impl Partition {
             }
         }
 
-        // --- Masters per device, in ascending global id. ---
-        let mut masters_per_dev: Vec<Vec<VertexId>> = vec![Vec::new(); p];
-        for v in 0..n {
-            masters_per_dev[ma.owner[v as usize] as usize].push(v);
-        }
+        let (masters_per_dev, ids) = masters_by_device(&ma.owner, p);
 
         // --- Local graph construction, one device at a time (parallel). ---
-        let owner = &ma.owner;
         let weighted = g.is_weighted();
         let locals: Vec<LocalGraph> = dev_edges
             .into_par_iter()
             .zip(masters_per_dev.into_par_iter())
             .enumerate()
-            .map(|(d, (edges, masters))| build_local(d as u32, edges, masters, owner, weighted))
+            .map(|(d, (edges, masters))| build_local(d as u32, edges, masters, &ids, weighted))
             .collect();
 
-        let links = build_links(&locals, p);
+        let links = build_links(&locals, &ids);
 
         Partition {
             policy,
@@ -144,21 +139,17 @@ impl Partition {
         });
         drop(in_deg);
 
-        // --- Masters per device, in ascending global id. ---
-        let mut masters_per_dev: Vec<Vec<VertexId>> = vec![Vec::new(); p];
-        for v in 0..n {
-            masters_per_dev[ma.owner[v as usize] as usize].push(v);
-        }
+        let (masters_per_dev, ids) = masters_by_device(&ma.owner, p);
 
         // --- Local graphs, one device at a time to bound the peak. ---
         let weighted = src.is_weighted();
         let mut locals: Vec<LocalGraph> = Vec::with_capacity(p);
-        for (d, (writer, masters)) in writers.drain(..).zip(masters_per_dev).enumerate() {
+        for (d, (writer, masters)) in writers.into_iter().zip(masters_per_dev).enumerate() {
             let edges = writer.into_edges();
-            locals.push(build_local(d as u32, edges, masters, &ma.owner, weighted));
+            locals.push(build_local(d as u32, edges, masters, &ids, weighted));
         }
 
-        let links = build_links(&locals, p);
+        let links = build_links(&locals, &ids);
 
         Partition {
             policy,
@@ -187,7 +178,7 @@ impl Partition {
                 locals.len()
             ));
         }
-        if links.len() != (num_devices * num_devices) as usize {
+        if links.len() as u64 != u64::from(num_devices) * u64::from(num_devices) {
             return Err("link table size mismatch".into());
         }
         for (d, lg) in locals.iter().enumerate() {
@@ -235,9 +226,37 @@ impl Partition {
     }
 }
 
+/// Where every global vertex's master lives: the whole of the global→local
+/// translation a build needs for masters, as two dense arrays shared by all
+/// devices. (A device's mirrors are ranked in a bit map of its own, in
+/// `build_local`.) Nothing of it outlives the build.
+struct MasterIds<'a> {
+    /// Owner device of each global vertex.
+    owner: &'a [u32],
+    /// Local id of each global vertex on its owner: its index in the
+    /// owner's master list.
+    local: Vec<VertexId>,
+}
+
+/// The masters of each device in ascending global id, with the dense
+/// translation that order defines.
+fn masters_by_device(owner: &[u32], p: usize) -> (Vec<Vec<VertexId>>, MasterIds<'_>) {
+    let mut masters_per_dev: Vec<Vec<VertexId>> = vec![Vec::new(); p];
+    let mut local = Vec::with_capacity(owner.len());
+    for (v, &d) in owner.iter().enumerate() {
+        let masters = &mut masters_per_dev[d as usize];
+        local.push(masters.len() as VertexId);
+        masters.push(v as VertexId);
+    }
+    (masters_per_dev, MasterIds { owner, local })
+}
+
 /// Exchange links: align mirror lists with master local ids. Shared by the
-/// in-memory and chunked builders.
-fn build_links(locals: &[LocalGraph], p: usize) -> Vec<PairLink> {
+/// in-memory and chunked builders. A holder's mirrors ascend in local id
+/// and in global id at once, and so do the masters they pair with on each
+/// owner, so both sides of every link come out strictly ascending.
+fn build_links(locals: &[LocalGraph], ids: &MasterIds<'_>) -> Vec<PairLink> {
+    let p = locals.len();
     let mut links: Vec<PairLink> = vec![PairLink::default(); p * p];
     for (holder, lg) in locals.iter().enumerate() {
         for lv in lg.num_masters..lg.num_vertices() {
@@ -247,9 +266,7 @@ fn build_links(locals: &[LocalGraph], p: usize) -> Vec<PairLink> {
             link.mirror_side.push(lv);
             link.mirror_has_out.push(lg.has_out_edges(lv));
             link.mirror_has_in.push(lg.has_in_edges(lv));
-            // Global id resolves to a master local id on the owner.
-            let gid = lg.l2g[lv as usize];
-            let m = locals[ow].g2l[&gid];
+            let m = ids.local[lg.l2g[lv as usize] as usize];
             debug_assert!(locals[ow].is_master(m));
             link.master_side.push(m);
         }
@@ -261,7 +278,8 @@ fn build_links(locals: &[LocalGraph], p: usize) -> Vec<PairLink> {
 /// build's second pass so only one device's edge set is ever resident.
 /// Records are 12 bytes (`u`, `v`, `w` as LE u32) in stream order — the
 /// same order the in-memory builder buckets them — so `build_local` sees an
-/// identical sequence.
+/// identical sequence. The file goes when the spill is dropped, read back
+/// or not.
 struct DeviceEdgeSpill {
     path: std::path::PathBuf,
     w: std::io::BufWriter<std::fs::File>,
@@ -290,72 +308,91 @@ impl DeviceEdgeSpill {
         self.count += 1;
     }
 
-    /// Reads the routed edges back and removes the spill file.
+    /// Reads the routed edges back, in one read of the whole file.
     fn into_edges(mut self) -> Vec<(VertexId, VertexId, u32)> {
-        use std::io::{Read, Write};
+        use std::io::Write;
         self.w.flush().expect("flush device edge spill");
-        drop(self.w);
-        let mut edges = Vec::with_capacity(self.count);
-        let file = std::fs::File::open(&self.path).expect("open device edge spill");
-        let mut r = std::io::BufReader::new(file);
-        let mut rec = [0u8; 12];
-        for _ in 0..self.count {
-            r.read_exact(&mut rec).expect("read device edge spill");
-            edges.push((
-                u32::from_le_bytes(rec[0..4].try_into().unwrap()),
-                u32::from_le_bytes(rec[4..8].try_into().unwrap()),
-                u32::from_le_bytes(rec[8..12].try_into().unwrap()),
-            ));
-        }
-        let _ = std::fs::remove_file(&self.path);
-        edges
+        let bytes = std::fs::read(&self.path).expect("read device edge spill");
+        assert_eq!(
+            bytes.len(),
+            self.count * 12,
+            "device edge spill holds other than the {} records written",
+            self.count
+        );
+        let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte field"));
+        bytes
+            .chunks_exact(12)
+            .map(|rec| (word(&rec[0..4]), word(&rec[4..8]), word(&rec[8..12])))
+            .collect()
     }
 }
 
+impl Drop for DeviceEdgeSpill {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// Builds one device's local graph from the edges routed to it, in the
+/// order they were routed. Local ids: the device's masters first, then its
+/// mirrors (every endpoint of a local edge owned elsewhere), each group in
+/// ascending global id.
 fn build_local(
     device: u32,
     edges: Vec<(VertexId, VertexId, u32)>,
     masters: Vec<VertexId>,
-    owner: &[u32],
+    ids: &MasterIds<'_>,
     weighted: bool,
 ) -> LocalGraph {
-    // Vertex set: all masters assigned here plus every endpoint of a local
-    // edge. Masters come first (ascending global id), then mirrors.
-    let num_masters = masters.len() as u32;
-    let mut g2l = std::collections::HashMap::with_capacity(masters.len() * 2);
-    let mut l2g: Vec<VertexId> = Vec::with_capacity(masters.len() * 2);
-    for &v in &masters {
-        g2l.insert(v, l2g.len() as VertexId);
-        l2g.push(v);
-    }
-    let mut mirrors: Vec<VertexId> = Vec::new();
+    let owned = |gid: VertexId| ids.owner[gid as usize] == device;
+    let num_masters = masters.len() as VertexId;
+
+    // Mirrors as a bit map over the global ids. A mirror's local id is
+    // `num_masters` plus its rank among them: the marks in the words below
+    // its own (`below`) plus those under it in its word.
+    let mut marks = vec![0u64; ids.owner.len().div_ceil(64)];
     for &(u, v, _) in &edges {
         for gid in [u, v] {
-            if let std::collections::hash_map::Entry::Vacant(e) = g2l.entry(gid) {
-                e.insert(VertexId::MAX); // placeholder, fixed below
-                mirrors.push(gid);
+            if !owned(gid) {
+                marks[gid as usize / 64] |= 1 << (gid % 64);
             }
         }
     }
-    mirrors.sort_unstable();
-    for gid in mirrors {
-        let lv = l2g.len() as VertexId;
-        g2l.insert(gid, lv);
-        l2g.push(gid);
+    let mut below = Vec::with_capacity(marks.len());
+    let mut num_local = num_masters;
+    for word in &marks {
+        below.push(num_local);
+        num_local += word.count_ones();
+    }
+    let local = |gid: VertexId| {
+        if owned(gid) {
+            ids.local[gid as usize]
+        } else {
+            let word = gid as usize / 64;
+            below[word] + (marks[word] & ((1 << (gid % 64)) - 1)).count_ones()
+        }
+    };
+
+    let mut l2g = masters;
+    l2g.reserve_exact((num_local - num_masters) as usize);
+    for (word, mut bits) in marks.iter().copied().enumerate() {
+        while bits != 0 {
+            l2g.push(word as VertexId * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
     }
 
-    let mut b = CsrBuilder::with_capacity(l2g.len() as u32, edges.len());
+    let mut b = CsrBuilder::with_capacity(num_local, edges.len());
     for (u, v, w) in edges {
-        let (lu, lv) = (g2l[&u], g2l[&v]);
         if weighted {
-            b.add_weighted(lu, lv, w);
+            b.add_weighted(local(u), local(v), w);
         } else {
-            b.add(lu, lv);
+            b.add(local(u), local(v));
         }
     }
     let csr = b.build();
     let in_csr = csr.transpose();
-    let master_device: Vec<u32> = l2g.iter().map(|&gid| owner[gid as usize]).collect();
+    let master_device: Vec<u32> = l2g.iter().map(|&gid| ids.owner[gid as usize]).collect();
 
     LocalGraph {
         device,
@@ -364,7 +401,6 @@ fn build_local(
         master_device: master_device.into_boxed_slice(),
         csr,
         in_csr,
-        g2l,
     }
 }
 
@@ -556,6 +592,23 @@ mod tests {
             .generate();
         let in_mem = Partition::build(&g, Policy::Iec, 4, 7);
         assert_eq!(Partition::build_streamed(&g, Policy::Iec, 4, 7), in_mem);
+    }
+
+    #[test]
+    fn device_spill_removes_its_file_read_back_or_not() {
+        let mut spill = DeviceEdgeSpill::create(0);
+        spill.push(1, 2, 3);
+        let path = spill.path.clone();
+        assert!(path.exists());
+        drop(spill); // as an unwinding build would
+        assert!(!path.exists(), "a dropped spill left {path:?} behind");
+
+        let mut spill = DeviceEdgeSpill::create(1);
+        spill.push(4, 5, 6);
+        spill.push(7, 8, 9);
+        let path = spill.path.clone();
+        assert_eq!(spill.into_edges(), vec![(4, 5, 6), (7, 8, 9)]);
+        assert!(!path.exists(), "a read-back spill left {path:?} behind");
     }
 
     #[test]

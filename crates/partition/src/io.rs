@@ -36,13 +36,23 @@ fn w_vec_u32<W: Write>(w: &mut W, xs: &[u32]) -> io::Result<()> {
     Ok(())
 }
 
+/// Reads a length-prefixed `u32` array. The length is the file's word, so
+/// nothing is reserved on it: the buffer grows only as bytes arrive, and a
+/// length the stream cannot honour is an error, not an allocation.
 fn r_vec_u32<R: Read>(r: &mut R) -> io::Result<Vec<u32>> {
-    let n = r_u32(r)? as usize;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(r_u32(r)?);
+    let want = u64::from(r_u32(r)?) * 4;
+    let mut bytes = Vec::new();
+    r.take(want).read_to_end(&mut bytes)?;
+    if bytes.len() as u64 != want {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("array of {want} bytes cut short at {}", bytes.len()),
+        ));
     }
-    Ok(v)
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+        .collect())
 }
 
 fn policy_tag(p: Policy) -> u32 {
@@ -127,7 +137,10 @@ pub fn read_partition<R: Read>(mut r: R) -> io::Result<Partition> {
     } else {
         None
     };
-    let mut locals = Vec::with_capacity(num_devices as usize);
+    // `num_devices` is the file's word too: both tables grow as their
+    // entries are read, and a count the stream cannot honour ends in the
+    // first short read.
+    let mut locals = Vec::new();
     for _ in 0..num_devices {
         let device = r_u32(&mut r)?;
         let num_masters = r_u32(&mut r)?;
@@ -135,11 +148,6 @@ pub fn read_partition<R: Read>(mut r: R) -> io::Result<Partition> {
         let master_device = r_vec_u32(&mut r)?;
         let csr = read_csr(&mut r)?;
         let in_csr = csr.transpose();
-        let g2l = l2g
-            .iter()
-            .enumerate()
-            .map(|(lv, &gv)| (gv, lv as u32))
-            .collect();
         locals.push(LocalGraph {
             device,
             num_masters,
@@ -147,11 +155,10 @@ pub fn read_partition<R: Read>(mut r: R) -> io::Result<Partition> {
             master_device: master_device.into_boxed_slice(),
             csr,
             in_csr,
-            g2l,
         });
     }
-    let mut links = Vec::with_capacity((num_devices * num_devices) as usize);
-    for _ in 0..num_devices * num_devices {
+    let mut links = Vec::new();
+    for _ in 0..u64::from(num_devices) * u64::from(num_devices) {
         let mirror_side = r_vec_u32(&mut r)?;
         let master_side = r_vec_u32(&mut r)?;
         let flags = r_vec_u32(&mut r)?;
@@ -193,24 +200,7 @@ mod tests {
             let mut buf = Vec::new();
             write_partition(&part, &mut buf).unwrap();
             let back = read_partition(&buf[..]).unwrap();
-            assert_eq!(back.policy, part.policy);
-            assert_eq!(back.num_devices, part.num_devices);
-            assert_eq!(back.grid, part.grid);
-            assert_eq!(back.total_edges(), part.total_edges());
-            for d in 0..6 {
-                let (a, b) = (&part.locals[d], &back.locals[d]);
-                assert_eq!(a.l2g, b.l2g);
-                assert_eq!(a.num_masters, b.num_masters);
-                assert_eq!(a.csr, b.csr);
-                assert_eq!(a.in_csr, b.in_csr);
-                for o in 0..6 {
-                    let (la, lb) = (part.link(d as u32, o), back.link(d as u32, o));
-                    assert_eq!(la.mirror_side, lb.mirror_side);
-                    assert_eq!(la.master_side, lb.master_side);
-                    assert_eq!(la.mirror_has_out, lb.mirror_has_out);
-                    assert_eq!(la.mirror_has_in, lb.mirror_has_in);
-                }
-            }
+            assert_eq!(back, part);
         }
     }
 
@@ -218,5 +208,82 @@ mod tests {
     fn rejects_garbage() {
         assert!(read_partition(&b"NOTAPART"[..]).is_err());
         assert!(read_partition(&b"DIRGLPRT\xff\xff\xff\xff"[..]).is_err());
+    }
+
+    /// Walks a dump the way `read_partition` does and returns the offset of
+    /// every length field of this module's own (`num_devices` and each
+    /// array's length prefix) and of every field boundary, the embedded CSR
+    /// dumps' included.
+    fn field_map(buf: &[u8], part: &Partition) -> (Vec<usize>, Vec<usize>) {
+        // (bytes, is one of this module's length fields), in file order.
+        let mut fields: Vec<(usize, bool)> = Vec::new();
+        let array = |len: usize| [(4, true), (4 * len, false)];
+        // magic, policy, num_devices, num_global_vertices, grid flag (+ grid)
+        fields.extend([(8, false), (4, false), (4, true), (4, false), (4, false)]);
+        if part.grid.is_some() {
+            fields.extend([(4, false), (4, false)]);
+        }
+        for lg in &part.locals {
+            fields.extend([(4, false), (4, false)]); // device, num_masters
+            fields.extend(array(lg.l2g.len()));
+            fields.extend(array(lg.master_device.len()));
+            let (n, m) = (lg.csr.num_vertices() as usize, lg.csr.num_edges() as usize);
+            // graph::io: magic, |V|, |E|, weighted flag, offsets, targets, weights.
+            fields.extend([8, 8, 8, 1, 8 * (n + 1), 4 * m].map(|bytes| (bytes, false)));
+            if lg.csr.is_weighted() {
+                fields.push((4 * m, false));
+            }
+        }
+        for holder in 0..part.num_devices {
+            for owner in 0..part.num_devices {
+                for _ in 0..3 {
+                    fields.extend(array(part.link(holder, owner).len()));
+                }
+            }
+        }
+        let (mut lengths, mut bounds) = (Vec::new(), Vec::new());
+        let mut at = 0;
+        for (bytes, is_length) in fields {
+            if is_length {
+                lengths.push(at);
+            }
+            at += bytes;
+            bounds.push(at);
+        }
+        assert_eq!(at, buf.len(), "the walk and the writer disagree");
+        (lengths, bounds)
+    }
+
+    #[test]
+    fn corrupt_lengths_and_truncations_are_errors() {
+        let g = randomize_weights(&RmatConfig::new(6, 4).seed(5).generate(), 50, 1);
+        for policy in [Policy::Cvc, Policy::Oec] {
+            let part = Partition::build(&g, policy, 4, 3);
+            let mut buf = Vec::new();
+            write_partition(&part, &mut buf).unwrap();
+            let (lengths, bounds) = field_map(&buf, &part);
+            assert!(lengths.len() > 3 * 16 && bounds.len() > lengths.len());
+            // A length the rest of the file cannot honour.
+            for &at in &lengths {
+                let mut bad = buf.clone();
+                bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                let err = read_partition(&bad[..]).expect_err("an impossible length was accepted");
+                assert!(
+                    matches!(
+                        err.kind(),
+                        io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                    ),
+                    "length field at {at}: {err}"
+                );
+            }
+            // A file that ends at a field boundary short of its end.
+            for &at in bounds.iter().filter(|&&at| at < buf.len()) {
+                assert!(
+                    read_partition(&buf[..at]).is_err(),
+                    "a dump cut at byte {at} of {} was accepted",
+                    buf.len()
+                );
+            }
+        }
     }
 }

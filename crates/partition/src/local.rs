@@ -5,11 +5,13 @@
 //! the device's edges in local ids; its transpose serves pull-style
 //! programs.
 
-use std::collections::HashMap;
-
 use dirgl_graph::csr::{Csr, VertexId};
 
 /// One device's share of the partitioned graph.
+///
+/// It carries no global→local map. Translation is the builder's business
+/// and ends with the build, as Gluon memoizes it away after construction
+/// (§III-D2): the exchange links already pair local ids with local ids.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LocalGraph {
     /// Device index.
@@ -24,10 +26,6 @@ pub struct LocalGraph {
     pub csr: Csr,
     /// In-edges (transpose of `csr`), for pull-style operators.
     pub in_csr: Csr,
-    /// Host-side global→local map (not charged to GPU memory; Gluon keeps
-    /// the equivalent on the host for address translation, then memoizes it
-    /// away — §III-D2).
-    pub g2l: HashMap<VertexId, VertexId>,
 }
 
 impl LocalGraph {
