@@ -50,12 +50,6 @@ impl VertexProgram for KCore {
         "kcore"
     }
 
-    fn permutation_safe(&self) -> bool {
-        // Exact, order-independent integer reduction: a permuted
-        // kernel layout produces bit-identical values.
-        true
-    }
-
     fn style(&self) -> Style {
         Style::PushDataDriven
     }

@@ -44,12 +44,6 @@ impl VertexProgram for Sssp {
         "sssp"
     }
 
-    fn permutation_safe(&self) -> bool {
-        // Exact, order-independent integer reduction: a permuted
-        // kernel layout produces bit-identical values.
-        true
-    }
-
     fn style(&self) -> Style {
         Style::PushDataDriven
     }

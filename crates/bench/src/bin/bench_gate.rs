@@ -9,7 +9,6 @@
 //!
 //! ```sh
 //! bench_hotpath --out /tmp/fresh/BENCH_hotpath.json
-//! bench_kernels --out /tmp/fresh/BENCH_kernels.json
 //! bench_gate --committed . --fresh /tmp/fresh
 //! ```
 //!

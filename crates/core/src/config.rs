@@ -6,8 +6,6 @@ use dirgl_comm::{CommMode, FaultPlan, RetryConfig};
 use dirgl_gpusim::Balancer;
 use dirgl_partition::Policy;
 
-use crate::layout::LayoutChoice;
-
 /// Execution model (§III-B).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExecModel {
@@ -139,11 +137,6 @@ pub struct RunConfig {
     /// Values, reports, and traces are byte-identical either way (the
     /// decode reproduces the exact CSR windows; pinned by tests).
     pub spill: bool,
-    /// Per-device kernel layout selection applied at
-    /// [`crate::Runtime::prepare`] time (see [`crate::layout`]). The
-    /// default [`LayoutChoice::Insertion`] builds no layout state at all;
-    /// non-prepared execution paths ignore this knob entirely.
-    pub layout: LayoutChoice,
 }
 
 impl RunConfig {
@@ -166,7 +159,6 @@ impl RunConfig {
             retry: RetryConfig::default(),
             checkpoint_every_rounds: 0,
             spill: false,
-            layout: LayoutChoice::Insertion,
         }
     }
 
@@ -191,12 +183,6 @@ impl RunConfig {
     /// Sets the retry policy (builder style).
     pub fn with_retry(mut self, retry: RetryConfig) -> RunConfig {
         self.retry = retry;
-        self
-    }
-
-    /// Sets the kernel-layout selection (builder style).
-    pub fn with_layout(mut self, layout: LayoutChoice) -> RunConfig {
-        self.layout = layout;
         self
     }
 

@@ -16,9 +16,6 @@
 //!   [`engine::ExecutionModel`]; [`engine`] also holds what the fault
 //!   layer shares between them (crash firing, checkpoint capture and
 //!   restore, the rejoin-or-rehome recovery tail);
-//! * [`layout`] — cache-conscious per-device kernel layouts
-//!   (degree-sorted / segmented CSR orderings selected by a skew
-//!   heuristic at prepare time);
 //! * [`trace`] — the per-round, per-device observability layer: both
 //!   engines emit [`trace::RoundRecord`]s through a [`trace::TraceSink`]
 //!   (no-op by default, collecting for tests, JSON-lines for benches);
@@ -37,7 +34,6 @@ pub mod bsp;
 pub mod config;
 pub mod device;
 pub mod engine;
-pub mod layout;
 pub mod multi;
 pub mod program;
 pub mod report;
@@ -47,7 +43,6 @@ pub mod trace;
 
 pub use config::{ExecModel, RunConfig, Variant};
 pub use engine::{run_engine, EngineOutcome, ExecutionModel};
-pub use layout::{LayoutChoice, LayoutKind, LayoutPlan, LocalLayout};
 pub use multi::{
     lanes_of, BatchedProgram, LaneState, LaneWire, Lanes, MsBfs, MsBfsState, MultiSourceProgram,
     LANE_WIDTH, MS_UNREACHED,
@@ -56,8 +51,8 @@ pub use program::{InitCtx, Style, VertexProgram};
 pub use report::{ExecutionReport, RoundSummary};
 pub use resilience::ResilienceStats;
 pub use runtime::{
-    Backend, DeviceFootprint, LaneOutput, LaneSummary, MultiRunOutput, MultiRunner, PartitionArg,
-    PreparedPartition, RunError, RunOutput, Runner, Runtime,
+    Backend, DeviceFootprint, LaneOutput, LaneSummary, LayoutChoice, MultiRunOutput, MultiRunner,
+    PartitionArg, PreparedPartition, RunError, RunOutput, Runner, Runtime,
 };
 pub use trace::{
     CollectingSink, EngineKind, FaultEvent, JsonLinesSink, NoopSink, RoundRecord, TraceDirection,

@@ -104,18 +104,6 @@ pub trait VertexProgram: Sync {
         false
     }
 
-    /// True when the program's reduction is exact and order-independent
-    /// (integer min / or / saturating counters — bfs, sssp, cc, kcore):
-    /// running on a permuted kernel layout (see [`crate::layout`])
-    /// reorders edge visits and sync payloads, and only such programs
-    /// keep bit-identical values under any permutation. Float-summing
-    /// programs (pagerank, bc) keep the default `false` so
-    /// [`crate::layout::LayoutChoice::Auto`] leaves them on insertion
-    /// order.
-    fn permutation_safe(&self) -> bool {
-        false
-    }
-
     /// Initial state of (every proxy of) global vertex `gv`.
     fn init_state(&self, gv: VertexId, ctx: &InitCtx<'_>) -> Self::State;
 

@@ -43,7 +43,6 @@ use dirgl_partition::{LocalGraph, Partition};
 use crate::config::RunConfig;
 use crate::device::DeviceRun;
 use crate::engine::run_engine;
-use crate::layout::{LayoutChoice, LayoutPlan};
 use crate::multi::{BatchedProgram, MultiSourceProgram, LANE_WIDTH};
 use crate::program::{InitCtx, VertexProgram};
 use crate::report::{ExecutionReport, RoundSummary};
@@ -251,6 +250,22 @@ pub struct Runtime {
     pub config: RunConfig,
 }
 
+/// Argument of [`PreparedPartition::with_layout`], kept so that code written
+/// against the deleted kernel-layout subsystem still compiles (the frozen
+/// `benchmark/` probe names it through the prelude). Both variants mean the
+/// same thing: local vertices stay in the partitioner's order, masters then
+/// mirrors, each ascending by global id. A per-device renaming was tried
+/// and measured slower (EXPERIMENTS.md, "Layout trial").
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum LayoutChoice {
+    /// The partitioner's order.
+    #[default]
+    Insertion,
+    /// Formerly a per-device skew heuristic; now also the partitioner's
+    /// order.
+    Auto,
+}
+
 /// Everything about a partitioned graph that is independent of the program
 /// being run: the resolved graph view, its partition, the sync plan (with
 /// the per-link `ExtractIndex` inverse indexes), and the per-vertex
@@ -266,11 +281,6 @@ pub struct PreparedPartition {
     part: Partition,
     plan: SyncPlan,
     out_degrees: Vec<u32>,
-    /// Cached kernel layouts (see [`crate::layout`]): the permuted
-    /// partition + plan jobs substitute when the program allows it.
-    /// `None` unless [`PreparedPartition::with_layout`] selected a
-    /// non-identity layout.
-    layouts: Option<LayoutPlan>,
 }
 
 impl PreparedPartition {
@@ -306,24 +316,15 @@ impl PreparedPartition {
             part,
             plan,
             out_degrees,
-            layouts: None,
         }
     }
 
-    /// Selects per-device kernel layouts under `choice` and caches the
-    /// permuted partition + sync plan on the handle (builder style; see
-    /// [`crate::layout`] for the selection heuristic and the determinism
-    /// contract). [`LayoutChoice::Insertion`] — and an `Auto` selection
-    /// where no device crosses the skew thresholds — leaves the handle
-    /// layout-free.
-    pub fn with_layout(mut self, choice: LayoutChoice) -> PreparedPartition {
-        self.layouts = LayoutPlan::build(&self.part, choice);
+    /// Returns the handle unchanged. Compile-compatibility shim: callers
+    /// written against the deleted per-device layouts (the frozen
+    /// `benchmark/` probe) keep building, and every choice now means the
+    /// partitioner's order (see [`LayoutChoice`]).
+    pub fn with_layout(self, _choice: LayoutChoice) -> PreparedPartition {
         self
-    }
-
-    /// The cached layout plan, if a non-identity one was selected.
-    pub fn layout_plan(&self) -> Option<&LayoutPlan> {
-        self.layouts.as_ref()
     }
 
     /// The resolved graph view jobs run on.
@@ -491,14 +492,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
 
         let (g, part_ref, plan, out_degrees): (&Csr, &Partition, &SyncPlan, &[u32]) = match part {
             Some(PartitionArg::Prepared(prep)) => {
-                // Jobs run on the permuted view when the handle carries a
-                // layout the program may use (see LayoutPlan::applies_to);
-                // gathered values are keyed by global id through l2g, so
-                // the permutation is invisible in the output.
-                match prep.layouts.as_ref().filter(|lp| lp.applies_to(program)) {
-                    Some(lp) => (&prep.graph, &lp.part, &lp.plan, &prep.out_degrees[..]),
-                    None => (&prep.graph, &prep.part, &prep.plan, &prep.out_degrees[..]),
-                }
+                (&prep.graph, &prep.part, &prep.plan, &prep.out_degrees[..])
             }
             Some(PartitionArg::Borrowed(p)) => {
                 if graph.num_vertices() == 0 {
@@ -869,7 +863,6 @@ impl Runtime {
             self.platform.num_devices(),
             self.config.seed,
         )
-        .map(|prep| prep.with_layout(self.config.layout))
     }
 
     /// Predicts the per-device memory footprint of running `program`

@@ -3,8 +3,8 @@
 
 use dirgl_comm::{CommMode, SimTime};
 use dirgl_core::{
-    CollectingSink, EngineKind, ExecModel, InitCtx, RunConfig, Runtime, Style, Variant,
-    VertexProgram,
+    CollectingSink, EngineKind, ExecModel, InitCtx, LayoutChoice, RunConfig, Runtime, Style,
+    Variant, VertexProgram,
 };
 use dirgl_gpusim::{Balancer, Platform};
 use dirgl_graph::csr::{Csr, CsrBuilder, VertexId};
@@ -376,4 +376,32 @@ fn gpudirect_reduces_device_comm_share() {
     let direct = run(&g, cfg, 8);
     assert!(direct.report.total_time < staged.report.total_time);
     assert_eq!(direct.values, staged.values);
+}
+
+#[test]
+fn with_layout_is_the_identity() {
+    // The only thing left of the per-device layouts is a shim that hands
+    // the handle back; a job against it is a job against the original.
+    let g = dirgl_graph::RmatConfig::new(10, 8).seed(5).generate();
+    let bfs = MinProp {
+        source: Runtime::max_out_degree_source(&g).unwrap(),
+    };
+    let seen = |out: dirgl_core::RunOutput| {
+        let bits: Vec<u64> = out.values.iter().map(|v| v.to_bits()).collect();
+        (format!("{:?}", out.report), bits)
+    };
+    for policy in [Policy::Oec, Policy::Cvc] {
+        let rt = Runtime::new(
+            Platform::bridges(4),
+            RunConfig::new(policy, Variant::var3()).scale(64),
+        );
+        let prep = rt.prepare(&g, false).unwrap();
+        let shim = prep.clone().with_layout(LayoutChoice::Auto);
+        assert_eq!(shim.partition(), prep.partition(), "{policy}");
+        assert_eq!(
+            seen(rt.job(&shim, &bfs).execute().unwrap()),
+            seen(rt.job(&prep, &bfs).execute().unwrap()),
+            "{policy}"
+        );
+    }
 }

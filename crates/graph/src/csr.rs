@@ -240,7 +240,11 @@ impl Csr {
     /// Assembles a graph from its arrays. A graph without edges is
     /// unweighted, whatever built it: [`CsrBuilder`] only turns weighted on
     /// its first weighted edge, and every other constructor follows it.
-    fn from_raw(offsets: Vec<u64>, targets: Vec<VertexId>, weights: Option<Vec<u32>>) -> Csr {
+    pub(crate) fn from_raw(
+        offsets: Vec<u64>,
+        targets: Vec<VertexId>,
+        weights: Option<Vec<u32>>,
+    ) -> Csr {
         Csr {
             offsets: offsets.into_boxed_slice(),
             targets: targets.into_boxed_slice(),
@@ -462,48 +466,6 @@ impl Csr {
     pub fn iter_all_edges(&self) -> impl Iterator<Item = (VertexId, VertexId, u32)> + '_ {
         (0..self.num_vertices()).flat_map(move |u| self.edges(u).map(move |(v, w)| (u, v, w)))
     }
-
-    /// Out-degree skew: max degree over mean degree (1.0 for regular
-    /// graphs, large for power-law tails). Layout selection uses this to
-    /// decide whether reordering a device-local graph is worth it; graphs
-    /// with no edges report 1.0.
-    pub fn degree_skew(&self) -> f64 {
-        let n = self.num_vertices();
-        let m = self.num_edges();
-        if n == 0 || m == 0 {
-            return 1.0;
-        }
-        let max = (0..n).map(|v| self.out_degree(v)).max().unwrap_or(0);
-        max as f64 * n as f64 / m as f64
-    }
-
-    /// Rebuilds the CSR under a vertex renaming: new id `i` is old id
-    /// `old_of_new[i]` and `new_of_old` is the inverse permutation. Rows
-    /// are laid out in new-id order; each row keeps its old edge order
-    /// with targets renamed and weights carried along.
-    pub fn permute(&self, old_of_new: &[VertexId], new_of_old: &[VertexId]) -> Csr {
-        let n = self.num_vertices() as usize;
-        assert_eq!(old_of_new.len(), n, "permutation length mismatch");
-        assert_eq!(new_of_old.len(), n, "inverse permutation length mismatch");
-        let m = self.targets.len();
-        let mut offsets = vec![0u64; n + 1];
-        for new_u in 0..n {
-            offsets[new_u + 1] = offsets[new_u] + self.out_degree(old_of_new[new_u]) as u64;
-        }
-        let mut targets = vec![INVALID_VERTEX; m];
-        let mut weights = self.weights.as_ref().map(|_| vec![0u32; m]);
-        for new_u in 0..n {
-            let at = offsets[new_u] as usize;
-            let (ts, ws) = self.edge_window(old_of_new[new_u]);
-            for (k, &t) in ts.iter().enumerate() {
-                targets[at + k] = new_of_old[t as usize];
-            }
-            if let Some(nw) = weights.as_mut() {
-                nw[at..at + ws.len()].copy_from_slice(ws);
-            }
-        }
-        Csr::from_raw(offsets, targets, weights)
-    }
 }
 
 #[cfg(test)]
@@ -629,42 +591,6 @@ mod tests {
         assert_eq!(ts, &[1, 2]);
         assert_eq!(ws, &[3, 9]);
         assert!(gw.edge_window(2).0.is_empty());
-    }
-
-    #[test]
-    fn degree_skew_regular_vs_star() {
-        let g = diamond();
-        // Degrees 2,1,1,0: max 2, mean 1 -> skew 2.
-        assert!((g.degree_skew() - 2.0).abs() < 1e-12);
-        let mut b = CsrBuilder::new(5);
-        for v in 1..5 {
-            b.add(0, v);
-        }
-        // Star: max 4, mean 4/5 -> skew 5.
-        assert!((b.build().degree_skew() - 5.0).abs() < 1e-12);
-        assert_eq!(Csr::empty(3).degree_skew(), 1.0);
-    }
-
-    #[test]
-    fn permute_renames_and_preserves_row_order() {
-        let mut b = CsrBuilder::new(4);
-        b.add_weighted(0, 1, 10);
-        b.add_weighted(0, 2, 20);
-        b.add_weighted(1, 3, 30);
-        b.add_weighted(2, 3, 40);
-        let g = b.build();
-        // Reverse the vertex order: new i = old 3 - i.
-        let old_of_new: Vec<u32> = vec![3, 2, 1, 0];
-        let new_of_old: Vec<u32> = vec![3, 2, 1, 0];
-        let p = g.permute(&old_of_new, &new_of_old);
-        assert_eq!(p.num_edges(), 4);
-        // Old vertex 0 (edges to 1, 2 in that order) is new vertex 3, and
-        // its targets rename to 2, 1 while keeping insertion order.
-        assert_eq!(p.edges(3).collect::<Vec<_>>(), vec![(2, 10), (1, 20)]);
-        assert_eq!(p.edges(2).collect::<Vec<_>>(), vec![(0, 30)]);
-        // Identity permutation is a no-op.
-        let id: Vec<u32> = (0..4).collect();
-        assert_eq!(g.permute(&id, &id), g);
     }
 
     #[test]

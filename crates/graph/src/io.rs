@@ -10,7 +10,7 @@
 
 use std::io::{self, BufRead, BufWriter, Read, Write};
 
-use crate::csr::{Csr, CsrBuilder, EdgeList};
+use crate::csr::{Csr, EdgeList, VertexId};
 
 const MAGIC: &[u8; 8] = b"DIRGLCSR";
 
@@ -35,52 +35,76 @@ pub fn write_binary<W: Write>(g: &Csr, w: W) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads a binary CSR stream written by [`write_binary`].
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Words read per `read_exact` in [`read_words`].
+const CHUNK_WORDS: u64 = 1 << 13;
+
+/// Reads `count` little-endian words of `N` bytes. `count` is the file's
+/// word, so nothing is reserved on it: the vector grows one bounded chunk at
+/// a time, as bytes arrive, and a count the stream cannot honour ends in
+/// `UnexpectedEof`, not in an allocation.
+fn read_words<const N: usize, T>(
+    r: &mut impl Read,
+    count: u64,
+    word: fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let mut out = Vec::new();
+    let mut buf = vec![0u8; N * count.min(CHUNK_WORDS) as usize];
+    let mut left = count;
+    while left > 0 {
+        let take = left.min(CHUNK_WORDS);
+        let bytes = &mut buf[..N * take as usize];
+        r.read_exact(bytes)?;
+        out.extend(
+            bytes
+                .chunks_exact(N)
+                .map(|b| word(b.try_into().expect("N-byte chunk"))),
+        );
+        left -= take;
+    }
+    Ok(out)
+}
+
+/// Reads a binary CSR stream written by [`write_binary`]. The stream is not
+/// trusted: a header the rest of the file does not bear out (a vertex count
+/// past [`VertexId`], offsets that do not start at 0, ascend and end at the
+/// edge count, a target past the vertex count) is `InvalidData`, and a file
+/// that ends early is `UnexpectedEof`.
 pub fn read_binary<R: Read>(mut r: R) -> io::Result<Csr> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
+        return Err(invalid("bad magic"));
     }
-    let mut buf8 = [0u8; 8];
-    r.read_exact(&mut buf8)?;
-    let n = u64::from_le_bytes(buf8) as usize;
-    r.read_exact(&mut buf8)?;
-    let m = u64::from_le_bytes(buf8) as usize;
-    let mut flag = [0u8; 1];
-    r.read_exact(&mut flag)?;
-    let weighted = flag[0] != 0;
+    let mut header = [0u8; 17];
+    r.read_exact(&mut header)?;
+    let n = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
+    let m = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+    let weighted = header[16] != 0;
+    if VertexId::try_from(n).is_err() {
+        return Err(invalid(format!("{n} vertices do not fit a vertex id")));
+    }
 
-    let mut offsets = vec![0u64; n + 1];
-    for o in offsets.iter_mut() {
-        r.read_exact(&mut buf8)?;
-        *o = u64::from_le_bytes(buf8);
+    let offsets = read_words(&mut r, n + 1, u64::from_le_bytes)?;
+    if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) || offsets[n as usize] != m {
+        return Err(invalid(format!(
+            "offsets do not ascend from 0 to the edge count {m}"
+        )));
     }
-    let mut buf4 = [0u8; 4];
-    let mut builder = CsrBuilder::with_capacity(n as u32, m);
-    let mut targets = Vec::with_capacity(m);
-    for _ in 0..m {
-        r.read_exact(&mut buf4)?;
-        targets.push(u32::from_le_bytes(buf4));
+    let targets = read_words(&mut r, m, VertexId::from_le_bytes)?;
+    if let Some(t) = targets.iter().find(|&&t| u64::from(t) >= n) {
+        return Err(invalid(format!("target {t} in a graph of {n} vertices")));
     }
-    let mut weights = Vec::new();
-    if weighted {
-        weights.reserve(m);
-        for _ in 0..m {
-            r.read_exact(&mut buf4)?;
-            weights.push(u32::from_le_bytes(buf4));
-        }
-    }
-    for u in 0..n {
-        for i in offsets[u] as usize..offsets[u + 1] as usize {
-            if weighted {
-                builder.add_weighted(u as u32, targets[i], weights[i]);
-            } else {
-                builder.add(u as u32, targets[i]);
-            }
-        }
-    }
-    Ok(builder.build())
+    let weights = if weighted {
+        Some(read_words(&mut r, m, u32::from_le_bytes)?)
+    } else {
+        None
+    };
+    // The arrays are already in CSR order.
+    Ok(Csr::from_raw(offsets, targets, weights))
 }
 
 /// Writes `g` as a text edge list (`src dst [weight]` per line).
@@ -109,12 +133,7 @@ pub fn read_edge_list<R: BufRead>(r: R, num_vertices: Option<u32>) -> io::Result
             continue;
         }
         let mut it = line.split_whitespace();
-        let bad = || {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed edge list line {}", lineno + 1),
-            )
-        };
+        let bad = || invalid(format!("malformed edge list line {}", lineno + 1));
         let s: u32 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
         let d: u32 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
         max_id = max_id.max(s).max(d);
@@ -160,6 +179,71 @@ mod tests {
     #[test]
     fn binary_rejects_garbage() {
         assert!(read_binary(&b"NOTAGRPH########"[..]).is_err());
+    }
+
+    /// Every way a dump can lie about itself is an error of one of the two
+    /// kinds, never a panic and never an allocation sized by the lie.
+    #[test]
+    fn binary_corrupt_headers_arrays_and_truncations_are_errors() {
+        let g = randomize_weights(&RmatConfig::new(7, 4).seed(2).generate(), 100, 3);
+        let (n, m) = (g.num_vertices() as usize, g.num_edges() as usize);
+        let mut buf = Vec::new();
+        write_binary(&g, &mut buf).unwrap();
+        // magic, |V|, |E|, weighted flag, offsets, targets, weights.
+        let (n_at, m_at, offsets_at) = (8, 16, 25);
+        let targets_at = offsets_at + 8 * (n + 1);
+        assert_eq!(buf.len(), targets_at + 2 * 4 * m);
+        let offset_at = |v: usize| offsets_at + 8 * v;
+
+        let rejected = |what: &str, bad: &[u8]| {
+            let err = read_binary(bad).expect_err(what);
+            assert!(
+                matches!(
+                    err.kind(),
+                    io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                ),
+                "{what}: {err}"
+            );
+        };
+        let patched = |at: usize, bytes: &[u8]| {
+            let mut bad = buf.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            bad
+        };
+
+        // A count the rest of the file cannot honour (the last one fits a
+        // vertex id, so as |V| only the stream's end refuses it).
+        for at in [n_at, m_at] {
+            for count in [u64::MAX, u32::MAX as u64 + 1, 1 << 40, u32::MAX as u64] {
+                rejected("an impossible count", &patched(at, &count.to_le_bytes()));
+            }
+        }
+        // A file cut short anywhere, every field boundary included.
+        for at in 0..buf.len() {
+            rejected("a truncated dump", &buf[..at]);
+        }
+        // Offsets that do not start at 0, do not ascend, or do not end at |E|.
+        rejected(
+            "a first offset of 1",
+            &patched(offset_at(0), &1u64.to_le_bytes()),
+        );
+        let v = (1..n)
+            .find(|&v| g.offsets()[v] != g.offsets()[v + 1])
+            .expect("a vertex with edges");
+        let mut swapped = buf.clone();
+        for i in 0..8 {
+            swapped.swap(offset_at(v) + i, offset_at(v + 1) + i);
+        }
+        rejected("two swapped offsets", &swapped);
+        rejected(
+            "a last offset past |E|",
+            &patched(offset_at(n), &(m as u64 + 1).to_le_bytes()),
+        );
+        // A target that names no vertex.
+        rejected(
+            "a target equal to |V|",
+            &patched(targets_at, &(n as u32).to_le_bytes()),
+        );
     }
 
     #[test]

@@ -57,10 +57,9 @@ pub mod prelude {
     pub use dirgl_comm::{CommMode, FaultCounters, FaultPlan, RetryConfig, SimTime};
     pub use dirgl_core::{
         run_engine, Backend, BatchedProgram, CollectingSink, ExecModel, ExecutionModel,
-        ExecutionReport, FaultEvent, JsonLinesSink, Lanes, LayoutChoice, LayoutKind, MsBfs,
-        MultiRunOutput, MultiSourceProgram, NoopSink, PartitionArg, PreparedPartition,
-        ResilienceStats, RoundRecord, RunConfig, RunError, Runner, Runtime, TraceSink, Variant,
-        LANE_WIDTH,
+        ExecutionReport, FaultEvent, JsonLinesSink, Lanes, LayoutChoice, MsBfs, MultiRunOutput,
+        MultiSourceProgram, NoopSink, PartitionArg, PreparedPartition, ResilienceStats,
+        RoundRecord, RunConfig, RunError, Runner, Runtime, TraceSink, Variant, LANE_WIDTH,
     };
     pub use dirgl_gpusim::{Balancer, ClusterSpec, GpuSpec, Platform};
     pub use dirgl_graph::{
