@@ -21,7 +21,6 @@ pub mod bfs;
 pub mod cc;
 pub mod kcore;
 pub mod pagerank;
-pub mod pagerank_push;
 pub mod reference;
 pub mod sssp;
 
@@ -33,7 +32,6 @@ pub use bfs::Bfs;
 pub use cc::Cc;
 pub use kcore::KCore;
 pub use pagerank::PageRank;
-pub use pagerank_push::PageRankPush;
 pub use sssp::Sssp;
 
 /// The five benchmark names in the paper's order.

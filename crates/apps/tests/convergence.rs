@@ -210,30 +210,3 @@ fn report_decomposition_is_consistent() {
     assert!(r.work_items > 0);
     assert!(r.memory_per_device.iter().all(|&m| m > 0));
 }
-
-#[test]
-fn pagerank_push_matches_pull_and_reference() {
-    let g = rmat();
-    let want = reference::pagerank(&g, 0.85, 1e-4, 1000);
-    for policy in POLICIES {
-        for variant in [Variant::var3(), Variant::var4()] {
-            let rt = Runtime::new(
-                Platform::bridges(4),
-                dirgl_core::RunConfig::new(policy, variant).scale(1024),
-            );
-            let out = rt
-                .runner(&g, &dirgl_apps::PageRankPush::new())
-                .execute()
-                .unwrap();
-            let mut worst = 0.0f64;
-            for (g_, w) in out.values.iter().zip(&want) {
-                worst = worst.max((g_ - w).abs() / w.max(0.15));
-            }
-            assert!(
-                worst < 0.02,
-                "pagerank-push/{policy}/{}: worst relative error {worst}",
-                variant.label()
-            );
-        }
-    }
-}

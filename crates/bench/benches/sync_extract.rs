@@ -157,8 +157,7 @@ fn bench_build(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("cvc64", label), &label, |b, _| {
             b.iter(|| {
-                let pack =
-                    dev.build_sync(&program, &[SyncDir::Reduce], &part, &plan, &config, false);
+                let pack = dev.build_sync(&program, &[SyncDir::Reduce], &part, &plan, &config);
                 let mut acc = pack.0;
                 let mut built = std::mem::take(&mut dev.scratch.built);
                 for msg in built.drain(..) {

@@ -6,7 +6,7 @@
 //!
 //! Per benchmark the file records `wall_s`, the exact heap-allocation
 //! count `allocs` (from the shared
-//! [`TrackingAlloc`](dirgl_bench::alloc::TrackingAlloc) wrapper; the
+//! [`dirgl_bench::alloc::TrackingAlloc`] wrapper; the
 //! top-level `peak_rss_bytes` is the exact byte high-water mark) and
 //! `digest`, the FNV-1a-64 hash of the run's `ExecutionReport` `Debug`
 //! text and vertex-value bits. `bench_gate` holds a fresh file against the

@@ -6,10 +6,8 @@
 //! bitset whose extraction *cost* is charged through
 //! [`dirgl_gpusim::KernelModel::scan_time`].
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-capacity dense bitset.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DenseBitset {
     words: Vec<u64>,
     len: u32,
@@ -168,7 +166,7 @@ impl DenseBitset {
 /// `LaneFrontier` answers "on which of up to 64 concurrent traversals?"
 /// — the GraphBLAST framing of K batched sources as a bit-matrix mask,
 /// combined word-at-a-time.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LaneFrontier {
     words: Vec<u64>,
     live: u64,

@@ -4,12 +4,8 @@
 //! ordering in the BASP discrete-event driver is exact and reproducible
 //! across runs and platforms (no float accumulation drift in comparisons).
 
-use serde::{Deserialize, Serialize};
-
 /// A point (or span) of simulated time, nanosecond resolution.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

@@ -298,7 +298,7 @@ impl RetryConfig {
 /// Counters of everything the fault layer injected and the reliable
 /// transport absorbed. Lives in the execution report so a run's resilience
 /// story is visible next to its timing.
-#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultCounters {
     /// Transmission attempts the injector dropped.
     pub drops_injected: u64,

@@ -14,14 +14,12 @@
 //! ~0.2 MB while still paying a prefix-scan extraction falls straight out
 //! of these formulas plus [`dirgl_gpusim::KernelModel::scan_time`].
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per synchronized label value. All five benchmarks synchronize one
 /// 32-bit field (level, distance, component, degree delta, residual).
 pub const VAL_BYTES: u64 = 4;
 
 /// Communication mode (§IV-C "AS vs UO").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CommMode {
     /// Synchronize all shared proxies every round.
     AllShared,

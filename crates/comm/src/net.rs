@@ -12,14 +12,12 @@
 //! conclusion-section recommendation — NVIDIA GPUDirect — by skipping the
 //! host staging hops; an ablation benchmark quantifies its effect.
 
-use serde::{Deserialize, Serialize};
-
 use dirgl_gpusim::Platform;
 
 use crate::clock::SimTime;
 
 /// One message to be injected into the network.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SendDesc {
     /// Sending device.
     pub from: u32,
@@ -33,12 +31,10 @@ pub struct SendDesc {
 
 /// Mutable link-occupancy state.
 ///
-/// Persistence is the *caller's* choice: the engines thread one `NetState`
-/// through every exchange of a run (so a NIC still draining round `k`
-/// delays round `k+1`, as real hardware does), while the stateless
-/// [`NetModel::exchange`] convenience starts fresh each call for isolated
-/// what-if timing. See `state_persists_across_exchanges` for the pinned
-/// semantics.
+/// The engines thread one `NetState` through every exchange of a run, so a
+/// NIC still draining round `k` delays round `k+1`, as real hardware does;
+/// a fresh state ([`NetModel::new_state`]) times an exchange in isolation.
+/// See `state_persists_across_exchanges` for the pinned semantics.
 #[derive(Clone, Debug)]
 pub struct NetState {
     pcie_out_free: Vec<SimTime>,
@@ -139,7 +135,7 @@ pub struct NetModel {
 }
 
 /// Aggregate outcome of a whole exchange phase (BSP use).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ExchangeOutcome {
     /// Per device: when all its inbound payloads are applied (its own clock
     /// if it receives nothing).
@@ -273,16 +269,6 @@ impl NetModel {
             nic_queue,
             pcie_in_queue,
         }
-    }
-
-    /// Runs a whole barrier-style exchange with *fresh* link state — an
-    /// isolated what-if measurement. The engines use
-    /// [`NetModel::exchange_with`] instead so congestion carries across
-    /// rounds.
-    pub fn exchange(&self, device_clock: &[SimTime], sends: &[SendDesc]) -> ExchangeOutcome {
-        let mut out = ExchangeOutcome::default();
-        self.exchange_with(&mut self.new_state(), device_clock, sends, None, &mut out);
-        out
     }
 
     /// Runs a whole barrier-style exchange (all messages known up front)
@@ -446,6 +432,13 @@ mod tests {
         NetModel::new(Platform::bridges(n))
     }
 
+    /// One barrier-style exchange on fresh link state.
+    fn exchange(m: &NetModel, clock: &[SimTime], sends: &[SendDesc]) -> ExchangeOutcome {
+        let mut out = ExchangeOutcome::default();
+        m.exchange_with(&mut m.new_state(), clock, sends, None, &mut out);
+        out
+    }
+
     #[test]
     fn single_message_path_times_add_up() {
         let m = model(4);
@@ -554,7 +547,7 @@ mod tests {
                 depart: SimTime::ZERO,
             },
         ];
-        let out = m.exchange(&clocks, &sends);
+        let out = exchange(&m, &clocks, &sends);
         assert_eq!(out.total_bytes, 9_000_000);
         assert_eq!(out.num_messages, 2);
         // Host 0 receives the big message: it waits longer than host 1.
@@ -566,7 +559,7 @@ mod tests {
     fn exchange_with_no_messages_is_instant() {
         let m = model(2);
         let clocks = vec![SimTime::from_secs_f64(1.0), SimTime::from_secs_f64(2.0)];
-        let out = m.exchange(&clocks, &[]);
+        let out = exchange(&m, &clocks, &[]);
         assert_eq!(out.device_done, clocks);
         assert_eq!(out.total_bytes, 0);
         assert!(out.host_wait.iter().all(|&w| w == SimTime::ZERO));
@@ -576,7 +569,7 @@ mod tests {
     fn state_persists_across_exchanges() {
         // Pinned semantics: `exchange_with` leaves link occupancy in the
         // caller's state, so a second exchange queues behind the first;
-        // `exchange` starts fresh every call and never sees the backlog.
+        // an exchange on fresh state never sees the backlog.
         let m = model(4);
         let clocks = vec![SimTime::ZERO; 4];
         let sends = vec![SendDesc {
@@ -595,10 +588,10 @@ mod tests {
             "second exchange must queue behind the first's link occupancy"
         );
 
-        // The stateless convenience is unaffected by prior traffic.
-        let isolated = m.exchange(&clocks, &sends);
+        // Fresh state is unaffected by prior traffic.
+        let isolated = exchange(&m, &clocks, &sends);
         assert_eq!(isolated.device_done[2], first.device_done[2]);
-        let again = m.exchange(&clocks, &sends);
+        let again = exchange(&m, &clocks, &sends);
         assert_eq!(again.device_done[2], first.device_done[2]);
     }
 
@@ -623,7 +616,7 @@ mod tests {
                 depart: SimTime::ZERO,
             },
         ];
-        let out = m.exchange(&clocks, &sends);
+        let out = exchange(&m, &clocks, &sends);
         let wait0 = out.device_done[0].saturating_sub(out.sender_free[0]);
         assert!(wait0 > SimTime::ZERO);
         assert!(out.sender_free[0] < out.device_done[0]);
@@ -685,7 +678,8 @@ mod tests {
         // per-message overhead makes many partners slower.
         let m = model(16);
         let clocks = vec![SimTime::ZERO; 16];
-        let one = m.exchange(
+        let one = exchange(
+            &m,
             &clocks,
             &[SendDesc {
                 from: 0,
@@ -702,7 +696,7 @@ mod tests {
                 depart: SimTime::ZERO,
             })
             .collect();
-        let spread = m.exchange(&clocks, &many);
+        let spread = exchange(&m, &clocks, &many);
         let t1 = one.makespan().as_secs_f64();
         let t7 = spread.makespan().as_secs_f64();
         assert!(t7 > t1, "one={t1} seven={t7}");
@@ -714,7 +708,7 @@ mod tests {
         let empty = ExchangeOutcome::default();
         assert_eq!(empty.makespan(), SimTime::ZERO);
         let m = model(4);
-        let out = m.exchange(&[SimTime::ZERO; 4], &[]);
+        let out = exchange(&m, &[SimTime::ZERO; 4], &[]);
         assert_eq!(out.makespan(), SimTime::ZERO);
     }
 

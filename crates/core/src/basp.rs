@@ -416,10 +416,8 @@ pub fn run_basp<P: VertexProgram>(
                         }
                         // 2. Pre-compute absorb (data-driven): reduced deltas may
                         // activate masters. Idempotent against an empty accumulator.
-                        // Canonical mass produced here reaches mirrors through the
-                        // take-based async broadcast in step 5 (consumable
-                        // generations keep an "unsent" ledger, so a generation the
-                        // master consumes in this round's compute is still shipped).
+                        // Masters it changes stay marked for the broadcast in
+                        // step 5.
                         let mut pre_changed = 0;
                         if !pull {
                             pre_changed = dev.absorb_masters(program);
@@ -468,9 +466,7 @@ pub fn run_basp<P: VertexProgram>(
                             part,
                             plan,
                             config,
-                            true,
                         );
-                        dev.after_broadcast_round(program);
                         dev.clear_sync_marks(program);
                         LocalRound {
                             conv,

@@ -196,18 +196,13 @@ pub fn run_bsp<P: VertexProgram>(
         // --- Direction decision (hybrid programs): a global per-round
         // choice, like Gunrock's direction-optimizing alpha test.
         let use_pull = hybrid && {
-            // K-lane programs weight each active vertex by its number of
-            // active lanes, so the density test compares total lane-work
-            // against the lane-scaled vertex count — for scalar programs
-            // (`lanes() == 1`, unit weights) this is bit-for-bit the old
-            // `active_count()` test.
             let frontier: u64 = devices
                 .iter()
                 .zip(&cand)
                 .filter(|(_, &c)| c)
-                .map(|(d, _)| d.frontier_weight(program))
+                .map(|(d, _)| d.active_count())
                 .sum();
-            program.pull_when(frontier, total_vertices * program.lanes())
+            program.pull_when(frontier, total_vertices)
         };
         // --- Compute phase (devices in parallel; each sequential inside).
         for d in 0..p {
@@ -279,7 +274,7 @@ pub fn run_bsp<P: VertexProgram>(
             devices,
             &alive,
             if all_shared { &alive } else { &marks },
-            |dev| dev.build_sync(program, &[SyncDir::Reduce], part, plan, config, false),
+            |dev| dev.build_sync(program, &[SyncDir::Reduce], part, plan, config),
         );
         exchange(devices, &mut marks);
 
@@ -306,7 +301,7 @@ pub fn run_bsp<P: VertexProgram>(
             devices,
             &alive,
             if all_shared { &alive } else { &marks },
-            |dev| dev.build_sync(program, &[SyncDir::Broadcast], part, plan, config, false),
+            |dev| dev.build_sync(program, &[SyncDir::Broadcast], part, plan, config),
         );
         exchange(devices, &mut cand);
 

@@ -1,13 +1,11 @@
 //! Run configuration: the optimization variants of §IV-C.
 
-use serde::{Deserialize, Serialize};
-
 use dirgl_comm::{CommMode, FaultPlan, RetryConfig};
 use dirgl_gpusim::Balancer;
 use dirgl_partition::Policy;
 
 /// Execution model (§III-B).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExecModel {
     /// Bulk-synchronous parallel: global rounds.
     Sync,
@@ -26,7 +24,7 @@ impl ExecModel {
 }
 
 /// One of the paper's four D-IrGL optimization variants (§IV-C).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Variant {
     /// Computation load balancer (TWC vs ALB).
     pub balancer: Balancer,

@@ -543,10 +543,7 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
         // until the first settled parent (in a synchronous round every
         // settled in-neighbor of an unsettled vertex carries the current
         // level, so the first hit is also the minimum). Only the probes
-        // are charged — the whole point of bottom-up traversal. K-lane
-        // programs opt into the exhaustive scan instead: one lane's first
-        // hit says nothing about the others, so every in-edge is probed and
-        // `accumulate` keeps the per-lane minimum.
+        // are charged — the whole point of bottom-up traversal.
         let mut probes = std::mem::take(&mut self.scratch.probes);
         probes.clear();
         if program.uses_weights() && self.lg.in_csr.is_weighted() {
@@ -566,7 +563,6 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
     }
 
     fn bottom_up_body<const WEIGHTED: bool>(&mut self, program: &P, probes: &mut Vec<u32>) {
-        let exhaustive = program.pull_exhaustive();
         let DeviceRun {
             lg,
             state,
@@ -587,25 +583,21 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
             if WEIGHTED {
                 for (&u, &ew) in targets.iter().zip(weights) {
                     probed += 1;
-                    if let Some(m) = program.pull_msg(&state[u as usize], ew) {
+                    if let Some(m) = program.edge_msg(&state[u as usize], ew) {
                         if program.accumulate(&mut st, m) {
                             updated.set(lv);
                         }
-                        if !exhaustive {
-                            break;
-                        }
+                        break;
                     }
                 }
             } else {
                 for &u in targets {
                     probed += 1;
-                    if let Some(m) = program.pull_msg(&state[u as usize], 0) {
+                    if let Some(m) = program.edge_msg(&state[u as usize], 0) {
                         if program.accumulate(&mut st, m) {
                             updated.set(lv);
                         }
-                        if !exhaustive {
-                            break;
-                        }
+                        break;
                     }
                 }
             }
@@ -617,21 +609,6 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
     /// Global frontier contribution for the hybrid direction decision.
     pub fn active_count(&self) -> u64 {
         self.active.count_ones() as u64
-    }
-
-    /// Lane-weighted frontier contribution: identical to
-    /// [`DeviceRun::active_count`] for scalar programs, the aggregated
-    /// bit-matrix frontier weight (sum of pending-lane popcounts over
-    /// active vertices) for K-lane programs.
-    pub fn frontier_weight(&self, program: &P) -> u64 {
-        if program.lanes() == 1 {
-            self.active_count()
-        } else {
-            self.active
-                .iter_set()
-                .map(|lv| program.frontier_weight(&self.state[lv as usize]))
-                .sum()
-        }
     }
 
     /// Absorb phase: folds accumulators into canonical state on masters.
@@ -682,8 +659,7 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
     /// was built).
     ///
     /// BSP builds one direction per exchange; BASP builds both at once, so
-    /// its sends interleave reduce and broadcast per partner. `async_take`
-    /// selects the asynchronous canonical read for broadcasts.
+    /// its sends interleave reduce and broadcast per partner.
     ///
     /// Inlined into its (three) call sites, each of which passes a literal
     /// `dirs`: the per-partner direction loop then unrolls at compile time.
@@ -697,7 +673,6 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
         part: &Partition,
         plan: &SyncPlan,
         config: &RunConfig,
-        async_take: bool,
     ) -> SimTime {
         self.scratch.built.clear();
         let me = self.dev;
@@ -751,9 +726,8 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
                         SyncDir::Reduce => {
                             self.build_reduce(program, link, entries, idx, mode, divisor)
                         }
-                        SyncDir::Broadcast => self.build_broadcast(
-                            program, link, entries, idx, mode, divisor, async_take, all_dirty,
-                        ),
+                        SyncDir::Broadcast => self
+                            .build_broadcast(program, link, entries, idx, mode, divisor, all_dirty),
                     }
                 };
                 if data.is_empty() {
@@ -869,7 +843,6 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
         index: Option<&ExtractIndex>,
         mode: CommMode,
         divisor: u64,
-        async_take: bool,
         all_dirty: bool,
     ) -> (Vec<(u32, P::Wire)>, u64) {
         let mut payload = self.scratch.take_buf();
@@ -877,12 +850,7 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
             Some(idx) if mode == CommMode::UpdatedOnly => {
                 let state = &self.state;
                 idx.for_each_entry(&self.bcast_dirty, |lv, e| {
-                    let v = if async_take {
-                        program.canonical_async(&state[lv as usize])
-                    } else {
-                        program.canonical(&state[lv as usize])
-                    };
-                    payload.push((e, v));
+                    payload.push((e, program.canonical(&state[lv as usize])));
                 });
             }
             _ => {
@@ -897,23 +865,13 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
                     let state = &self.state;
                     payload.extend(entries.iter().map(|&e| {
                         let st = &state[link.master_side[e as usize] as usize];
-                        let v = if async_take {
-                            program.canonical_async(st)
-                        } else {
-                            program.canonical(st)
-                        };
-                        (e, v)
+                        (e, program.canonical(st))
                     }));
                 } else {
                     for &e in entries {
                         let lv = link.master_side[e as usize];
                         if mode == CommMode::AllShared || self.bcast_dirty.get(lv) {
-                            let v = if async_take {
-                                program.canonical_async(&self.state[lv as usize])
-                            } else {
-                                program.canonical(&self.state[lv as usize])
-                            };
-                            payload.push((e, v));
+                            payload.push((e, program.canonical(&self.state[lv as usize])));
                         }
                     }
                 }
@@ -973,18 +931,6 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
         }
         self.updated.clear_all();
         self.bcast_dirty.clear_all();
-    }
-
-    /// Asynchronous engines: after every broadcast payload of a round has
-    /// been built, settle the per-master broadcast ledgers (consumable
-    /// generations reset their "unsent" portion exactly once per round,
-    /// after all mirror holders received it).
-    pub fn after_broadcast_round(&mut self, program: &P) {
-        // `after_broadcast` never writes `bcast_dirty`, so the direct
-        // range iteration needs no temporary.
-        for lv in self.bcast_dirty.iter_set_in_range(0..self.lg.num_masters) {
-            program.after_broadcast(&mut self.state[lv as usize]);
-        }
     }
 
     /// UO extraction cost for one sync direction on this device (prefix

@@ -32,12 +32,12 @@
 //!   (bc-forward's sigma sums) stays bit-identical;
 //! * lane masks (`pending`, `cur`, `updated`, `dirty`) mirror, per lane,
 //!   exactly the engine's own per-vertex worklist/updated/dirty bits, so
-//!   a lane fires precisely when its scalar run would;
-//! * bottom-up rounds scan exhaustively ([`VertexProgram::pull_exhaustive`])
-//!   and emit from *settled* state ([`VertexProgram::pull_msg`]) rather
-//!   than the per-round push mask: in a synchronous round every settled
-//!   in-neighbor of a still-unsettled lane carries that lane's current
-//!   level, so the exhaustive min equals the scalar first-hit value.
+//!   a lane fires precisely when its scalar run would.
+//!
+//! [`Style::HybridPushPull`] programs are not lane-batched: a bottom-up
+//! scan stops at an unsettled vertex's first producing in-neighbor, which
+//! would serve only the lowest live lane, so [`Lanes::from_programs`]
+//! refuses them.
 //!
 //! ## Message accounting
 //!
@@ -187,7 +187,8 @@ impl<P: VertexProgram> Lanes<P> {
     }
 
     /// Batches explicit per-lane program instances (they must agree on
-    /// style and graph requirements). Panics unless `1 ..= 64` lanes.
+    /// style and graph requirements). Panics unless `1 ..= 64` lanes, and
+    /// on [`Style::HybridPushPull`] programs.
     pub fn from_programs(progs: Vec<P>) -> Lanes<P> {
         assert!(
             (1..=LANE_WIDTH).contains(&progs.len()),
@@ -198,6 +199,11 @@ impl<P: VertexProgram> Lanes<P> {
         assert!(
             progs.iter().all(|p| p.style() == style),
             "all lanes must share a traversal style"
+        );
+        assert!(
+            style != Style::HybridPushPull,
+            "hybrid push/pull programs are not lane-batched: a bottom-up scan stops at \
+             the first producing in-neighbor, which serves only the lowest live lane"
         );
         let live = live_mask(progs.len() as u32);
         let topo = matches!(style, Style::PullTopologyDriven | Style::PushTopologyDriven);
@@ -399,21 +405,6 @@ where
         LaneWire { mask, vals }
     }
 
-    fn canonical_async(&self, state: &Self::State) -> Self::Wire {
-        let mask = state.dirty & self.live;
-        let mut vals = [P::Wire::default(); LANE_WIDTH];
-        for l in lanes_of(mask) {
-            vals[l] = self.progs[l].canonical_async(&state.lane[l]);
-        }
-        LaneWire { mask, vals }
-    }
-
-    fn after_broadcast(&self, state: &mut Self::State) {
-        for l in lanes_of(self.live) {
-            self.progs[l].after_broadcast(&mut state.lane[l]);
-        }
-    }
-
     fn set_canonical(&self, state: &mut Self::State, v: Self::Wire) -> bool {
         let mut changed = 0u64;
         for l in lanes_of(v.mask & self.live) {
@@ -440,46 +431,6 @@ where
         for l in lanes_of(self.live) {
             self.progs[l].consume_after_pull(&mut state.lane[l]);
         }
-    }
-
-    fn pull_when(&self, active: u64, total: u64) -> bool {
-        // One global density test over the aggregated bit-matrix frontier:
-        // `active` is the sum of per-vertex pending-lane popcounts,
-        // `total` the lane-scaled vertex count (`|V| × K`).
-        self.progs[0].pull_when(active, total)
-    }
-
-    fn pull_ready(&self, state: &Self::State) -> bool {
-        lanes_of(self.live).any(|l| self.progs[l].pull_ready(&state.lane[l]))
-    }
-
-    fn pull_msg(&self, state: &Self::State, weight: u32) -> Option<Self::Wire> {
-        // Bottom-up reads *settled* neighbor state, lane by lane — the
-        // neighbor's per-round push mask is stale by the time a pull
-        // round runs, so every live lane is consulted.
-        let mut mask = 0u64;
-        let mut vals = [P::Wire::default(); LANE_WIDTH];
-        for l in lanes_of(self.live) {
-            if let Some(w) = self.progs[l].pull_msg(&state.lane[l], weight) {
-                mask |= 1 << l;
-                vals[l] = w;
-            }
-        }
-        (mask != 0).then_some(LaneWire { mask, vals })
-    }
-
-    fn pull_exhaustive(&self) -> bool {
-        // A first-hit exit would serve only the lowest live lane; every
-        // lane needs to see its candidates.
-        true
-    }
-
-    fn frontier_weight(&self, state: &Self::State) -> u64 {
-        (state.pending & self.live).count_ones() as u64
-    }
-
-    fn lanes(&self) -> u64 {
-        self.progs.len() as u64
     }
 
     fn state_bytes(&self) -> u64 {
@@ -745,14 +696,6 @@ impl VertexProgram for MsBfs {
         true
     }
 
-    fn frontier_weight(&self, state: &MsBfsState) -> u64 {
-        (state.pending & self.live).count_ones() as u64
-    }
-
-    fn lanes(&self) -> u64 {
-        self.sources.len() as u64
-    }
-
     fn state_bytes(&self) -> u64 {
         // K level slots plus the five mask words — what a device kernel
         // would allocate, not the host struct's fixed 64-slot array.
@@ -798,6 +741,7 @@ mod tests {
     #[derive(Clone)]
     struct MinFrom {
         source: u32,
+        style: Style,
     }
 
     impl VertexProgram for MinFrom {
@@ -807,7 +751,7 @@ mod tests {
             "minfrom"
         }
         fn style(&self) -> Style {
-            Style::PushDataDriven
+            self.style
         }
         fn init_state(&self, gv: VertexId, _ctx: &InitCtx<'_>) -> u32 {
             if gv == self.source {
@@ -851,7 +795,10 @@ mod tests {
         type Batched = Lanes<MinFrom>;
 
         fn for_source(&self, source: VertexId) -> MinFrom {
-            MinFrom { source }
+            MinFrom {
+                source,
+                style: self.style,
+            }
         }
 
         fn batched(&self, sources: &[VertexId]) -> Lanes<MinFrom> {
@@ -860,7 +807,11 @@ mod tests {
     }
 
     fn batch(sources: &[u32]) -> Lanes<MinFrom> {
-        Lanes::new(&MinFrom { source: 0 }, sources)
+        let base = MinFrom {
+            source: 0,
+            style: Style::PushDataDriven,
+        };
+        Lanes::new(&base, sources)
     }
 
     #[test]
@@ -935,7 +886,7 @@ mod tests {
         vals[1] = 1;
         let w = LaneWire { mask: 0b010, vals };
         assert_eq!(b.wire_payload_bytes(&w), 8 + VAL_BYTES);
-        assert_eq!(b.lanes(), 3);
+        assert_eq!(b.width(), 3);
     }
 
     #[test]
@@ -954,6 +905,15 @@ mod tests {
     #[should_panic(expected = "1..=64")]
     fn zero_sources_refused() {
         let _ = batch(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not lane-batched")]
+    fn hybrid_programs_refused() {
+        let _ = Lanes::from_programs(vec![MinFrom {
+            source: 0,
+            style: Style::HybridPushPull,
+        }]);
     }
 
     #[test]
@@ -1006,7 +966,7 @@ mod tests {
     fn ms_bfs_wire_is_one_word_regardless_of_width() {
         let b = MsBfs::new(&[1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(b.wire_bytes(), 8);
-        assert_eq!(b.lanes(), 8);
+        assert_eq!(b.width(), 8);
         assert!(!b.supports_async());
         let degs = vec![0u32; 10];
         let ctx = InitCtx::new(10, &degs);

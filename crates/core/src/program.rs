@@ -172,22 +172,6 @@ pub trait VertexProgram: Sync {
     /// the mirror's view changed (activates the mirror).
     fn set_canonical(&self, state: &mut Self::State, v: Self::Wire) -> bool;
 
-    /// Master-only, asynchronous engines: the value broadcast to mirrors
-    /// when rounds are not globally aligned. Defaults to
-    /// [`Self::canonical`]; consumable-generation programs (push pagerank)
-    /// return only the not-yet-broadcast portion here and reset it in
-    /// [`Self::after_broadcast`].
-    fn canonical_async(&self, state: &Self::State) -> Self::Wire {
-        self.canonical(state)
-    }
-
-    /// Master-only, asynchronous engines: called once per local round
-    /// after every broadcast payload has been built (i.e. after all mirror
-    /// holders have been served the same value). Default: no-op.
-    fn after_broadcast(&self, state: &mut Self::State) {
-        let _ = state;
-    }
-
     /// Mirror-only, asynchronous engines: merges a broadcast value when
     /// rounds are not globally aligned. Defaults to [`Self::set_canonical`]
     /// (correct for idempotent min/monotone programs); mass-conserving
@@ -217,43 +201,6 @@ pub trait VertexProgram: Sync {
     fn pull_ready(&self, state: &Self::State) -> bool {
         let _ = state;
         true
-    }
-
-    /// Hybrid styles only: the value a bottom-up scan reads from an
-    /// in-neighbor's state. Defaults to [`Self::edge_msg`] — correct for
-    /// scalar programs, whose push gate is stateless. The K-lane adapter
-    /// overrides it to emit from every settled live lane (a neighbor's
-    /// per-round push mask is stale by the time a bottom-up scan reads it).
-    fn pull_msg(&self, state: &Self::State, weight: u32) -> Option<Self::Wire> {
-        self.edge_msg(state, weight)
-    }
-
-    /// Hybrid styles only: when true, a bottom-up scan visits *all*
-    /// in-edges of an unsettled vertex instead of stopping at the first
-    /// producing neighbor. Scalar bfs keeps the early exit (in a
-    /// synchronous round every settled in-neighbor of an unsettled vertex
-    /// carries the current level, so the first hit is also the minimum);
-    /// the K-lane adapter must keep scanning until every lane has seen its
-    /// candidates.
-    fn pull_exhaustive(&self) -> bool {
-        false
-    }
-
-    /// How many vertex-activations this active proxy represents — the unit
-    /// the hybrid direction choice counts. 1 for scalar programs; the
-    /// K-lane adapter returns the popcount of the vertex's pending lane
-    /// mask so the aggregated bit-matrix frontier density drives the
-    /// push/pull decision.
-    fn frontier_weight(&self, state: &Self::State) -> u64 {
-        let _ = state;
-        1
-    }
-
-    /// Concurrent lanes this program advances per round (1 for scalar
-    /// programs). The hybrid direction test compares the aggregated
-    /// frontier weight against `total_vertices * lanes()`.
-    fn lanes(&self) -> u64 {
-        1
     }
 
     /// Per-vertex device-state bytes charged by the memory model. Defaults

@@ -1,8 +1,6 @@
 //! Execution reports — the decomposition plotted in Figs. 4–6 and 8–9 and
 //! the balance columns of Table IV.
 
-use serde::{Deserialize, Serialize};
-
 use dirgl_comm::SimTime;
 use dirgl_partition::metrics::max_over_mean_f64;
 
@@ -11,7 +9,7 @@ use crate::trace::RoundRecord;
 
 /// One round's cross-device summary, distilled from the trace records of
 /// that round (global round under BSP; same local ordinal under BASP).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RoundSummary {
     /// Round number the summary covers.
     pub round: u32,
@@ -69,7 +67,7 @@ impl RoundSummary {
 }
 
 /// Everything measured about one application run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExecutionReport {
     /// End-to-end simulated execution time (excludes partitioning and
     /// loading, like the paper's reported times).

@@ -3,12 +3,12 @@
 //!
 //! Three pieces:
 //!
-//! * [`DeviceSnapshot`] — a copy of one device's *logical* execution state
+//! * `DeviceSnapshot` — a copy of one device's *logical* execution state
 //!   (labels, worklists, sync marks, round ordinal). Monotonic accounting
 //!   (accumulated compute time, work items, idle time) is deliberately
 //!   *not* part of a snapshot: work lost to a rollback was still
 //!   performed, and the report should say so.
-//! * [`HomeMap`] — the logical→physical device mapping that graceful
+//! * `HomeMap` — the logical→physical device mapping that graceful
 //!   degradation rewrites. Engines compute on *logical* partitions; the
 //!   transport is addressed by *physical* device. Killing device `d`
 //!   without rejoin re-homes logical partition `d` onto a surviving
@@ -16,8 +16,6 @@
 //!   the real oversubscribed GPU would).
 //! * [`ResilienceStats`] — the recovery counters surfaced through
 //!   [`crate::report::ExecutionReport`].
-
-use serde::{Deserialize, Serialize};
 
 use dirgl_comm::{FaultCounters, SimTime};
 use dirgl_gpusim::ClusterSpec;
@@ -27,7 +25,7 @@ use crate::program::VertexProgram;
 
 /// Fault, retry and recovery counters for one run. All zero on a healthy
 /// run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ResilienceStats {
     /// Link-level injection and retry counters from the reliable
     /// transport.

@@ -129,7 +129,7 @@ pub enum Backend {
     #[default]
     Scalar,
     /// K-lane bit-matrix batching: one engine run advances up to
-    /// [`LANE_WIDTH`] sources through [`Lanes`].
+    /// [`LANE_WIDTH`] sources through [`crate::multi::Lanes`].
     Lanes,
 }
 
@@ -867,7 +867,7 @@ impl Runtime {
 
     /// Predicts the per-device memory footprint of running `program`
     /// against `prep`. This is the computation the load check of every
-    /// run performs ([`Runtime::footprint_of`]), so `footprint(...)[d]
+    /// run performs (`Runtime::footprint_of`), so `footprint(...)[d]
     /// .bytes()` equals what a run records in
     /// [`ExecutionReport::memory_per_device`] for device `d`, and the run
     /// OOMs iff some `footprint(...)[d].repr` is `None`. The admission

@@ -251,7 +251,7 @@ impl FaultEvent {
 
 impl RoundRecord {
     /// The record as one JSON object (hand-written: the workspace has no
-    /// serde runtime).
+    /// JSON library).
     pub fn to_json(&self) -> String {
         format!(
             concat!(

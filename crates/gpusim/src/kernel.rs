@@ -1,12 +1,10 @@
 //! Kernel timing: converts a work distribution into simulated seconds.
 
-use serde::{Deserialize, Serialize};
-
 use crate::sched::{distribute, Balancer, WorkDistribution};
 use crate::spec::GpuSpec;
 
 /// Outcome of one simulated kernel launch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct KernelResult {
     /// Simulated wall time of the launch, seconds.
     pub time: f64,

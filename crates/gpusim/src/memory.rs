@@ -7,10 +7,8 @@
 //! capacity produces an [`OomError`], which surfaces in the harness as the
 //! paper's missing data points.
 
-use serde::{Deserialize, Serialize};
-
 /// Allocation failure: the device cannot hold the requested working set.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OomError {
     /// Bytes the failing allocation requested.
     pub requested: u64,
@@ -33,7 +31,7 @@ impl std::fmt::Display for OomError {
 impl std::error::Error for OomError {}
 
 /// Which adjacency representation a device holds its partition in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GraphRepr {
     /// Plain CSR arrays — full edge throughput, full footprint.
     Raw,
@@ -56,7 +54,7 @@ impl GraphRepr {
 /// The admission side computes both candidates once and picks the cheapest
 /// representation the capacity admits — raw preferred (no decode charge),
 /// compressed as the spill fallback.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReprCost {
     /// Bytes with plain CSR adjacency.
     pub raw: u64,

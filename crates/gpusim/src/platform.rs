@@ -1,13 +1,11 @@
 //! Hardware platform descriptions: the Bridges cluster and the Tuxedo
 //! single-host machine of §IV-A.
 
-use serde::Serialize;
-
 use crate::spec::GpuSpec;
 
 /// Interconnect parameters of a cluster (host↔host network and the PCIe
 /// link between each host and its GPUs).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClusterSpec {
     /// Name for reports.
     pub name: &'static str,
@@ -62,7 +60,7 @@ impl ClusterSpec {
 }
 
 /// A concrete set of devices mapped onto hosts.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Platform {
     /// Per-device specifications; `gpus[d]` is device `d`.
     pub gpus: Vec<GpuSpec>,

@@ -15,10 +15,8 @@
 //! degree `d` on a dataset with divisor `s` contributes `(d + 1) * s`
 //! units (its edges plus per-vertex setup).
 
-use serde::{Deserialize, Serialize};
-
 /// Computation load balancer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Balancer {
     /// Thread/Warp/CTA expansion (D-IrGL Var1).
     Twc,
@@ -61,7 +59,7 @@ pub const LB_OVERHEAD: f64 = 1.15;
 pub const TB_OVERHEAD: f64 = 1.10;
 
 /// Work-distribution summary for one kernel launch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WorkDistribution {
     /// Total paper-equivalent edge units processed.
     pub total_work: u64,

@@ -6,10 +6,8 @@
 //! traffic per processed edge including atomics), the standard back-of-
 //! envelope for GPU graph frameworks.
 
-use serde::Serialize;
-
 /// Specification of one GPU device.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name.
     pub name: &'static str,

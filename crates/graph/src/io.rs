@@ -121,27 +121,48 @@ pub fn write_edge_list<W: Write>(g: &Csr, w: W) -> io::Result<()> {
 }
 
 /// Parses a text edge list; `#`-prefixed lines are comments. The vertex
-/// count is `max id + 1` unless `num_vertices` is given.
+/// count is `max id + 1` unless `num_vertices` is given. The text is not
+/// trusted: an id the vertex count cannot hold (at or past `num_vertices`,
+/// or `u32::MAX` when the count is derived) and a file that mixes weighted
+/// with unweighted lines are `InvalidData` naming the line.
 pub fn read_edge_list<R: BufRead>(r: R, num_vertices: Option<u32>) -> io::Result<EdgeList> {
     let mut edges = Vec::new();
     let mut weights: Option<Vec<u32>> = None;
     let mut max_id = 0u32;
+    // Ids stay below this, so `max_id + 1` fits when the count is derived.
+    let limit = num_vertices.unwrap_or(u32::MAX);
     for (lineno, line) in r.lines().enumerate() {
         let line = line?;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
+        let lineno = lineno + 1;
         let mut it = line.split_whitespace();
-        let bad = || invalid(format!("malformed edge list line {}", lineno + 1));
+        let bad = || invalid(format!("malformed edge list line {lineno}"));
         let s: u32 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
         let d: u32 = it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
+        let wt = it.next().map(|tok| tok.parse::<u32>().map_err(|_| bad()));
+        let wt = wt.transpose()?;
+        if s.max(d) >= limit {
+            return Err(invalid(format!(
+                "edge list line {lineno}: vertex id {} is not below {limit}",
+                s.max(d)
+            )));
+        }
         max_id = max_id.max(s).max(d);
-        if let Some(wtok) = it.next() {
-            let wt: u32 = wtok.parse().map_err(|_| bad())?;
-            weights.get_or_insert_with(|| vec![0; edges.len()]).push(wt);
-        } else if let Some(ws) = weights.as_mut() {
-            ws.push(0);
+        // The first edge line says whether the file is weighted.
+        if edges.is_empty() {
+            weights = wt.map(|_| Vec::new());
+        }
+        match (weights.as_mut(), wt) {
+            (Some(ws), Some(wt)) => ws.push(wt),
+            (None, None) => {}
+            _ => {
+                return Err(invalid(format!(
+                    "edge list line {lineno}: weighted and unweighted lines mixed"
+                )))
+            }
         }
         edges.push((s, d));
     }
@@ -266,7 +287,23 @@ mod tests {
 
     #[test]
     fn text_rejects_malformed() {
-        assert!(read_edge_list("0 x\n".as_bytes(), None).is_err());
-        assert!(read_edge_list("42\n".as_bytes(), None).is_err());
+        let cases = [
+            ("a non-numeric id", "0 x\n", None),
+            ("a lone id", "42\n", None),
+            ("an id with no room for max id + 1", "0 4294967295\n", None),
+            ("an id equal to the given count", "0 1\n1 3\n", Some(3)),
+            ("an id past the given count", "7 0\n", Some(3)),
+            ("weighted after unweighted", "0 1\n1 2 7\n", None),
+            ("unweighted after weighted", "0 1 5\n1 2\n", None),
+        ];
+        for (what, text, n) in cases {
+            let err = read_edge_list(text.as_bytes(), n).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        // The largest id a derived count can hold, and the largest a given
+        // count admits.
+        let el = read_edge_list("0 4294967294\n".as_bytes(), None).unwrap();
+        assert_eq!(el.num_vertices, u32::MAX);
+        assert!(read_edge_list("0 2\n".as_bytes(), Some(3)).is_ok());
     }
 }

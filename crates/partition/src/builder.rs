@@ -91,7 +91,7 @@ impl Partition {
     ///
     /// Pass 1 streams the edges once to accumulate out/in-degree
     /// histograms, from which
-    /// [`assign_masters_from_degrees`](crate::masters::assign_masters_from_degrees)
+    /// [`crate::masters::assign_masters_from_degrees`]
     /// derives the master assignment — the same computation
     /// [`assign_masters`] performs from the materialized CSR. Pass 2
     /// streams again, routing each edge through the policy's [`EdgeRule`]

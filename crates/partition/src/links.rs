@@ -11,12 +11,10 @@
 //! construction, steady-state messages carry values (or a bitset + values)
 //! and never global ids.
 
-use serde::{Deserialize, Serialize};
-
 use dirgl_graph::csr::VertexId;
 
 /// Aligned exchange arrays for one (mirror holder, master owner) pair.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PairLink {
     /// Local ids on the mirror-holding device.
     pub mirror_side: Vec<VertexId>,

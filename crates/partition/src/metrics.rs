@@ -1,12 +1,10 @@
 //! Partition quality metrics — the inputs to Table IV and the memory
 //! columns of Table III.
 
-use serde::{Deserialize, Serialize};
-
 use crate::builder::Partition;
 
 /// Static measures of a partition.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PartitionMetrics {
     /// Edges per device.
     pub edges_per_device: Vec<u64>,

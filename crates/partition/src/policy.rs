@@ -1,9 +1,7 @@
 //! Partitioning policies and the CVC device grid.
 
-use serde::{Deserialize, Serialize};
-
 /// A graph partitioning policy (§III-C of the paper).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// Edge-balanced outgoing edge-cut: all out-edges of a vertex are
     /// assigned to its master's device.
@@ -84,7 +82,7 @@ impl std::fmt::Display for Policy {
 /// yields the paper's structural invariants: all proxies of `u` holding
 /// out-edges share `owner(u)`'s grid row; all proxies of `v` holding
 /// in-edges share `owner(v)`'s grid column.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Grid {
     /// Rows.
     pub pr: u32,

@@ -11,7 +11,7 @@
 //!
 //! Three layers:
 //!
-//! * [`JobSpec`]/[`JobRequest`]/[`JobHandle`] ([`mod@crate::job`] items) —
+//! * [`JobSpec`]/[`JobRequest`]/[`JobHandle`] (the `job` module) —
 //!   the client vocabulary: what to compute, at which [`Priority`], with
 //!   what deadline; the handle to block on.
 //! * the result cache — completed outcomes keyed by
@@ -20,7 +20,7 @@
 //! * [`JobServer`] — admission control (source validation, bounded queue
 //!   with reject-with-reason), a priority queue, a fixed executor pool
 //!   bounding jobs in flight, and counters ([`ServerStats`]).
-//! * the resilience layer ([`mod@crate::governor`] + per-job recovery) —
+//! * the resilience layer (the `governor` module + per-job recovery) —
 //!   before launch, the admission governor predicts the job's per-device
 //!   memory footprint with the engine's own formula, checks it against
 //!   health-shrunk residual capacity and walks the lane-width degradation

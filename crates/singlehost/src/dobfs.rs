@@ -8,7 +8,7 @@
 
 use dirgl_apps::bfs::BfsState;
 use dirgl_apps::UNREACHED;
-use dirgl_core::{InitCtx, Lanes, MultiSourceProgram, Style, VertexProgram};
+use dirgl_core::{InitCtx, Style, VertexProgram};
 use dirgl_graph::csr::{Csr, VertexId};
 
 /// Frontier fraction above which rounds switch to bottom-up.
@@ -93,21 +93,6 @@ impl VertexProgram for DoBfs {
 
     fn output(&self, state: &BfsState) -> f64 {
         self.inner().output(state)
-    }
-}
-
-/// Direction-optimizing BFS batches lane-for-lane: the K-lane adapter
-/// aggregates the per-lane frontiers into one density test, and its
-/// exhaustive bottom-up scan keeps every lane's minimum.
-impl MultiSourceProgram for DoBfs {
-    type Batched = Lanes<DoBfs>;
-
-    fn for_source(&self, source: VertexId) -> DoBfs {
-        DoBfs::new(source)
-    }
-
-    fn batched(&self, sources: &[VertexId]) -> Lanes<DoBfs> {
-        Lanes::new(self, sources)
     }
 }
 

@@ -161,7 +161,6 @@ impl GrouteSim {
 mod tests {
     use super::*;
     use dirgl_apps::reference;
-    use dirgl_apps::UNREACHED;
     use dirgl_graph::weights::randomize_weights;
     use dirgl_graph::RmatConfig;
 
@@ -203,57 +202,6 @@ mod tests {
         let want = reference::cc(&g.symmetrize());
         for (got, want) in cc.values.iter().zip(&want) {
             assert_eq!(*got, *want as f64, "groute cc");
-        }
-    }
-
-    #[test]
-    fn batched_direction_optimizing_bfs_matches_scalar_lanes() {
-        // A graph large and dense enough that the hybrid density test
-        // actually flips to bottom-up mid-run, exercising the K-lane
-        // exhaustive pull path and the aggregated direction decision.
-        let g = dirgl_graph::SocialConfig::new(4_000, 80_000, 800, 1_200)
-            .seed(7)
-            .generate();
-        let n = g.num_vertices();
-        let sources: Vec<u32> = (0..6)
-            .map(|k| (g.max_out_degree_vertex() + k * (n / 7 + 1)) % n)
-            .collect();
-        let sim = GunrockSim::new(Platform::tuxedo_n(4), 1);
-        let rt = sim.runtime();
-        let base = DoBfs::new(sources[0]);
-        let lanes = rt
-            .runner(&g, &base)
-            .backend(dirgl_core::Backend::Lanes)
-            .batch(&sources)
-            .execute()
-            .unwrap();
-        let scalar = rt.runner(&g, &base).batch(&sources).execute().unwrap();
-        assert_eq!(lanes.engine_reports.len(), 1, "6 sources fit one chunk");
-        assert_eq!(scalar.engine_reports.len(), sources.len());
-        for (l, s) in lanes.lanes.iter().zip(&scalar.lanes) {
-            assert_eq!(l.source, s.source);
-            let same = l
-                .values
-                .iter()
-                .zip(&s.values)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "source {}: lane diverged from scalar run", l.source);
-            assert_eq!(l.summary, s.summary);
-            // And both equal the sequential reference.
-            let want = reference::bfs(&g, l.source);
-            for (got, want) in l.values.iter().zip(&want) {
-                assert_eq!(*got, *want as f64);
-            }
-        }
-        // The reached sets pack into one bit-matrix frontier.
-        let reached = lanes.frontier_where(|v| v < UNREACHED as f64);
-        for (l, lane) in lanes.lanes.iter().enumerate() {
-            let expect = lane
-                .values
-                .iter()
-                .filter(|&&v| v < UNREACHED as f64)
-                .count() as u64;
-            assert_eq!(reached.lane_weight(l as u32), expect);
         }
     }
 

@@ -51,22 +51,18 @@ pub use singlehost_sim as singlehost;
 
 /// Commonly used items, re-exported for examples and quick experiments.
 pub mod prelude {
-    pub use dirgl_apps::{
-        betweenness_centrality, reference, Bfs, Cc, KCore, PageRank, PageRankPush, Sssp,
-    };
-    pub use dirgl_comm::{CommMode, FaultCounters, FaultPlan, RetryConfig, SimTime};
+    pub use dirgl_apps::{betweenness_centrality, reference, Bfs, Cc, KCore, PageRank, Sssp};
+    pub use dirgl_comm::{CommMode, FaultPlan, SimTime};
     pub use dirgl_core::{
-        run_engine, Backend, BatchedProgram, CollectingSink, ExecModel, ExecutionModel,
-        ExecutionReport, FaultEvent, JsonLinesSink, Lanes, LayoutChoice, MsBfs, MultiRunOutput,
-        MultiSourceProgram, NoopSink, PartitionArg, PreparedPartition, ResilienceStats,
-        RoundRecord, RunConfig, RunError, Runner, Runtime, TraceSink, Variant, LANE_WIDTH,
+        Backend, CollectingSink, ExecutionReport, JsonLinesSink, Lanes, LayoutChoice,
+        MultiSourceProgram, PreparedPartition, RunConfig, RunError, Runtime, Variant,
     };
-    pub use dirgl_gpusim::{Balancer, ClusterSpec, GpuSpec, Platform};
+    pub use dirgl_gpusim::{ClusterSpec, GpuSpec, Platform};
     pub use dirgl_graph::{
         Csr, Dataset, DatasetId, GraphStats, RmatConfig, SocialConfig, WebCrawlConfig,
     };
     pub use dirgl_partition::{Partition, PartitionMetrics, Policy};
-    pub use dirgl_serve::{JobRequest, JobServer, JobSpec, Priority, ServeConfig};
+    pub use dirgl_serve::{JobRequest, JobServer, JobSpec, ServeConfig};
     pub use lux_sim::LuxRuntime;
     pub use singlehost_sim::{GrouteSim, GunrockSim};
 }

@@ -122,17 +122,9 @@ fn corpus() -> Vec<(String, [u64; 3])> {
     );
     cases.push(("dobfs/CVC/Var3".into(), digest));
 
-    // K=3 lane batches: the dense MS-BFS encoding and the exhaustive
-    // bottom-up scan under BSP, the generic value-lane adapter under BASP.
+    // K=3 lane batches: the dense MS-BFS encoding under BSP, the generic
+    // value-lane adapter under BASP.
     let sources = [src, 1, g.num_vertices() / 2];
-    cases.push((
-        "lanes3/dobfs/CVC/Var3".into(),
-        batch(&rt, &g, &DoBfs::new(src), &sources),
-    ));
-    let rt = Runtime::new(
-        Platform::bridges(8),
-        RunConfig::new(Policy::Cvc, Variant::var3()),
-    );
     cases.push((
         "lanes3/bfs/CVC/Var3".into(),
         batch(&rt, &g, &Bfs::new(src), &sources),

@@ -51,7 +51,7 @@ fn holds_for<P: VertexProgram>(g: &Csr, program: &P) {
                 ];
                 for dirs in dirs {
                     let mut dev = fresh();
-                    dev.build_sync(program, dirs, &part, &plan, &config, false);
+                    dev.build_sync(program, dirs, &part, &plan, &config);
                     let built: Vec<Fields<P::Wire>> = dev
                         .scratch
                         .built
@@ -82,7 +82,6 @@ fn holds_for<P: VertexProgram>(g: &Csr, program: &P) {
                                         plan.bcast_at(other * DEVICES + me).1,
                                         mode,
                                         divisor,
-                                        false,
                                         all_dirty,
                                     ),
                                 _ => continue,
