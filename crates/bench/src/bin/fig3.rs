@@ -49,7 +49,7 @@ fn main() {
                 for &n in &counts {
                     let lux = LuxRuntime::new(Platform::bridges(n), ld.ds.divisor);
                     let r = match bench {
-                        BenchId::Cc => lux.run_cc(&ld.ds.graph),
+                        BenchId::Cc => lux.run_cc(ld.graph_for(BenchId::Cc)),
                         BenchId::Pagerank => {
                             let rounds = dirgl_bench::run_dirgl(
                                 BenchId::Pagerank,

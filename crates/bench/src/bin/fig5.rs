@@ -20,7 +20,7 @@ fn main() {
             let mut rows = Vec::new();
             let lux = LuxRuntime::new(platform.clone(), ld.ds.divisor);
             let lux_result = match bench {
-                BenchId::Cc => lux.run_cc(&ld.ds.graph),
+                BenchId::Cc => lux.run_cc(ld.graph_for(BenchId::Cc)),
                 BenchId::Pagerank => {
                     let rounds = dirgl_bench::run_dirgl(
                         BenchId::Pagerank,

@@ -68,7 +68,7 @@ fn main() {
                     let fw = GunrockSim::new(Platform::tuxedo_n(n), ld.ds.divisor);
                     let r = match bench {
                         BenchId::Bfs => fw.run_bfs(&ld.ds.graph),
-                        BenchId::Cc => fw.run_cc(&ld.ds.graph),
+                        BenchId::Cc => fw.run_cc(ld.graph_for(BenchId::Cc)),
                         BenchId::Sssp => fw.run_sssp(&ld.ds.graph),
                         _ => unreachable!(),
                     };
@@ -87,7 +87,7 @@ fn main() {
                 let fw = GrouteSim::new(Platform::tuxedo_n(n), ld.ds.divisor);
                 let r = match bench {
                     BenchId::Bfs => fw.run_bfs(&ld.ds.graph),
-                    BenchId::Cc => fw.run_cc(&ld.ds.graph),
+                    BenchId::Cc => fw.run_cc(ld.graph_for(BenchId::Cc)),
                     BenchId::Pagerank => fw.run_pagerank(&ld.ds.graph),
                     BenchId::Sssp => fw.run_sssp(&ld.ds.graph),
                     _ => unreachable!(),
@@ -109,7 +109,7 @@ fn main() {
                     }
                     let lux = LuxRuntime::new(Platform::tuxedo_n(n), ld.ds.divisor);
                     let r = match bench {
-                        BenchId::Cc => lux.run_cc(&ld.ds.graph),
+                        BenchId::Cc => lux.run_cc(ld.graph_for(BenchId::Cc)),
                         // Round parity with D-IrGL's converged pr.
                         BenchId::Pagerank => {
                             let mut cache = PartitionCache::new();

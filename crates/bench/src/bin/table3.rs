@@ -35,19 +35,22 @@ fn main() {
     let mut dirgl = Vec::new();
     for ld in &datasets {
         gunrock.push(
-            match GunrockSim::new(platform.clone(), ld.ds.divisor).run_cc(&ld.ds.graph) {
+            match GunrockSim::new(platform.clone(), ld.ds.divisor).run_cc(ld.graph_for(BenchId::Cc))
+            {
                 Ok(o) => gb(o.report.max_memory()),
                 Err(_) => "OOM".into(),
             },
         );
         groute.push(
-            match GrouteSim::new(platform.clone(), ld.ds.divisor).run_cc(&ld.ds.graph) {
+            match GrouteSim::new(platform.clone(), ld.ds.divisor).run_cc(ld.graph_for(BenchId::Cc))
+            {
                 Ok(o) => gb(o.report.max_memory()),
                 Err(_) => "OOM".into(),
             },
         );
         lux.push(
-            match LuxRuntime::new(platform.clone(), ld.ds.divisor).run_cc(&ld.ds.graph) {
+            match LuxRuntime::new(platform.clone(), ld.ds.divisor).run_cc(ld.graph_for(BenchId::Cc))
+            {
                 Ok(o) => gb(o.report.max_memory()),
                 Err(_) => "OOM".into(),
             },

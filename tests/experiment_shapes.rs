@@ -183,10 +183,10 @@ fn lux_memory_constant_dirgl_smallest() {
     let a = LoadedDataset::load(DatasetId::Rmat23, 8);
     let b = LoadedDataset::load(DatasetId::Orkut, 8);
     let lux_a = LuxRuntime::new(Platform::tuxedo(), a.ds.divisor)
-        .run_cc(&a.ds.graph)
+        .run_cc(a.graph_for(BenchId::Cc))
         .unwrap();
     let lux_b = LuxRuntime::new(Platform::tuxedo(), b.ds.divisor)
-        .run_cc(&b.ds.graph)
+        .run_cc(b.graph_for(BenchId::Cc))
         .unwrap();
     assert_eq!(lux_a.report.max_memory(), lux_b.report.max_memory());
     let mut cache = PartitionCache::new();
