@@ -20,6 +20,7 @@
 //! cargo run --release --bin bench_batch -- [--scale N] [--gpus N] [--out PATH]
 //! ```
 
+use std::num::{NonZeroU32, NonZeroU64};
 use std::time::Instant;
 
 use dirgl_bench::cli::{or_exit, write_output, ArgStream, CliError};
@@ -33,15 +34,15 @@ const USAGE: &str = "usage: bench_batch [--scale N] [--gpus N] [--out PATH]";
 const LANE_COUNTS: [usize; 3] = [1, 8, 64];
 
 struct Opts {
-    extra_scale: u64,
-    gpus: u32,
+    extra_scale: NonZeroU64,
+    gpus: NonZeroU32,
     out_path: String,
 }
 
 fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
     let mut o = Opts {
-        extra_scale: 1,
-        gpus: 4,
+        extra_scale: NonZeroU64::MIN,
+        gpus: NonZeroU32::new(4).unwrap(),
         out_path: "BENCH_batch.json".to_string(),
     };
     while let Some(a) = it.next_arg() {
@@ -104,7 +105,7 @@ fn main() {
         out_path,
     } = or_exit(try_parse(ArgStream::from_env()), USAGE);
 
-    let ld = LoadedDataset::load(DatasetId::Indochina04, extra_scale);
+    let ld = LoadedDataset::load(DatasetId::Indochina04, extra_scale.get());
     let g = &ld.ds.graph;
     let n = g.num_vertices();
     let base = g.max_out_degree_vertex();
@@ -114,7 +115,7 @@ fn main() {
         g.num_edges()
     );
 
-    let platform = Platform::bridges(gpus);
+    let platform = Platform::bridges(gpus.get());
     let cfg = || RunConfig::new(Policy::Cvc, Variant::var3());
     let mut cache = PartitionCache::new();
 

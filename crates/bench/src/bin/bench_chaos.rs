@@ -29,6 +29,7 @@
 //! cargo run --release --bin bench_chaos -- [--scale N] [--seed N] [--out PATH]
 //! ```
 
+use std::num::NonZeroU64;
 use std::time::{Duration, Instant};
 
 use dirgl_bench::cli::{or_exit, write_output, ArgStream, CliError};
@@ -44,14 +45,14 @@ const DEVICES: u32 = 4;
 const USAGE: &str = "usage: bench_chaos [--scale N] [--seed N] [--out PATH]";
 
 struct Opts {
-    extra_scale: u64,
+    extra_scale: NonZeroU64,
     seed: u64,
     out_path: String,
 }
 
 fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
     let mut o = Opts {
-        extra_scale: 1,
+        extra_scale: NonZeroU64::MIN,
         seed: 7,
         out_path: "BENCH_chaos.json".to_string(),
     };
@@ -189,7 +190,7 @@ fn main() {
         out_path,
     } = or_exit(try_parse(ArgStream::from_env()), USAGE);
 
-    let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale);
+    let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale.get());
     let g = &ld.ds.graph;
     let base_cfg = || RunConfig::new(Policy::Cvc, Variant::var3()).scale(ld.ds.divisor);
     let faulty_cfg = |plan: FaultPlan| base_cfg().with_faults(plan).with_checkpoints(2);

@@ -24,6 +24,7 @@
 //! cargo run --release --bin bench_faults -- [--scale N] [--out PATH]
 //! ```
 
+use std::num::NonZeroU64;
 use std::time::Instant;
 
 use dirgl_bench::cli::{or_exit, write_output, ArgStream, CliError};
@@ -44,13 +45,13 @@ const CKPT_EVERY: u32 = 2;
 const USAGE: &str = "usage: bench_faults [--scale N] [--out PATH]";
 
 struct Opts {
-    extra_scale: u64,
+    extra_scale: NonZeroU64,
     out_path: String,
 }
 
 fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
     let mut o = Opts {
-        extra_scale: 1,
+        extra_scale: NonZeroU64::MIN,
         out_path: "BENCH_faults.json".to_string(),
     };
     while let Some(a) = it.next_arg() {
@@ -88,7 +89,7 @@ fn main() {
         out_path,
     } = or_exit(try_parse(ArgStream::from_env()), USAGE);
 
-    let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale);
+    let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale.get());
     let mut h = Harness {
         ld,
         platform: Platform::bridges(DEVICES),

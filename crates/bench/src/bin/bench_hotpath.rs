@@ -25,6 +25,7 @@
 //!
 //! [`ExtractIndex`]: dirgl_comm::ExtractIndex
 
+use std::num::{NonZeroU32, NonZeroU64};
 use std::time::Instant;
 
 use dirgl_apps::{Bfs, PageRank};
@@ -45,15 +46,15 @@ const BENCHES: [BenchId; 2] = [BenchId::Bfs, BenchId::Pagerank];
 const USAGE: &str = "usage: bench_hotpath [--scale N] [--reps N] [--out PATH]";
 
 struct Opts {
-    extra_scale: u64,
-    reps: u32,
+    extra_scale: NonZeroU64,
+    reps: NonZeroU32,
     out_path: String,
 }
 
 fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
     let mut o = Opts {
-        extra_scale: 1,
-        reps: 1,
+        extra_scale: NonZeroU64::MIN,
+        reps: NonZeroU32::MIN,
         out_path: "BENCH_hotpath.json".to_string(),
     };
     while let Some(a) = it.next_arg() {
@@ -86,9 +87,8 @@ fn main() {
         reps,
         out_path,
     } = or_exit(try_parse(ArgStream::from_env()), USAGE);
-    let reps = reps.max(1);
 
-    let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale);
+    let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale.get());
     let mut cfg = RunConfig::new(Policy::Iec, Variant::var3());
     cfg.scale_divisor = ld.ds.divisor;
     cfg.seed = 0x5EED;
@@ -110,7 +110,7 @@ fn main() {
         let mut wall_s = f64::INFINITY;
         let mut allocs = 0;
         let mut last = None;
-        for _ in 0..reps {
+        for _ in 0..reps.get() {
             let a0 = alloc::alloc_count();
             let t0 = Instant::now();
             let out = run(bench, &ld, &rt, &prep);

@@ -8,6 +8,7 @@
 //! cargo run --release --bin bench_parallel -- [--scale N] [--threads N] [--out PATH]
 //! ```
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::time::Instant;
 
 use dirgl_bench::cli::{or_exit, write_output, ArgStream, CliError};
@@ -24,18 +25,17 @@ const BENCHES: [BenchId; 3] = [BenchId::Bfs, BenchId::Pagerank, BenchId::Cc];
 const USAGE: &str = "usage: bench_parallel [--scale N] [--threads N] [--out PATH]";
 
 struct Opts {
-    extra_scale: u64,
-    threads: usize,
+    extra_scale: NonZeroU64,
+    threads: NonZeroUsize,
     out_path: String,
 }
 
 fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
     let mut o = Opts {
-        extra_scale: 1,
+        extra_scale: NonZeroU64::MIN,
         threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .max(2),
+            .unwrap_or(NonZeroUsize::MIN)
+            .max(NonZeroUsize::new(2).unwrap()),
         out_path: "BENCH_parallel.json".to_string(),
     };
     while let Some(a) = it.next_arg() {
@@ -59,7 +59,7 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale);
+    let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale.get());
     let platform = Platform::bridges(DEVICES);
     let mut cache = PartitionCache::new();
     // Warm the partition cache so both timed passes measure only the engine.
@@ -69,7 +69,7 @@ fn main() {
 
     let seq_pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
     let par_pool = ThreadPoolBuilder::new()
-        .num_threads(threads)
+        .num_threads(threads.get())
         .build()
         .unwrap();
 

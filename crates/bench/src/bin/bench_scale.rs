@@ -34,6 +34,7 @@
 //! [`CompressedCsr`]: dirgl_graph::CompressedCsr
 //! [`TrackingAlloc`]: dirgl_bench::alloc::TrackingAlloc
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::time::Instant;
 
 use dirgl_apps::Bfs;
@@ -55,18 +56,18 @@ const USAGE: &str = "usage: bench_scale [--max-divisor N] [--min-divisor N] \
                      [--chunk-edges N] [--budget-gb X] [--out PATH]";
 
 struct Opts {
-    max_divisor: u64,
-    min_divisor: u64,
-    chunk_edges: usize,
+    max_divisor: NonZeroU64,
+    min_divisor: NonZeroU64,
+    chunk_edges: NonZeroUsize,
     budget_gb: f64,
     out_path: String,
 }
 
 fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
     let mut o = Opts {
-        max_divisor: 1024,
-        min_divisor: 1,
-        chunk_edges: 1 << 20,
+        max_divisor: NonZeroU64::new(1024).unwrap(),
+        min_divisor: NonZeroU64::MIN,
+        chunk_edges: NonZeroUsize::new(1 << 20).unwrap(),
         budget_gb: 0.1,
         out_path: "BENCH_scale.json".to_string(),
     };
@@ -80,14 +81,11 @@ fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
             other => return Err(CliError::unknown_arg(other)),
         }
     }
-    if o.max_divisor < o.min_divisor || o.min_divisor == 0 {
+    if o.max_divisor < o.min_divisor {
         return Err(CliError::new(format!(
-            "--max-divisor {} must be >= --min-divisor {} >= 1",
+            "--max-divisor {} must be >= --min-divisor {}",
             o.max_divisor, o.min_divisor
         )));
-    }
-    if o.chunk_edges == 0 {
-        return Err(CliError::new("--chunk-edges must be >= 1"));
     }
     Ok(o)
 }
@@ -189,9 +187,9 @@ fn main() {
     let (mut plain_deepest, mut compressed_deepest) = (None, None);
     let mut ratio_deepest = 0.0f64;
 
-    let mut divisor = max_divisor;
+    let mut divisor = max_divisor.get();
     loop {
-        let comp = ingest_compressed(divisor, chunk_edges);
+        let comp = ingest_compressed(divisor, chunk_edges.get());
         let (n, m, raw_bytes, compressed_bytes) = comp.stats.unwrap();
         let ratio = raw_bytes as f64 / compressed_bytes as f64;
         let comp_ok = comp.peak_bytes <= budget_bytes;
@@ -260,7 +258,7 @@ fn main() {
         println!();
 
         plain_alive = plain_ok;
-        if !comp_ok || divisor <= min_divisor {
+        if !comp_ok || divisor <= min_divisor.get() {
             break;
         }
         divisor /= 2;
@@ -275,7 +273,7 @@ fn main() {
     // never fit at all, credit the whole compressed range.
     let steps_deeper = match (plain_deepest, compressed_deepest) {
         (Some(p), Some(c)) => (p / c.max(1)).max(1).ilog2() as u64,
-        (None, Some(c)) => (max_divisor / c.max(1)).max(1).ilog2() as u64 + 1,
+        (None, Some(c)) => (max_divisor.get() / c.max(1)).max(1).ilog2() as u64 + 1,
         _ => 0,
     };
     println!(

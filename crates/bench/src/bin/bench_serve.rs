@@ -10,6 +10,7 @@
 //! cargo run --release --bin bench_serve -- [--scale N] [--gpus N] [--out PATH]
 //! ```
 
+use std::num::{NonZeroU32, NonZeroU64};
 use std::time::Instant;
 
 use dirgl_bench::cli::{or_exit, write_output, ArgStream, CliError};
@@ -24,15 +25,15 @@ const USAGE: &str = "usage: bench_serve [--scale N] [--gpus N] [--out PATH]";
 const CONCURRENCY: [usize; 3] = [1, 4, 16];
 
 struct Opts {
-    extra_scale: u64,
-    gpus: u32,
+    extra_scale: NonZeroU64,
+    gpus: NonZeroU32,
     out_path: String,
 }
 
 fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
     let mut o = Opts {
-        extra_scale: 1,
-        gpus: 4,
+        extra_scale: NonZeroU64::MIN,
+        gpus: NonZeroU32::new(4).unwrap(),
         out_path: "BENCH_serve.json".to_string(),
     };
     while let Some(a) = it.next_arg() {
@@ -116,7 +117,7 @@ fn main() {
         out_path,
     } = or_exit(try_parse(ArgStream::from_env()), USAGE);
 
-    let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale);
+    let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale.get());
     let g = &ld.ds.graph;
     println!(
         "bench_serve: twitter50 (|V|={} |E|={}), CVC/Var4 @ {gpus} GPUs\n",
@@ -136,7 +137,7 @@ fn main() {
         let t_load = Instant::now();
         let server = JobServer::load(
             g,
-            Platform::bridges(gpus),
+            Platform::bridges(gpus.get()),
             RunConfig::var4(Policy::Cvc).scale(ld.ds.divisor),
             serve_cfg,
         )

@@ -16,6 +16,8 @@
 //!     --checkpoint-every 4
 //! ```
 
+use std::num::{NonZeroU32, NonZeroU64};
+
 use dirgl_bench::cli::{or_exit, parse_source_list, ArgStream, CliError};
 use dirgl_bench::{open_trace_file, BenchId, LoadedDataset, PartitionCache, TraceFileSink};
 use dirgl_comm::FaultPlan;
@@ -27,11 +29,11 @@ use dirgl_partition::Policy;
 struct Opts {
     bench: BenchId,
     input: DatasetId,
-    gpus: u32,
+    gpus: NonZeroU32,
     policy: Policy,
     variant: Variant,
     platform: String,
-    extra_scale: u64,
+    extra_scale: NonZeroU64,
     gpudirect: bool,
     throttle_ms: f64,
     trace: Option<String>,
@@ -54,11 +56,11 @@ fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
     let mut o = Opts {
         bench: BenchId::Bfs,
         input: DatasetId::Rmat23,
-        gpus: 4,
+        gpus: NonZeroU32::new(4).unwrap(),
         policy: Policy::Cvc,
         variant: Variant::var4(),
         platform: "bridges".into(),
-        extra_scale: 1,
+        extra_scale: NonZeroU64::MIN,
         gpudirect: false,
         throttle_ms: 0.0,
         trace: None,
@@ -142,8 +144,8 @@ fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
 fn main() {
     let o = or_exit(try_parse(ArgStream::from_env()), USAGE);
     let platform = match o.platform.as_str() {
-        "bridges" => Platform::bridges(o.gpus),
-        "tuxedo" => Platform::tuxedo_n(o.gpus),
+        "bridges" => Platform::bridges(o.gpus.get()),
+        "tuxedo" => Platform::tuxedo_n(o.gpus.get()),
         p => or_exit(Err(CliError::new(format!("unknown platform `{p}`"))), USAGE),
     };
     // Open the trace sink before the (slow) dataset generation so a bad
@@ -155,7 +157,7 @@ fn main() {
         o.input.name(),
         o.extra_scale
     );
-    let ld = LoadedDataset::load(o.input, o.extra_scale);
+    let ld = LoadedDataset::load(o.input, o.extra_scale.get());
     println!(
         "analogue: |V|={} |E|={} divisor={}",
         ld.ds.graph.num_vertices(),

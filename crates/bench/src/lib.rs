@@ -29,6 +29,7 @@ pub mod baseline;
 pub mod cli;
 
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 
 use cli::{ArgStream, CliError};
 use dirgl_apps::{Bfs, Cc, KCore, PageRank, Sssp};
@@ -90,7 +91,11 @@ impl Args {
         };
         while let Some(a) = it.next_arg() {
             match a.as_str() {
-                "--scale" => args.extra_scale = it.parsed("--scale", "a positive integer")?,
+                "--scale" => {
+                    args.extra_scale = it
+                        .parsed::<NonZeroU64>("--scale", "a positive integer")?
+                        .get()
+                }
                 "--quick" => {
                     args.quick = true;
                     args.extra_scale = args.extra_scale.max(4);
@@ -525,6 +530,8 @@ mod tests {
         assert!(err.message.contains("--wat"), "{}", err.message);
         let err = Args::try_parse(cli::ArgStream::from_tokens(["--scale", "x"])).unwrap_err();
         assert!(err.message.contains("--scale"), "{}", err.message);
+        let err = Args::try_parse(cli::ArgStream::from_tokens(["--scale", "0"])).unwrap_err();
+        assert_eq!(err.message, "--scale needs a positive integer, got `0`");
     }
 
     #[test]
