@@ -84,26 +84,19 @@ impl VertexProgram for PageRank {
         true // topology-driven: ignored, every vertex computes every round
     }
 
-    fn edge_msg(&self, _state: &PrState, _weight: u32) -> Option<f32> {
-        None // pull-only program
-    }
-
-    fn pull_contribution(&self, neighbor: &PrState, _weight: u32) -> Option<f32> {
-        let c = neighbor.residual * neighbor.kappa;
-        (c != 0.0).then_some(c)
+    fn edge_msg(&self, state: &PrState, _weight: u32) -> Option<f32> {
+        // Always a message, so the pull body folds every in-edge without a
+        // branch: a zero one is inert (see `accumulate`).
+        Some(state.residual * state.kappa)
     }
 
     fn accumulate(&self, state: &mut PrState, msg: f32) -> bool {
         // Unconditional add: a zero message adds +0.0, which is a bitwise
         // no-op because `acc` is a sum of non-negative contributions and
-        // never -0.0 — exactly the `inert_contribution` contract, so the
-        // pull body can fold contributions branch-free.
+        // never -0.0 (nor is a message: residual and kappa are
+        // non-negative), and it reports no change.
         state.acc += msg;
         msg != 0.0
-    }
-
-    fn inert_contribution(&self) -> Option<f32> {
-        Some(0.0)
     }
 
     fn absorb(&self, state: &mut PrState) -> bool {
@@ -187,7 +180,7 @@ mod tests {
         // Sinks contribute nothing.
         let sink = pr.init_state(1, &c);
         assert_eq!(sink.kappa, 0.0);
-        assert_eq!(pr.pull_contribution(&sink, 0), None);
+        assert_eq!(pr.edge_msg(&sink, 0), Some(0.0));
     }
 
     #[test]

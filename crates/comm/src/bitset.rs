@@ -160,136 +160,6 @@ impl DenseBitset {
     }
 }
 
-/// A bit-matrix frontier for K-lane multi-source execution: one `u64`
-/// lane word per vertex, bit `l` meaning "vertex is on lane `l`'s
-/// frontier". Where [`DenseBitset`] answers "is this vertex active?",
-/// `LaneFrontier` answers "on which of up to 64 concurrent traversals?"
-/// — the GraphBLAST framing of K batched sources as a bit-matrix mask,
-/// combined word-at-a-time.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LaneFrontier {
-    words: Vec<u64>,
-    live: u64,
-}
-
-impl LaneFrontier {
-    /// Maximum number of lanes packable into one vertex word.
-    pub const MAX_LANES: u32 = 64;
-
-    /// An all-empty frontier over `len` vertices and `lanes` live lanes
-    /// (1 ..= 64).
-    pub fn new(len: u32, lanes: u32) -> LaneFrontier {
-        assert!(
-            (1..=Self::MAX_LANES).contains(&lanes),
-            "lanes must be 1..=64, got {lanes}"
-        );
-        LaneFrontier {
-            words: vec![0; len as usize],
-            live: live_mask(lanes),
-        }
-    }
-
-    /// Number of vertices.
-    #[inline]
-    pub fn len(&self) -> u32 {
-        self.words.len() as u32
-    }
-
-    /// True when no vertex is on any lane's frontier.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// The live-lane mask (low `lanes` bits set).
-    #[inline]
-    pub fn live(&self) -> u64 {
-        self.live
-    }
-
-    /// Vertex `v`'s lane word.
-    #[inline]
-    pub fn word(&self, v: u32) -> u64 {
-        self.words[v as usize]
-    }
-
-    /// ORs `mask` (clamped to live lanes) into vertex `v`'s word.
-    #[inline]
-    pub fn or_word(&mut self, v: u32, mask: u64) {
-        self.words[v as usize] |= mask & self.live;
-    }
-
-    /// Replaces vertex `v`'s word (clamped to live lanes).
-    #[inline]
-    pub fn set_word(&mut self, v: u32, mask: u64) {
-        self.words[v as usize] = mask & self.live;
-    }
-
-    /// Puts vertex `v` on lane `l`'s frontier.
-    #[inline]
-    pub fn set(&mut self, v: u32, l: u32) {
-        debug_assert!(1u64 << l & self.live != 0, "lane {l} not live");
-        self.words[v as usize] |= 1u64 << l;
-    }
-
-    /// True when vertex `v` is on lane `l`'s frontier.
-    #[inline]
-    pub fn get(&self, v: u32, l: u32) -> bool {
-        self.words[v as usize] >> l & 1 == 1
-    }
-
-    /// Zeroes every word.
-    pub fn clear_all(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
-    /// Total (vertex, lane) memberships — the aggregated K-lane frontier
-    /// size that drives the batched push/pull direction choice.
-    pub fn weight(&self) -> u64 {
-        self.words.iter().map(|w| w.count_ones() as u64).sum()
-    }
-
-    /// Frontier size of one lane (column popcount).
-    pub fn lane_weight(&self, l: u32) -> u64 {
-        self.words.iter().filter(|&&w| w >> l & 1 == 1).count() as u64
-    }
-
-    /// Vertices active on *any* lane, in ascending order.
-    pub fn iter_active(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w != 0)
-            .map(|(v, _)| v as u32)
-    }
-
-    /// Extracts lane `l`'s frontier as a plain [`DenseBitset`] column.
-    pub fn column(&self, l: u32) -> DenseBitset {
-        let mut out = DenseBitset::new(self.len());
-        for (v, &w) in self.words.iter().enumerate() {
-            if w >> l & 1 == 1 {
-                out.set(v as u32);
-            }
-        }
-        out
-    }
-
-    /// In-place word-at-a-time union.
-    pub fn union_with(&mut self, other: &LaneFrontier) {
-        assert_eq!(self.words.len(), other.words.len());
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// In-place word-at-a-time intersection.
-    pub fn intersect_with(&mut self, other: &LaneFrontier) {
-        assert_eq!(self.words.len(), other.words.len());
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-}
-
 /// The low-`lanes` live mask shared by every K-lane structure
 /// (`lanes == 64` must not overflow the shift).
 #[inline]
@@ -445,55 +315,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn lane_frontier_words_and_columns_agree() {
-        let mut lf = LaneFrontier::new(100, 3);
-        lf.set(5, 0);
-        lf.set(5, 2);
-        lf.set(70, 1);
-        lf.or_word(70, 0b101);
-        assert_eq!(lf.word(5), 0b101);
-        assert_eq!(lf.word(70), 0b111);
-        assert!(lf.get(5, 0) && !lf.get(5, 1) && lf.get(5, 2));
-        assert_eq!(lf.weight(), 5);
-        assert_eq!(lf.lane_weight(0), 2);
-        assert_eq!(lf.lane_weight(1), 1);
-        assert_eq!(lf.iter_active().collect::<Vec<u32>>(), [5, 70]);
-        let col0 = lf.column(0);
-        assert!(col0.get(5) && col0.get(70) && !col0.get(6));
-        assert_eq!(col0.count_ones(), 2);
-    }
-
-    #[test]
-    fn lane_frontier_clamps_to_live_lanes() {
-        let mut lf = LaneFrontier::new(10, 2);
-        lf.or_word(3, u64::MAX);
-        assert_eq!(lf.word(3), 0b11);
-        lf.set_word(3, 0b1000_0001);
-        assert_eq!(lf.word(3), 0b01);
-        assert_eq!(LaneFrontier::new(10, 64).live(), u64::MAX);
-        assert_eq!(LaneFrontier::new(10, 1).live(), 1);
-    }
-
-    #[test]
-    fn lane_frontier_set_algebra() {
-        let mut a = LaneFrontier::new(8, 64);
-        let mut b = LaneFrontier::new(8, 64);
-        a.or_word(1, 0b0110);
-        b.or_word(1, 0b0011);
-        b.or_word(2, 0b1000);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.word(1), 0b0111);
-        assert_eq!(u.word(2), 0b1000);
-        a.intersect_with(&b);
-        assert_eq!(a.word(1), 0b0010);
-        assert_eq!(a.word(2), 0);
-        assert!(!u.is_empty());
-        u.clear_all();
-        assert!(u.is_empty());
     }
 
     #[test]

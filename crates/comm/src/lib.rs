@@ -31,7 +31,7 @@ pub mod net;
 pub mod plan;
 pub mod reliable;
 
-pub use bitset::{live_mask, DenseBitset, LaneFrontier};
+pub use bitset::{live_mask, DenseBitset};
 pub use clock::SimTime;
 pub use faults::{
     CrashSpec, FaultCounters, FaultInjector, FaultPlan, LinkFate, RetryConfig, StragglerSpec,

@@ -51,7 +51,7 @@ use crate::engine::{
     capture_checkpoint, restore_checkpoint, scale_time, termination_check_cost, EngineOutcome,
     FaultCtx,
 };
-use crate::program::{Style, VertexProgram};
+use crate::program::{Style, VertexProgram, PULL_THRESHOLD};
 use crate::resilience::{DeviceSnapshot, ResilienceStats};
 use crate::trace::{EngineKind, FaultEvent, RoundRecord, TraceDirection, TraceSink};
 
@@ -202,7 +202,7 @@ pub fn run_bsp<P: VertexProgram>(
                 .filter(|(_, &c)| c)
                 .map(|(d, _)| d.active_count())
                 .sum();
-            program.pull_when(frontier, total_vertices)
+            frontier as f64 > PULL_THRESHOLD * total_vertices as f64
         };
         // --- Compute phase (devices in parallel; each sequential inside).
         for d in 0..p {

@@ -178,12 +178,6 @@ impl RunConfig {
         self
     }
 
-    /// Sets the retry policy (builder style).
-    pub fn with_retry(mut self, retry: RetryConfig) -> RunConfig {
-        self.retry = retry;
-        self
-    }
-
     /// Enables compressed-adjacency spill for over-capacity devices
     /// (builder style).
     pub fn with_spill(mut self, spill: bool) -> RunConfig {

@@ -56,13 +56,10 @@ pub struct RoundScratch<W> {
     /// set, walked word-at-a-time, cleared after use).
     frontier: DenseBitset,
     /// Local rows with at least one in-edge, in ascending order: the pull
-    /// phase iterates only these. Derived once per run from the immutable
-    /// local CSR (mirror rows are empty — mirrors are pulled *from*), so
-    /// a checkpoint rollback never needs to reset it.
-    pull_rows: Vec<u32>,
-    /// Whether [`RoundScratch::pull_rows`] has been derived yet (an empty
-    /// list is legitimate on a device with no in-edges).
-    pull_rows_built: bool,
+    /// phase iterates only these. Derived at the first pull from the
+    /// immutable local CSR (mirror rows are empty — mirrors are pulled
+    /// *from*), so a checkpoint rollback never needs to reset it.
+    pull_rows: Option<Vec<u32>>,
     /// Cached `(time, total_work)` of the topology-driven pull launch:
     /// the balancer sees the same static degree sequence every round, and
     /// [`dirgl_gpusim::KernelModel::launch`] is pure, so one evaluation
@@ -89,8 +86,7 @@ impl<W> RoundScratch<W> {
         RoundScratch {
             pool: Vec::new(),
             frontier: DenseBitset::new(0),
-            pull_rows: Vec::new(),
-            pull_rows_built: false,
+            pull_rows: None,
             pull_launch: None,
             probes: Vec::new(),
             built: Vec::new(),
@@ -429,20 +425,20 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
         };
         self.work_items += total_work;
         if program.uses_weights() && self.lg.in_csr.is_weighted() {
-            self.pull_body_weighted(program);
+            self.pull_body::<true>(program);
         } else {
-            self.pull_body_unweighted(program);
+            self.pull_body::<false>(program);
         }
         time + self.drain_decode_charge()
     }
 
-    /// Unweighted pull over the precomputed nonempty rows: only rows with
-    /// in-edges are visited (mirrors are pulled *from*, so most local
-    /// in-windows are empty), every edge passes weight 0, and the
-    /// write-back is skipped when no contribution accumulated
+    /// Pull over the precomputed nonempty rows: only rows with in-edges
+    /// are visited (mirrors are pulled *from*, so most local in-windows are
+    /// empty), each in-neighbor's [`VertexProgram::edge_msg`] folds into
+    /// the row, and the write-back is skipped when nothing accumulated
     /// (`accumulate` returning false means the local copy still equals the
     /// stored state).
-    fn pull_body_unweighted(&mut self, program: &P) {
+    fn pull_body<const WEIGHTED: bool>(&mut self, program: &P) {
         let DeviceRun {
             lg,
             state,
@@ -451,15 +447,13 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
             spill,
             ..
         } = self;
-        if !scratch.pull_rows_built {
-            scratch.pull_rows_built = true;
-            scratch.pull_rows = (0..lg.num_vertices())
+        let rows = scratch.pull_rows.get_or_insert_with(|| {
+            (0..lg.num_vertices())
                 .filter(|&lv| lg.in_csr.out_degree(lv) > 0)
-                .collect();
-        }
-        let inert = program.inert_contribution();
-        for &lv in &scratch.pull_rows {
-            let (targets, _) = match spill {
+                .collect()
+        });
+        for &lv in rows.iter() {
+            let (targets, weights) = match spill {
                 Some(sp) => sp.in_window(lv),
                 None => lg.in_csr.edge_window(lv),
             };
@@ -467,24 +461,16 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
             // Accumulate into a local copy so reads of other entries are
             // unaffected within the round.
             let mut st = state[lv as usize];
-            match inert {
-                // Branch-free fold: accumulating the identity is a
-                // bitwise no-op (see `inert_contribution`), so every
-                // in-edge contributes unconditionally and the per-edge
-                // `Option` test disappears from the loop body.
-                Some(z) => {
-                    for &u in targets {
-                        let c = program
-                            .pull_contribution(&state[u as usize], 0)
-                            .unwrap_or(z);
-                        changed |= program.accumulate(&mut st, c);
+            if WEIGHTED {
+                for (&u, &ew) in targets.iter().zip(weights) {
+                    if let Some(m) = program.edge_msg(&state[u as usize], ew) {
+                        changed |= program.accumulate(&mut st, m);
                     }
                 }
-                None => {
-                    for &u in targets {
-                        if let Some(c) = program.pull_contribution(&state[u as usize], 0) {
-                            changed |= program.accumulate(&mut st, c);
-                        }
+            } else {
+                for &u in targets {
+                    if let Some(m) = program.edge_msg(&state[u as usize], 0) {
+                        changed |= program.accumulate(&mut st, m);
                     }
                 }
             }
@@ -495,43 +481,12 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
         }
     }
 
-    fn pull_body_weighted(&mut self, program: &P) {
-        let DeviceRun {
-            lg,
-            state,
-            updated,
-            spill,
-            ..
-        } = self;
-        for lv in 0..lg.num_vertices() {
-            let (targets, weights) = match spill {
-                Some(sp) => sp.in_window(lv),
-                None => lg.in_csr.edge_window(lv),
-            };
-            if targets.is_empty() {
-                continue;
-            }
-            let mut changed = false;
-            // Accumulate into a local copy so reads of other entries are
-            // unaffected within the round.
-            let mut st = state[lv as usize];
-            for (&u, &ew) in targets.iter().zip(weights) {
-                if let Some(c) = program.pull_contribution(&state[u as usize], ew) {
-                    changed |= program.accumulate(&mut st, c);
-                }
-            }
-            state[lv as usize] = st;
-            if changed {
-                updated.set(lv);
-            }
-        }
-    }
-
     /// Bottom-up round for hybrid programs (direction-optimizing BFS):
-    /// instead of expanding the frontier, every still-unsettled vertex
-    /// ([`VertexProgram::pull_ready`]) scans its local in-edges for a
-    /// settled parent. The frontier is consumed; newly settled vertices
-    /// activate through the normal absorb/broadcast path.
+    /// instead of expanding the frontier, every vertex with nothing to send
+    /// yet (its own [`VertexProgram::edge_msg`] is `None`: bfs's unreached
+    /// vertices) scans its local in-edges for a neighbor that sends. The
+    /// frontier is consumed; newly settled vertices activate through the
+    /// normal absorb/broadcast path.
     pub fn compute_bottom_up(
         &mut self,
         program: &P,
@@ -571,7 +526,7 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
             ..
         } = self;
         for lv in 0..lg.num_vertices() {
-            if !program.pull_ready(&state[lv as usize]) {
+            if program.edge_msg(&state[lv as usize], 0).is_some() {
                 continue;
             }
             let (targets, weights) = match spill {
@@ -965,37 +920,4 @@ fn sized_wire_bytes<P: VertexProgram>(
         CommMode::AllShared => 0,
     };
     message::message_bytes_sized(mode, entries, entries * program.wire_bytes(), uo_payload)
-}
-
-/// Mutably borrows two distinct devices.
-pub fn get2_mut<T>(xs: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
-    assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = xs.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = xs.split_at_mut(a);
-        (&mut hi[0], &mut lo[b])
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn get2_mut_borrows_disjoint() {
-        let mut v = vec![1, 2, 3, 4];
-        let (a, b) = get2_mut(&mut v, 3, 1);
-        *a += 10;
-        *b += 20;
-        assert_eq!(v, vec![1, 22, 3, 14]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn get2_mut_rejects_same_index() {
-        let mut v = vec![1, 2];
-        let _ = get2_mut(&mut v, 1, 1);
-    }
 }

@@ -3,13 +3,15 @@
 //!
 //! The moving parts:
 //!
-//! * [`program::VertexProgram`] — the operator abstraction (push
-//!   data-driven or pull topology-driven, §III-E);
+//! * [`program::VertexProgram`] — the operator abstraction: one edge
+//!   operator, applied by push, pull or bottom-up rounds as the program's
+//!   [`program::Style`] says (§III-E);
 //! * [`config::Variant`] — the four optimization variants of §IV-C
 //!   (TWC/ALB × AS/UO × Sync/Async);
-//! * [`device`] — one device's state, its compute bodies (one hot path),
-//!   and the sync-message core both engines use: [`device::SyncMsg`],
-//!   [`device::DeviceRun::build_sync`], [`device::DeviceRun::apply_sync`];
+//! * [`device`] — one device's state, its three compute bodies (push,
+//!   pull, bottom-up), and the sync-message core both engines use:
+//!   [`device::SyncMsg`], [`device::DeviceRun::build_sync`],
+//!   [`device::DeviceRun::apply_sync`];
 //! * [`bsp`] / [`basp`] — the two execution models of §III-B, each reduced
 //!   to its schedule (global rounds vs. a virtual-time event heap),
 //!   dispatched through [`engine::run_engine`] by
@@ -47,7 +49,7 @@ pub use multi::{
     lanes_of, BatchedProgram, LaneState, LaneWire, Lanes, MsBfs, MsBfsState, MultiSourceProgram,
     LANE_WIDTH, MS_UNREACHED,
 };
-pub use program::{InitCtx, Style, VertexProgram};
+pub use program::{InitCtx, Style, VertexProgram, PULL_THRESHOLD};
 pub use report::{ExecutionReport, RoundSummary};
 pub use resilience::ResilienceStats;
 pub use runtime::{

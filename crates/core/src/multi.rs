@@ -6,8 +6,8 @@
 //! [`Lanes`] exploits that: it lifts any lane-independent
 //! [`VertexProgram`] (one whose semantics depend only on its source
 //! vertex) to a batched program whose per-vertex state is a *lane array*
-//! of `K ≤ 64` scalar states plus packed `u64` lane masks, the in-core
-//! view of the [`dirgl_comm::LaneFrontier`] bit matrix. Every engine
+//! of `K ≤ 64` scalar states plus packed `u64` lane masks: one row of a
+//! K-column frontier bit matrix per vertex. Every engine
 //! mechanism — frontier worklists, UO extraction, BASP event timing,
 //! checkpoint/rollback — operates on the batched program unchanged,
 //! because [`Lanes`] is just another `VertexProgram`.
@@ -34,10 +34,12 @@
 //!   exactly the engine's own per-vertex worklist/updated/dirty bits, so
 //!   a lane fires precisely when its scalar run would.
 //!
-//! [`Style::HybridPushPull`] programs are not lane-batched: a bottom-up
-//! scan stops at an unsettled vertex's first producing in-neighbor, which
-//! would serve only the lowest live lane, so [`Lanes::from_programs`]
-//! refuses them.
+//! Only push programs are lane-batched; [`Lanes::from_programs`] refuses
+//! the other two directions. A [`Style::HybridPushPull`] bottom-up scan
+//! stops at an unsettled vertex's first producing in-neighbor, which would
+//! serve only the lowest live lane, and a [`Style::PullTopologyDriven`]
+//! round would read [`VertexProgram::edge_msg`], which [`Lanes`] gates by
+//! the push mask.
 //!
 //! ## Message accounting
 //!
@@ -188,7 +190,8 @@ impl<P: VertexProgram> Lanes<P> {
 
     /// Batches explicit per-lane program instances (they must agree on
     /// style and graph requirements). Panics unless `1 ..= 64` lanes, and
-    /// on [`Style::HybridPushPull`] programs.
+    /// on [`Style::HybridPushPull`] and [`Style::PullTopologyDriven`]
+    /// programs.
     pub fn from_programs(progs: Vec<P>) -> Lanes<P> {
         assert!(
             (1..=LANE_WIDTH).contains(&progs.len()),
@@ -201,12 +204,13 @@ impl<P: VertexProgram> Lanes<P> {
             "all lanes must share a traversal style"
         );
         assert!(
-            style != Style::HybridPushPull,
-            "hybrid push/pull programs are not lane-batched: a bottom-up scan stops at \
-             the first producing in-neighbor, which serves only the lowest live lane"
+            matches!(style, Style::PushDataDriven | Style::PushTopologyDriven),
+            "{style:?} programs are not lane-batched: a bottom-up scan stops at the first \
+             producing in-neighbor, which serves only the lowest live lane, and a pull reads \
+             edge_msg, which the lane adapter gates by the push mask"
         );
         let live = live_mask(progs.len() as u32);
-        let topo = matches!(style, Style::PullTopologyDriven | Style::PushTopologyDriven);
+        let topo = style == Style::PushTopologyDriven;
         Lanes {
             lane_aux: progs.iter().map(|_| None).collect(),
             progs,
@@ -219,16 +223,6 @@ impl<P: VertexProgram> Lanes<P> {
     /// Number of lanes (K).
     pub fn width(&self) -> usize {
         self.progs.len()
-    }
-
-    /// Mask of live lanes: `live_mask(K)`.
-    pub fn live(&self) -> u64 {
-        self.live
-    }
-
-    /// The scalar program driving lane `l`.
-    pub fn lane_program(&self, l: usize) -> &P {
-        &self.progs[l]
     }
 
     /// Seeds lane `l`'s initialization with its own auxiliary words
@@ -351,18 +345,6 @@ where
         (mask != 0).then_some(LaneWire { mask, vals })
     }
 
-    fn pull_contribution(&self, neighbor: &Self::State, weight: u32) -> Option<Self::Wire> {
-        let mut mask = 0u64;
-        let mut vals = [P::Wire::default(); LANE_WIDTH];
-        for l in lanes_of(self.live) {
-            if let Some(w) = self.progs[l].pull_contribution(&neighbor.lane[l], weight) {
-                mask |= 1 << l;
-                vals[l] = w;
-            }
-        }
-        (mask != 0).then_some(LaneWire { mask, vals })
-    }
-
     fn accumulate(&self, state: &mut Self::State, msg: Self::Wire) -> bool {
         let mut changed = 0u64;
         for l in lanes_of(msg.mask & self.live) {
@@ -425,12 +407,6 @@ where
         }
         state.pending |= changed;
         changed != 0
-    }
-
-    fn consume_after_pull(&self, state: &mut Self::State) {
-        for l in lanes_of(self.live) {
-            self.progs[l].consume_after_pull(&mut state.lane[l]);
-        }
     }
 
     fn state_bytes(&self) -> u64 {
@@ -913,6 +889,15 @@ mod tests {
         let _ = Lanes::from_programs(vec![MinFrom {
             source: 0,
             style: Style::HybridPushPull,
+        }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "PullTopologyDriven programs are not lane-batched")]
+    fn pull_programs_refused() {
+        let _ = Lanes::from_programs(vec![MinFrom {
+            source: 0,
+            style: Style::PullTopologyDriven,
         }]);
     }
 

@@ -11,11 +11,15 @@
 //!
 //! ## Engine contract (one round)
 //!
-//! 1. **compute** — active vertices [`VertexProgram::begin_push`] then send
-//!    [`VertexProgram::edge_msg`] along local out-edges (push), or every
-//!    vertex folds [`VertexProgram::pull_contribution`] over local in-edges
-//!    (pull); all deliveries go through [`VertexProgram::accumulate`] into
-//!    the *local* proxy, never across devices.
+//! 1. **compute** — one edge operator, [`VertexProgram::edge_msg`], in the
+//!    direction the [`Style`] picks. A push round runs
+//!    [`VertexProgram::begin_push`] on each active vertex and sends its
+//!    `edge_msg` along local out-edges. A pull round has every vertex fold
+//!    each in-neighbor's `edge_msg` over its local in-edges. A bottom-up
+//!    round has every vertex whose own `edge_msg(state, 0)` is `None` scan
+//!    its in-edges up to the first neighbor that sends. All deliveries go
+//!    through [`VertexProgram::accumulate`] into the *local* proxy, never
+//!    across devices.
 //! 2. **reduce** — each written mirror's [`VertexProgram::take_delta`] is
 //!    combined into its master with `accumulate`.
 //! 3. **absorb** — masters fold their accumulator into canonical state
@@ -36,10 +40,13 @@ pub enum Style {
     /// (pagerank in D-IrGL — "residual based algorithm").
     PullTopologyDriven,
     /// Data-driven with per-round direction switching: push from the
-    /// frontier while it is small, bottom-up pull over the unsettled
-    /// vertices while it is large. Only Gunrock uses this in the paper
-    /// ("direction-optimizing traversal for bfs"); the BSP driver decides
-    /// the direction globally per round via [`VertexProgram::pull_when`].
+    /// frontier while it is small, bottom-up while it is large. Only
+    /// Gunrock uses this in the paper ("direction-optimizing traversal for
+    /// bfs"). The BSP driver decides the direction globally per round: a
+    /// round goes bottom-up when the global frontier exceeds
+    /// [`PULL_THRESHOLD`] of the vertices, and then the vertices that scan
+    /// are those whose own [`VertexProgram::edge_msg`] is `None` (bfs: the
+    /// unreached ones). BASP rounds always push.
     HybridPushPull,
     /// Topology-driven push: every vertex runs [`VertexProgram::begin_push`]
     /// every round; the program gates who actually pushes (betweenness
@@ -50,6 +57,10 @@ pub enum Style {
     /// asynchronously*".
     PushTopologyDriven,
 }
+
+/// Frontier fraction above which a [`Style::HybridPushPull`] round goes
+/// bottom-up (Beamer et al.'s alpha test, as Gunrock's bfs applies it).
+pub const PULL_THRESHOLD: f64 = 0.05;
 
 /// Global, device-independent facts available at initialization.
 pub struct InitCtx<'a> {
@@ -118,43 +129,21 @@ pub trait VertexProgram: Sync {
         true
     }
 
-    /// The value pushed along an out-edge of weight `weight` (push styles).
+    /// The value a vertex in `state` sends over an edge of weight
+    /// `weight`, or `None` when it sends nothing: the one edge operator of
+    /// every direction (see the module doc).
     ///
     /// Must be a pure function of `(state, weight)` for the duration of
     /// one compute phase: the engine evaluates it once per active source
     /// on unweighted traversals and reuses the message along every
-    /// out-edge.
+    /// out-edge. A pull round reads it from in-neighbors while it
+    /// accumulates into other vertices, so it must also depend only on
+    /// fields [`VertexProgram::accumulate`] never writes.
     fn edge_msg(&self, state: &Self::State, weight: u32) -> Option<Self::Wire>;
-
-    /// The contribution pulled from in-neighbor state `neighbor` over an
-    /// edge of weight `weight` (pull styles).
-    ///
-    /// Must depend only on fields [`VertexProgram::accumulate`] never
-    /// writes: the engine may evaluate every vertex's contribution once
-    /// at the start of the round and gather from that cache while
-    /// accumulating, so a contribution must not observe in-round
-    /// accumulator changes.
-    fn pull_contribution(&self, neighbor: &Self::State, weight: u32) -> Option<Self::Wire> {
-        let _ = (neighbor, weight);
-        None
-    }
 
     /// Folds an incoming value into the proxy's accumulator. Returns true
     /// if the accumulator changed (the proxy counts as *updated*).
     fn accumulate(&self, state: &mut Self::State, msg: Self::Wire) -> bool;
-
-    /// The identity element of [`VertexProgram::accumulate`], when the
-    /// program has one: a wire value `z` such that `accumulate(st, z)`
-    /// leaves every reachable state bit-unchanged and returns `false`,
-    /// and such that [`VertexProgram::pull_contribution`] returns `None`
-    /// only where the raw contribution equals `z`. Declaring it lets the
-    /// pull compute body fold `pull_contribution(..).unwrap_or(z)` over
-    /// every in-edge instead of testing each `Option` — a branch-free
-    /// inner loop with bit-identical results. Defaults to `None` (no
-    /// identity; the engine keeps the branchy fold).
-    fn inert_contribution(&self) -> Option<Self::Wire> {
-        None
-    }
 
     /// Master-only: folds the accumulator into canonical state, exactly
     /// once per round, after all local and reduced values are in. Returns
@@ -186,21 +175,6 @@ pub trait VertexProgram: Sync {
     /// the next local round (residual consumption). Default: no-op.
     fn consume_after_pull(&self, state: &mut Self::State) {
         let _ = state;
-    }
-
-    /// Hybrid styles only: pull this round? `active` is the global frontier
-    /// size, `total` the global vertex count (direction-optimizing BFS's
-    /// alpha test).
-    fn pull_when(&self, active: u64, total: u64) -> bool {
-        let _ = (active, total);
-        false
-    }
-
-    /// Hybrid styles only: does this vertex still scan its in-edges in a
-    /// pull round (bfs: still unreached)?
-    fn pull_ready(&self, state: &Self::State) -> bool {
-        let _ = state;
-        true
     }
 
     /// Per-vertex device-state bytes charged by the memory model. Defaults
@@ -326,6 +300,5 @@ mod tests {
         assert_eq!(p.max_rounds(), 100_000);
         let mut s = 5;
         assert!(p.begin_push(&mut s));
-        assert_eq!(p.pull_contribution(&s, 0), None);
     }
 }

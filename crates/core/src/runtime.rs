@@ -35,7 +35,7 @@
 //! execution; results are byte-identical to the equivalent one-shot
 //! `runner(...).execute()` (pinned by `crates/serve` tests).
 
-use dirgl_comm::{LaneFrontier, NetModel, SimTime, SyncPlan};
+use dirgl_comm::{NetModel, SimTime, SyncPlan};
 use dirgl_gpusim::{GraphRepr, OomError, Platform, ReprCost};
 use dirgl_graph::csr::{Csr, VertexId};
 use dirgl_partition::{LocalGraph, Partition};
@@ -218,27 +218,6 @@ pub struct MultiRunOutput {
     pub engine_reports: Vec<ExecutionReport>,
     /// Per-source outputs, in the order the sources were given.
     pub lanes: Vec<LaneOutput>,
-}
-
-impl MultiRunOutput {
-    /// Packs the vertices whose output satisfies `pred` into a
-    /// [`LaneFrontier`] bit matrix, one lane per source (e.g. the
-    /// reached sets of a traversal batch). Only the first
-    /// [`LANE_WIDTH`] sources fit one frontier word; larger batches
-    /// truncate.
-    pub fn frontier_where(&self, pred: impl Fn(f64) -> bool) -> LaneFrontier {
-        let n = self.lanes.first().map_or(0, |l| l.values.len());
-        let k = self.lanes.len().min(LANE_WIDTH) as u32;
-        let mut f = LaneFrontier::new(n as u32, k.max(1));
-        for (l, lane) in self.lanes.iter().take(LANE_WIDTH).enumerate() {
-            for (v, &val) in lane.values.iter().enumerate() {
-                if pred(val) {
-                    f.set(v as u32, l as u32);
-                }
-            }
-        }
-        f
-    }
 }
 
 /// Executes vertex programs on a simulated multi-GPU platform with a fixed

@@ -10,10 +10,22 @@ use dirgl_gpusim::{Balancer, Platform};
 use dirgl_graph::csr::{Csr, CsrBuilder, VertexId};
 use dirgl_partition::Policy;
 
-/// Minimal single-source min-propagation (bfs with unit steps), used to
-/// observe engine mechanics precisely.
+/// Minimal single-source min-propagation, used to observe engine mechanics
+/// precisely: bfs with unit steps, pushed; or with `pull`, shortest paths
+/// over edge weights, pulled every round (the only program that reaches the
+/// weighted pull body).
 struct MinProp {
     source: VertexId,
+    pull: bool,
+}
+
+impl MinProp {
+    fn bfs(source: VertexId) -> MinProp {
+        MinProp {
+            source,
+            pull: false,
+        }
+    }
 }
 
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -29,7 +41,14 @@ impl VertexProgram for MinProp {
         "minprop"
     }
     fn style(&self) -> Style {
-        Style::PushDataDriven
+        if self.pull {
+            Style::PullTopologyDriven
+        } else {
+            Style::PushDataDriven
+        }
+    }
+    fn uses_weights(&self) -> bool {
+        self.pull
     }
     fn init_state(&self, gv: VertexId, _ctx: &InitCtx<'_>) -> St {
         St {
@@ -40,8 +59,8 @@ impl VertexProgram for MinProp {
     fn initially_active(&self, gv: VertexId, _ctx: &InitCtx<'_>) -> bool {
         gv == self.source
     }
-    fn edge_msg(&self, state: &St, _w: u32) -> Option<u32> {
-        (state.dist != u32::MAX).then(|| state.dist + 1)
+    fn edge_msg(&self, state: &St, w: u32) -> Option<u32> {
+        (state.dist != u32::MAX).then(|| state.dist + if self.pull { w } else { 1 })
     }
     fn accumulate(&self, state: &mut St, msg: u32) -> bool {
         if msg < state.acc && msg < state.dist {
@@ -90,7 +109,7 @@ fn path(n: u32) -> Csr {
 
 fn run(g: &Csr, cfg: RunConfig, devices: u32) -> dirgl_core::RunOutput {
     Runtime::new(Platform::bridges(devices), cfg)
-        .runner(g, &MinProp { source: 0 })
+        .runner(g, &MinProp::bfs(0))
         .execute()
         .unwrap()
 }
@@ -228,7 +247,7 @@ fn empty_graph_terminates_immediately() {
 fn run_traced(g: &Csr, cfg: RunConfig, devices: u32) -> (dirgl_core::RunOutput, CollectingSink) {
     let mut sink = CollectingSink::new();
     let out = Runtime::new(Platform::bridges(devices), cfg)
-        .runner(g, &MinProp { source: 0 })
+        .runner(g, &MinProp::bfs(0))
         .trace(&mut sink)
         .execute()
         .unwrap();
@@ -383,9 +402,7 @@ fn with_layout_is_the_identity() {
     // The only thing left of the per-device layouts is a shim that hands
     // the handle back; a job against it is a job against the original.
     let g = dirgl_graph::RmatConfig::new(10, 8).seed(5).generate();
-    let bfs = MinProp {
-        source: Runtime::max_out_degree_source(&g).unwrap(),
-    };
+    let bfs = MinProp::bfs(Runtime::max_out_degree_source(&g).unwrap());
     let seen = |out: dirgl_core::RunOutput| {
         let bits: Vec<u64> = out.values.iter().map(|v| v.to_bits()).collect();
         (format!("{:?}", out.report), bits)
@@ -404,4 +421,62 @@ fn with_layout_is_the_identity() {
             "{policy}"
         );
     }
+}
+
+/// Bellman–Ford over every edge of `g`, as the reference distances.
+fn bellman_ford(g: &Csr, source: VertexId) -> Vec<f64> {
+    let mut dist = vec![u32::MAX; g.num_vertices() as usize];
+    dist[source as usize] = 0;
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for u in 0..g.num_vertices() {
+            let du = dist[u as usize];
+            let (targets, weights) = g.edge_window(u);
+            for (&v, &w) in targets.iter().zip(weights) {
+                if du != u32::MAX && du + w < dist[v as usize] {
+                    dist[v as usize] = du + w;
+                    changed = true;
+                }
+            }
+        }
+    }
+    dist.into_iter().map(f64::from).collect()
+}
+
+#[test]
+fn weighted_pull_matches_bellman_ford() {
+    let g = dirgl_graph::RmatConfig::new(9, 8).seed(11).generate();
+    let g = dirgl_graph::weights::randomize_weights(&g, 100, 0x5EED);
+    let source = Runtime::max_out_degree_source(&g).unwrap();
+    let prog = MinProp { source, pull: true };
+    let want = bellman_ford(&g, source);
+    for policy in [Policy::Iec, Policy::Cvc] {
+        for variant in [Variant::var3(), Variant::var4()] {
+            let rt = Runtime::new(Platform::bridges(4), RunConfig::new(policy, variant));
+            let out = rt.runner(&g, &prog).execute().unwrap();
+            assert_eq!(out.values, want, "{policy} {}", variant.label());
+        }
+    }
+
+    // Spilled: a capacity between the largest compressed and the largest
+    // raw footprint, so at least one device decodes its in-edges.
+    let config = RunConfig::new(Policy::Cvc, Variant::var3()).with_spill(true);
+    let rt = Runtime::new(Platform::bridges(4), config.clone());
+    let prep = rt.prepare(&g, false).unwrap();
+    let costs: Vec<_> = rt
+        .footprint(&prep, &prog)
+        .iter()
+        .map(|fp| fp.cost)
+        .collect();
+    let raw = costs.iter().map(|c| c.raw).max().unwrap();
+    let cap = (raw + costs.iter().map(|c| c.compressed).max().unwrap()) / 2;
+    let mut tight = Platform::bridges(4);
+    tight.gpus.iter_mut().for_each(|gpu| gpu.memory_bytes = cap);
+    let out = Runtime::new(tight, config)
+        .job(&prep, &prog)
+        .execute()
+        .unwrap();
+    assert!(out.report.memory_per_device.iter().all(|&m| m <= cap) && raw > cap);
+    assert_eq!(out.values, want, "spilled");
 }

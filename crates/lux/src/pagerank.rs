@@ -60,13 +60,9 @@ impl VertexProgram for LuxPageRank {
         true
     }
 
-    fn edge_msg(&self, _state: &LuxPrState, _weight: u32) -> Option<f32> {
-        None
-    }
-
-    fn pull_contribution(&self, neighbor: &LuxPrState, _weight: u32) -> Option<f32> {
-        let c = neighbor.rank * neighbor.kappa;
-        (c != 0.0).then_some(c)
+    fn edge_msg(&self, state: &LuxPrState, _weight: u32) -> Option<f32> {
+        // A zero message is inert: `accumulate` skips it.
+        Some(state.rank * state.kappa)
     }
 
     fn accumulate(&self, state: &mut LuxPrState, msg: f32) -> bool {

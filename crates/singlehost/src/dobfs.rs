@@ -2,17 +2,15 @@
 //!
 //! Top-down (push) while the frontier is small; bottom-up (pull) — every
 //! unreached vertex scans its in-edges for a reached parent — while the
-//! frontier is a sizeable fraction of the graph. On low-diameter power-law
+//! frontier is more than [`dirgl_core::PULL_THRESHOLD`] of the graph. The
+//! engine applies both rules to every [`Style::HybridPushPull`] program, so
+//! this one is plain bfs with that style. On low-diameter power-law
 //! inputs the bottom-up phase skips the enormous middle-frontier edge
 //! expansion, which is exactly Gunrock's Table II advantage.
 
 use dirgl_apps::bfs::BfsState;
-use dirgl_apps::UNREACHED;
 use dirgl_core::{InitCtx, Style, VertexProgram};
 use dirgl_graph::csr::{Csr, VertexId};
-
-/// Frontier fraction above which rounds switch to bottom-up.
-pub const PULL_THRESHOLD: f64 = 0.05;
 
 /// Direction-optimizing BFS from `source`.
 #[derive(Clone, Copy, Debug)]
@@ -83,40 +81,7 @@ impl VertexProgram for DoBfs {
         self.inner().set_canonical(state, v)
     }
 
-    fn pull_when(&self, active: u64, total: u64) -> bool {
-        active as f64 > PULL_THRESHOLD * total as f64
-    }
-
-    fn pull_ready(&self, state: &BfsState) -> bool {
-        state.dist == UNREACHED
-    }
-
     fn output(&self, state: &BfsState) -> f64 {
         self.inner().output(state)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn direction_test_thresholds() {
-        let b = DoBfs::new(0);
-        assert!(!b.pull_when(10, 1000));
-        assert!(b.pull_when(100, 1000));
-    }
-
-    #[test]
-    fn pull_ready_only_for_unreached() {
-        let b = DoBfs::new(0);
-        assert!(b.pull_ready(&BfsState {
-            dist: UNREACHED,
-            acc: UNREACHED
-        }));
-        assert!(!b.pull_ready(&BfsState {
-            dist: 3,
-            acc: UNREACHED
-        }));
     }
 }
