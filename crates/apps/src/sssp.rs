@@ -69,12 +69,12 @@ impl VertexProgram for Sssp {
     }
 
     fn accumulate(&self, state: &mut SsspState, msg: u32) -> bool {
-        if msg < state.acc && msg < state.dist {
-            state.acc = msg;
-            true
-        } else {
-            false
-        }
+        // A compare-and-select: in a relax loop whether a candidate
+        // improves follows the edge weights, so a branch on it would
+        // mispredict often.
+        let better = msg < state.acc.min(state.dist);
+        state.acc = std::hint::select_unpredictable(better, msg, state.acc);
+        better
     }
 
     fn absorb(&self, state: &mut SsspState) -> bool {
@@ -147,6 +147,48 @@ mod tests {
             acc: UNREACHED,
         };
         assert_eq!(s.edge_msg(&st, 100), Some(u32::MAX));
+    }
+
+    /// The branchy form the compare-and-select replaced.
+    fn accumulate_branchy(state: &mut SsspState, msg: u32) -> bool {
+        if msg < state.acc && msg < state.dist {
+            state.acc = msg;
+            true
+        } else {
+            false
+        }
+    }
+
+    #[test]
+    fn accumulate_equals_the_branchy_form() {
+        let s = Sssp::new(0);
+        let values = [0, 7, 8, 9, UNREACHED - 1, UNREACHED];
+        for dist in values {
+            for acc in values {
+                let st = SsspState { dist, acc };
+                // Ties with either field, the unreached sentinel, and one
+                // below each field.
+                let msgs = [
+                    acc,
+                    dist,
+                    UNREACHED,
+                    acc.saturating_sub(1),
+                    dist.saturating_sub(1),
+                ];
+                for msg in msgs {
+                    let (mut got, mut want) = (st, st);
+                    let took = s.accumulate(&mut got, msg);
+                    assert_eq!(took, accumulate_branchy(&mut want, msg), "{st:?} <- {msg}");
+                    assert_eq!(got, want, "{st:?} <- {msg}");
+                }
+            }
+        }
+        // A tie with either field never improves, nor does the sentinel.
+        let mut st = SsspState { dist: 9, acc: 8 };
+        assert!(!s.accumulate(&mut st, 8));
+        assert!(!s.accumulate(&mut SsspState { dist: 8, acc: 9 }, 8));
+        assert!(!s.accumulate(&mut st, UNREACHED));
+        assert_eq!(st, SsspState { dist: 9, acc: 8 });
     }
 
     #[test]

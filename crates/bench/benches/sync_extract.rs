@@ -7,8 +7,8 @@
 //! - `uo_indexed` — UO extraction through the sync plan's [`ExtractIndex`]
 //!   (iterates `updated ∧ members`, sparsity-proportional);
 //! - `uo_dense`   — UO extraction via the dense per-entry walk (probes
-//!   every link entry regardless of density; what the engines' density
-//!   gate falls back to on near-dense frontiers);
+//!   every link entry regardless of density; the engines take it only for
+//!   a fully dirty broadcast);
 //! - `as_dense`   — AS extraction (ships every entry; density-independent
 //!   upper bound).
 //!

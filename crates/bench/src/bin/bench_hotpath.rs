@@ -1,8 +1,8 @@
 //! Wall-clock + allocation + digest benchmark for the host hot path:
 //! fig3-style 16-device runs (twitter50, IEC, Var3) of the engine alone
-//! (sparsity-proportional [`ExtractIndex`] extraction behind a density
-//! gate, scratch-buffer pooling, word-at-a-time kernel bodies), written to
-//! `BENCH_hotpath.json`.
+//! (sparsity-proportional [`ExtractIndex`] extraction over each link's
+//! participant span, scratch-buffer pooling, word-at-a-time kernel
+//! bodies), written to `BENCH_hotpath.json`.
 //!
 //! Per benchmark the file records `wall_s`, the exact heap-allocation
 //! count `allocs` (from the shared

@@ -40,6 +40,15 @@ impl DenseBitset {
         self.words[(i / 64) as usize] |= 1u64 << (i % 64);
     }
 
+    /// Sets bit `i` when `on`, without a branch: a relax loop whose
+    /// outcome is data-dependent marks through this instead of
+    /// `if on { set(i) }`.
+    #[inline]
+    pub fn set_if(&mut self, i: u32, on: bool) {
+        debug_assert!(i < self.len);
+        self.words[(i / 64) as usize] |= (on as u64) << (i % 64);
+    }
+
     /// Clears bit `i`.
     #[inline]
     pub fn clear(&mut self, i: u32) {
@@ -224,6 +233,31 @@ mod tests {
         assert_eq!(b.count_ones(), 3);
         b.clear_all();
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn set_if_sets_only_when_on() {
+        let len = 130;
+        for i in [0, 63, 64, len - 1] {
+            for prior in [false, true] {
+                for on in [false, true] {
+                    // Neighbours set in the same words must stay as they are.
+                    let mut b = DenseBitset::new(len);
+                    for j in [1, 62, 65, 128] {
+                        b.set(j);
+                    }
+                    if prior {
+                        b.set(i);
+                    }
+                    let mut want = b.clone();
+                    if on {
+                        want.set(i);
+                    }
+                    b.set_if(i, on);
+                    assert_eq!(b, want, "bit {i}, set before {prior}, on {on}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,12 +14,15 @@
 //!   and work items rise (bfs/uk14 gets slower).
 //!
 //! Host parallelism: round events that fall on the *same* virtual instant
-//! (the common case — devices start together and the round gap keeps them
-//! aligned) are popped as one batch. The device-local half of each round
-//! (drain, absorb, compute, payload build) fans out across the worker
-//! pool; everything that orders the simulation — network sends, sequence
-//! numbers, heap pushes, trace records — then runs sequentially in the
-//! original pop order. Two same-instant rounds can never observe each
+//! are popped as one batch. That is not the common case: devices start
+//! together, but their clocks drift apart with their work. On the
+//! benchmark's high-diameter sssp crawl (64 devices, ~11 000 round events
+//! per run) a batch of two or more happens about once per run, and a batch
+//! of one runs inline on the calling thread. In a larger batch the
+//! device-local half of each round (drain, absorb, compute, payload build)
+//! fans out across the worker pool; everything that orders the simulation
+//! — network sends, sequence numbers, heap pushes, trace records — then
+//! runs sequentially in the original pop order. Two same-instant rounds can never observe each
 //! other's output (their arrivals carry strictly larger sequence numbers),
 //! so the batched schedule is bit-identical to the sequential one.
 //!

@@ -385,12 +385,12 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
                     Some(sp) => sp.out_window(lv),
                     None => lg.csr.edge_window(lv),
                 };
+                // Whether a relax improves its target follows the data, so
+                // the mark is a select, not a branch.
                 if WEIGHTED {
                     for (&t, &ew) in targets.iter().zip(weights) {
                         if let Some(m) = program.edge_msg(&src, ew) {
-                            if program.accumulate(&mut state[t as usize], m) {
-                                updated.set(t);
-                            }
+                            updated.set_if(t, program.accumulate(&mut state[t as usize], m));
                         }
                     }
                 } else if let Some(m) = program.edge_msg(&src, 0) {
@@ -399,9 +399,7 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
                     // within a compute phase), so hoist it out of the edge
                     // loop.
                     for &t in targets {
-                        if program.accumulate(&mut state[t as usize], m) {
-                            updated.set(t);
-                        }
+                        updated.set_if(t, program.accumulate(&mut state[t as usize], m));
                     }
                 }
             }
@@ -670,13 +668,18 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
                         SyncDir::Reduce => (part.link(me, other), plan.reduce_at(pn.pair)),
                         SyncDir::Broadcast => (part.link(other, me), plan.bcast_at(pn.pair)),
                     };
-                    // Density gate: on near-dense frontiers (pagerank-style
-                    // rounds) the sequential dense walk beats the
-                    // intersection's per-hit rank arithmetic, so the index
-                    // only engages when the marked set is small relative to
-                    // the link. Either path emits identical bytes, so this
-                    // is purely a cost heuristic.
-                    let idx = idx.filter(|_| marked[dir as usize] < entries.len() / 2);
+                    // Which walk: the index reads the words of its
+                    // participant span, one AND each, plus a rank step per
+                    // hit; the dense walk reads every entry of the link
+                    // and tests its mark, a branch whose outcome follows
+                    // the data and so mispredicts most on the mid-density
+                    // frontiers of a crawl. The index therefore takes every
+                    // link but a fully dirty broadcast, where every entry
+                    // ships and the walk's known-length fast path needs no
+                    // test at all. Either path emits identical bytes
+                    // (`tests/indexed_extraction.rs`): this is a cost
+                    // choice only.
+                    let idx = idx.filter(|_| !(dir == SyncDir::Broadcast && all_dirty));
                     match dir {
                         SyncDir::Reduce => {
                             self.build_reduce(program, link, entries, idx, mode, divisor)
@@ -730,8 +733,9 @@ impl<'a, P: VertexProgram> DeviceRun<'a, P> {
     /// mirrors are extracted; under AS every participating entry is sent.
     ///
     /// With an [`ExtractIndex`], UO extraction iterates
-    /// `updated ∧ members` word-by-word and touches only updated entries —
-    /// cost proportional to the update density, not the link size. The
+    /// `updated ∧ members` word-by-word over the words that hold the link's
+    /// participants and touches only updated entries — cost proportional
+    /// to that span plus the updates, not to the link's entries. The
     /// link's sides are strictly ascending in local ids (an index exists
     /// only then), so ascending local-id order *is* ascending entry order
     /// and the payload is byte-identical to the dense walk's. Simulated
