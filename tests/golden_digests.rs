@@ -18,7 +18,8 @@
 //! re-home) under both engines; then bfs and
 //! sssp on a long-tail web crawl over 32 devices (100+ rounds of mostly
 //! idle devices and empty messages), plain and through a mid-run crash
-//! with message drops.
+//! with message drops; last, BASP pagerank through a crash that fires
+//! inside a step of same-instant rounds.
 //!
 //! After an *intended* change of behaviour, regenerate the file with
 //!
@@ -265,6 +266,31 @@ fn corpus() -> Vec<(String, [u64; 3])> {
         cases.push((
             format!(
                 "highdiam-crash-{}/bfs/CVC/Var3",
+                if rejoin { "rejoin" } else { "rehome" }
+            ),
+            digest,
+        ));
+    }
+
+    // A crash inside a same-instant BASP step: a pull program starts every
+    // device's round 0 at t = 0, so the crash fires before any member of
+    // that step has run, and the victim's silence is detected by a failed
+    // send rather than by the lease at quiescence.
+    for rejoin in [true, false] {
+        let rt = Runtime::new(
+            Platform::bridges(8),
+            RunConfig::new(Policy::Cvc, Variant::var4())
+                .with_faults(FaultPlan::seeded(7).with_crash(1, 0, rejoin))
+                .with_checkpoints(2),
+        );
+        let (report, _, digest) = traced(&rt, &g, &PageRank::new());
+        let r = &report.resilience;
+        assert!(r.crashes == 1 && r.rollbacks >= 1, "no recovery ran: {r:?}");
+        assert!(r.faults.delivery_failures > 0, "no send failed: {r:?}");
+        assert_eq!(r.rejoins > 0, rejoin, "wrong recovery tail: {r:?}");
+        cases.push((
+            format!(
+                "instant-crash-{}/pagerank/CVC/Var4",
                 if rejoin { "rejoin" } else { "rehome" }
             ),
             digest,
