@@ -13,18 +13,20 @@
 //! * devices compute with stale labels and redo work — local round counts
 //!   and work items rise (bfs/uk14 gets slower).
 //!
-//! Host parallelism: round events that fall on the *same* virtual instant
-//! are popped as one batch. That is not the common case: devices start
-//! together, but their clocks drift apart with their work. On the
+//! Steps: round events that fall on the *same* virtual instant are popped
+//! as one step, and the step's rounds run one after another on the calling
+//! thread, in pop order — drain, absorb, compute, build, then inject the
+//! sends. Two same-instant rounds can never observe each other's output
+//! (their arrivals carry strictly larger sequence numbers). The grouping is
+//! part of the schedule: a crash scheduled for a member fires before any
+//! member runs, and failure detection and checkpoints run once per step.
+//!
+//! Host parallelism: none. Steps of two or more rounds are rare — devices
+//! start together, but their clocks drift apart with their work; on the
 //! benchmark's high-diameter sssp crawl (64 devices, ~11 000 round events
-//! per run) a batch of two or more happens about once per run, and a batch
-//! of one runs inline on the calling thread. In a larger batch the
-//! device-local half of each round (drain, absorb, compute, payload build)
-//! fans out across the worker pool; everything that orders the simulation
-//! — network sends, sequence numbers, heap pushes, trace records — then
-//! runs sequentially in the original pop order. Two same-instant rounds can never observe each
-//! other's output (their arrivals carry strictly larger sequence numbers),
-//! so the batched schedule is bit-identical to the sequential one.
+//! per run) one happens about once per run — so fanning a step's rounds out
+//! across the worker pool bought no measurable time, and its bookkeeping
+//! cost allocations on every round event.
 //!
 //! Resilience: with [`RunConfig::faults`] set, sends go through the
 //! reliable transport; a device crash (scheduled by *local* round ordinal)
@@ -37,25 +39,25 @@
 //! degraded.
 //!
 //! This module owns the BASP *schedule* only: the event heap, same-instant
-//! batching, send injection and the time-shifted restore. The messages
-//! themselves ([`DeviceRun::build_sync`] / [`DeviceRun::apply_sync`]) and
-//! the checkpoint / recovery steps ([`crate::engine`]) are shared with
-//! the BSP driver.
+//! steps, send injection and the time-shifted restore. The messages
+//! themselves ([`DeviceRun::build_sync`] / [`DeviceRun::apply_sync`]), the
+//! checkpoint / recovery steps and the round records ([`crate::engine`])
+//! are shared with the BSP driver.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use rayon::prelude::*;
-
-use dirgl_comm::{CrashSpec, NetModel, NetState, SendDesc, SimTime, SyncPlan};
+use dirgl_comm::{NetModel, NetState, SendDesc, SimTime, SyncPlan};
 use dirgl_partition::Partition;
 
 use crate::config::RunConfig;
 use crate::device::{DeviceRun, SyncDir, SyncMsg};
-use crate::engine::{capture_checkpoint, restore_checkpoint, scale_time, EngineOutcome, FaultCtx};
+use crate::engine::{
+    capture_checkpoint, restore_checkpoint, scale_time, EngineOutcome, FaultCtx, RoundTally,
+};
 use crate::program::{Style, VertexProgram};
 use crate::resilience::{DeviceSnapshot, ResilienceStats};
-use crate::trace::{EngineKind, FaultEvent, RoundRecord, TraceDirection, TraceSink};
+use crate::trace::{EngineKind, FaultEvent, TraceDirection, TraceSink};
 
 #[derive(Clone)]
 struct Event<W> {
@@ -112,42 +114,10 @@ struct Schedule<W> {
     heap: BinaryHeap<Event<W>>,
     /// Link occupancy.
     net_state: NetState,
-    /// Trace accumulator: wait since each device's previous local round.
-    tr_wait: Vec<SimTime>,
-    /// Trace accumulator: (bytes, messages) received since then.
-    tr_recv: Vec<(u64, u64)>,
+    /// What each device waited for and received since its previous local
+    /// round, and what its current round does (tracing only).
+    tally: RoundTally,
 }
-
-/// Device-local outcome of one round, produced by the parallel phase and
-/// consumed by the sequential injection phase. The outgoing messages stay
-/// in the device's `scratch.built`.
-struct LocalRound<W> {
-    /// Post-round convergence flag (pull programs).
-    conv: bool,
-    /// The round ended before computing (no work, or round-capped).
-    idle: bool,
-    /// Active vertices when compute started (tracing only).
-    frontier: u64,
-    /// Kernel time of the compute phase.
-    dt: SimTime,
-    /// Pack time; zero when nothing was sent.
-    pack: SimTime,
-    /// Masters changed across the pre- and post-compute absorbs.
-    absorb_changed: u32,
-    /// The device's drained inbox vector, returned (emptied) so phase B
-    /// can hand it back to `inbox[d]` instead of allocating a fresh one.
-    mail: Vec<SyncMsg<W>>,
-}
-
-/// One unit of parallel phase-A work: batch index, device id, the device's
-/// exclusive slot, its drained mail, and its going-in convergence flag.
-type PhaseAWork<'a, 'g, P> = (
-    usize,
-    u32,
-    &'a mut DeviceRun<'g, P>,
-    Vec<SyncMsg<<P as VertexProgram>::Wire>>,
-    bool,
-);
 
 /// A restorable point of the whole BASP simulation.
 struct BaspCheckpoint<P: VertexProgram> {
@@ -156,77 +126,8 @@ struct BaspCheckpoint<P: VertexProgram> {
     sched: Schedule<P::Wire>,
 }
 
-/// Rolls the whole simulation back to `ckpt`, shifted forward so it
-/// resumes at the crash-detection instant, then either revives the dead
-/// device (rejoin) or re-homes its partition onto a survivor.
-#[allow(clippy::too_many_arguments)]
-fn recover_basp<P: VertexProgram>(
-    program: &P,
-    net: &NetModel,
-    divisor: u64,
-    cr: CrashSpec,
-    ckpt: &BaspCheckpoint<P>,
-    detect_at: SimTime,
-    devices: &mut [DeviceRun<'_, P>],
-    sched: &mut Schedule<P::Wire>,
-    phys_free: &mut [SimTime],
-    ctx: &mut FaultCtx<'_>,
-    stats: &mut ResilienceStats,
-    sink: &mut dyn TraceSink,
-) {
-    stats.rounds_replayed += devices
-        .iter()
-        .zip(&ckpt.devs)
-        .map(|(d, s)| d.rounds.saturating_sub(s.rounds()))
-        .sum::<u32>();
-    // Every device reloads its snapshot over PCIe; the simulation resumes
-    // once the slowest reload completes.
-    let resume = restore_checkpoint(
-        program,
-        devices,
-        &ckpt.devs,
-        &mut sched.busy,
-        detect_at,
-        divisor,
-        net,
-        stats,
-    );
-
-    // Restore, time-shifted: everything the snapshot scheduled `x` seconds
-    // into its future stays `x` seconds into the resumed run's future.
-    // Original sequence numbers are kept: relative event order inside the
-    // snapshot is part of the restored state. The live counter was never
-    // rolled back, so post-recovery events sort after all restored ones at
-    // equal instants.
-    let delta = resume.saturating_sub(ckpt.taken_at);
-    *sched = ckpt.sched.clone();
-    sched.busy.iter_mut().for_each(|b| *b += delta);
-    for t in sched.idle_since.iter_mut().flatten() {
-        *t += delta;
-    }
-    sched.net_state.shift(delta);
-    sched.heap = std::mem::take(&mut sched.heap)
-        .into_iter()
-        .map(|e| Event {
-            time: e.time + delta,
-            ..e
-        })
-        .collect();
-
-    let masters = devices[cr.device as usize].lg.num_masters as u64;
-    let to_round = ckpt.devs.iter().map(|s| s.rounds()).min().unwrap_or(0);
-    ctx.finish_recovery(cr, masters, resume, to_round, stats, sink);
-    for f in phys_free.iter_mut() {
-        *f = SimTime::ZERO;
-    }
-    for (l, &b) in sched.busy.iter().enumerate() {
-        let pd = ctx.home.phys(l as u32) as usize;
-        phys_free[pd] = phys_free[pd].max(b);
-    }
-}
-
 /// Runs `program` to quiescence under BASP, emitting one
-/// [`RoundRecord`] per *local* device round into `sink`. `round` in each
+/// [`crate::trace::RoundRecord`] per *local* device round into `sink`. `round` in each
 /// record is the device's own 0-based round ordinal (local rounds are not
 /// globally aligned); `wait` is the idle time the device accumulated
 /// between its previous round and this one. With a disabled sink (e.g.
@@ -244,7 +145,11 @@ pub fn run_basp<P: VertexProgram>(
     let divisor = config.scale_divisor;
     let balancer = config.variant.balancer;
     let pull = program.style() == Style::PullTopologyDriven;
-    let tracing = sink.enabled();
+    let direction = if pull {
+        TraceDirection::Pull
+    } else {
+        TraceDirection::Push
+    };
 
     let mut seq = 0u64;
     let push_ev = |heap: &mut BinaryHeap<Event<P::Wire>>, seq: &mut u64, time, kind| {
@@ -264,8 +169,7 @@ pub fn run_basp<P: VertexProgram>(
         inbox: (0..p).map(|_| Vec::new()).collect(),
         heap: BinaryHeap::new(),
         net_state: net.new_state(),
-        tr_wait: vec![SimTime::ZERO; p],
-        tr_recv: vec![(0u64, 0u64); p],
+        tally: RoundTally::new(EngineKind::Basp, direction, p, sink),
     };
     let mut comm_bytes = 0u64;
     let mut messages = 0u64;
@@ -326,402 +230,272 @@ pub fn run_basp<P: VertexProgram>(
         checkpoint = Some(take_checkpoint(devices, &mut sched, &mut stats, sink));
     }
 
-    'sim: loop {
-        while let Some(ev) = sched.heap.pop() {
-            match ev.kind {
-                EventKind::Arrive(msg) => {
-                    // Mail for a dead partition evaporates; the sender's
-                    // failure detection happens on the transport side.
-                    if fctx.as_ref().is_some_and(|c| !c.alive_logical(msg.to)) {
+    // Round events of one virtual instant form a step; reused across steps.
+    let mut step: Vec<u32> = Vec::with_capacity(p);
+    loop {
+        let detect_at = match sched.heap.pop() {
+            Some(Event {
+                time,
+                kind: EventKind::Arrive(msg),
+                ..
+            }) => {
+                // Mail for a dead partition evaporates; the sender's
+                // failure detection happens on the transport side.
+                if fctx.as_ref().is_some_and(|c| !c.alive_logical(msg.to)) {
+                    continue;
+                }
+                let d = msg.to;
+                let du = d as usize;
+                sched.tally.update(du, |t| {
+                    t.received = (t.received.0 + msg.bytes, t.received.1 + 1)
+                });
+                // An empty message wakes its receiver like any other but
+                // leaves nothing to apply.
+                if !msg.data.is_empty() {
+                    sched.inbox[du].push(msg);
+                }
+                if !sched.round_pending[du] {
+                    // Wake the device at whichever is later: now or when its
+                    // current round ends.
+                    let wake = time.max(sched.busy[du]);
+                    if let Some(s) = sched.idle_since[du].take() {
+                        let blocked = wake.saturating_sub(s);
+                        devices[du].idle_time += blocked;
+                        sched.tally.update(du, |t| t.wait += blocked);
+                    }
+                    sched.round_pending[du] = true;
+                    push_ev(&mut sched.heap, &mut seq, wake, EventKind::Round(d));
+                }
+                continue;
+            }
+            Some(Event {
+                time: t,
+                kind: EventKind::Round(d),
+                ..
+            }) => {
+                // The step: every Round event sharing this exact instant (an
+                // interleaved same-time Arrive ends it: its effect must stay
+                // ordered between the rounds around it).
+                step.clear();
+                step.push(d);
+                while let Some(top) = sched.heap.peek() {
+                    match top.kind {
+                        EventKind::Round(d2) if top.time == t => step.push(d2),
+                        _ => break,
+                    }
+                    sched.heap.pop();
+                }
+                for &sd in &step {
+                    sched.round_pending[sd as usize] = false;
+                }
+
+                // Scheduled crash: fires when the victim is about to execute
+                // the configured *local* round ordinal, before any member of
+                // the step runs. The victim's round (and its step-mates'
+                // mail to it) simply stops happening.
+                if let (Some(ctx), Some(cr)) = (fctx.as_mut(), crash_plan) {
+                    if !ctx.crash_fired
+                        && step.contains(&cr.device)
+                        && devices[cr.device as usize].rounds == cr.round
+                    {
+                        ctx.fire_crash(cr, t, &mut stats, sink);
+                    }
+                    step.retain(|&sd| ctx.alive_logical(sd));
+                    if step.is_empty() {
                         continue;
                     }
-                    let d = msg.to;
-                    let du = d as usize;
-                    if tracing {
-                        sched.tr_recv[du].0 += msg.bytes;
-                        sched.tr_recv[du].1 += 1;
-                    }
-                    // An empty message wakes its receiver like any other
-                    // but leaves nothing to apply.
-                    if !msg.data.is_empty() {
-                        sched.inbox[du].push(msg);
-                    }
-                    if !sched.round_pending[du] {
-                        // Wake the device at whichever is later: now or when its
-                        // current round ends.
-                        let wake = ev.time.max(sched.busy[du]);
-                        if let Some(s) = sched.idle_since[du].take() {
-                            let blocked = wake.saturating_sub(s);
-                            devices[du].idle_time += blocked;
-                            sched.tr_wait[du] += blocked;
-                        }
-                        sched.round_pending[du] = true;
-                        push_ev(&mut sched.heap, &mut seq, wake, EventKind::Round(d));
-                    }
                 }
-                EventKind::Round(d) => {
-                    let t = ev.time;
-                    // Batch every Round event sharing this exact instant (an
-                    // interleaved same-time Arrive ends the batch: its effect
-                    // must stay ordered between the rounds around it).
-                    let mut batch: Vec<u32> = vec![d];
-                    while let Some(top) = sched.heap.peek() {
-                        if top.time != t || !matches!(top.kind, EventKind::Round(_)) {
-                            break;
+
+                for &sd in &step {
+                    let du = sd as usize;
+                    let dev = &mut devices[du];
+                    // 1. Drain arrived messages. Only payloads that actually
+                    // change state un-converge the device: header-only sync
+                    // messages must not cause compute chatter. Applied
+                    // payload vectors recycle into this device's pool.
+                    let mut conv = sched.converged[du];
+                    for msg in sched.inbox[du].drain(..) {
+                        if dev.apply_sync(program, part, &msg, true) {
+                            conv = false;
                         }
-                        match sched.heap.pop() {
-                            Some(Event {
-                                kind: EventKind::Round(d2),
-                                ..
-                            }) => batch.push(d2),
-                            _ => unreachable!("peeked a Round event"),
-                        }
+                        dev.scratch.recycle(msg.data);
                     }
-                    for &bd in &batch {
-                        sched.round_pending[bd as usize] = false;
+                    // 2. Pre-compute absorb (data-driven): reduced deltas may
+                    // activate masters. Idempotent against an empty
+                    // accumulator. Masters it changes stay marked for the
+                    // broadcast in step 5.
+                    let mut changed = if pull { 0 } else { dev.absorb_masters(program) };
+                    let work = if pull { !conv } else { dev.has_work() };
+                    if !work || dev.rounds >= program.max_rounds() {
+                        sched.converged[du] = conv;
+                        sched.idle_since[du] = Some(t);
+                        continue;
+                    }
+                    sched.tally.update(du, |r| r.frontier = dev.active_count());
+
+                    // 3. Compute one local round. Pull programs then consume
+                    // the mirror values read this round: local rounds are not
+                    // globally aligned, so an unconsumed mirror residual would
+                    // be re-read by the next local round (mass duplication).
+                    let dt = dev.compute(program, balancer, divisor);
+                    if pull {
+                        dev.consume_mirrors_after_pull(program);
                     }
 
-                    // Scheduled crash: fires when the victim is about to
-                    // execute the configured *local* round ordinal. The
-                    // victim's round (and any batch-mates' mail to it) simply
-                    // stops happening.
-                    if let (Some(ctx), Some(cr)) = (fctx.as_mut(), crash_plan) {
-                        if !ctx.crash_fired
-                            && batch.contains(&cr.device)
-                            && devices[cr.device as usize].rounds == cr.round
-                        {
-                            ctx.fire_crash(cr, t, &mut stats, sink);
-                        }
-                        batch.retain(|&bd| ctx.alive_logical(bd));
-                        if batch.is_empty() {
-                            continue;
-                        }
+                    // 4. Absorb (masters fold local accumulations).
+                    let absorbed = dev.absorb_masters(program);
+                    changed += absorbed;
+                    if pull {
+                        conv = absorbed == 0;
                     }
+                    sched.converged[du] = conv;
 
-                    // Phase A: the device-local round — drain arrivals, absorb,
-                    // compute, build outgoing payloads. Nothing here reads or
-                    // writes another device or the simulation's shared order
-                    // (net state, seq, heap), so batched devices fan out across
-                    // the pool.
-                    let phase_a = |dev: &mut DeviceRun<'_, P>,
-                                   mut mail: Vec<SyncMsg<P::Wire>>,
-                                   mut conv: bool|
-                     -> LocalRound<P::Wire> {
-                        // 1. Drain arrived messages. Only payloads that actually
-                        // change state un-converge the device: header-only sync
-                        // messages must not cause compute chatter. Applied
-                        // payload vectors recycle into this device's pool.
-                        for msg in mail.drain(..) {
-                            if dev.apply_sync(program, part, &msg, true) {
-                                conv = false;
+                    // 5. Build and send. Every computing round syncs with
+                    // every partner, as Gluon(-Async) does: this device's
+                    // mirror deltas to their masters, and its updated masters
+                    // to their mirrors.
+                    let pack = dev.build_sync(
+                        program,
+                        &[SyncDir::Reduce, SyncDir::Broadcast],
+                        part,
+                        plan,
+                        config,
+                    );
+                    dev.clear_sync_marks(program);
+                    // Straggler: scale this round's kernel time when the
+                    // hosting physical device is inside its slow window.
+                    let dt = match &fctx {
+                        Some(ctx) => {
+                            let phys = ctx.home.phys(sd);
+                            let f = ctx.injector().slowdown(phys, dev.rounds - 1);
+                            if f != 1.0 && !straggler_announced {
+                                straggler_announced = true;
+                                sink.fault(FaultEvent::FaultInjected {
+                                    at: t,
+                                    device: phys,
+                                    kind: "straggler",
+                                });
                             }
-                            dev.scratch.recycle(msg.data);
+                            scale_time(dt, f)
                         }
-                        // 2. Pre-compute absorb (data-driven): reduced deltas may
-                        // activate masters. Idempotent against an empty accumulator.
-                        // Masters it changes stay marked for the broadcast in
-                        // step 5.
-                        let mut pre_changed = 0;
-                        if !pull {
-                            pre_changed = dev.absorb_masters(program);
-                        }
-
-                        let capped = dev.rounds >= program.max_rounds();
-                        let work = if pull { !conv } else { dev.has_work() };
-                        if !work || capped {
-                            return LocalRound {
-                                conv,
-                                idle: true,
-                                frontier: 0,
-                                dt: SimTime::ZERO,
-                                pack: SimTime::ZERO,
-                                absorb_changed: 0,
-                                mail,
-                            };
-                        }
-
-                        let frontier = if tracing { dev.active_count() } else { 0 };
-
-                        // 3. Compute one local round. Pull programs then consume
-                        // the mirror values read this round: local rounds are not
-                        // globally aligned, so an unconsumed mirror residual would
-                        // be re-read by the next local round (mass duplication).
-                        let dt = dev.compute(program, balancer, divisor);
-                        if pull {
-                            dev.consume_mirrors_after_pull(program);
-                        }
-
-                        // 4. Absorb (masters fold local accumulations).
-                        let changed = dev.absorb_masters(program);
-                        if pull {
-                            conv = changed == 0;
-                        }
-
-                        // 5a. Build outgoing messages into `scratch.built`
-                        // (timing and injection happen in the sequential phase
-                        // below). Every computing round syncs with every
-                        // partner, as Gluon(-Async) does: this device's mirror
-                        // deltas to their masters, and its updated masters to
-                        // their mirrors.
-                        let pack = dev.build_sync(
-                            program,
-                            &[SyncDir::Reduce, SyncDir::Broadcast],
-                            part,
-                            plan,
-                            config,
-                        );
-                        dev.clear_sync_marks(program);
-                        LocalRound {
-                            conv,
-                            idle: false,
-                            frontier,
-                            dt,
-                            pack,
-                            absorb_changed: pre_changed + changed,
-                            mail,
-                        }
+                        None => dt,
                     };
-
-                    let outs: Vec<(u32, LocalRound<P::Wire>)> = if batch.len() == 1 {
-                        let d = batch[0];
-                        let du = d as usize;
-                        let mail = std::mem::take(&mut sched.inbox[du]);
-                        vec![(d, phase_a(&mut devices[du], mail, sched.converged[du]))]
-                    } else {
-                        // Select disjoint `&mut` device slots in ascending index
-                        // order, then fan out. Results return to pop order via
-                        // the carried batch index.
-                        let mut order: Vec<usize> = (0..batch.len()).collect();
-                        order.sort_unstable_by_key(|&i| batch[i]);
-                        let mut work: Vec<PhaseAWork<'_, '_, P>> = Vec::with_capacity(batch.len());
-                        let mut rest: &mut [DeviceRun<'_, P>] = devices;
-                        let mut base = 0usize;
-                        for &i in &order {
-                            let du = batch[i] as usize;
-                            let r = std::mem::take(&mut rest);
-                            let (_, tail) = r.split_at_mut(du - base);
-                            let (dev, tail2) = tail.split_first_mut().expect("device in range");
-                            rest = tail2;
-                            base = du + 1;
-                            work.push((
-                                i,
-                                batch[i],
-                                dev,
-                                std::mem::take(&mut sched.inbox[du]),
-                                sched.converged[du],
-                            ));
+                    // On a healthy identity mapping `t >= busy[du]` always
+                    // holds and `start == t`, the raw schedule. The maxes
+                    // matter after a checkpoint charge pushed `busy` past an
+                    // already-scheduled round, and for partitions sharing a
+                    // physical device after re-homing (they serialize on the
+                    // `phys_free` floor).
+                    let start = match &fctx {
+                        Some(ctx) if !ctx.home.is_identity() => {
+                            let pd = ctx.home.phys(sd) as usize;
+                            t.max(sched.busy[du]).max(phys_free[pd])
                         }
-                        let mut outs: Vec<(usize, u32, LocalRound<P::Wire>)> = work
-                            .into_par_iter()
-                            .map(|(bi, bd, dev, mail, conv)| (bi, bd, phase_a(dev, mail, conv)))
-                            .collect();
-                        outs.sort_unstable_by_key(|o| o.0);
-                        outs.into_iter().map(|(_, bd, a)| (bd, a)).collect()
+                        _ => t.max(sched.busy[du]),
                     };
-
-                    // Phase B: inject sends into the shared network/heap state
-                    // and emit trace records, sequentially in pop order —
-                    // sequence numbers, link occupancy and the JSONL stream
-                    // come out exactly as in an unbatched run.
-                    for (bd, mut a) in outs {
-                        let du = bd as usize;
-                        // Hand the drained (now empty) inbox vector back:
-                        // no Arrive event is processed between the take in
-                        // phase A and this point, so nothing was pushed to
-                        // the placeholder.
-                        sched.inbox[du] = std::mem::take(&mut a.mail);
-                        sched.converged[du] = a.conv;
-                        if a.idle {
-                            sched.idle_since[du] = Some(t);
-                            continue;
-                        }
-                        // Straggler: scale this round's kernel time when the
-                        // hosting physical device is inside its slow window.
-                        let dt = match &fctx {
+                    let mut depart = start + dt;
+                    let mut sender_free = depart;
+                    depart += pack;
+                    sched.tally.update(du, |r| {
+                        r.pack = pack;
+                        let built = &dev.scratch.built;
+                        r.sent = (built.iter().map(|m| m.bytes).sum(), built.len() as u64);
+                    });
+                    for msg in dev.scratch.built.drain(..) {
+                        let (other, bytes) = (msg.to, msg.bytes);
+                        messages += 1;
+                        // When the message arrives; `None` when its
+                        // receiver is dead.
+                        let arrival = match fctx.as_mut() {
+                            None => {
+                                let delivery = net.send(
+                                    &mut sched.net_state,
+                                    SendDesc {
+                                        from: sd,
+                                        to: other,
+                                        bytes,
+                                        depart,
+                                    },
+                                );
+                                comm_bytes += bytes;
+                                sender_free = sender_free.max(delivery.sender_free);
+                                Some(delivery.arrival)
+                            }
                             Some(ctx) => {
-                                let phys = ctx.home.phys(bd);
-                                let f = ctx
-                                    .injector()
-                                    .slowdown(phys, devices[du].rounds.saturating_sub(1));
-                                if f != 1.0 && !straggler_announced {
-                                    straggler_announced = true;
-                                    sink.fault(FaultEvent::FaultInjected {
-                                        at: t,
-                                        device: phys,
-                                        kind: "straggler",
-                                    });
-                                }
-                                scale_time(a.dt, f)
-                            }
-                            None => a.dt,
-                        };
-                        // On a healthy identity mapping `t >= busy[du]` always
-                        // holds and `start == t`, the raw schedule. The maxes
-                        // matter after a checkpoint charge pushed `busy` past
-                        // an already-scheduled round, and for partitions
-                        // sharing a physical device after re-homing (they
-                        // serialize on the `phys_free` floor).
-                        let start = match &fctx {
-                            Some(ctx) if !ctx.home.is_identity() => {
-                                let pd = ctx.home.phys(bd) as usize;
-                                t.max(sched.busy[du]).max(phys_free[pd])
-                            }
-                            _ => t.max(sched.busy[du]),
-                        };
-                        let mut depart = start + dt;
-                        let mut sender_free = depart;
-                        depart += a.pack;
-                        let mut sent_bytes = 0u64;
-                        let mut sent_msgs = 0u64;
-                        let mut built = std::mem::take(&mut devices[du].scratch.built);
-                        for msg in built.drain(..) {
-                            let (other, bytes) = (msg.to, msg.bytes);
-                            messages += 1;
-                            sent_bytes += bytes;
-                            sent_msgs += 1;
-                            // When the message arrives; `None` when its
-                            // receiver is dead.
-                            let arrival = match fctx.as_mut() {
-                                None => {
-                                    let delivery = net.send(
+                                let pf = ctx.home.phys(sd);
+                                let pt = ctx.home.phys(other);
+                                if pf == pt {
+                                    // Co-homed after degradation: the
+                                    // payload never leaves device memory.
+                                    Some(depart)
+                                } else {
+                                    let alive = ctx.health.is_alive(pt);
+                                    let v = ctx.rnet.send_reliable(
                                         &mut sched.net_state,
+                                        &mut ctx.rstate,
                                         SendDesc {
-                                            from: bd,
-                                            to: other,
+                                            from: pf,
+                                            to: pt,
                                             bytes,
                                             depart,
                                         },
+                                        alive,
+                                        &mut stats.faults,
+                                        &mut ctx.events,
                                     );
-                                    comm_bytes += bytes;
-                                    sender_free = sender_free.max(delivery.sender_free);
-                                    Some(delivery.arrival)
+                                    comm_bytes += v.wire_bytes;
+                                    sender_free = sender_free.max(v.sender_free);
+                                    // Alive receiver, every attempt lost:
+                                    // escalate out-of-band and deliver at
+                                    // the give-up instant (correctness must
+                                    // not depend on luck).
+                                    v.arrival.or_else(|| {
+                                        let gave =
+                                            v.gave_up_at.expect("no arrival implies give-up");
+                                        if !alive {
+                                            pending_failures.push(gave);
+                                        }
+                                        alive.then_some(gave)
+                                    })
                                 }
-                                Some(ctx) => {
-                                    let pf = ctx.home.phys(bd);
-                                    let pt = ctx.home.phys(other);
-                                    if pf == pt {
-                                        // Co-homed after degradation: the
-                                        // payload never leaves device memory.
-                                        Some(depart)
-                                    } else {
-                                        let alive = ctx.health.is_alive(pt);
-                                        let v = ctx.rnet.send_reliable(
-                                            &mut sched.net_state,
-                                            &mut ctx.rstate,
-                                            SendDesc {
-                                                from: pf,
-                                                to: pt,
-                                                bytes,
-                                                depart,
-                                            },
-                                            alive,
-                                            &mut stats.faults,
-                                            &mut ctx.events,
-                                        );
-                                        comm_bytes += v.wire_bytes;
-                                        sender_free = sender_free.max(v.sender_free);
-                                        // Alive receiver, every attempt lost:
-                                        // escalate out-of-band and deliver at
-                                        // the give-up instant (correctness
-                                        // must not depend on luck).
-                                        v.arrival.or_else(|| {
-                                            let gave =
-                                                v.gave_up_at.expect("no arrival implies give-up");
-                                            if !alive {
-                                                pending_failures.push(gave);
-                                            }
-                                            alive.then_some(gave)
-                                        })
-                                    }
-                                }
-                            };
-                            if let Some(at) = arrival {
-                                push_ev(&mut sched.heap, &mut seq, at, EventKind::Arrive(msg));
                             }
-                        }
-                        devices[du].scratch.built = built;
-                        sched.busy[du] = depart.max(sender_free);
-                        if let Some(ctx) = &fctx {
-                            if !ctx.home.is_identity() {
-                                let pd = ctx.home.phys(bd) as usize;
-                                phys_free[pd] = phys_free[pd].max(sched.busy[du]);
-                            }
-                        }
-
-                        if tracing {
-                            sink.record(RoundRecord {
-                                engine: EngineKind::Basp,
-                                round: devices[du].rounds - 1,
-                                device: bd,
-                                direction: if pull {
-                                    TraceDirection::Pull
-                                } else {
-                                    TraceDirection::Push
-                                },
-                                frontier: a.frontier,
-                                compute: dt,
-                                pack: a.pack,
-                                wait: sched.tr_wait[du],
-                                bytes_sent: sent_bytes,
-                                bytes_received: sched.tr_recv[du].0,
-                                messages_sent: sent_msgs,
-                                messages_received: sched.tr_recv[du].1,
-                                absorb_changed: a.absorb_changed,
-                                clock_end: sched.busy[du],
-                            });
-                            sched.tr_wait[du] = SimTime::ZERO;
-                            sched.tr_recv[du] = (0, 0);
-                        }
-
-                        // 6. Keep rounding while local work remains; otherwise idle.
-                        let more = if pull {
-                            !sched.converged[du]
-                        } else {
-                            devices[du].has_work()
                         };
-                        if more && devices[du].rounds < program.max_rounds() {
-                            // Throttled BASP: insert a gap so arrivals batch into
-                            // the next round instead of each triggering redundant
-                            // recomputation (the paper's §VII recommendation).
-                            let next =
-                                sched.busy[du] + SimTime::from_secs_f64(config.basp_round_gap_secs);
-                            sched.round_pending[du] = true;
-                            push_ev(&mut sched.heap, &mut seq, next, EventKind::Round(bd));
-                        } else {
-                            sched.idle_since[du] = Some(sched.busy[du]);
+                        if let Some(at) = arrival {
+                            push_ev(&mut sched.heap, &mut seq, at, EventKind::Arrive(msg));
                         }
                     }
-
-                    if let Some(ctx) = fctx.as_mut() {
-                        ctx.drain_events(sink, tracing);
+                    sched.busy[du] = depart.max(sender_free);
+                    if let Some(ctx) = &fctx {
+                        if !ctx.home.is_identity() {
+                            let pd = ctx.home.phys(sd) as usize;
+                            phys_free[pd] = phys_free[pd].max(sched.busy[du]);
+                        }
                     }
+                    let round = dev.rounds - 1;
+                    sched
+                        .tally
+                        .emit(sink, du, round, dt, changed, sched.busy[du]);
 
-                    // A sender detected the crashed device (retry budget
-                    // exhausted): roll the whole simulation back.
-                    if !pending_failures.is_empty() {
-                        let detect_at = pending_failures
-                            .drain(..)
-                            .max()
-                            .expect("non-empty failures");
-                        recover_basp(
-                            program,
-                            net,
-                            divisor,
-                            crash_plan.expect("only a scheduled crash kills devices"),
-                            checkpoint
-                                .as_ref()
-                                .expect("recovery_on guarantees an initial checkpoint"),
-                            detect_at,
-                            devices,
-                            &mut sched,
-                            &mut phys_free,
-                            fctx.as_mut().expect("failures imply a fault context"),
-                            &mut stats,
-                            sink,
-                        );
-                        continue;
+                    // 6. Keep rounding while local work remains; otherwise
+                    // idle.
+                    let more = if pull { !conv } else { dev.has_work() };
+                    if more && dev.rounds < program.max_rounds() {
+                        // Throttled BASP: insert a gap so arrivals batch into
+                        // the next round instead of each triggering redundant
+                        // recomputation (the paper's §VII recommendation).
+                        let next =
+                            sched.busy[du] + SimTime::from_secs_f64(config.basp_round_gap_secs);
+                        sched.round_pending[du] = true;
+                        push_ev(&mut sched.heap, &mut seq, next, EventKind::Round(sd));
+                    } else {
+                        sched.idle_since[du] = Some(sched.busy[du]);
                     }
+                }
 
+                if let Some(ctx) = fctx.as_mut() {
+                    ctx.drain_events(sink);
+                }
+                if pending_failures.is_empty() {
                     // Scheduled checkpoint: once every device's local round
                     // ordinal has crossed the next interval boundary.
                     if recovery_on && ckpt_every > 0 {
@@ -733,36 +507,82 @@ pub fn run_basp<P: VertexProgram>(
                             next_ckpt = (minr / ckpt_every + 1) * ckpt_every;
                         }
                     }
+                    continue;
                 }
+                // A sender detected the crashed device: its retry budget ran
+                // out.
+                pending_failures
+                    .drain(..)
+                    .max()
+                    .expect("non-empty failures")
             }
-        }
+            // Heap drained with a crashed device never detected through a
+            // failed send (nothing was due to it): the quiescence check
+            // itself is the failure detector. The lease on the silent peer
+            // expires one full retry ladder past the last activity.
+            None if fctx.as_ref().is_some_and(|c| c.dead_unrecovered(p)) => {
+                sched.busy.iter().copied().max().unwrap_or(SimTime::ZERO)
+                    + config.retry.give_up_after()
+            }
+            None => break,
+        };
 
-        // Heap drained. If a crashed device was never detected through a
-        // failed send (nothing was due to it), the quiescence check itself
-        // is the failure detector: the lease on the silent peer expires one
-        // full retry ladder past the last activity.
-        if fctx.as_ref().is_some_and(|c| c.dead_unrecovered(p)) {
-            let detect_at = sched.busy.iter().copied().max().unwrap_or(SimTime::ZERO)
-                + config.retry.give_up_after();
-            recover_basp(
-                program,
-                net,
-                divisor,
-                crash_plan.expect("only a scheduled crash kills devices"),
-                checkpoint
-                    .as_ref()
-                    .expect("recovery_on guarantees an initial checkpoint"),
-                detect_at,
-                devices,
-                &mut sched,
-                &mut phys_free,
-                fctx.as_mut().expect("dead device implies a fault context"),
-                &mut stats,
-                sink,
-            );
-            continue 'sim;
+        // Recovery, for both detectors: roll the whole simulation back to
+        // the last checkpoint, shifted forward so it resumes at the
+        // detection instant, then revive the dead device (rejoin) or
+        // re-home its partition onto a survivor.
+        let cr = crash_plan.expect("only a scheduled crash kills devices");
+        let ckpt = checkpoint
+            .as_ref()
+            .expect("recovery_on guarantees an initial checkpoint");
+        let ctx = fctx
+            .as_mut()
+            .expect("a dead device implies a fault context");
+        stats.rounds_replayed += devices
+            .iter()
+            .zip(&ckpt.devs)
+            .map(|(d, s)| d.rounds.saturating_sub(s.rounds()))
+            .sum::<u32>();
+        // Every device reloads its snapshot over PCIe; the simulation
+        // resumes once the slowest reload completes.
+        let resume = restore_checkpoint(
+            program,
+            devices,
+            &ckpt.devs,
+            &mut sched.busy,
+            detect_at,
+            divisor,
+            net,
+            &mut stats,
+        );
+        // Restore, time-shifted: everything the snapshot scheduled `x`
+        // seconds into its future stays `x` seconds into the resumed run's
+        // future. Original sequence numbers are kept: relative event order
+        // inside the snapshot is part of the restored state. The live
+        // counter was never rolled back, so post-recovery events sort after
+        // all restored ones at equal instants.
+        let delta = resume.saturating_sub(ckpt.taken_at);
+        sched = ckpt.sched.clone();
+        sched.busy.iter_mut().for_each(|b| *b += delta);
+        for t in sched.idle_since.iter_mut().flatten() {
+            *t += delta;
         }
-        break 'sim;
+        sched.net_state.shift(delta);
+        sched.heap = std::mem::take(&mut sched.heap)
+            .into_iter()
+            .map(|e| Event {
+                time: e.time + delta,
+                ..e
+            })
+            .collect();
+        let masters = devices[cr.device as usize].lg.num_masters as u64;
+        let to_round = ckpt.devs.iter().map(|s| s.rounds()).min().unwrap_or(0);
+        ctx.finish_recovery(cr, masters, resume, to_round, &mut stats, sink);
+        phys_free.fill(SimTime::ZERO);
+        for (l, &b) in sched.busy.iter().enumerate() {
+            let pd = ctx.home.phys(l as u32) as usize;
+            phys_free[pd] = phys_free[pd].max(b);
+        }
     }
     sink.finish();
 

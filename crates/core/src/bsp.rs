@@ -48,16 +48,17 @@ use dirgl_partition::Partition;
 use crate::config::RunConfig;
 use crate::device::{DeviceRun, SyncDir, SyncMsg};
 use crate::engine::{
-    capture_checkpoint, restore_checkpoint, scale_time, termination_check_cost, EngineOutcome,
-    FaultCtx,
+    capture_checkpoint, restore_checkpoint, scale_time, termination_check_cost, DeviceTally,
+    EngineOutcome, FaultCtx, RoundTally,
 };
 use crate::program::{Style, VertexProgram, PULL_THRESHOLD};
 use crate::resilience::{DeviceSnapshot, ResilienceStats};
-use crate::trace::{EngineKind, FaultEvent, RoundRecord, TraceDirection, TraceSink};
+use crate::trace::{EngineKind, FaultEvent, TraceDirection, TraceSink};
 
 /// Runs `program` to convergence under BSP, emitting one
-/// [`RoundRecord`] per (round, device) into `sink`. With a disabled sink
-/// (e.g. [`crate::trace::NoopSink`]) no records are assembled.
+/// [`crate::trace::RoundRecord`] per (round, device) into `sink`. With a
+/// disabled sink (e.g. [`crate::trace::NoopSink`]) no records are
+/// assembled.
 pub fn run_bsp<P: VertexProgram>(
     program: &P,
     devices: &mut [DeviceRun<'_, P>],
@@ -82,7 +83,7 @@ pub fn run_bsp<P: VertexProgram>(
     let total_vertices: u64 = devices.iter().map(|d| d.lg.num_masters as u64).sum();
     let term_cost =
         termination_check_cost(net) + SimTime::from_secs_f64(config.runtime_round_overhead_secs);
-    let tracing = sink.enabled();
+    let mut tally = RoundTally::new(EngineKind::Bsp, TraceDirection::Push, p, sink);
 
     let mut clocks = vec![SimTime::ZERO; p];
     let mut host_wait = vec![SimTime::ZERO; net.platform().num_hosts() as usize];
@@ -104,13 +105,6 @@ pub fn run_bsp<P: VertexProgram>(
     // A restorable point of the run: the round it was taken at, and every
     // device's state.
     let mut checkpoint: Option<(u32, Vec<DeviceSnapshot<P>>)> = None;
-
-    // Per-round, per-device trace accumulators (only touched when tracing).
-    let mut tr_frontier = vec![0u64; p];
-    let mut tr_pack = vec![SimTime::ZERO; p];
-    let mut tr_wait = vec![SimTime::ZERO; p];
-    let mut tr_sent = vec![(0u64, 0u64); p]; // (bytes, messages)
-    let mut tr_recv = vec![(0u64, 0u64); p];
 
     // Round-lived vectors, hoisted out of the loop and refilled in place.
     let mut alive = vec![true; p];
@@ -180,18 +174,12 @@ pub fn run_bsp<P: VertexProgram>(
         }
 
         program.on_round_start(rounds);
-        if tracing {
-            for (d, f) in tr_frontier.iter_mut().enumerate() {
-                *f = if cand[d] {
-                    devices[d].active_count()
-                } else {
-                    0
-                };
-            }
-            tr_pack.iter_mut().for_each(|t| *t = SimTime::ZERO);
-            tr_wait.iter_mut().for_each(|t| *t = SimTime::ZERO);
-            tr_sent.iter_mut().for_each(|c| *c = (0, 0));
-            tr_recv.iter_mut().for_each(|c| *c = (0, 0));
+        for (d, t) in tally.devices.iter_mut().enumerate() {
+            t.frontier = if cand[d] {
+                devices[d].active_count()
+            } else {
+                0
+            };
         }
         // --- Direction decision (hybrid programs): a global per-round
         // choice, like Gunrock's direction-optimizing alpha test.
@@ -244,7 +232,7 @@ pub fn run_bsp<P: VertexProgram>(
                 devices,
                 &mut sends,
                 &mut mail,
-                tracing.then_some(&mut tr_pack),
+                &mut tally.devices,
             );
             let delivered = run_exchange(
                 net,
@@ -255,16 +243,13 @@ pub fn run_bsp<P: VertexProgram>(
                 &mut comm_bytes,
                 &mut messages,
                 &sends,
-                tracing.then_some(&mut tr_wait),
+                &mut tally.devices,
                 fctx.as_mut(),
                 &mut stats.faults,
                 &mut round_failures,
             );
             if let Some(ctx) = fctx.as_mut() {
-                ctx.drain_events(sink, tracing);
-            }
-            if tracing {
-                tally_sends(&sends, &mut tr_sent, &mut tr_recv);
+                ctx.drain_events(sink);
             }
             apply_grouped(program, part, devices, &mut mail, delivered.as_deref(), got);
         };
@@ -312,30 +297,13 @@ pub fn run_bsp<P: VertexProgram>(
         for c in clocks.iter_mut() {
             *c += term_cost;
         }
-        if tracing {
-            let direction = if use_pull || program.style() == Style::PullTopologyDriven {
-                TraceDirection::Pull
-            } else {
-                TraceDirection::Push
-            };
-            for d in 0..p {
-                sink.record(RoundRecord {
-                    engine: EngineKind::Bsp,
-                    round: rounds,
-                    device: d as u32,
-                    direction,
-                    frontier: tr_frontier[d],
-                    compute: times[d],
-                    pack: tr_pack[d],
-                    wait: tr_wait[d],
-                    bytes_sent: tr_sent[d].0,
-                    bytes_received: tr_recv[d].0,
-                    messages_sent: tr_sent[d].1,
-                    messages_received: tr_recv[d].1,
-                    absorb_changed: absorbed[d],
-                    clock_end: clocks[d],
-                });
-            }
+        tally.direction = if use_pull || pull_topo {
+            TraceDirection::Pull
+        } else {
+            TraceDirection::Push
+        };
+        for d in 0..p {
+            tally.emit(sink, d, rounds, times[d], absorbed[d], clocks[d]);
         }
 
         // --- Recovery: a crashed device was detected this round, either
@@ -498,13 +466,16 @@ fn build_all<'g, P: VertexProgram>(
 /// charges each non-idle builder's pack time, and stamps every send with
 /// the builder's post-pack clock. Drains each device's `scratch.built`:
 /// every message gives a `SendDesc` (the model prices them all), and those
-/// with a payload move on into `mail` with the index of their send.
+/// with a payload move on into `mail` with the index of their send. When
+/// tracing (`tally` is empty otherwise), each builder's pack and sends are
+/// counted here, while its sends are still in cache, with the sends summed
+/// before the builder's tally is touched.
 fn stamp_sends<P: VertexProgram>(
     clocks: &mut [SimTime],
     devices: &mut [DeviceRun<'_, P>],
     sends: &mut Vec<SendDesc>,
     mail: &mut Vec<(usize, SyncMsg<P::Wire>)>,
-    mut tr_pack: Option<&mut Vec<SimTime>>,
+    tally: &mut [DeviceTally],
 ) {
     sends.clear();
     mail.clear();
@@ -514,9 +485,7 @@ fn stamp_sends<P: VertexProgram>(
         }
         let pack = dev.scratch.pack_t;
         clocks[builder] += pack;
-        if let Some(tp) = tr_pack.as_deref_mut() {
-            tp[builder] += pack;
-        }
+        let first = sends.len();
         for msg in dev.scratch.built.drain(..) {
             sends.push(SendDesc {
                 from: msg.from,
@@ -526,6 +495,17 @@ fn stamp_sends<P: VertexProgram>(
             });
             if !msg.data.is_empty() {
                 mail.push((sends.len() - 1, msg));
+            }
+        }
+        if !tally.is_empty() {
+            let mine = &sends[first..];
+            let t = &mut tally[builder];
+            t.pack += pack;
+            t.sent.0 += mine.iter().map(|s| s.bytes).sum::<u64>();
+            t.sent.1 += mine.len() as u64;
+            for s in mine {
+                let t = &mut tally[s.to as usize];
+                t.received = (t.received.0 + s.bytes, t.received.1 + 1);
             }
         }
     }
@@ -571,24 +551,15 @@ fn apply_grouped<P: VertexProgram>(
     );
 }
 
-/// Adds one exchange's sends to per-device (bytes, messages) tallies.
-fn tally_sends(sends: &[SendDesc], sent: &mut [(u64, u64)], recv: &mut [(u64, u64)]) {
-    for s in sends {
-        sent[s.from as usize].0 += s.bytes;
-        sent[s.from as usize].1 += 1;
-        recv[s.to as usize].0 += s.bytes;
-        recv[s.to as usize].1 += 1;
-    }
-}
-
-/// Runs one exchange and folds its timing into the running clocks/waits.
-/// Without a fault context this is the raw [`NetModel::exchange_with`]
-/// path, unchanged, summarized into the reused `outcome`; with one, every
-/// message goes through the reliable transport (addressed by *physical*
-/// device), abandoned sends to dead receivers are reported through
-/// `failures`, and the per-send delivery flags come back for the apply
-/// stage. Returns `None` when every payload
-/// was delivered (raw path), `Some(flags)` otherwise.
+/// Runs one exchange and folds its timing into the running clocks/waits,
+/// and each device's wait into its trace tally (`tally` is empty when not
+/// tracing). Without a fault context this is the raw
+/// [`NetModel::exchange_with`] path, unchanged, summarized into the reused
+/// `outcome`; with one, every message goes through the reliable transport
+/// (addressed by *physical* device), abandoned sends to dead receivers are
+/// reported through `failures`, and the per-send delivery flags come back
+/// for the apply stage. Returns `None` when every payload was delivered
+/// (raw path), `Some(flags)` otherwise.
 #[allow(clippy::too_many_arguments)]
 fn run_exchange(
     net: &NetModel,
@@ -599,7 +570,7 @@ fn run_exchange(
     comm_bytes: &mut u64,
     messages: &mut u64,
     sends: &[SendDesc],
-    device_wait: Option<&mut Vec<SimTime>>,
+    tally: &mut [DeviceTally],
     fctx: Option<&mut FaultCtx<'_>>,
     counters: &mut FaultCounters,
     failures: &mut Vec<SimTime>,
@@ -611,10 +582,8 @@ fn run_exchange(
         None => {
             // Raw path: exactly the pre-fault-layer behavior.
             net.exchange_with(st, clocks, sends, None, outcome);
-            if let Some(wait) = device_wait {
-                for (d, w) in wait.iter_mut().enumerate() {
-                    *w += outcome.device_done[d].saturating_sub(outcome.sender_free[d]);
-                }
+            for (d, t) in tally.iter_mut().enumerate() {
+                t.wait += outcome.device_done[d].saturating_sub(outcome.sender_free[d]);
             }
             clocks.copy_from_slice(&outcome.device_done);
             for (w, o) in host_wait.iter_mut().zip(&outcome.host_wait) {
@@ -692,11 +661,9 @@ fn run_exchange(
             failures.push(f.gave_up_at);
         }
     }
-    if let Some(wait) = device_wait {
-        for (l, w) in wait.iter_mut().enumerate() {
-            let d = ctx.home.phys(l as u32) as usize;
-            *w += ex.outcome.device_done[d].saturating_sub(ex.outcome.sender_free[d]);
-        }
+    for (l, t) in tally.iter_mut().enumerate() {
+        let d = ctx.home.phys(l as u32) as usize;
+        t.wait += ex.outcome.device_done[d].saturating_sub(ex.outcome.sender_free[d]);
     }
     for (l, c) in clocks.iter_mut().enumerate() {
         *c = (*c).max(ex.outcome.device_done[ctx.home.phys(l as u32) as usize]);

@@ -1,5 +1,6 @@
 //! What the two execution models share: one entry point, the run outcome,
-//! and the fault-layer steps that do not depend on the schedule.
+//! the round records, and the fault-layer steps that do not depend on the
+//! schedule.
 //!
 //! [`run_engine`] dispatches a prepared device set to [`crate::bsp`] or
 //! [`crate::basp`] by [`ExecutionModel`], with the trace sink always in the
@@ -9,10 +10,19 @@
 //!
 //! BSP and BASP are one Gluon substrate under two schedules (§III-B): the
 //! sync messages are built and applied by [`DeviceRun::build_sync`] /
-//! [`DeviceRun::apply_sync`], and a crash is fired, checkpointed against
-//! and recovered from by the helpers here. Each engine module keeps only
-//! what its schedule decides — when a device computes, when its messages
-//! depart, and how a crash is detected.
+//! [`DeviceRun::apply_sync`], a crash is fired, checkpointed against and
+//! recovered from by the helpers here, and every round record is tallied
+//! and assembled by `RoundTally`. Each engine module keeps only what its
+//! schedule decides — when a device computes, when its messages depart,
+//! and how a crash is detected.
+//!
+//! The two schedules stay two loops because they price communication
+//! differently. BSP prices each exchange as one batch
+//! ([`NetModel::exchange_with`]: service order, with a per-host send
+//! floor) and takes host wait from that exchange. BASP prices messages one
+//! at a time as they depart ([`NetModel::send`]) and takes host wait from
+//! device idle time. One event schedule for both would move every BSP
+//! report hash and the BSP wait figures.
 
 use dirgl_comm::{
     CrashSpec, FaultInjector, LinkEvent, LinkEventKind, NetModel, ReliableNet, ReliableState,
@@ -27,7 +37,7 @@ use crate::config::RunConfig;
 use crate::device::DeviceRun;
 use crate::program::VertexProgram;
 use crate::resilience::{checkpoint_transfer, DeviceSnapshot, HomeMap, ResilienceStats};
-use crate::trace::{FaultEvent, TraceSink};
+use crate::trace::{EngineKind, FaultEvent, RoundRecord, TraceDirection, TraceSink};
 
 /// Which engine executes the run — a clearer-named alias of
 /// [`crate::config::ExecModel`] for dispatch call sites.
@@ -80,6 +90,89 @@ pub struct EngineOutcome {
     pub max_rounds: u32,
     /// Fault, retry and recovery counters (all zero on a healthy run).
     pub resilience: ResilienceStats,
+}
+
+/// What one device did since its previous round record.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct DeviceTally {
+    /// Active vertices when its compute phase started.
+    pub frontier: u64,
+    /// Pack time charged.
+    pub pack: SimTime,
+    /// Time blocked on inbound messages.
+    pub wait: SimTime,
+    /// (bytes, messages) sent.
+    pub sent: (u64, u64),
+    /// (bytes, messages) received.
+    pub received: (u64, u64),
+}
+
+/// The per-device tallies behind both engines' round records, and the one
+/// place a [`RoundRecord`] is assembled. With a disabled sink `devices` is
+/// empty, so every update is a no-op and nothing is assembled.
+#[derive(Clone)]
+pub(crate) struct RoundTally {
+    engine: EngineKind,
+    /// Direction stamped on the records emitted next.
+    pub direction: TraceDirection,
+    /// One tally per device; empty when not tracing.
+    pub devices: Vec<DeviceTally>,
+}
+
+impl RoundTally {
+    pub(crate) fn new(
+        engine: EngineKind,
+        direction: TraceDirection,
+        p: usize,
+        sink: &dyn TraceSink,
+    ) -> RoundTally {
+        let p = if sink.enabled() { p } else { 0 };
+        RoundTally {
+            engine,
+            direction,
+            devices: vec![DeviceTally::default(); p],
+        }
+    }
+
+    /// Applies `f` to device `d`'s tally when tracing.
+    pub(crate) fn update(&mut self, d: usize, f: impl FnOnce(&mut DeviceTally)) {
+        if let Some(t) = self.devices.get_mut(d) {
+            f(t);
+        }
+    }
+
+    /// Emits device `d`'s record of `round` from its tally, and starts its
+    /// next tally from zero.
+    #[inline]
+    pub(crate) fn emit(
+        &mut self,
+        sink: &mut dyn TraceSink,
+        d: usize,
+        round: u32,
+        compute: SimTime,
+        absorb_changed: u32,
+        clock_end: SimTime,
+    ) {
+        let Some(t) = self.devices.get_mut(d).map(std::mem::take) else {
+            return;
+        };
+        sink.record(RoundRecord {
+            engine: self.engine,
+            round,
+            device: d as u32,
+            direction: self.direction,
+            frontier: t.frontier,
+            compute,
+            pack: t.pack,
+            wait: t.wait,
+            bytes_sent: t.sent.0,
+            bytes_received: t.received.0,
+            messages_sent: t.sent.1,
+            messages_received: t.received.1,
+            absorb_changed,
+            clock_end,
+        });
+    }
 }
 
 /// Per-round cost of the distributed termination check (an allreduce over
@@ -198,8 +291,8 @@ impl<'a> FaultCtx<'a> {
     }
 
     /// Forwards buffered link incidents to the sink as trace events.
-    pub(crate) fn drain_events(&mut self, sink: &mut dyn TraceSink, tracing: bool) {
-        if !tracing {
+    pub(crate) fn drain_events(&mut self, sink: &mut dyn TraceSink) {
+        if !sink.enabled() {
             self.events.clear();
             return;
         }
