@@ -103,7 +103,7 @@ fn main() {
         extra_scale,
         gpus,
         out_path,
-    } = or_exit(try_parse(ArgStream::from_env()), USAGE);
+    } = or_exit(ArgStream::from_env().and_then(try_parse), USAGE);
 
     let ld = LoadedDataset::load(DatasetId::Indochina04, extra_scale.get());
     let g = &ld.ds.graph;

@@ -87,7 +87,7 @@ fn main() {
     let Opts {
         extra_scale,
         out_path,
-    } = or_exit(try_parse(ArgStream::from_env()), USAGE);
+    } = or_exit(ArgStream::from_env().and_then(try_parse), USAGE);
 
     let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale.get());
     let mut h = Harness {

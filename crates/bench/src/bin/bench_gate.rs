@@ -56,7 +56,7 @@ fn load(dir: &str, file: &str) -> Result<Option<Json>, String> {
 }
 
 fn main() {
-    let Opts { committed, fresh } = or_exit(try_parse(ArgStream::from_env()), USAGE);
+    let Opts { committed, fresh } = or_exit(ArgStream::from_env().and_then(try_parse), USAGE);
 
     let mut failures = 0usize;
     for file in BASELINE_FILES {

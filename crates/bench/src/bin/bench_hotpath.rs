@@ -86,7 +86,7 @@ fn main() {
         extra_scale,
         reps,
         out_path,
-    } = or_exit(try_parse(ArgStream::from_env()), USAGE);
+    } = or_exit(ArgStream::from_env().and_then(try_parse), USAGE);
 
     let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale.get());
     let mut cfg = RunConfig::new(Policy::Iec, Variant::var3());

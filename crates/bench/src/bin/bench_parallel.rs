@@ -54,7 +54,7 @@ fn main() {
         extra_scale,
         threads,
         out_path,
-    } = or_exit(try_parse(ArgStream::from_env()), USAGE);
+    } = or_exit(ArgStream::from_env().and_then(try_parse), USAGE);
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -171,7 +171,7 @@ fn main() {
         chunk_edges,
         budget_gb,
         out_path,
-    } = or_exit(try_parse(ArgStream::from_env()), USAGE);
+    } = or_exit(ArgStream::from_env().and_then(try_parse), USAGE);
     let budget_bytes = (budget_gb * 1e9) as u64;
 
     println!(

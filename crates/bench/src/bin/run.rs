@@ -142,7 +142,7 @@ fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
 }
 
 fn main() {
-    let o = or_exit(try_parse(ArgStream::from_env()), USAGE);
+    let o = or_exit(ArgStream::from_env().and_then(try_parse), USAGE);
     let platform = match o.platform.as_str() {
         "bridges" => Platform::bridges(o.gpus.get()),
         "tuxedo" => Platform::tuxedo_n(o.gpus.get()),

@@ -39,16 +39,25 @@ impl fmt::Display for CliError {
 impl std::error::Error for CliError {}
 
 /// Token stream over a binary's arguments (program name already skipped).
+///
+/// The parsers built on it let a repeated flag's last value win:
+/// `--scale 2 --scale 3` runs at scale 3.
 pub struct ArgStream {
     it: std::vec::IntoIter<String>,
 }
 
 impl ArgStream {
-    /// Stream over `std::env::args`, program name skipped.
-    pub fn from_env() -> ArgStream {
-        ArgStream {
-            it: std::env::args().skip(1).collect::<Vec<_>>().into_iter(),
-        }
+    /// Stream over the process arguments, program name skipped. A token
+    /// that is not valid UTF-8 is an error that names it.
+    pub fn from_env() -> Result<ArgStream, CliError> {
+        let tokens = std::env::args_os()
+            .skip(1)
+            .map(|a| {
+                a.into_string()
+                    .map_err(|a| CliError::new(format!("argument {a:?} is not valid UTF-8")))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(ArgStream::from_tokens(tokens))
     }
 
     /// Stream over explicit tokens (tests).

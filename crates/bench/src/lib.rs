@@ -76,10 +76,10 @@ impl Args {
     /// Usage line shared by every figure/table binary.
     pub const USAGE: &'static str = "usage: [--scale N] [--quick] [--trace PATH]";
 
-    /// Parses `--scale N`, `--quick` and `--trace <path>` from
-    /// `std::env::args`; a bad flag prints usage and exits nonzero.
+    /// Parses `--scale N`, `--quick` and `--trace <path>` from the process
+    /// arguments; a bad flag prints usage and exits nonzero.
     pub fn parse() -> Args {
-        cli::or_exit(Self::try_parse(ArgStream::from_env()), Self::USAGE)
+        cli::or_exit(ArgStream::from_env().and_then(Self::try_parse), Self::USAGE)
     }
 
     /// The fallible parser behind [`Args::parse`].
