@@ -51,6 +51,21 @@ pub struct ResilienceStats {
     pub recovery_time: SimTime,
 }
 
+impl ResilienceStats {
+    /// Folds another run's counters into this one.
+    pub fn merge(&mut self, other: &ResilienceStats) {
+        self.faults.merge(&other.faults);
+        self.crashes += other.crashes;
+        self.checkpoints_taken += other.checkpoints_taken;
+        self.checkpoint_bytes += other.checkpoint_bytes;
+        self.rollbacks += other.rollbacks;
+        self.rounds_replayed += other.rounds_replayed;
+        self.rejoins += other.rejoins;
+        self.masters_reassigned += other.masters_reassigned;
+        self.recovery_time += other.recovery_time;
+    }
+}
+
 /// One device's restorable execution state.
 pub(crate) struct DeviceSnapshot<P: VertexProgram> {
     state: Vec<P::State>,
@@ -189,5 +204,37 @@ mod tests {
         assert_eq!(s.rollbacks, 0);
         assert!(!s.faults.any());
         assert_eq!(s.recovery_time, SimTime::ZERO);
+    }
+
+    #[test]
+    fn merge_into_default_reproduces_every_field() {
+        // Struct literals without `..`: a field added later fails to
+        // compile here until this test (and so `merge`) covers it.
+        let s = ResilienceStats {
+            faults: FaultCounters {
+                drops_injected: 1,
+                duplicates_injected: 2,
+                delays_injected: 3,
+                timeouts: 4,
+                retransmits: 5,
+                duplicates_suppressed: 6,
+                delivery_failures: 7,
+            },
+            crashes: 8,
+            checkpoints_taken: 9,
+            checkpoint_bytes: 10,
+            rollbacks: 11,
+            rounds_replayed: 12,
+            rejoins: 13,
+            masters_reassigned: 14,
+            recovery_time: SimTime::from_secs_f64(15.0),
+        };
+        let mut total = ResilienceStats::default();
+        total.merge(&s);
+        assert_eq!(total, s);
+        total.merge(&s);
+        assert_eq!(total.crashes, 16);
+        assert_eq!(total.faults.delivery_failures, 14);
+        assert_eq!(total.recovery_time, SimTime::from_secs_f64(30.0));
     }
 }

@@ -512,7 +512,7 @@ impl Inner {
 
         let mut engine = ResilienceStats::default();
         for r in &outcome.reports {
-            fold_resilience(&mut engine, &r.resilience);
+            engine.merge(&r.resilience);
         }
         // Keep the health picture current: a crash that never rejoined
         // leaves its device dead for subsequent admissions.
@@ -782,20 +782,6 @@ impl Inner {
             }
         }
     }
-}
-
-/// Field-wise fold of one phase's engine resilience counters into a
-/// job-level total.
-fn fold_resilience(total: &mut ResilienceStats, r: &ResilienceStats) {
-    total.faults.merge(&r.faults);
-    total.crashes += r.crashes;
-    total.checkpoints_taken += r.checkpoints_taken;
-    total.checkpoint_bytes += r.checkpoint_bytes;
-    total.rollbacks += r.rollbacks;
-    total.rounds_replayed += r.rounds_replayed;
-    total.rejoins += r.rejoins;
-    total.masters_reassigned += r.masters_reassigned;
-    total.recovery_time += r.recovery_time;
 }
 
 /// The operator-facing snapshot [`JobServer::status`] returns: the
