@@ -3,9 +3,11 @@
 //! [`TrackingAlloc`] wraps [`System`] and keeps three exact counters:
 //! the number of allocator calls (`alloc` + `realloc`), the live heap
 //! bytes, and the byte high-water mark. All three are logical layout
-//! sizes, not OS pages, so the numbers are deterministic for a
-//! deterministic program — good enough to gate "the streaming path's
-//! peak stopped shrinking" in CI without RSS sampling noise.
+//! sizes, not OS pages, so there is no RSS sampling noise. They repeat
+//! run to run at one pool thread (`RAYON_NUM_THREADS=1`), which is how
+//! `bench_hotpath` and `bench_scale` produce their committed texts; they
+//! do not repeat across pool sizes, since worker threads allocate too and
+//! their interleaving moves the high-water mark.
 //!
 //! The `#[global_allocator]` attribute must live in each *binary*
 //! (declaring it here would force the wrapper onto every consumer of the

@@ -5,51 +5,49 @@
 //! One partition is built and reused; then for K ∈ {1, 8, 64} the same
 //! source set runs twice — `Backend::Scalar` (K one-source engine runs,
 //! the baseline) and `Backend::Lanes` (one engine pass advancing all K
-//! frontiers). Every lane is asserted byte-identical to its scalar run
-//! (`identical_reports`), so the speedup is never bought with divergent
-//! answers.
+//! frontiers). Every lane is asserted byte-identical to its scalar run,
+//! so the speedup is never bought with divergent answers.
 //!
 //! The headline sources/sec and the asserted ≥4× floor are in
-//! *paper-equivalent simulated time* (the unit every BENCH file in this
-//! repo reports, and deterministic run to run); host wall times ride
-//! along for reference. The simulated win is the MS-BFS claim itself:
-//! a vertex on many lanes' frontiers is scanned once per round, not
-//! once per lane, so one batched pass costs about one scalar pass.
+//! *paper-equivalent simulated time*, deterministic run to run and at any
+//! pool size, so stdout repeats byte for byte and
+//! `bench_results/bench_batch.txt` holds it (CI diffs it). Host wall
+//! times go to stderr, for reference. The simulated win is the MS-BFS
+//! claim itself: a vertex on many lanes' frontiers is scanned once per
+//! round, not once per lane, so one batched pass costs about one scalar
+//! pass.
 //!
 //! ```sh
-//! cargo run --release --bin bench_batch -- [--scale N] [--gpus N] [--out PATH]
+//! cargo run --release --bin bench_batch -- [--scale N] [--gpus N]
 //! ```
 
 use std::num::{NonZeroU32, NonZeroU64};
 use std::time::Instant;
 
-use dirgl_bench::cli::{or_exit, write_output, ArgStream, CliError};
+use dirgl_bench::cli::{or_exit, ArgStream, CliError};
 use dirgl_bench::{run_dirgl_batch, BenchId, LoadedDataset, PartitionCache};
 use dirgl_core::{Backend, MultiRunOutput, RunConfig, Variant};
 use dirgl_gpusim::Platform;
 use dirgl_graph::DatasetId;
 use dirgl_partition::Policy;
 
-const USAGE: &str = "usage: bench_batch [--scale N] [--gpus N] [--out PATH]";
+const USAGE: &str = "usage: bench_batch [--scale N] [--gpus N]";
 const LANE_COUNTS: [usize; 3] = [1, 8, 64];
 
 struct Opts {
     extra_scale: NonZeroU64,
     gpus: NonZeroU32,
-    out_path: String,
 }
 
 fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
     let mut o = Opts {
         extra_scale: NonZeroU64::MIN,
         gpus: NonZeroU32::new(4).unwrap(),
-        out_path: "BENCH_batch.json".to_string(),
     };
     while let Some(a) = it.next_arg() {
         match a.as_str() {
             "--scale" => o.extra_scale = it.parsed("--scale", "a positive integer")?,
             "--gpus" => o.gpus = it.parsed("--gpus", "a positive integer")?,
-            "--out" => o.out_path = it.value("--out")?,
             other => return Err(CliError::unknown_arg(other)),
         }
     }
@@ -99,11 +97,7 @@ fn identical(lanes: &MultiRunOutput, scalar: &MultiRunOutput) -> bool {
 }
 
 fn main() {
-    let Opts {
-        extra_scale,
-        gpus,
-        out_path,
-    } = or_exit(ArgStream::from_env().and_then(try_parse), USAGE);
+    let Opts { extra_scale, gpus } = or_exit(ArgStream::from_env().and_then(try_parse), USAGE);
 
     let ld = LoadedDataset::load(DatasetId::Indochina04, extra_scale.get());
     let g = &ld.ds.graph;
@@ -131,7 +125,6 @@ fn main() {
     )
     .expect("warmup failed");
 
-    let mut rows = Vec::new();
     let mut speedup_64 = 0.0f64;
     for k in LANE_COUNTS {
         let sources = spread_sources(n, base, k);
@@ -162,41 +155,35 @@ fn main() {
         .expect("lanes batch failed");
         let lanes_s = t.elapsed().as_secs_f64();
 
-        let same = identical(&lanes, &scalar);
-        assert!(same, "K={k}: a lane diverged from its scalar run");
+        assert!(
+            identical(&lanes, &scalar),
+            "K={k}: a lane diverged from its scalar run"
+        );
         assert_eq!(
             scalar.engine_reports.len(),
             k,
             "scalar runs once per source"
         );
-        assert_eq!(
-            lanes.engine_reports.len(),
-            k.div_ceil(64),
-            "lanes chunk by 64"
-        );
+        let passes = lanes.engine_reports.len();
+        assert_eq!(passes, k.div_ceil(64), "lanes chunk by 64");
 
         let scalar_sim = sim_total(&scalar);
         let lanes_sim = sim_total(&lanes);
         let scalar_sps = k as f64 / scalar_sim;
         let lanes_sps = k as f64 / lanes_sim;
         let speedup = lanes_sps / scalar_sps;
-        let host_speedup = scalar_s / lanes_s;
         if k == 64 {
             speedup_64 = speedup;
         }
         println!(
-            "K={k:>2}: scalar {scalar_sim:>8.3}s ({scalar_sps:>7.2} src/s) | lanes \
-             {lanes_sim:>8.3}s ({lanes_sps:>7.2} src/s) | speedup {speedup:>6.2}x \
-             (host {host_speedup:.2}x) | identical",
+            "K={k:>2}: scalar {scalar_sim:.6}s ({scalar_sps:.3} src/s) | lanes \
+             {lanes_sim:.6}s ({lanes_sps:.3} src/s) | speedup {speedup:.3}x | \
+             engine_passes {passes} | identical",
         );
-        rows.push(format!(
-            "    {{\"k\": {k}, \"scalar_sim_s\": {scalar_sim:.6}, \"lanes_sim_s\": {lanes_sim:.6}, \
-             \"scalar_sources_per_s\": {scalar_sps:.3}, \"lanes_sources_per_s\": {lanes_sps:.3}, \
-             \"speedup\": {speedup:.3}, \"scalar_host_s\": {scalar_s:.6}, \
-             \"lanes_host_s\": {lanes_s:.6}, \"host_speedup\": {host_speedup:.3}, \
-             \"engine_passes\": {}, \"identical_reports\": {same}}}",
-            lanes.engine_reports.len(),
-        ));
+        eprintln!(
+            "K={k:>2}: host scalar {scalar_s:.6}s, lanes {lanes_s:.6}s ({:.3}x)",
+            scalar_s / lanes_s
+        );
     }
 
     println!("\nK=64 speedup: {speedup_64:.2}x (acceptance floor: 4x)");
@@ -204,19 +191,4 @@ fn main() {
         speedup_64 >= 4.0,
         "K=64 batched bfs must sustain >= 4x the serial scalar sources/sec, got {speedup_64:.2}x"
     );
-
-    let json = format!(
-        "{{\n  \"dataset\": \"indochina04\",\n  \"benchmark\": \"bfs\",\n  \"policy\": \"cvc\",\n  \
-         \"variant\": \"Var3\",\n  \"devices\": {gpus},\n  \"extra_scale\": {extra_scale},\n  \
-         \"runs\": [\n{}\n  ],\n  \
-         \"note\": \"Same prepared partition for every run (warmed before timing). Scalar = one \
-         engine pass per source (the serial baseline); lanes = K sources packed into 64-lane \
-         bit-matrix frontiers, one engine pass per 64-lane chunk. identical_reports asserts every \
-         lane's values are byte-identical to its scalar single-source run. The headline \
-         sources/sec and speedup are paper-equivalent simulated time (deterministic); *_host_s \
-         are host wall clock, for reference.\"\n}}\n",
-        rows.join(",\n")
-    );
-    or_exit(write_output(&out_path, &json), USAGE);
-    println!("wrote {out_path}");
 }

@@ -17,22 +17,23 @@
 //!   already-hopeless deadlines, the rest fresh.
 //! * `saturation` — a 2-slot queue against a 12-job burst.
 //!
-//! Every scenario records availability = (completed + cache hits) /
+//! Every scenario reports availability = (completed + cache hits) /
 //! accepted, the retry/degradation/shed counters, and p50/p99
-//! client-observed latencies of the jobs that did complete. Counters must
+//! client-observed latencies of the jobs that did complete, on stderr:
+//! the latencies are host-clock figures and the degradation counts move
+//! with thread timing, so nothing here is committed. Counters must
 //! reconcile (`accepted = completed + cache_hits + failed + expired +
-//! rejected_gov + shut_down`) or the binary aborts.
-//!
-//! Writes `BENCH_chaos.json` (schema documented in EXPERIMENTS.md).
+//! rejected_gov + shut_down`), and the fault-free baseline must serve
+//! every job it accepts, or the binary aborts.
 //!
 //! ```sh
-//! cargo run --release --bin bench_chaos -- [--scale N] [--seed N] [--out PATH]
+//! cargo run --release --bin bench_chaos -- [--scale N] [--seed N]
 //! ```
 
 use std::num::NonZeroU64;
 use std::time::{Duration, Instant};
 
-use dirgl_bench::cli::{or_exit, write_output, ArgStream, CliError};
+use dirgl_bench::cli::{or_exit, ArgStream, CliError};
 use dirgl_bench::LoadedDataset;
 use dirgl_comm::FaultPlan;
 use dirgl_core::{RunConfig, Variant};
@@ -42,25 +43,22 @@ use dirgl_partition::Policy;
 use dirgl_serve::{JobRequest, JobServer, JobSpec, ServeConfig, ServerStats};
 
 const DEVICES: u32 = 4;
-const USAGE: &str = "usage: bench_chaos [--scale N] [--seed N] [--out PATH]";
+const USAGE: &str = "usage: bench_chaos [--scale N] [--seed N]";
 
 struct Opts {
     extra_scale: NonZeroU64,
     seed: u64,
-    out_path: String,
 }
 
 fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
     let mut o = Opts {
         extra_scale: NonZeroU64::MIN,
         seed: 7,
-        out_path: "BENCH_chaos.json".to_string(),
     };
     while let Some(a) = it.next_arg() {
         match a.as_str() {
             "--scale" => o.extra_scale = it.parsed("--scale", "a positive integer")?,
             "--seed" => o.seed = it.parsed("--seed", "a fault seed")?,
-            "--out" => o.out_path = it.value("--out")?,
             other => return Err(CliError::unknown_arg(other)),
         }
     }
@@ -101,10 +99,8 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Submits every request from its own client thread, waits for all, and
-/// returns (wall seconds, sorted latencies of *successful* jobs, refused
-/// submissions).
-fn run_stream(server: &JobServer, reqs: Vec<JobRequest>) -> (f64, Vec<f64>, u64) {
-    let t0 = Instant::now();
+/// returns the sorted latencies of the *successful* jobs.
+fn run_stream(server: &JobServer, reqs: Vec<JobRequest>) -> Vec<f64> {
     let outcomes: Vec<Option<f64>> = std::thread::scope(|s| {
         let handles: Vec<_> = reqs
             .into_iter()
@@ -120,11 +116,9 @@ fn run_stream(server: &JobServer, reqs: Vec<JobRequest>) -> (f64, Vec<f64>, u64)
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let wall = t0.elapsed().as_secs_f64();
-    let mut lats: Vec<f64> = outcomes.iter().filter_map(|o| *o).collect();
-    let refused = outcomes.iter().filter(|o| o.is_none()).count() as u64;
+    let mut lats: Vec<f64> = outcomes.into_iter().flatten().collect();
     lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    (wall, lats, refused)
+    lats
 }
 
 /// Aborts if the server's books do not balance.
@@ -141,42 +135,23 @@ fn reconcile(label: &str, s: &ServerStats) {
     );
 }
 
-fn row(label: &str, wall: f64, lats: &[f64], s: &ServerStats) -> String {
+/// Prints one scenario's availability, counters and latencies to stderr.
+fn report(label: &str, lats: &[f64], s: &ServerStats) {
     let served = s.completed + s.cache_hits;
-    let availability = served as f64 / s.accepted.max(1) as f64;
-    println!(
+    eprintln!(
         "{label:>16}: availability {:.3} ({served}/{} accepted) | retries {} degraded {} \
-         shed {} rejected {} expired {} | p50 {:.1}ms p99 {:.1}ms",
-        availability,
+         shed {} rejected {} expired {} failed {} | p50 {:.1}ms p99 {:.1}ms",
+        served as f64 / s.accepted.max(1) as f64,
         s.accepted,
         s.retries,
         s.degraded,
         s.shed,
         s.rejected_gov + s.rejected_saturated,
         s.expired,
+        s.failed,
         percentile(lats, 0.50) * 1e3,
         percentile(lats, 0.99) * 1e3,
     );
-    format!(
-        "    {{\"scenario\": \"{label}\", \"wall_s\": {wall:.6}, \
-         \"accepted\": {}, \"completed\": {}, \"cache_hits\": {}, \"failed\": {}, \
-         \"expired\": {}, \"rejected_gov\": {}, \"rejected_saturated\": {}, \
-         \"shed\": {}, \"retries\": {}, \"degraded\": {}, \"shut_down\": {}, \
-         \"availability\": {availability:.6}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-        s.accepted,
-        s.completed,
-        s.cache_hits,
-        s.failed,
-        s.expired,
-        s.rejected_gov,
-        s.rejected_saturated,
-        s.shed,
-        s.retries,
-        s.degraded,
-        s.shut_down,
-        percentile(lats, 0.50) * 1e3,
-        percentile(lats, 0.99) * 1e3,
-    )
 }
 
 fn load(g: &dirgl_graph::Csr, platform: Platform, cfg: RunConfig, serve: ServeConfig) -> JobServer {
@@ -184,11 +159,7 @@ fn load(g: &dirgl_graph::Csr, platform: Platform, cfg: RunConfig, serve: ServeCo
 }
 
 fn main() {
-    let Opts {
-        extra_scale,
-        seed,
-        out_path,
-    } = or_exit(ArgStream::from_env().and_then(try_parse), USAGE);
+    let Opts { extra_scale, seed } = or_exit(ArgStream::from_env().and_then(try_parse), USAGE);
 
     let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale.get());
     let g = &ld.ds.graph;
@@ -205,8 +176,6 @@ fn main() {
         g.num_vertices(),
         g.num_edges()
     );
-
-    let mut rows = Vec::new();
 
     // baseline / link_chaos / crash_rejoin / crash_dead: full stream.
     let storms: [(&str, Option<FaultPlan>); 4] = [
@@ -236,10 +205,17 @@ fn main() {
         };
         let server = load(g, Platform::bridges(DEVICES), cfg, ServeConfig::default());
         let reqs = stream(&server).into_iter().map(JobRequest::new).collect();
-        let (wall, lats, _) = run_stream(&server, reqs);
+        let lats = run_stream(&server, reqs);
         let stats = server.stats();
         reconcile(label, &stats);
-        rows.push(row(label, wall, &lats, &stats));
+        if label == "baseline" {
+            assert_eq!(
+                stats.completed + stats.cache_hits,
+                stats.accepted,
+                "baseline: a fault-free server must serve every job it accepts"
+            );
+        }
+        report(label, &lats, &stats);
         server.shutdown();
     }
 
@@ -264,11 +240,11 @@ fn main() {
         }
         let server = load(g, platform, faulty_cfg(link_plan()), ServeConfig::default());
         let reqs = stream(&server).into_iter().map(JobRequest::new).collect();
-        let (wall, lats, _) = run_stream(&server, reqs);
+        let lats = run_stream(&server, reqs);
         let stats = server.stats();
         reconcile("memory_pressure", &stats);
         assert!(stats.degraded >= 1, "pressure scenario must degrade");
-        rows.push(row("memory_pressure", wall, &lats, &stats));
+        report("memory_pressure", &lats, &stats);
         server.shutdown();
     }
 
@@ -287,7 +263,6 @@ fn main() {
         );
         let jobs = stream(&server);
         let (stale, fresh) = jobs.split_at(jobs.len() / 2);
-        let t0 = Instant::now();
         let stale_handles: Vec<_> = stale
             .iter()
             .map(|j| {
@@ -299,16 +274,15 @@ fn main() {
         std::thread::sleep(Duration::from_millis(30));
         let reqs = fresh.iter().cloned().map(JobRequest::new).collect();
         server.resume();
-        let (_, lats, _) = run_stream(&server, reqs);
+        let lats = run_stream(&server, reqs);
         for h in &stale_handles {
             let _ = h.wait();
         }
-        let wall = t0.elapsed().as_secs_f64();
         server.drain();
         let stats = server.stats();
         reconcile("deadline_churn", &stats);
         assert!(stats.expired >= 1, "stale deadlines must expire");
-        rows.push(row("deadline_churn", wall, &lats, &stats));
+        report("deadline_churn", &lats, &stats);
         server.shutdown();
     }
 
@@ -338,31 +312,14 @@ fn main() {
                 lats.push(t0.elapsed().as_secs_f64());
             }
         }
-        let wall = t0.elapsed().as_secs_f64();
         server.drain();
         lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let stats = server.stats();
         reconcile("saturation", &stats);
         assert!(stats.rejected_saturated >= 1, "the burst must overflow");
-        rows.push(row("saturation", wall, &lats, &stats));
+        report("saturation", &lats, &stats);
         server.shutdown();
     }
 
-    let json = format!(
-        "{{\n  \"dataset\": \"twitter50\",\n  \"policy\": \"cvc\",\n  \"variant\": \"Var3\",\n  \
-         \"devices\": {DEVICES},\n  \"extra_scale\": {extra_scale},\n  \"seed\": {seed},\n  \
-         \"stream\": \"bfs x16-wide + sssp x16-wide + pagerank + cc + kcore + 4 bfs + 4 sssp \
-         singletons (13 jobs)\",\n  \
-         \"scenarios\": [\n{}\n  ],\n  \
-         \"note\": \"Seeded chaos against the resident JobServer: link faults \
-         (drop/duplicate/delay), a device crash at round 2 (rejoin and dead modes) plus a 4x \
-         straggler window, memory pressure via capacities tightened between the 4- and 16-wide \
-         footprints of the widest batch (forcing the admission governor down the lane-width \
-         ladder), deadline churn and queue saturation. availability = (completed + cache_hits) / \
-         accepted; latencies are client-observed submit-to-result over successful jobs only. \
-         Counters are asserted to reconcile in every scenario.\"\n}}\n",
-        rows.join(",\n")
-    );
-    or_exit(write_output(&out_path, &json), USAGE);
-    println!("\nwrote {out_path}");
+    println!("counters reconciled in every scenario; the fault-free baseline served every job");
 }

@@ -4,16 +4,18 @@
 //! submitted by concurrent clients at server concurrency 1, 4 and 16 —
 //! first cold (every job executes), then resubmitted verbatim (every job
 //! a cache hit). Client-observed latency (submit → result, queueing
-//! included) and jobs/sec go to `BENCH_serve.json`.
+//! included) and jobs/sec are host-clock figures and go to stderr; the
+//! binary asserts that the cold pass executes every job and the warm pass
+//! executes none. Nothing here is committed.
 //!
 //! ```sh
-//! cargo run --release --bin bench_serve -- [--scale N] [--gpus N] [--out PATH]
+//! cargo run --release --bin bench_serve -- [--scale N] [--gpus N]
 //! ```
 
 use std::num::{NonZeroU32, NonZeroU64};
 use std::time::Instant;
 
-use dirgl_bench::cli::{or_exit, write_output, ArgStream, CliError};
+use dirgl_bench::cli::{or_exit, ArgStream, CliError};
 use dirgl_bench::LoadedDataset;
 use dirgl_core::RunConfig;
 use dirgl_gpusim::Platform;
@@ -21,26 +23,23 @@ use dirgl_graph::DatasetId;
 use dirgl_partition::Policy;
 use dirgl_serve::{JobServer, JobSpec, ServeConfig};
 
-const USAGE: &str = "usage: bench_serve [--scale N] [--gpus N] [--out PATH]";
+const USAGE: &str = "usage: bench_serve [--scale N] [--gpus N]";
 const CONCURRENCY: [usize; 3] = [1, 4, 16];
 
 struct Opts {
     extra_scale: NonZeroU64,
     gpus: NonZeroU32,
-    out_path: String,
 }
 
 fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
     let mut o = Opts {
         extra_scale: NonZeroU64::MIN,
         gpus: NonZeroU32::new(4).unwrap(),
-        out_path: "BENCH_serve.json".to_string(),
     };
     while let Some(a) = it.next_arg() {
         match a.as_str() {
             "--scale" => o.extra_scale = it.parsed("--scale", "a positive integer")?,
             "--gpus" => o.gpus = it.parsed("--gpus", "a positive integer")?,
-            "--out" => o.out_path = it.value("--out")?,
             other => return Err(CliError::unknown_arg(other)),
         }
     }
@@ -100,22 +99,8 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx]
 }
 
-fn pass_json(label: &str, wall: f64, lats: &[f64]) -> String {
-    format!(
-        "\"{label}\": {{\"wall_s\": {wall:.6}, \"jobs_per_s\": {:.3}, \
-         \"p50_ms\": {:.3}, \"p99_ms\": {:.3}}}",
-        lats.len() as f64 / wall,
-        percentile(lats, 0.50) * 1e3,
-        percentile(lats, 0.99) * 1e3,
-    )
-}
-
 fn main() {
-    let Opts {
-        extra_scale,
-        gpus,
-        out_path,
-    } = or_exit(ArgStream::from_env().and_then(try_parse), USAGE);
+    let Opts { extra_scale, gpus } = or_exit(ArgStream::from_env().and_then(try_parse), USAGE);
 
     let ld = LoadedDataset::load(DatasetId::Twitter50, extra_scale.get());
     let g = &ld.ds.graph;
@@ -125,7 +110,6 @@ fn main() {
         g.num_edges()
     );
 
-    let mut rows = Vec::new();
     for conc in CONCURRENCY {
         let serve_cfg = ServeConfig {
             workers: conc,
@@ -166,7 +150,7 @@ fn main() {
             "warm pass must not execute anything"
         );
 
-        println!(
+        eprintln!(
             "concurrency {conc:>2}: load {load_s:.3}s | cold {:.1} jobs/s \
              (p50 {:.0}ms, p99 {:.0}ms) | cache-hit {:.0} jobs/s (p50 {:.2}ms, p99 {:.2}ms)",
             jobs.len() as f64 / cold_wall,
@@ -176,28 +160,10 @@ fn main() {
             percentile(&hit_lats, 0.50) * 1e3,
             percentile(&hit_lats, 0.99) * 1e3,
         );
-        rows.push(format!(
-            "    {{\"concurrency\": {conc}, \"jobs\": {}, \"load_s\": {load_s:.6}, \
-             {}, {}}}",
-            jobs.len(),
-            pass_json("cold", cold_wall, &cold_lats),
-            pass_json("cache_hit", hit_wall, &hit_lats),
-        ));
         server.shutdown();
     }
 
-    let json = format!(
-        "{{\n  \"dataset\": \"twitter50\",\n  \"policy\": \"cvc\",\n  \"variant\": \"Var4\",\n  \
-         \"devices\": {gpus},\n  \"extra_scale\": {extra_scale},\n  \
-         \"job_matrix\": \"bfs x6 + sssp x4 + bc x2 + pagerank + cc + kcore x2 (16 distinct jobs)\",\n  \
-         \"runs\": [\n{}\n  ],\n  \
-         \"note\": \"Resident JobServer: dataset loaded/partitioned once per server, then the \
-         16-job matrix submitted by concurrent client threads at server concurrency 1/4/16. \
-         Latency is client-observed submit-to-result (queueing included). The cold pass executes \
-         every job (asserted via cache_misses); the cache_hit pass resubmits the identical matrix \
-         and is served entirely from the keyed result cache (asserted via cache_hits).\"\n}}\n",
-        rows.join(",\n")
+    println!(
+        "cold passes executed every job and cache-hit passes none, at concurrency {CONCURRENCY:?}"
     );
-    or_exit(write_output(&out_path, &json), USAGE);
-    println!("\nwrote {out_path}");
 }

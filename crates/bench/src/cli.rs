@@ -111,24 +111,6 @@ pub fn parse_source_list(flag: &str, v: &str) -> Result<Vec<u32>, CliError> {
     Ok(out)
 }
 
-/// Writes a harness output file (`--out` results JSON and the like),
-/// routing failures through [`CliError`] so the binaries fail fast via
-/// [`or_exit`] instead of panicking with a backtrace hint. A missing
-/// parent directory is the common mistake, so it gets a dedicated error
-/// naming the directory (plain `fs::write` reports only the full path
-/// and an OS code).
-pub fn write_output(path: &str, contents: &str) -> Result<(), CliError> {
-    let parent = std::path::Path::new(path).parent();
-    if let Some(dir) = parent.filter(|d| !d.as_os_str().is_empty() && !d.exists()) {
-        return Err(CliError::new(format!(
-            "cannot write output file {path}: parent directory `{}` does not exist",
-            dir.display()
-        )));
-    }
-    std::fs::write(path, contents)
-        .map_err(|e| CliError::new(format!("cannot write output file {path}: {e}")))
-}
-
 /// Unwraps a parse result; on error prints the message and `usage` to
 /// stderr and exits with status 2.
 pub fn or_exit<T>(r: Result<T, CliError>, usage: &str) -> T {
@@ -157,17 +139,6 @@ mod tests {
         let err = s.parsed::<u64>("--bad", "a positive integer").unwrap_err();
         assert!(err.message.contains("--bad"), "{}", err.message);
         assert!(err.message.contains("zz"), "{}", err.message);
-    }
-
-    #[test]
-    fn write_output_missing_parent_names_directory() {
-        let err = write_output("/definitely/not/a/dir/out.json", "{}").unwrap_err();
-        assert!(
-            err.message.contains("/definitely/not/a/dir"),
-            "{}",
-            err.message
-        );
-        assert!(err.message.contains("parent directory"), "{}", err.message);
     }
 
     #[test]

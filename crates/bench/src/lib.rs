@@ -25,7 +25,6 @@
 //! [`dirgl_core::RoundRecord`]s as JSON lines while the figures run.
 
 pub mod alloc;
-pub mod baseline;
 pub mod cli;
 
 use std::collections::HashMap;
