@@ -178,12 +178,12 @@ fn main() {
     );
 
     // baseline / link_chaos / crash_rejoin / crash_dead: full stream.
-    let storms: [(&str, Option<FaultPlan>); 4] = [
-        ("baseline", None),
-        ("link_chaos", Some(link_plan())),
+    let storms = [
+        ("baseline", base_cfg()),
+        ("link_chaos", faulty_cfg(link_plan())),
         (
             "crash_rejoin",
-            Some(
+            faulty_cfg(
                 link_plan()
                     .with_crash(1, 2, true)
                     .with_straggler(2, 1, 3, 4.0),
@@ -191,18 +191,14 @@ fn main() {
         ),
         (
             "crash_dead",
-            Some(
+            faulty_cfg(
                 link_plan()
                     .with_crash(1, 2, false)
                     .with_straggler(2, 1, 3, 4.0),
             ),
         ),
     ];
-    for (label, plan) in storms {
-        let cfg = match plan {
-            Some(p) => faulty_cfg(p),
-            None => base_cfg(),
-        };
+    for (label, cfg) in storms {
         let server = load(g, Platform::bridges(DEVICES), cfg, ServeConfig::default());
         let reqs = stream(&server).into_iter().map(JobRequest::new).collect();
         let lats = run_stream(&server, reqs);

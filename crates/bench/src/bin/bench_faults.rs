@@ -1,34 +1,29 @@
-//! Resilience benchmark: what fault tolerance costs when nothing fails,
-//! and what it absorbs when things do.
+//! Resilience benchmark: what the fault-tolerance layer absorbs when
+//! things fail.
 //!
-//! Three experiments on a fig3-style twitter50/CVC run, for both engines
+//! Two experiments on a fig3-style twitter50/CVC run, for both engines
 //! (Var3 = BSP, Var4 = BASP), all on bfs (whose converged labels are
-//! exact, so matching the fault-free values is a hard correctness check,
-//! asserted on every faulty run):
+//! exact, so matching the fault-free run's values is a hard correctness
+//! check, asserted on every faulty run):
 //!
-//! 1. **Zero-fault overhead** — the raw transport vs the retry/ack
-//!    reliable transport under `FaultPlan::none()`. The two must produce
-//!    byte-identical reports and vertex values (asserted); the
-//!    wall-clock delta is the bookkeeping overhead.
-//! 2. **Drop-rate sweep** — 1%, 5% and 20% per-attempt message loss.
+//! 1. **Drop-rate sweep** — 1%, 5% and 20% per-attempt message loss.
 //!    Retransmissions absorb every drop; final values must still match
 //!    the fault-free run, and the simulated total time shows the
 //!    retry-ladder cost.
-//! 3. **Crash + recovery** — device 1 crashes at round 3 under 5% drop,
+//! 2. **Crash + recovery** — device 1 crashes at round 3 under 5% drop,
 //!    once with `+rejoin` (rollback to the last checkpoint, device
 //!    restored) and once without (graceful degradation: its masters move
 //!    to a survivor).
 //!
-//! The sweep and recovery rows are simulated time and counts, so stdout
-//! repeats byte for byte at any pool size; `bench_results/bench_faults.txt`
-//! holds it (CI diffs it). The zero-fault wall clocks go to stderr.
+//! Every row is simulated time and counts, so stdout repeats byte for
+//! byte at any pool size; `bench_results/bench_faults.txt` holds it (CI
+//! diffs it).
 //!
 //! ```sh
 //! cargo run --release --bin bench_faults -- [--scale N]
 //! ```
 
 use std::num::NonZeroU64;
-use std::time::Instant;
 
 use dirgl_bench::cli::{or_exit, ArgStream, CliError};
 use dirgl_bench::{run_dirgl_cfg, BenchId, LoadedDataset, PartitionCache};
@@ -69,10 +64,10 @@ struct Harness {
 }
 
 impl Harness {
-    fn run(&mut self, variant: Variant, faults: Option<FaultPlan>, ckpt: u32) -> RunOutput {
-        let mut cfg = RunConfig::new(POLICY, variant);
-        cfg.faults = faults;
-        cfg.checkpoint_every_rounds = ckpt;
+    fn run(&mut self, variant: Variant, faults: FaultPlan, ckpt: u32) -> RunOutput {
+        let cfg = RunConfig::new(POLICY, variant)
+            .with_faults(faults)
+            .with_checkpoints(ckpt);
         run_dirgl_cfg(BENCH, &self.ld, &mut self.cache, &self.platform, cfg).unwrap()
     }
 }
@@ -99,25 +94,9 @@ fn main() {
     );
 
     for (label, variant) in variants {
-        // 1. Zero-fault overhead: raw vs FaultPlan::none(), byte-identical.
-        h.run(variant, None, 0); // warm-up, untimed
-        let t0 = Instant::now();
-        let raw = h.run(variant, None, 0);
-        let wall_raw = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let null = h.run(variant, Some(FaultPlan::none()), 0);
-        let wall_null = t1.elapsed().as_secs_f64();
-        assert!(
-            format!("{:?}", raw.report) == format!("{:?}", null.report)
-                && value_bits(&raw) == value_bits(&null),
-            "{label}: FaultPlan::none() diverged from the raw transport"
-        );
-        eprintln!(
-            "{label:>10} overhead: raw {wall_raw:.3}s, reliable {wall_null:.3}s ({:+.1}%)",
-            (wall_null / wall_raw - 1.0) * 100.0
-        );
-        let base_time = raw.report.total_time.as_secs_f64();
-        let base_bits = value_bits(&raw);
+        let base = h.run(variant, FaultPlan::none(), 0);
+        let base_time = base.report.total_time.as_secs_f64();
+        let base_bits = value_bits(&base);
         // Every faulty run must converge to the fault-free answer.
         let assert_converged = |out: &RunOutput, row: &str| {
             assert!(
@@ -126,9 +105,9 @@ fn main() {
             );
         };
 
-        // 2. Drop-rate sweep.
+        // 1. Drop-rate sweep.
         for drop in DROP_RATES {
-            let out = h.run(variant, Some(FaultPlan::seeded(SEED).with_drop(drop)), 0);
+            let out = h.run(variant, FaultPlan::seeded(SEED).with_drop(drop), 0);
             let s = &out.report.resilience;
             println!(
                 "{label:>10} drop {drop:.2}: sim {:.6}s (fault-free {base_time:.6}s), \
@@ -142,12 +121,12 @@ fn main() {
             assert_converged(&out, &format!("drop {drop}"));
         }
 
-        // 3. Crash at round 3 under 5% drop: rejoin, then degradation.
+        // 2. Crash at round 3 under 5% drop: rejoin, then degradation.
         for (mode, rejoin) in [("rejoin", true), ("degrade", false)] {
             let plan = FaultPlan::seeded(SEED)
                 .with_drop(0.05)
                 .with_crash(1, 3, rejoin);
-            let out = h.run(variant, Some(plan), CKPT_EVERY);
+            let out = h.run(variant, plan, CKPT_EVERY);
             let s = &out.report.resilience;
             println!(
                 "{label:>10} crash/{mode}: sim {:.6}s, {} checkpoints ({} bytes), \

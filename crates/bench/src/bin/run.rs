@@ -21,7 +21,7 @@ use std::num::{NonZeroU32, NonZeroU64};
 use dirgl_bench::cli::{or_exit, parse_source_list, ArgStream, CliError};
 use dirgl_bench::{open_trace_file, BenchId, LoadedDataset, PartitionCache, TraceFileSink};
 use dirgl_comm::FaultPlan;
-use dirgl_core::{Backend, ExecModel, RunConfig, Variant};
+use dirgl_core::{Backend, ExecModel, ResilienceStats, RunConfig, Variant};
 use dirgl_gpusim::{Balancer, Platform};
 use dirgl_graph::DatasetId;
 use dirgl_partition::Policy;
@@ -37,7 +37,7 @@ struct Opts {
     gpudirect: bool,
     throttle_ms: f64,
     trace: Option<String>,
-    faults: Option<FaultPlan>,
+    faults: FaultPlan,
     checkpoint_every: u32,
     sources: Option<Vec<u32>>,
     backend: Backend,
@@ -64,7 +64,7 @@ fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
         gpudirect: false,
         throttle_ms: 0.0,
         trace: None,
-        faults: None,
+        faults: FaultPlan::none(),
         checkpoint_every: 0,
         sources: None,
         backend: Backend::Scalar,
@@ -115,10 +115,8 @@ fn try_parse(mut it: ArgStream) -> Result<Opts, CliError> {
             "--trace" => o.trace = Some(it.value("--trace")?),
             "--faults" => {
                 let v = it.value("--faults")?;
-                o.faults = Some(
-                    FaultPlan::parse(&v)
-                        .map_err(|e| CliError::new(format!("bad --faults spec: {e}")))?,
-                );
+                o.faults = FaultPlan::parse(&v)
+                    .map_err(|e| CliError::new(format!("bad --faults spec: {e}")))?;
             }
             "--checkpoint-every" => {
                 o.checkpoint_every = it.parsed("--checkpoint-every", "a round count")?
@@ -254,7 +252,8 @@ fn main() {
         o.gpus,
         o.platform,
     );
-    if let Some(f) = &o.faults {
+    if o.faults != FaultPlan::none() || o.checkpoint_every > 0 {
+        let f = &o.faults;
         println!(
             "fault plan: seed={} drop={} dup={} delay={} crash={:?} straggler={:?} \
              checkpoint-every={}",
@@ -289,7 +288,7 @@ fn main() {
             println!("  dynamic balance   : {:.3}", r.dynamic_balance());
             println!("  memory balance    : {:.3}", r.memory_balance());
             let s = &r.resilience;
-            if o.faults.is_some() {
+            if *s != ResilienceStats::default() {
                 println!("  -- resilience --");
                 println!(
                     "  link faults       : {} drops, {} dups, {} delay spikes",

@@ -80,8 +80,9 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: no faults, ever. Running the retry/ack transport
-    /// under this plan is guaranteed byte-identical to the raw transport.
+    /// The empty plan: no faults, ever — the default of
+    /// `RunConfig::faults`. Under it every message takes one attempt, and
+    /// a send to a live receiver costs one [`crate::NetModel::send`].
     pub fn none() -> FaultPlan {
         FaultPlan {
             seed: 0,
@@ -115,11 +116,12 @@ impl FaultPlan {
 
     /// True when the plan schedules nothing.
     pub fn is_none(&self) -> bool {
-        self.drop == 0.0
-            && self.duplicate == 0.0
-            && self.delay == 0.0
-            && self.crash.is_none()
-            && self.straggler.is_none()
+        !self.has_link_faults() && self.crash.is_none() && self.straggler.is_none()
+    }
+
+    /// True when some message may be dropped, duplicated or delayed.
+    pub fn has_link_faults(&self) -> bool {
+        self.drop != 0.0 || self.duplicate != 0.0 || self.delay != 0.0
     }
 
     /// Sets the drop probability (builder style).
@@ -375,7 +377,7 @@ impl FaultInjector {
     /// `from → to`.
     pub fn link_fate(&self, from: u32, to: u32, seq: u64, attempt: u32) -> LinkFate {
         let p = &self.plan;
-        if p.drop == 0.0 && p.duplicate == 0.0 && p.delay == 0.0 {
+        if !p.has_link_faults() {
             return LinkFate::Deliver {
                 extra_delay: SimTime::ZERO,
                 duplicated: false,

@@ -14,14 +14,14 @@
 //!   paper's per-policy elisions (OEC skips broadcast, IEC skips reduce,
 //!   CVC stays inside grid rows/columns) emerge rather than being
 //!   special-cased;
-//! * [`net`] — the virtual-time transport simulator producing the
+//! * [`net`] — the virtual-time link model producing the
 //!   Max Compute / Min Wait / Device Comm. decomposition of Figs. 4–6/8–9;
 //! * [`faults`] — seeded, deterministic fault schedules (link drop /
 //!   duplication / delay, device crash / straggler);
-//! * [`reliable`] — retry/ack reliable delivery layered over [`net`]:
-//!   per-link sequence numbers, exponential-backoff retransmission with a
-//!   bounded budget, duplicate suppression. Byte-identical to the raw
-//!   transport when no faults are scheduled.
+//! * [`reliable`] — the transport both engines send through: retry/ack
+//!   delivery layered over [`net`] (per-link sequence numbers,
+//!   exponential-backoff retransmission with a bounded budget, duplicate
+//!   suppression). Without link faults a send is one [`net`] send.
 
 pub mod bitset;
 pub mod clock;

@@ -1,4 +1,4 @@
-//! Virtual-time transport.
+//! Virtual-time link model.
 //!
 //! Every message between two devices follows the path the paper describes
 //! (§III-D): sender GPU → sender host over PCIe, sender host → receiver
@@ -11,6 +11,9 @@
 //! The optional [`NetModel::direct_device`] flag models the paper's
 //! conclusion-section recommendation — NVIDIA GPUDirect — by skipping the
 //! host staging hops; an ablation benchmark quantifies its effect.
+//!
+//! The engines do not call [`NetModel::send`] directly: every message goes
+//! through [`crate::ReliableNet`], which prices each wire attempt here.
 
 use dirgl_gpusim::Platform;
 
@@ -99,8 +102,8 @@ pub struct Delivery {
 }
 
 /// One message's full timing, reported by
-/// [`NetModel::exchange_with`] when the caller asks for per-message
-/// attribution — this is what lets a trace say *which link* a device's
+/// [`crate::ReliableNet::exchange_reliable`] when the caller asks for
+/// per-message attribution — this is what lets a trace say *which link* a device's
 /// wait time queued on.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MessageTrace {
@@ -271,54 +274,8 @@ impl NetModel {
         }
     }
 
-    /// Runs a whole barrier-style exchange (all messages known up front)
-    /// against *caller-owned* link state and summarizes it per device/host
-    /// into `out` — the BSP communication phase. Link occupancy left in
-    /// `st` by earlier exchanges delays this one and vice versa. When
-    /// `trace` is given, one [`MessageTrace`] per send is appended,
-    /// attributing each message's queueing to the PCIe lanes and NIC it
-    /// crossed. A caller that keeps `st` and `out` across exchanges pays no
-    /// allocation after the first.
-    pub fn exchange_with(
-        &self,
-        st: &mut NetState,
-        device_clock: &[SimTime],
-        sends: &[SendDesc],
-        mut trace: Option<&mut Vec<MessageTrace>>,
-        out: &mut ExchangeOutcome,
-    ) {
-        let order = self.begin_exchange(st, device_clock, sends, out);
-        for &(start, end) in &order {
-            for msg in &sends[start as usize..end as usize] {
-                let d = self.send(st, *msg);
-                out.total_bytes += msg.bytes;
-                self.tally(
-                    st,
-                    out,
-                    msg,
-                    d.sender_free,
-                    d.host_send_done,
-                    Some(d.arrival),
-                );
-                if let Some(tr) = trace.as_deref_mut() {
-                    tr.push(MessageTrace {
-                        from: msg.from,
-                        to: msg.to,
-                        bytes: msg.bytes,
-                        depart: msg.depart,
-                        arrival: d.arrival,
-                        pcie_out_queue: d.pcie_out_queue,
-                        nic_queue: d.nic_queue,
-                        pcie_in_queue: d.pcie_in_queue,
-                    });
-                }
-            }
-        }
-        self.finish_exchange(st, order, out);
-    }
-
-    /// Opens an exchange, for the raw and the reliable transport alike:
-    /// resets `out` to "nothing sent yet" and returns the service order of
+    /// Opens a [`crate::ReliableNet::exchange_reliable`]: resets `out` to
+    /// "nothing sent yet" and returns the service order of
     /// `sends` as index ranges (hand it back to
     /// [`NetModel::finish_exchange`]). `out.host_wait` accumulates each
     /// host's last arrival until the exchange is finished.
@@ -425,6 +382,8 @@ fn service_order(sends: &[SendDesc], order: &mut Vec<(u32, u32)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultCounters, FaultPlan, RetryConfig};
+    use crate::reliable::{ReliableExchange, ReliableNet, ReliableState};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
 
@@ -432,11 +391,38 @@ mod tests {
         NetModel::new(Platform::bridges(n))
     }
 
+    /// One barrier-style exchange through the transport under
+    /// [`FaultPlan::none`], against `st`, into `out`.
+    fn exchange_into(
+        m: &NetModel,
+        st: &mut NetState,
+        clock: &[SimTime],
+        sends: &[SendDesc],
+        trace: Option<&mut Vec<MessageTrace>>,
+        out: &mut ReliableExchange,
+    ) {
+        let r = ReliableNet::new(m, FaultPlan::none(), RetryConfig::default());
+        let mut counters = FaultCounters::default();
+        let mut events = Vec::new();
+        r.exchange_reliable(
+            st,
+            &mut ReliableState::for_devices(m.platform().num_devices()),
+            clock,
+            sends,
+            &dirgl_gpusim::HealthTracker::new(m.platform().num_devices()),
+            &mut counters,
+            &mut events,
+            trace,
+            out,
+        );
+        assert!(out.failures.is_empty() && !counters.any() && events.is_empty());
+    }
+
     /// One barrier-style exchange on fresh link state.
     fn exchange(m: &NetModel, clock: &[SimTime], sends: &[SendDesc]) -> ExchangeOutcome {
-        let mut out = ExchangeOutcome::default();
-        m.exchange_with(&mut m.new_state(), clock, sends, None, &mut out);
-        out
+        let mut out = ReliableExchange::default();
+        exchange_into(m, &mut m.new_state(), clock, sends, None, &mut out);
+        out.outcome
     }
 
     #[test]
@@ -556,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn exchange_with_no_messages_is_instant() {
+    fn exchange_of_no_messages_is_instant() {
         let m = model(2);
         let clocks = vec![SimTime::from_secs_f64(1.0), SimTime::from_secs_f64(2.0)];
         let out = exchange(&m, &clocks, &[]);
@@ -567,7 +553,7 @@ mod tests {
 
     #[test]
     fn state_persists_across_exchanges() {
-        // Pinned semantics: `exchange_with` leaves link occupancy in the
+        // Pinned semantics: an exchange leaves link occupancy in the
         // caller's state, so a second exchange queues behind the first;
         // an exchange on fresh state never sees the backlog.
         let m = model(4);
@@ -580,9 +566,10 @@ mod tests {
         }];
 
         let mut st = m.new_state();
-        let (mut first, mut second) = (ExchangeOutcome::default(), ExchangeOutcome::default());
-        m.exchange_with(&mut st, &clocks, &sends, None, &mut first);
-        m.exchange_with(&mut st, &clocks, &sends, None, &mut second);
+        let (mut first, mut second) = (ReliableExchange::default(), ReliableExchange::default());
+        exchange_into(&m, &mut st, &clocks, &sends, None, &mut first);
+        exchange_into(&m, &mut st, &clocks, &sends, None, &mut second);
+        let (first, second) = (first.outcome, second.outcome);
         assert!(
             second.device_done[2] > first.device_done[2],
             "second exchange must queue behind the first's link occupancy"
@@ -648,12 +635,13 @@ mod tests {
         ];
         let mut trace = Vec::new();
         let mut st = m.new_state();
-        m.exchange_with(
+        exchange_into(
+            &m,
             &mut st,
             &clocks,
             &sends,
             Some(&mut trace),
-            &mut ExchangeOutcome::default(),
+            &mut ReliableExchange::default(),
         );
         assert_eq!(trace.len(), 2);
         let a = trace.iter().find(|t| t.from == 0).unwrap();
@@ -714,7 +702,7 @@ mod tests {
 
     /// The exchange as first written: one stable sort of every send by
     /// `(depart, from, to)`, fresh vectors, a per-host scan for the floor.
-    /// What [`NetModel::exchange_with`] must keep computing.
+    /// What an exchange under [`FaultPlan::none`] must keep computing.
     fn reference_exchange(
         m: &NetModel,
         st: &mut NetState,
@@ -815,7 +803,7 @@ mod tests {
             let mut m = model(p);
             m.direct_device = gpudirect;
             let (mut st, mut ref_st) = (m.new_state(), m.new_state());
-            let mut out = ExchangeOutcome::default();
+            let mut out = ReliableExchange::default();
             for _ in 0..2 {
                 let (clocks, mut sends) = engine_shaped(&mut rng, p);
                 match shape {
@@ -841,9 +829,9 @@ mod tests {
                     }
                 }
                 let (mut trace, mut ref_trace) = (Vec::new(), Vec::new());
-                m.exchange_with(&mut st, &clocks, &sends, Some(&mut trace), &mut out);
+                exchange_into(&m, &mut st, &clocks, &sends, Some(&mut trace), &mut out);
                 let want = reference_exchange(&m, &mut ref_st, &clocks, &sends, &mut ref_trace);
-                prop_assert_eq!(format!("{out:?}"), format!("{want:?}"));
+                prop_assert_eq!(format!("{:?}", out.outcome), format!("{want:?}"));
                 prop_assert_eq!(trace, ref_trace);
                 prop_assert_eq!(&st.pcie_out_free, &ref_st.pcie_out_free);
                 prop_assert_eq!(&st.pcie_in_free, &ref_st.pcie_in_free);

@@ -1,4 +1,5 @@
-//! Reliable delivery over the lossy transport.
+//! Reliable delivery over the lossy transport — the one transport both
+//! engines send through.
 //!
 //! [`ReliableNet`] wraps [`NetModel`] with the machinery a real fabric
 //! layers over an unreliable link: per-link sequence numbers, positive
@@ -7,18 +8,22 @@
 //! becomes one or more wire attempts; the [`FaultInjector`] decides each
 //! attempt's fate.
 //!
-//! The layer is engineered so that under [`FaultPlan::none`]
-//! (`FaultPlan::none()`) every logical message takes exactly one attempt
-//! and the calls into [`NetModel::send`] are the *same calls in the same
-//! order* the raw [`NetModel::exchange_with`] path would make — a run with
-//! the reliable layer enabled but no faults scheduled is byte-identical to
-//! a run without the layer (pinned by tests here and at the engine level).
+//! A plan that schedules no link faults (the default,
+//! [`FaultPlan::none`]) gives every message to a live receiver exactly
+//! one attempt, priced by one [`NetModel::send`]: such a send draws no
+//! sequence number, since sequence numbers only key fate draws and
+//! [`LinkEvent::seq`]. [`ReliableNet::exchange_reliable`] is the BSP
+//! exchange: service order, per-host send floor and per-device/per-host
+//! aggregates, written into a [`ReliableExchange`] the caller keeps, so a
+//! run's exchanges allocate once.
 //!
 //! When the retry budget is exhausted the message is *abandoned* and
 //! surfaced to the engine as a [`Failure`]; that is the engine's signal
 //! that the peer is unreachable (crashed) and recovery must run. Acks are
 //! not separately priced on the wire: they are tiny compared to payloads,
 //! and their cost is folded into the ack-timeout constant.
+
+use dirgl_gpusim::HealthTracker;
 
 use crate::clock::SimTime;
 use crate::faults::{FaultCounters, FaultInjector, FaultPlan, LinkFate, RetryConfig};
@@ -122,16 +127,15 @@ pub struct Failure {
     pub gave_up_at: SimTime,
 }
 
-/// Result of a reliable barrier-style exchange.
-#[derive(Clone, Debug)]
+/// Result of a reliable barrier-style exchange, filled in place by
+/// [`ReliableNet::exchange_reliable`].
+#[derive(Clone, Debug, Default)]
 pub struct ReliableExchange {
-    /// Per-device / per-host aggregate, same shape as the raw
-    /// [`NetModel::exchange_with`] (`total_bytes` counts wire attempts).
+    /// Per-device / per-host aggregate (`total_bytes` counts wire
+    /// attempts).
     pub outcome: ExchangeOutcome,
-    /// Index-parallel to the input sends: whether each payload reached its
-    /// receiver.
-    pub delivered: Vec<bool>,
-    /// Messages abandoned after the retry budget (empty on healthy runs).
+    /// Messages abandoned after the retry budget, in service order (empty
+    /// on healthy runs). Every other message reached its receiver.
     pub failures: Vec<Failure>,
 }
 
@@ -141,6 +145,8 @@ pub struct ReliableNet<'a> {
     net: &'a NetModel,
     injector: FaultInjector,
     retry: RetryConfig,
+    /// The plan schedules no link fault.
+    lossless: bool,
 }
 
 impl<'a> ReliableNet<'a> {
@@ -148,14 +154,10 @@ impl<'a> ReliableNet<'a> {
     pub fn new(net: &'a NetModel, plan: FaultPlan, retry: RetryConfig) -> ReliableNet<'a> {
         ReliableNet {
             net,
+            lossless: !plan.has_link_faults(),
             injector: FaultInjector::new(plan),
             retry,
         }
-    }
-
-    /// The underlying timing model.
-    pub fn net(&self) -> &NetModel {
-        self.net
     }
 
     /// The fault decision-maker (shared with the engines for device
@@ -164,17 +166,40 @@ impl<'a> ReliableNet<'a> {
         &self.injector
     }
 
-    /// The retry policy.
-    pub fn retry(&self) -> RetryConfig {
-        self.retry
-    }
-
     /// Reliably delivers one logical message: transmit, and on loss retry
     /// with exponential backoff until delivery or until the budget is
     /// spent. `dest_alive = false` forces every attempt to be lost — a
     /// crashed receiver acks nothing — so the sender walks the full ladder
     /// and gives up; `gave_up_at` is then the crash-detection instant.
+    #[inline]
     pub fn send_reliable(
+        &self,
+        st: &mut NetState,
+        rst: &mut ReliableState,
+        msg: SendDesc,
+        dest_alive: bool,
+        counters: &mut FaultCounters,
+        events: &mut Vec<LinkEvent>,
+    ) -> SendVerdict {
+        if dest_alive && self.lossless {
+            // The one-attempt ladder without its bookkeeping.
+            let d = self.net.send(st, msg);
+            return SendVerdict {
+                arrival: Some(d.arrival),
+                sender_free: d.sender_free,
+                host_send_done: d.host_send_done,
+                gave_up_at: None,
+                attempts: 1,
+                wire_bytes: msg.bytes,
+                last: d,
+            };
+        }
+        self.send_with_retries(st, rst, msg, dest_alive, counters, events)
+    }
+
+    /// [`ReliableNet::send_reliable`] when an attempt may be lost.
+    #[inline(never)]
+    fn send_with_retries(
         &self,
         st: &mut NetState,
         rst: &mut ReliableState,
@@ -303,11 +328,17 @@ impl<'a> ReliableNet<'a> {
         }
     }
 
-    /// Reliable counterpart of [`NetModel::exchange_with`]: same service
-    /// order, same aggregation, but each message goes through
-    /// [`ReliableNet::send_reliable`]. `dest_alive[d]` marks crashed
-    /// devices; sends addressed to them exhaust their budget and come back
-    /// in `failures`.
+    /// Runs a whole barrier-style exchange (all messages known up front)
+    /// against *caller-owned* link state and summarizes it per device/host
+    /// into `out` — the BSP communication phase. Messages are served in
+    /// ascending `(depart, from, to)` order, each through
+    /// [`ReliableNet::send_reliable`]; link occupancy left in `st` by
+    /// earlier exchanges delays this one and vice versa. Sends addressed to
+    /// a device `health` marks dead exhaust their budget and come back in
+    /// `out.failures`. When `trace` is given, one [`MessageTrace`] per
+    /// delivered send is appended, attributing its queueing to the PCIe
+    /// lanes and NIC it crossed. A caller that keeps `st` and `out` across
+    /// exchanges pays no allocation after the first.
     #[allow(clippy::too_many_arguments)]
     pub fn exchange_reliable(
         &self,
@@ -315,64 +346,53 @@ impl<'a> ReliableNet<'a> {
         rst: &mut ReliableState,
         device_clock: &[SimTime],
         sends: &[SendDesc],
-        dest_alive: &[bool],
+        health: &HealthTracker,
         counters: &mut FaultCounters,
         events: &mut Vec<LinkEvent>,
         mut trace: Option<&mut Vec<MessageTrace>>,
-    ) -> ReliableExchange {
-        let mut outcome = ExchangeOutcome::default();
-        let mut delivered = vec![false; sends.len()];
-        let mut failures = Vec::new();
-
-        // The raw exchange's own opening, service order and closing.
-        let order = self
-            .net
-            .begin_exchange(st, device_clock, sends, &mut outcome);
-        for i in order
-            .iter()
-            .flat_map(|&(start, end)| start as usize..end as usize)
-        {
-            let msg = sends[i];
-            let v = self.send_reliable(st, rst, msg, dest_alive[msg.to as usize], counters, events);
-            outcome.total_bytes += v.wire_bytes;
-            self.net.tally(
-                st,
-                &mut outcome,
-                &msg,
-                v.sender_free,
-                v.host_send_done,
-                v.arrival,
-            );
-            match v.arrival {
-                Some(arrival) => {
-                    delivered[i] = true;
-                    if let Some(tr) = trace.as_deref_mut() {
-                        tr.push(MessageTrace {
-                            from: msg.from,
-                            to: msg.to,
-                            bytes: msg.bytes,
-                            depart: msg.depart,
-                            arrival,
-                            pcie_out_queue: v.last.pcie_out_queue,
-                            nic_queue: v.last.nic_queue,
-                            pcie_in_queue: v.last.pcie_in_queue,
-                        });
+        out: &mut ReliableExchange,
+    ) {
+        let outcome = &mut out.outcome;
+        out.failures.clear();
+        let order = self.net.begin_exchange(st, device_clock, sends, outcome);
+        for &(start, end) in &order {
+            let run = &sends[start as usize..end as usize];
+            for (i, &msg) in (start as usize..).zip(run) {
+                let v = self.send_reliable(st, rst, msg, health.is_alive(msg.to), counters, events);
+                outcome.total_bytes += v.wire_bytes;
+                self.net.tally(
+                    st,
+                    outcome,
+                    &msg,
+                    v.sender_free,
+                    v.host_send_done,
+                    v.arrival,
+                );
+                match v.arrival {
+                    Some(arrival) => {
+                        if let Some(tr) = trace.as_deref_mut() {
+                            tr.push(MessageTrace {
+                                from: msg.from,
+                                to: msg.to,
+                                bytes: msg.bytes,
+                                depart: msg.depart,
+                                arrival,
+                                pcie_out_queue: v.last.pcie_out_queue,
+                                nic_queue: v.last.nic_queue,
+                                pcie_in_queue: v.last.pcie_in_queue,
+                            });
+                        }
                     }
+                    None => out.failures.push(Failure {
+                        index: i,
+                        from: msg.from,
+                        to: msg.to,
+                        gave_up_at: v.gave_up_at.expect("no arrival implies give-up"),
+                    }),
                 }
-                None => failures.push(Failure {
-                    index: i,
-                    from: msg.from,
-                    to: msg.to,
-                    gave_up_at: v.gave_up_at.expect("no arrival implies give-up"),
-                }),
             }
         }
-        self.net.finish_exchange(st, order, &mut outcome);
-        ReliableExchange {
-            outcome,
-            delivered,
-            failures,
-        }
+        self.net.finish_exchange(st, order, outcome);
     }
 }
 
@@ -397,45 +417,29 @@ mod tests {
     }
 
     #[test]
-    fn no_faults_is_byte_identical_to_raw_exchange() {
+    fn without_link_faults_every_send_is_one_net_send() {
+        // A crash and a straggler schedule no link fault: every send to a
+        // live receiver is one attempt, counts nothing, and leaves the
+        // links where one `NetModel::send` leaves them.
         let m = model(4);
-        let clocks = vec![
-            SimTime::from_secs_f64(1e-3),
-            SimTime::from_secs_f64(2e-3),
-            SimTime::ZERO,
-            SimTime::from_secs_f64(5e-4),
-        ];
-        let sends = cross_sends(12);
-
-        let mut raw_st = m.new_state();
-        let mut raw_trace = Vec::new();
-        let mut raw = ExchangeOutcome::default();
-        m.exchange_with(&mut raw_st, &clocks, &sends, Some(&mut raw_trace), &mut raw);
-
-        let r = ReliableNet::new(&m, FaultPlan::none(), RetryConfig::default());
-        let mut st = m.new_state();
+        let plan = FaultPlan::seeded(9)
+            .with_crash(1, 0, true)
+            .with_straggler(2, 0, 3, 4.0);
+        let r = ReliableNet::new(&m, plan, RetryConfig::default());
+        let (mut st, mut raw_st) = (m.new_state(), m.new_state());
         let mut rst = ReliableState::for_devices(4);
         let mut counters = FaultCounters::default();
         let mut events = Vec::new();
-        let mut trace = Vec::new();
-        let rel = r.exchange_reliable(
-            &mut st,
-            &mut rst,
-            &clocks,
-            &sends,
-            &[true; 4],
-            &mut counters,
-            &mut events,
-            Some(&mut trace),
-        );
-
-        assert_eq!(format!("{raw:?}"), format!("{:?}", rel.outcome));
-        assert_eq!(raw_trace, trace);
-        assert!(rel.delivered.iter().all(|&d| d));
-        assert!(rel.failures.is_empty());
-        assert!(!counters.any());
+        for msg in cross_sends(24) {
+            let v = r.send_reliable(&mut st, &mut rst, msg, true, &mut counters, &mut events);
+            let d = m.send(&mut raw_st, msg);
+            assert_eq!(v.attempts, 1);
+            assert_eq!(v.arrival, Some(d.arrival));
+            assert_eq!(v.last, d);
+            assert_eq!(v.wire_bytes, msg.bytes);
+        }
+        assert_eq!(counters, FaultCounters::default());
         assert!(events.is_empty());
-        // Link occupancy evolved identically too.
         assert_eq!(format!("{raw_st:?}"), format!("{st:?}"));
     }
 
@@ -449,15 +453,17 @@ mod tests {
         let mut counters = FaultCounters::default();
         let mut events = Vec::new();
         let sends = cross_sends(64);
-        let rel = r.exchange_reliable(
+        let mut rel = ReliableExchange::default();
+        r.exchange_reliable(
             &mut st,
             &mut rst,
             &[SimTime::ZERO; 4],
             &sends,
-            &[true; 4],
+            &HealthTracker::new(4),
             &mut counters,
             &mut events,
             None,
+            &mut rel,
         );
         assert!(counters.drops_injected > 0);
         assert_eq!(counters.retransmits, counters.drops_injected);
@@ -465,7 +471,6 @@ mod tests {
             rel.failures.is_empty(),
             "30% drop with 5 retries should deliver all 64 under this seed"
         );
-        assert!(rel.delivered.iter().all(|&d| d));
         // Retransmitted attempts put extra bytes on the wire.
         let logical: u64 = sends.iter().map(|s| s.bytes).sum();
         assert!(rel.outcome.total_bytes > logical);
@@ -512,20 +517,22 @@ mod tests {
         let mut counters = FaultCounters::default();
         let mut events = Vec::new();
         let sends = cross_sends(16);
-        let rel = r.exchange_reliable(
+        let mut rel = ReliableExchange::default();
+        r.exchange_reliable(
             &mut st,
             &mut rst,
             &[SimTime::ZERO; 4],
             &sends,
-            &[true; 4],
+            &HealthTracker::new(4),
             &mut counters,
             &mut events,
             None,
+            &mut rel,
         );
         assert!(counters.duplicates_injected > 0);
         assert_eq!(counters.duplicates_suppressed, counters.duplicates_injected);
         // Every logical message delivered exactly once.
-        assert!(rel.delivered.iter().all(|&d| d));
+        assert!(rel.failures.is_empty());
         let logical: u64 = sends.iter().map(|s| s.bytes).sum();
         assert!(rel.outcome.total_bytes > logical, "copies occupy the wire");
     }

@@ -28,11 +28,12 @@
 //! across the worker pool bought no measurable time, and its bookkeeping
 //! cost allocations on every round event.
 //!
-//! Resilience: with [`RunConfig::faults`] set, sends go through the
-//! reliable transport; a device crash (scheduled by *local* round ordinal)
-//! silences its partition, is detected when a sender exhausts its retry
-//! budget — or, if no message was in flight, when the drained heap leaves
-//! an unrecovered corpse — and recovery restores a full-simulation
+//! Resilience: every send goes through the reliable transport under
+//! [`RunConfig::faults`] (one link-model send per message when the plan
+//! schedules no link faults); a device crash (scheduled by *local* round
+//! ordinal) silences its partition, is detected when a sender exhausts its
+//! retry budget — or, if no message was in flight, when the drained heap
+//! leaves an unrecovered corpse — and recovery restores a full-simulation
 //! checkpoint (devices, inboxes, event heap, link occupancy) shifted
 //! forward to the detection instant. Without rejoin the dead device's
 //! partition is re-homed onto a survivor and the simulation continues
@@ -174,13 +175,12 @@ pub fn run_basp<P: VertexProgram>(
     let mut comm_bytes = 0u64;
     let mut messages = 0u64;
 
-    // Fault layer (None unless configured; a none-plan context is inert
-    // and byte-identical to the raw path — pinned by tests).
+    // The transport and the recovery state.
     let mut fctx = FaultCtx::new(net, config);
     let mut stats = ResilienceStats::default();
-    let crash_plan = config.faults.as_ref().and_then(|f| f.crash);
+    let crash_plan = config.faults.crash;
     let ckpt_every = config.checkpoint_every_rounds;
-    let recovery_on = fctx.is_some() && (crash_plan.is_some() || ckpt_every > 0);
+    let recovery_on = crash_plan.is_some() || ckpt_every > 0;
     let mut next_ckpt = if ckpt_every > 0 { ckpt_every } else { u32::MAX };
     // Per-physical-device serialization floor, meaningful only after
     // degradation re-homing put two partitions on one device.
@@ -241,7 +241,7 @@ pub fn run_basp<P: VertexProgram>(
             }) => {
                 // Mail for a dead partition evaporates; the sender's
                 // failure detection happens on the transport side.
-                if fctx.as_ref().is_some_and(|c| !c.alive_logical(msg.to)) {
+                if !fctx.alive_logical(msg.to) {
                     continue;
                 }
                 let d = msg.to;
@@ -293,14 +293,14 @@ pub fn run_basp<P: VertexProgram>(
                 // the configured *local* round ordinal, before any member of
                 // the step runs. The victim's round (and its step-mates'
                 // mail to it) simply stops happening.
-                if let (Some(ctx), Some(cr)) = (fctx.as_mut(), crash_plan) {
-                    if !ctx.crash_fired
+                if let Some(cr) = crash_plan {
+                    if !fctx.crash_fired
                         && step.contains(&cr.device)
                         && devices[cr.device as usize].rounds == cr.round
                     {
-                        ctx.fire_crash(cr, t, &mut stats, sink);
+                        fctx.fire_crash(cr, t, &mut stats, sink);
                     }
-                    step.retain(|&sd| ctx.alive_logical(sd));
+                    step.retain(|&sd| fctx.alive_logical(sd));
                     if step.is_empty() {
                         continue;
                     }
@@ -364,34 +364,27 @@ pub fn run_basp<P: VertexProgram>(
                     dev.clear_sync_marks(program);
                     // Straggler: scale this round's kernel time when the
                     // hosting physical device is inside its slow window.
-                    let dt = match &fctx {
-                        Some(ctx) => {
-                            let phys = ctx.home.phys(sd);
-                            let f = ctx.injector().slowdown(phys, dev.rounds - 1);
-                            if f != 1.0 && !straggler_announced {
-                                straggler_announced = true;
-                                sink.fault(FaultEvent::FaultInjected {
-                                    at: t,
-                                    device: phys,
-                                    kind: "straggler",
-                                });
-                            }
-                            scale_time(dt, f)
-                        }
-                        None => dt,
-                    };
+                    let phys = fctx.home.phys(sd);
+                    let f = fctx.injector().slowdown(phys, dev.rounds - 1);
+                    if f != 1.0 && !straggler_announced {
+                        straggler_announced = true;
+                        sink.fault(FaultEvent::FaultInjected {
+                            at: t,
+                            device: phys,
+                            kind: "straggler",
+                        });
+                    }
+                    let dt = scale_time(dt, f);
                     // On a healthy identity mapping `t >= busy[du]` always
-                    // holds and `start == t`, the raw schedule. The maxes
+                    // holds and `start == t`, the healthy schedule. The maxes
                     // matter after a checkpoint charge pushed `busy` past an
                     // already-scheduled round, and for partitions sharing a
                     // physical device after re-homing (they serialize on the
                     // `phys_free` floor).
-                    let start = match &fctx {
-                        Some(ctx) if !ctx.home.is_identity() => {
-                            let pd = ctx.home.phys(sd) as usize;
-                            t.max(sched.busy[du]).max(phys_free[pd])
-                        }
-                        _ => t.max(sched.busy[du]),
+                    let start = if fctx.home.is_identity() {
+                        t.max(sched.busy[du])
+                    } else {
+                        t.max(sched.busy[du]).max(phys_free[phys as usize])
                     };
                     let mut depart = start + dt;
                     let mut sender_free = depart;
@@ -406,70 +399,48 @@ pub fn run_basp<P: VertexProgram>(
                         messages += 1;
                         // When the message arrives; `None` when its
                         // receiver is dead.
-                        let arrival = match fctx.as_mut() {
-                            None => {
-                                let delivery = net.send(
-                                    &mut sched.net_state,
-                                    SendDesc {
-                                        from: sd,
-                                        to: other,
-                                        bytes,
-                                        depart,
-                                    },
-                                );
-                                comm_bytes += bytes;
-                                sender_free = sender_free.max(delivery.sender_free);
-                                Some(delivery.arrival)
-                            }
-                            Some(ctx) => {
-                                let pf = ctx.home.phys(sd);
-                                let pt = ctx.home.phys(other);
-                                if pf == pt {
-                                    // Co-homed after degradation: the
-                                    // payload never leaves device memory.
-                                    Some(depart)
-                                } else {
-                                    let alive = ctx.health.is_alive(pt);
-                                    let v = ctx.rnet.send_reliable(
-                                        &mut sched.net_state,
-                                        &mut ctx.rstate,
-                                        SendDesc {
-                                            from: pf,
-                                            to: pt,
-                                            bytes,
-                                            depart,
-                                        },
-                                        alive,
-                                        &mut stats.faults,
-                                        &mut ctx.events,
-                                    );
-                                    comm_bytes += v.wire_bytes;
-                                    sender_free = sender_free.max(v.sender_free);
-                                    // Alive receiver, every attempt lost:
-                                    // escalate out-of-band and deliver at
-                                    // the give-up instant (correctness must
-                                    // not depend on luck).
-                                    v.arrival.or_else(|| {
-                                        let gave =
-                                            v.gave_up_at.expect("no arrival implies give-up");
-                                        if !alive {
-                                            pending_failures.push(gave);
-                                        }
-                                        alive.then_some(gave)
-                                    })
+                        let pt = fctx.home.phys(other);
+                        let arrival = if phys == pt {
+                            // Co-homed after degradation: the payload
+                            // never leaves device memory.
+                            Some(depart)
+                        } else {
+                            let alive = fctx.health.is_alive(pt);
+                            let v = fctx.rnet.send_reliable(
+                                &mut sched.net_state,
+                                &mut fctx.rstate,
+                                SendDesc {
+                                    from: phys,
+                                    to: pt,
+                                    bytes,
+                                    depart,
+                                },
+                                alive,
+                                &mut stats.faults,
+                                &mut fctx.events,
+                            );
+                            comm_bytes += v.wire_bytes;
+                            sender_free = sender_free.max(v.sender_free);
+                            // Alive receiver, every attempt lost: escalate
+                            // out-of-band and deliver at the give-up
+                            // instant (correctness must not depend on
+                            // luck).
+                            v.arrival.or_else(|| {
+                                let gave = v.gave_up_at.expect("no arrival implies give-up");
+                                if !alive {
+                                    pending_failures.push(gave);
                                 }
-                            }
+                                alive.then_some(gave)
+                            })
                         };
                         if let Some(at) = arrival {
                             push_ev(&mut sched.heap, &mut seq, at, EventKind::Arrive(msg));
                         }
                     }
                     sched.busy[du] = depart.max(sender_free);
-                    if let Some(ctx) = &fctx {
-                        if !ctx.home.is_identity() {
-                            let pd = ctx.home.phys(sd) as usize;
-                            phys_free[pd] = phys_free[pd].max(sched.busy[du]);
-                        }
+                    if !fctx.home.is_identity() {
+                        let pd = phys as usize;
+                        phys_free[pd] = phys_free[pd].max(sched.busy[du]);
                     }
                     let round = dev.rounds - 1;
                     sched
@@ -492,16 +463,13 @@ pub fn run_basp<P: VertexProgram>(
                     }
                 }
 
-                if let Some(ctx) = fctx.as_mut() {
-                    ctx.drain_events(sink);
-                }
+                fctx.drain_events(sink);
                 if pending_failures.is_empty() {
                     // Scheduled checkpoint: once every device's local round
                     // ordinal has crossed the next interval boundary.
                     if recovery_on && ckpt_every > 0 {
                         let minr = devices.iter().map(|d| d.rounds).min().unwrap_or(0);
-                        if minr >= next_ckpt && fctx.as_ref().is_none_or(|c| !c.dead_unrecovered(p))
-                        {
+                        if minr >= next_ckpt && !fctx.dead_unrecovered(p) {
                             checkpoint =
                                 Some(take_checkpoint(devices, &mut sched, &mut stats, sink));
                             next_ckpt = (minr / ckpt_every + 1) * ckpt_every;
@@ -520,7 +488,7 @@ pub fn run_basp<P: VertexProgram>(
             // failed send (nothing was due to it): the quiescence check
             // itself is the failure detector. The lease on the silent peer
             // expires one full retry ladder past the last activity.
-            None if fctx.as_ref().is_some_and(|c| c.dead_unrecovered(p)) => {
+            None if fctx.dead_unrecovered(p) => {
                 sched.busy.iter().copied().max().unwrap_or(SimTime::ZERO)
                     + config.retry.give_up_after()
             }
@@ -535,9 +503,6 @@ pub fn run_basp<P: VertexProgram>(
         let ckpt = checkpoint
             .as_ref()
             .expect("recovery_on guarantees an initial checkpoint");
-        let ctx = fctx
-            .as_mut()
-            .expect("a dead device implies a fault context");
         stats.rounds_replayed += devices
             .iter()
             .zip(&ckpt.devs)
@@ -577,10 +542,10 @@ pub fn run_basp<P: VertexProgram>(
             .collect();
         let masters = devices[cr.device as usize].lg.num_masters as u64;
         let to_round = ckpt.devs.iter().map(|s| s.rounds()).min().unwrap_or(0);
-        ctx.finish_recovery(cr, masters, resume, to_round, &mut stats, sink);
+        fctx.finish_recovery(cr, masters, resume, to_round, &mut stats, sink);
         phys_free.fill(SimTime::ZERO);
         for (l, &b) in sched.busy.iter().enumerate() {
-            let pd = ctx.home.phys(l as u32) as usize;
+            let pd = fctx.home.phys(l as u32) as usize;
             phys_free[pd] = phys_free[pd].max(b);
         }
     }

@@ -21,11 +21,12 @@
 //! becomes a pool task. Only messages that carry a payload travel on to
 //! the apply stage.
 //!
-//! Resilience: when [`RunConfig::faults`] is set, every exchange goes
-//! through the retry/ack [`dirgl_comm::ReliableNet`] (byte-identical to
-//! the raw path when the plan schedules nothing), device crashes are
-//! detected through exhausted retry budgets — the BSP barrier itself is
-//! the failure detector: a silent peer times out every partner — and
+//! Resilience: every exchange goes through the retry/ack
+//! [`dirgl_comm::ReliableNet`] under [`RunConfig::faults`] (one link-model
+//! send per message when the plan schedules no link faults), device
+//! crashes are detected through exhausted retry budgets — the BSP barrier
+//! itself is the failure detector: a silent peer times out every partner —
+//! and
 //! recovery either rolls every device back to the last checkpoint (crash
 //! with rejoin) or permanently re-homes the dead device's partition onto a
 //! survivor (graceful degradation). Logical partitions are unchanged by
@@ -40,9 +41,7 @@
 
 use rayon::prelude::*;
 
-use dirgl_comm::{
-    CommMode, ExchangeOutcome, FaultCounters, NetModel, NetState, SendDesc, SimTime, SyncPlan,
-};
+use dirgl_comm::{CommMode, FaultCounters, NetModel, NetState, SendDesc, SimTime, SyncPlan};
 use dirgl_partition::Partition;
 
 use crate::config::RunConfig;
@@ -93,15 +92,13 @@ pub fn run_bsp<P: VertexProgram>(
     // Congestion carries across rounds: one link state for the whole run.
     let mut net_state = net.new_state();
 
-    // Fault layer: absent unless the config schedules one. With
-    // `Some(FaultPlan::none())` the context exists but never fires, and
-    // every exchange is byte-identical to the raw path (pinned by tests).
+    // The transport and the recovery state.
     let mut fctx = FaultCtx::new(net, config);
     let mut stats = ResilienceStats::default();
-    let crash_plan = config.faults.as_ref().and_then(|f| f.crash);
-    let straggler_plan = config.faults.as_ref().and_then(|f| f.straggler);
+    let crash_plan = config.faults.crash;
+    let straggler_plan = config.faults.straggler;
     let ckpt_every = config.checkpoint_every_rounds;
-    let recovery_on = fctx.is_some() && (crash_plan.is_some() || ckpt_every > 0);
+    let recovery_on = crash_plan.is_some() || ckpt_every > 0;
     // A restorable point of the run: the round it was taken at, and every
     // device's state.
     let mut checkpoint: Option<(u32, Vec<DeviceSnapshot<P>>)> = None;
@@ -122,8 +119,9 @@ pub fn run_bsp<P: VertexProgram>(
     let mut sends: Vec<SendDesc> = Vec::new();
     // The messages that carry a payload, each with its index into `sends`.
     let mut mail: Vec<(usize, SyncMsg<P::Wire>)> = Vec::new();
-    let mut outcome = ExchangeOutcome::default();
     let mut round_failures: Vec<SimTime> = Vec::new();
+    // The sends of an exchange whose payload never arrived, ascending.
+    let mut lost: Vec<usize> = Vec::new();
     loop {
         round_failures.clear();
         // --- Scheduled checkpoint (skipped when a rollback just restored
@@ -145,32 +143,28 @@ pub fn run_bsp<P: VertexProgram>(
             checkpoint = Some((rounds, devs));
         }
         // --- Scheduled device faults fire at round start.
-        if let Some(ctx) = fctx.as_mut() {
-            if let Some(cr) = crash_plan {
-                if !ctx.crash_fired && rounds == cr.round {
-                    ctx.fire_crash(cr, clocks[cr.device as usize], &mut stats, sink);
-                }
-            }
-            if let Some(sg) = straggler_plan {
-                if rounds == sg.from_round {
-                    sink.fault(FaultEvent::FaultInjected {
-                        at: clocks[sg.device as usize],
-                        device: sg.device,
-                        kind: "straggler",
-                    });
-                } else if rounds == sg.from_round.saturating_add(sg.rounds) {
-                    sink.fault(FaultEvent::FaultInjected {
-                        at: clocks[sg.device as usize],
-                        device: sg.device,
-                        kind: "straggler-end",
-                    });
-                }
+        if let Some(cr) = crash_plan {
+            if !fctx.crash_fired && rounds == cr.round {
+                fctx.fire_crash(cr, clocks[cr.device as usize], &mut stats, sink);
             }
         }
-        if let Some(ctx) = &fctx {
-            for (l, a) in alive.iter_mut().enumerate() {
-                *a = ctx.alive_logical(l as u32);
+        if let Some(sg) = straggler_plan {
+            if rounds == sg.from_round {
+                sink.fault(FaultEvent::FaultInjected {
+                    at: clocks[sg.device as usize],
+                    device: sg.device,
+                    kind: "straggler",
+                });
+            } else if rounds == sg.from_round.saturating_add(sg.rounds) {
+                sink.fault(FaultEvent::FaultInjected {
+                    at: clocks[sg.device as usize],
+                    device: sg.device,
+                    kind: "straggler-end",
+                });
             }
+        }
+        for (l, a) in alive.iter_mut().enumerate() {
+            *a = fctx.alive_logical(l as u32);
         }
 
         program.on_round_start(rounds);
@@ -217,9 +211,7 @@ pub fn run_bsp<P: VertexProgram>(
             };
         }
         marks.copy_from_slice(&runs);
-        advance_compute_clocks(&mut clocks, &times, fctx.as_ref(), |ctx, phys| {
-            ctx.injector().slowdown(phys, rounds)
-        });
+        advance_compute_clocks(&mut clocks, &times, &fctx, rounds);
 
         // --- One exchange of the messages the devices just built: pack
         // charging and send stamping run sequentially in builder-major
@@ -234,24 +226,21 @@ pub fn run_bsp<P: VertexProgram>(
                 &mut mail,
                 &mut tally.devices,
             );
-            let delivered = run_exchange(
-                net,
+            run_exchange(
                 &mut net_state,
-                &mut outcome,
                 &mut clocks,
                 &mut host_wait,
                 &mut comm_bytes,
                 &mut messages,
                 &sends,
                 &mut tally.devices,
-                fctx.as_mut(),
+                &mut fctx,
                 &mut stats.faults,
                 &mut round_failures,
+                &mut lost,
             );
-            if let Some(ctx) = fctx.as_mut() {
-                ctx.drain_events(sink);
-            }
-            apply_grouped(program, part, devices, &mut mail, delivered.as_deref(), got);
+            fctx.drain_events(sink);
+            apply_grouped(program, part, devices, &mut mail, &lost, got);
         };
 
         // --- Reduce exchange: mirrors -> masters.
@@ -310,8 +299,7 @@ pub fn run_bsp<P: VertexProgram>(
         // by senders exhausting their retry budget or — when no message
         // happened to be due — by the barrier timing out on the silent
         // peer.
-        if fctx.as_ref().is_some_and(|c| c.dead_unrecovered(p)) {
-            let ctx = fctx.as_mut().expect("dead device implies fault context");
+        if fctx.dead_unrecovered(p) {
             let cr = crash_plan.expect("only a scheduled crash kills devices");
             let (ckpt_round, snaps) = checkpoint
                 .as_ref()
@@ -339,7 +327,7 @@ pub fn run_bsp<P: VertexProgram>(
             cand.fill(true);
             rounds = *ckpt_round;
             let masters = devices[cr.device as usize].lg.num_masters as u64;
-            ctx.finish_recovery(cr, masters, resume, rounds, &mut stats, sink);
+            fctx.finish_recovery(cr, masters, resume, rounds, &mut stats, sink);
             continue;
         }
 
@@ -369,45 +357,38 @@ pub fn run_bsp<P: VertexProgram>(
     }
 }
 
-/// Advances device clocks past the compute phase. Healthy identity-mapped
-/// runs reduce to `clock += time`; a straggler window multiplies the
-/// affected device's time, and after graceful degradation the partitions
-/// sharing a physical device execute serially on it (in ascending logical
-/// order, from the latest resident clock).
+/// Advances device clocks past the compute phase of `round`. Healthy
+/// identity-mapped runs reduce to `clock += time`; a straggler window
+/// multiplies the affected device's time, and after graceful degradation
+/// the partitions sharing a physical device execute serially on it (in
+/// ascending logical order, from the latest resident clock).
 fn advance_compute_clocks(
     clocks: &mut [SimTime],
     times: &[SimTime],
-    fctx: Option<&FaultCtx<'_>>,
-    factor_of: impl Fn(&FaultCtx<'_>, u32) -> f64,
+    ctx: &FaultCtx<'_>,
+    round: u32,
 ) {
-    match fctx {
-        None => {
-            for (c, t) in clocks.iter_mut().zip(times) {
-                *c += *t;
-            }
+    let factor = |phys: u32| ctx.injector().slowdown(phys, round);
+    if ctx.home.is_identity() {
+        for (d, (c, t)) in clocks.iter_mut().zip(times).enumerate() {
+            *c += scale_time(*t, factor(d as u32));
         }
-        Some(ctx) if ctx.home.is_identity() => {
-            for (l, (c, t)) in clocks.iter_mut().zip(times).enumerate() {
-                *c += scale_time(*t, factor_of(ctx, ctx.home.phys(l as u32)));
-            }
+        return;
+    }
+    for d in 0..clocks.len() as u32 {
+        let residents = ctx.home.residents(d);
+        if residents.is_empty() {
+            continue;
         }
-        Some(ctx) => {
-            for d in 0..clocks.len() as u32 {
-                let residents = ctx.home.residents(d);
-                if residents.is_empty() {
-                    continue;
-                }
-                let f = factor_of(ctx, d);
-                let mut cur = residents
-                    .iter()
-                    .map(|&l| clocks[l as usize])
-                    .max()
-                    .expect("non-empty residents");
-                for &l in &residents {
-                    cur += scale_time(times[l as usize], f);
-                    clocks[l as usize] = cur;
-                }
-            }
+        let f = factor(d);
+        let mut cur = residents
+            .iter()
+            .map(|&l| clocks[l as usize])
+            .max()
+            .expect("non-empty residents");
+        for &l in &residents {
+            cur += scale_time(times[l as usize], f);
+            clocks[l as usize] = cur;
         }
     }
 }
@@ -515,8 +496,8 @@ fn stamp_sends<P: VertexProgram>(
 /// any. Each receiver sees its messages in the same (ascending-builder)
 /// order a sequential apply loop would deliver them, so accumulation order
 /// per device — and with it every float result — is unchanged.
-/// `delivered`, when present, is indexed by send; undelivered payloads
-/// (lost to a dead receiver) are skipped. Every device a payload reached is
+/// The payloads of the sends listed in `lost` (ascending; their receiver
+/// is dead) are skipped. Every device a payload reached is
 /// flagged in `got`. Grouping bins live in each receiver's `scratch.inbox`,
 /// and consumed payload vectors recycle into the receiver's own pool — no
 /// cross-device sharing, no locking.
@@ -525,12 +506,12 @@ fn apply_grouped<P: VertexProgram>(
     part: &Partition,
     devices: &mut [DeviceRun<'_, P>],
     mail: &mut Vec<(usize, SyncMsg<P::Wire>)>,
-    delivered: Option<&[bool]>,
+    lost: &[usize],
     got: &mut [bool],
 ) {
     for (i, msg) in mail.drain(..) {
         let to = msg.to as usize;
-        if delivered.is_none_or(|d| d[i]) {
+        if lost.binary_search(&i).is_err() {
             got[to] = true;
             devices[to].scratch.inbox.push(msg);
         } else {
@@ -551,137 +532,107 @@ fn apply_grouped<P: VertexProgram>(
     );
 }
 
-/// Runs one exchange and folds its timing into the running clocks/waits,
-/// and each device's wait into its trace tally (`tally` is empty when not
-/// tracing). Without a fault context this is the raw
-/// [`NetModel::exchange_with`] path, unchanged, summarized into the reused
-/// `outcome`; with one, every message goes through the reliable transport
-/// (addressed by *physical* device), abandoned sends to dead receivers are
-/// reported through `failures`, and the per-send delivery flags come back
-/// for the apply stage. Returns `None` when every payload was delivered
-/// (raw path), `Some(flags)` otherwise.
+/// Runs one exchange through the transport and folds its timing into the
+/// running clocks/waits, and each device's wait into its trace tally
+/// (`tally` is empty when not tracing). Messages are addressed by
+/// *physical* device: while no partition has moved, that is the logical
+/// one and `sends` and `clocks` go to the wire as they are. Sends
+/// abandoned because their receiver is dead are listed in `lost` (indices
+/// into `sends`, ascending) and their give-up instants in `failures`; the
+/// outcome is left in `ctx.ex`, which every exchange refills.
 #[allow(clippy::too_many_arguments)]
 fn run_exchange(
-    net: &NetModel,
     st: &mut NetState,
-    outcome: &mut ExchangeOutcome,
     clocks: &mut [SimTime],
     host_wait: &mut [SimTime],
     comm_bytes: &mut u64,
     messages: &mut u64,
     sends: &[SendDesc],
     tally: &mut [DeviceTally],
-    fctx: Option<&mut FaultCtx<'_>>,
+    ctx: &mut FaultCtx<'_>,
     counters: &mut FaultCounters,
     failures: &mut Vec<SimTime>,
-) -> Option<Vec<bool>> {
+    lost: &mut Vec<usize>,
+) {
+    lost.clear();
     if sends.is_empty() {
-        return None;
+        return;
     }
-    let ctx = match fctx {
-        None => {
-            // Raw path: exactly the pre-fault-layer behavior.
-            net.exchange_with(st, clocks, sends, None, outcome);
-            for (d, t) in tally.iter_mut().enumerate() {
-                t.wait += outcome.device_done[d].saturating_sub(outcome.sender_free[d]);
-            }
-            clocks.copy_from_slice(&outcome.device_done);
-            for (w, o) in host_wait.iter_mut().zip(&outcome.host_wait) {
-                *w += *o;
-            }
-            *comm_bytes += outcome.total_bytes;
-            *messages += outcome.num_messages;
-            return None;
-        }
-        Some(ctx) => ctx,
-    };
-
     let p = clocks.len();
-    let mut delivered = vec![false; sends.len()];
-    // Translate logical endpoints to physical devices. Co-homed pairs
-    // (possible only after degradation re-homing) never touch the wire:
-    // both partitions live in the same device memory.
-    let mut phys_sends: Vec<SendDesc> = Vec::with_capacity(sends.len());
-    let mut phys_index: Vec<usize> = Vec::with_capacity(sends.len());
-    for (i, s) in sends.iter().enumerate() {
-        let pf = ctx.home.phys(s.from);
-        let pt = ctx.home.phys(s.to);
-        if pf == pt {
-            delivered[i] = true;
-        } else {
-            phys_index.push(i);
-            phys_sends.push(SendDesc {
-                from: pf,
-                to: pt,
-                ..*s
-            });
-        }
-    }
-    let phys_clock: Vec<SimTime> = if ctx.home.is_identity() {
-        clocks.to_vec()
+    let FaultCtx {
+        rnet,
+        rstate,
+        health,
+        home,
+        events,
+        ex,
+        ..
+    } = ctx;
+    // After degradation re-homing: translate logical endpoints to physical
+    // devices. Co-homed pairs never touch the wire: both partitions live in
+    // the same device memory.
+    let mut phys_index: Vec<usize> = Vec::new();
+    let mut phys_sends: Vec<SendDesc> = Vec::new();
+    let mut phys_clock: Vec<SimTime> = Vec::new();
+    let (wire, wire_clock) = if home.is_identity() {
+        (sends, &*clocks)
     } else {
-        (0..p as u32)
-            .map(|d| {
-                ctx.home
-                    .residents(d)
-                    .iter()
-                    .map(|&l| clocks[l as usize])
-                    .max()
-                    .unwrap_or(SimTime::ZERO)
-            })
-            .collect()
-    };
-    let alive = ctx.health.alive_flags();
-    let ex = ctx.rnet.exchange_reliable(
-        st,
-        &mut ctx.rstate,
-        &phys_clock,
-        &phys_sends,
-        &alive,
-        counters,
-        &mut ctx.events,
-        None,
-    );
-    for (k, &i) in phys_index.iter().enumerate() {
-        if ex.delivered[k] {
-            delivered[i] = true;
+        for (i, s) in sends.iter().enumerate() {
+            let (pf, pt) = (home.phys(s.from), home.phys(s.to));
+            if pf != pt {
+                phys_index.push(i);
+                phys_sends.push(SendDesc {
+                    from: pf,
+                    to: pt,
+                    ..*s
+                });
+            }
         }
+        phys_clock.extend((0..p as u32).map(|d| {
+            home.residents(d)
+                .iter()
+                .map(|&l| clocks[l as usize])
+                .max()
+                .unwrap_or(SimTime::ZERO)
+        }));
+        (&phys_sends[..], &phys_clock[..])
+    };
+    rnet.exchange_reliable(
+        st, rstate, wire_clock, wire, health, counters, events, None, ex,
+    );
+    let outcome = &ex.outcome;
+    for (l, t) in tally.iter_mut().enumerate() {
+        let d = home.phys(l as u32) as usize;
+        t.wait += outcome.device_done[d].saturating_sub(outcome.sender_free[d]);
     }
-    let mut escalated: Vec<(usize, SimTime)> = Vec::new();
+    for (l, c) in clocks.iter_mut().enumerate() {
+        *c = (*c).max(outcome.device_done[home.phys(l as u32) as usize]);
+    }
     for f in &ex.failures {
-        if alive[f.to as usize] {
+        if health.is_alive(f.to) {
             // The receiver is alive but every attempt was lost: the
             // transport escalates out-of-band and delivers at the give-up
             // instant (a last-resort reliable path; astronomically rare
             // under sane drop rates, but correctness must not depend on
-            // luck).
-            delivered[phys_index[f.index]] = true;
-            escalated.push((f.index, f.gave_up_at));
+            // luck). Its receiver blocks until then.
+            for (l, c) in clocks.iter_mut().enumerate() {
+                if home.phys(l as u32) == f.to {
+                    *c = (*c).max(f.gave_up_at);
+                }
+            }
         } else {
+            lost.push(if home.is_identity() {
+                f.index
+            } else {
+                phys_index[f.index]
+            });
             failures.push(f.gave_up_at);
         }
     }
-    for (l, t) in tally.iter_mut().enumerate() {
-        let d = ctx.home.phys(l as u32) as usize;
-        t.wait += ex.outcome.device_done[d].saturating_sub(ex.outcome.sender_free[d]);
-    }
-    for (l, c) in clocks.iter_mut().enumerate() {
-        *c = (*c).max(ex.outcome.device_done[ctx.home.phys(l as u32) as usize]);
-    }
-    for (i, at) in escalated {
-        let to = phys_sends[i].to as usize;
-        // The escalated payload lands late: its receiver blocks until the
-        // give-up instant.
-        for l in 0..p as u32 {
-            if ctx.home.phys(l) as usize == to {
-                clocks[l as usize] = clocks[l as usize].max(at);
-            }
-        }
-    }
-    for (w, o) in host_wait.iter_mut().zip(&ex.outcome.host_wait) {
+    lost.sort_unstable();
+    for (w, o) in host_wait.iter_mut().zip(&outcome.host_wait) {
         *w += *o;
     }
-    *comm_bytes += ex.outcome.total_bytes;
+    *comm_bytes += outcome.total_bytes;
     *messages += sends.len() as u64;
-    Some(delivered)
 }

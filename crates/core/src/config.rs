@@ -112,19 +112,17 @@ pub struct RunConfig {
     /// recomputation — the control mechanism the paper's conclusion calls
     /// for ("dynamically throttle the degree of asynchronous execution").
     pub basp_round_gap_secs: f64,
-    /// Fault schedule. `None` (the default) runs the raw transport exactly
-    /// as before this layer existed. `Some(plan)` routes every message
-    /// through the reliable retry/ack transport — with
-    /// [`FaultPlan::none()`] the result is byte-identical to `None`
-    /// (pinned by tests), so enabling the layer costs nothing until faults
-    /// are actually scheduled.
-    pub faults: Option<FaultPlan>,
-    /// Retry policy of the reliable transport (used only when `faults` is
-    /// set).
+    /// Fault schedule the transport runs under. Every message goes through
+    /// the retry/ack transport; under the default, [`FaultPlan::none()`],
+    /// each takes one attempt and costs one link-model send.
+    pub faults: FaultPlan,
+    /// Retry policy of the transport (reached only when an attempt is
+    /// lost).
     pub retry: RetryConfig,
-    /// Checkpoint every `k` rounds (0 = only the mandatory round-0
-    /// checkpoint taken when the plan schedules a crash). Rollback-based
-    /// recovery replays from the most recent checkpoint.
+    /// Checkpoint every `k` rounds, charging each dump's PCIe time, with
+    /// or without a fault plan. When `k > 0` or the plan schedules a crash,
+    /// round 0 is checkpointed too; 0 with no crash takes none.
+    /// Rollback-based recovery replays from the most recent checkpoint.
     pub checkpoint_every_rounds: u32,
     /// Allow devices whose raw working set exceeds capacity to run
     /// *spilled*: the adjacency is held in delta-gap varint form
@@ -153,7 +151,7 @@ impl RunConfig {
             gpudirect: false,
             runtime_round_overhead_secs: 0.0,
             basp_round_gap_secs: 0.0,
-            faults: None,
+            faults: FaultPlan::none(),
             retry: RetryConfig::default(),
             checkpoint_every_rounds: 0,
             spill: false,
@@ -166,9 +164,9 @@ impl RunConfig {
         self
     }
 
-    /// Enables the reliable transport under `plan` (builder style).
+    /// Runs the transport under `plan` (builder style).
     pub fn with_faults(mut self, plan: FaultPlan) -> RunConfig {
-        self.faults = Some(plan);
+        self.faults = plan;
         self
     }
 
@@ -217,13 +215,13 @@ mod tests {
         assert_eq!(c.scale_divisor, 1024);
         assert_eq!(c.policy, Policy::Cvc);
         assert!(!c.gpudirect);
-        assert!(c.faults.is_none(), "raw transport by default");
+        assert!(c.faults.is_none(), "no faults by default");
         assert_eq!(c.checkpoint_every_rounds, 0);
 
         let c = c
             .with_faults(FaultPlan::seeded(7).with_drop(0.05))
             .with_checkpoints(4);
-        assert_eq!(c.faults.as_ref().unwrap().seed, 7);
+        assert_eq!(c.faults.seed, 7);
         assert_eq!(c.checkpoint_every_rounds, 4);
     }
 }

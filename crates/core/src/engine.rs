@@ -1,6 +1,6 @@
 //! What the two execution models share: one entry point, the run outcome,
-//! the round records, and the fault-layer steps that do not depend on the
-//! schedule.
+//! the round records, the transport context, and the fault-layer steps
+//! that do not depend on the schedule.
 //!
 //! [`run_engine`] dispatches a prepared device set to [`crate::bsp`] or
 //! [`crate::basp`] by [`ExecutionModel`], with the trace sink always in the
@@ -16,17 +16,20 @@
 //! schedule decides — when a device computes, when its messages depart,
 //! and how a crash is detected.
 //!
-//! The two schedules stay two loops because they price communication
-//! differently. BSP prices each exchange as one batch
-//! ([`NetModel::exchange_with`]: service order, with a per-host send
-//! floor) and takes host wait from that exchange. BASP prices messages one
-//! at a time as they depart ([`NetModel::send`]) and takes host wait from
-//! device idle time. One event schedule for both would move every BSP
-//! report hash and the BSP wait figures.
+//! Both engines send through one transport, the retry/ack
+//! [`ReliableNet`] held in `FaultCtx`; under the default
+//! [`dirgl_comm::FaultPlan::none`] a send is one link-model send. The two
+//! schedules stay two loops because they price communication differently.
+//! BSP prices each exchange as one batch
+//! ([`ReliableNet::exchange_reliable`]: service order, with a per-host
+//! send floor) and takes host wait from that exchange. BASP prices
+//! messages one at a time as they depart ([`ReliableNet::send_reliable`])
+//! and takes host wait from device idle time. One event schedule for both
+//! would move every BSP report hash and the BSP wait figures.
 
 use dirgl_comm::{
-    CrashSpec, FaultInjector, LinkEvent, LinkEventKind, NetModel, ReliableNet, ReliableState,
-    SimTime, SyncPlan,
+    CrashSpec, FaultInjector, LinkEvent, LinkEventKind, NetModel, ReliableExchange, ReliableNet,
+    ReliableState, SimTime, SyncPlan,
 };
 use dirgl_gpusim::HealthTracker;
 use dirgl_partition::Partition;
@@ -187,11 +190,11 @@ pub(crate) fn termination_check_cost(net: &NetModel) -> SimTime {
     SimTime::from_secs_f64(c.msg_overhead + c.net_latency * hops)
 }
 
-/// The engines' fault-layer context, built once per run when
-/// [`RunConfig::faults`] is set. Bundles the reliable transport with the
-/// mutable recovery state every exchange needs.
+/// The engines' transport context, built once per run under
+/// [`RunConfig::faults`]. Bundles the reliable transport with the mutable
+/// recovery state every send needs and the buffers BSP's exchanges reuse.
 pub(crate) struct FaultCtx<'a> {
-    /// Retry/ack transport over the raw network.
+    /// Retry/ack transport over the link model.
     pub rnet: ReliableNet<'a>,
     /// Per-link sequence numbers (never checkpointed — replays draw fresh
     /// fault fates).
@@ -204,20 +207,23 @@ pub(crate) struct FaultCtx<'a> {
     pub events: Vec<LinkEvent>,
     /// The crash already fired.
     pub crash_fired: bool,
+    /// The last BSP exchange's outcome and abandoned sends, refilled in
+    /// place by every exchange.
+    pub ex: ReliableExchange,
 }
 
 impl<'a> FaultCtx<'a> {
-    pub(crate) fn new(net: &'a NetModel, config: &RunConfig) -> Option<FaultCtx<'a>> {
-        let plan = config.faults.clone()?;
+    pub(crate) fn new(net: &'a NetModel, config: &RunConfig) -> FaultCtx<'a> {
         let p = net.platform().num_devices();
-        Some(FaultCtx {
-            rnet: ReliableNet::new(net, plan, config.retry),
+        FaultCtx {
+            rnet: ReliableNet::new(net, config.faults.clone(), config.retry),
             rstate: ReliableState::for_devices(p),
             health: HealthTracker::new(p),
             home: HomeMap::identity(p),
             events: Vec::new(),
             crash_fired: false,
-        })
+            ex: ReliableExchange::default(),
+        }
     }
 
     pub(crate) fn injector(&self) -> &FaultInjector {

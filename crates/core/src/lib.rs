@@ -15,15 +15,17 @@
 //! * [`bsp`] / [`basp`] — the two execution models of §III-B, each reduced
 //!   to its schedule (global rounds vs. a virtual-time event heap),
 //!   dispatched through [`engine::run_engine`] by
-//!   [`engine::ExecutionModel`]; [`engine`] also holds what the fault
-//!   layer shares between them (crash firing, checkpoint capture and
+//!   [`engine::ExecutionModel`]; [`engine`] also holds what they share
+//!   of the one transport (the retry/ack `ReliableNet` every message goes
+//!   through) and of the fault layer (crash firing, checkpoint capture and
 //!   restore, the rejoin-or-rehome recovery tail);
 //! * [`trace`] — the per-round, per-device observability layer: both
 //!   engines emit [`trace::RoundRecord`]s through a [`trace::TraceSink`]
 //!   (no-op by default, collecting for tests, JSON-lines for benches);
 //! * [`resilience`] — checkpoint/rollback recovery and graceful
 //!   degradation, driven by the fault layer in `dirgl_comm::faults` when
-//!   [`config::RunConfig::faults`] is set;
+//!   [`config::RunConfig::faults`] schedules a crash or checkpoints are
+//!   asked for;
 //! * [`runtime::Runtime`] — partition, load, execute, and report; the
 //!   load check ([`runtime::Runtime::footprint`]) is the one place a
 //!   device's memory is costed and its adjacency representation chosen;

@@ -125,6 +125,8 @@ pub(crate) fn checkpoint_transfer<P: VertexProgram>(
 #[derive(Clone, Debug)]
 pub(crate) struct HomeMap {
     home: Vec<u32>,
+    /// No partition has moved; cleared by the first real re-homing.
+    identity: bool,
 }
 
 impl HomeMap {
@@ -132,6 +134,7 @@ impl HomeMap {
     pub(crate) fn identity(n: u32) -> HomeMap {
         HomeMap {
             home: (0..n).collect(),
+            identity: true,
         }
     }
 
@@ -142,7 +145,7 @@ impl HomeMap {
 
     /// True while no partition has moved.
     pub(crate) fn is_identity(&self) -> bool {
-        self.home.iter().enumerate().all(|(i, &h)| i as u32 == h)
+        self.identity
     }
 
     /// Logical partitions hosted on physical device `d`, ascending.
@@ -163,6 +166,10 @@ impl HomeMap {
 
     /// Re-homes every logical partition living on `dead` onto `adopter`.
     pub(crate) fn rehome(&mut self, dead: u32, adopter: u32) {
+        if dead == adopter {
+            return;
+        }
+        self.identity = false;
         for h in self.home.iter_mut() {
             if *h == dead {
                 *h = adopter;
@@ -177,17 +184,22 @@ mod tests {
 
     #[test]
     fn home_map_identity_and_rehoming() {
+        // The kept flag against a scan of the map.
+        let scanned = |hm: &HomeMap| hm.home.iter().enumerate().all(|(i, &h)| i as u32 == h);
         let mut hm = HomeMap::identity(4);
         assert!(hm.is_identity());
         assert_eq!(hm.phys(2), 2);
         assert_eq!(hm.residents(1), vec![1]);
+        // Re-homing a device onto itself moves nothing.
+        hm.rehome(3, 3);
+        assert!(hm.is_identity() && scanned(&hm));
 
         // Device 2 dies; 0..=3 alive flags with 2 dead.
         let alive = [true, true, false, true];
         let adopter = hm.pick_adopter(&alive).unwrap();
         assert_eq!(adopter, 0, "lowest index among equally-loaded survivors");
         hm.rehome(2, adopter);
-        assert!(!hm.is_identity());
+        assert!(!hm.is_identity() && !scanned(&hm));
         assert_eq!(hm.phys(2), 0);
         assert_eq!(hm.residents(0), vec![0, 2]);
         assert_eq!(hm.residents(2), Vec::<u32>::new());

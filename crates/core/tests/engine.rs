@@ -480,3 +480,36 @@ fn weighted_pull_matches_bellman_ford() {
     assert!(out.report.memory_per_device.iter().all(|&m| m <= cap) && raw > cap);
     assert_eq!(out.values, want, "spilled");
 }
+
+#[test]
+fn checkpoints_without_a_fault_plan_are_taken_and_charged() {
+    // `with_checkpoints(k)` promises a checkpoint every k rounds whether or
+    // not a fault plan is set; each dump costs PCIe time and changes no
+    // value.
+    let g = dirgl_graph::RmatConfig::new(9, 8).seed(11).generate();
+    let source = Runtime::max_out_degree_source(&g).unwrap();
+    for variant in [Variant::var3(), Variant::var4()] {
+        let run = |cfg: RunConfig| {
+            Runtime::new(Platform::bridges(4), cfg)
+                .runner(&g, &MinProp::bfs(source))
+                .execute()
+                .unwrap()
+        };
+        let plain = run(RunConfig::new(Policy::Cvc, variant));
+        let ckpt = run(RunConfig::new(Policy::Cvc, variant).with_checkpoints(2));
+        let label = variant.label();
+        assert_eq!(plain.report.resilience.checkpoints_taken, 0, "{label}");
+        assert!(
+            ckpt.report.resilience.checkpoints_taken > 0,
+            "{label}: no checkpoint taken"
+        );
+        assert!(
+            ckpt.report.total_time > plain.report.total_time,
+            "{label}: checkpoints charged no time"
+        );
+        let bits = |out: &dirgl_core::RunOutput| -> Vec<u64> {
+            out.values.iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&ckpt), bits(&plain), "{label}");
+    }
+}

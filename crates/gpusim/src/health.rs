@@ -41,6 +41,7 @@ impl HealthTracker {
     }
 
     /// True unless `device` is dead.
+    #[inline]
     pub fn is_alive(&self, device: u32) -> bool {
         self.status[device as usize] != DeviceHealth::Dead
     }

@@ -823,9 +823,9 @@ impl JobServer {
         let symmetric = Arc::new(rt.prepare(graph, true)?);
         let transpose = Arc::new(rt.prepare(&graph.transpose(), false)?);
         let capacities: Vec<u64> = rt.platform.gpus.iter().map(|g| g.memory_bytes).collect();
-        let faults = rt.config.faults.as_ref();
-        let straggler = faults.and_then(|f| f.straggler.map(|s| (s.device, s.factor)));
-        let crash_device = faults.and_then(|f| f.crash.map(|c| c.device));
+        let faults = &rt.config.faults;
+        let straggler = faults.straggler.map(|s| (s.device, s.factor));
+        let crash_device = faults.crash.map(|c| c.device);
         let gov = Governor::new(
             capacities,
             serve.governor,

@@ -1,22 +1,17 @@
-//! The two determinism contracts of the fault layer, pinned by proptest:
+//! The determinism contract of the fault layer, pinned by proptest:
+//! **seeded-fault reproducibility** — a faulty run is a function of its
+//! seed: the same `FaultPlan` twice gives the same report (compared via
+//! `Debug`), vertex values (bit for bit) and trace JSONL stream. Fault
+//! fates are keyed by message coordinates (link, sequence number,
+//! attempt), not by host-side iteration order.
 //!
-//! 1. **Null-plan byte-identity** — `faults: Some(FaultPlan::none())`
-//!    routes every message through the retry/ack reliable transport, yet
-//!    must be *byte-identical* to `faults: None` (the raw transport):
-//!    same `ExecutionReport` (compared via `Debug`), same vertex values
-//!    (compared bit-for-bit), same trace JSONL stream. This is what makes
-//!    the layer free until faults are actually scheduled.
-//! 2. **Seeded-fault reproducibility** — a faulty run is a function of
-//!    its seed: the same `FaultPlan` twice gives the same report, values
-//!    and trace, byte for byte. Fault fates are keyed by message
-//!    coordinates (link, sequence number, attempt), not by host-side
-//!    iteration order.
+//! What a run under the default `FaultPlan::none()` computes is pinned by
+//! the golden corpus (`tests/golden_digests.rs`) and the committed bench
+//! texts; there is no second transport to compare it with.
 
 use proptest::prelude::*;
 
 use dirgl::prelude::*;
-
-const POLICIES: [Policy; 4] = [Policy::Oec, Policy::Iec, Policy::Hvc, Policy::Cvc];
 
 /// Runs `app` under `cfg` and returns (report Debug, value bits, trace
 /// JSONL bytes).
@@ -39,49 +34,7 @@ fn run_traced<P: dirgl::core::VertexProgram>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Contract 1, bfs: every policy, both engines.
-    #[test]
-    fn null_plan_is_byte_identical_bfs(
-        gseed in 0u64..1_000,
-        policy in prop::sample::select(POLICIES.to_vec()),
-        sync in any::<bool>(),
-        devices in 2u32..6,
-    ) {
-        let g = RmatConfig::new(8, 8).seed(gseed).generate();
-        let app = Bfs::from_max_out_degree(&g);
-        let variant = if sync { Variant::var3() } else { Variant::var4() };
-        let raw = run_traced(&g, &app, RunConfig::new(policy, variant), devices);
-        let null = run_traced(
-            &g,
-            &app,
-            RunConfig::new(policy, variant).with_faults(FaultPlan::none()),
-            devices,
-        );
-        prop_assert_eq!(&raw.0, &null.0, "report diverged ({policy}, sync={sync})");
-        prop_assert_eq!(&raw.1, &null.1, "values diverged ({policy}, sync={sync})");
-        prop_assert_eq!(&raw.2, &null.2, "trace diverged ({policy}, sync={sync})");
-    }
-
-    /// Contract 1, pagerank: the tolerance-converging workload takes the
-    /// same byte-identical guarantee — no drift allowed.
-    #[test]
-    fn null_plan_is_byte_identical_pagerank(
-        gseed in 0u64..1_000,
-        policy in prop::sample::select(POLICIES.to_vec()),
-        sync in any::<bool>(),
-    ) {
-        let g = RmatConfig::new(8, 8).seed(gseed).generate();
-        let app = PageRank::new();
-        let variant = if sync { Variant::var3() } else { Variant::var4() };
-        let base = RunConfig::new(policy, variant).scale(1024);
-        let raw = run_traced(&g, &app, base.clone(), 4);
-        let null = run_traced(&g, &app, base.with_faults(FaultPlan::none()), 4);
-        prop_assert_eq!(&raw.0, &null.0, "report diverged ({policy}, sync={sync})");
-        prop_assert_eq!(&raw.1, &null.1, "values diverged ({policy}, sync={sync})");
-        prop_assert_eq!(&raw.2, &null.2, "trace diverged ({policy}, sync={sync})");
-    }
-
-    /// Contract 2: same seed, same faults, same bytes — including runs
+    /// Same seed, same faults, same bytes — including runs
     /// with drops, duplicates, delays and a crash.
     #[test]
     fn seeded_fault_runs_are_reproducible(
