@@ -17,7 +17,9 @@
 //!    nothing (its load re-homes onto the least-loaded survivor, mirroring
 //!    the engine's graceful-degradation adopter rule), a straggler's
 //!    effective capacity is scaled down so pressure steers wide batches
-//!    away from it.
+//!    away from it. A dead device must still hold its own share at raw
+//!    capacity: the engine loads every partition on its home device
+//!    before the crash fires.
 //! 3. **Decide.** Walk the degradation ladder (requested width, then
 //!    halving: 64 → 32 → 16 → … → 2 → scalar) and grant the widest rung
 //!    that fits. Low-priority work is shed instead of degraded — under
@@ -48,9 +50,11 @@ pub enum RejectReason {
     MemoryExceeded {
         /// Device whose capacity the scalar rung still exceeds.
         device: u32,
-        /// Predicted bytes on that device (scalar rung, after re-homing).
+        /// Predicted bytes on that device at the scalar rung: its own
+        /// share, or its load after re-homing.
         predicted: u64,
-        /// The device's effective residual capacity.
+        /// The capacity those bytes exceed: raw for the device's own
+        /// share, effective residual for its re-homed load.
         capacity: u64,
     },
     /// The job fits only degraded, and its priority is [`Priority::Low`]:
@@ -203,21 +207,36 @@ impl Governor {
         Some(out)
     }
 
-    /// True when `mapped` fits every device's effective residual.
-    fn fits(&self, st: &GovState, mapped: &[u64]) -> bool {
-        mapped.iter().enumerate().all(|(d, &need)| {
-            need == 0 || st.mem[d].in_use().saturating_add(need) <= self.effective_capacity(st, d)
-        })
+    /// True when every device can load its own share of `pred`. The
+    /// engine loads each partition on its home device before a crash
+    /// fires, so a dead device must still hold its share at launch even
+    /// though re-homing moves that share onto a survivor afterwards.
+    fn fits_home(st: &GovState, pred: &[u64]) -> bool {
+        pred.iter()
+            .enumerate()
+            .all(|(d, &need)| need <= st.mem[d].capacity())
     }
 
-    /// True when `mapped` would fit an *idle* server: every device's
-    /// effective capacity with zero reservations. Separates transient
-    /// pressure (reservations clear) from terminal infeasibility.
-    fn fits_idle(&self, st: &GovState, mapped: &[u64]) -> bool {
-        mapped
-            .iter()
-            .enumerate()
-            .all(|(d, &need)| need == 0 || need <= self.effective_capacity(st, d))
+    /// True when `pred` loads on its home devices and its re-homed
+    /// `mapped` load fits every device's effective residual.
+    fn fits(&self, st: &GovState, pred: &[u64], mapped: &[u64]) -> bool {
+        Self::fits_home(st, pred)
+            && mapped.iter().enumerate().all(|(d, &need)| {
+                need == 0
+                    || st.mem[d].in_use().saturating_add(need) <= self.effective_capacity(st, d)
+            })
+    }
+
+    /// True when `pred`/`mapped` would fit an *idle* server: every
+    /// device's effective capacity with zero reservations. Separates
+    /// transient pressure (reservations clear) from terminal
+    /// infeasibility.
+    fn fits_idle(&self, st: &GovState, pred: &[u64], mapped: &[u64]) -> bool {
+        Self::fits_home(st, pred)
+            && mapped
+                .iter()
+                .enumerate()
+                .all(|(d, &need)| need == 0 || need <= self.effective_capacity(st, d))
     }
 
     /// Walks the degradation `ladder` (widest rung first, each a
@@ -245,12 +264,12 @@ impl Governor {
         }
         let mut st = self.state.lock().unwrap();
         let mut feasible = false; // some rung fits an idle server
-        let mut last_mapped: Option<Vec<u64>> = None;
+        let mut last: Option<(&[u64], Vec<u64>)> = None;
         for (width, pred) in ladder {
             let Some(mapped) = Self::rehome(&st, pred) else {
                 return Err(Denial::Reject(RejectReason::NoAliveDevices));
             };
-            if !feasible && self.fits_idle(&st, &mapped) {
+            if !feasible && self.fits_idle(&st, pred, &mapped) {
                 feasible = true;
                 if *width < requested && priority == Priority::Low {
                     return Err(Denial::Reject(RejectReason::Shed {
@@ -258,7 +277,7 @@ impl Governor {
                     }));
                 }
             }
-            if self.fits(&st, &mapped) {
+            if self.fits(&st, pred, &mapped) {
                 if *width < requested && priority == Priority::Low {
                     // Low is never granted degraded width; since the shed
                     // check above passed, the requested width fits an idle
@@ -276,23 +295,27 @@ impl Governor {
                     reserved: mapped,
                 });
             }
-            last_mapped = Some(mapped);
+            last = Some((pred, mapped));
         }
         if feasible {
             return Err(Denial::Busy);
         }
         // Not even the narrowest rung fits an idle server: name the worst
-        // offender.
-        let mapped = last_mapped.expect("ladder has at least one rung");
-        let (device, predicted, capacity) = mapped
+        // offender, a home device that cannot load its own share or a
+        // device whose re-homed load exceeds its residual.
+        let (pred, mapped) = last.expect("ladder has at least one rung");
+        let home = pred
             .iter()
             .enumerate()
-            .map(|(d, &need)| {
-                let cap = self
-                    .effective_capacity(&st, d)
-                    .saturating_sub(st.mem[d].in_use());
-                (d as u32, need, cap)
-            })
+            .map(|(d, &need)| (d as u32, need, st.mem[d].capacity()));
+        let residual = mapped.iter().enumerate().map(|(d, &need)| {
+            let cap = self
+                .effective_capacity(&st, d)
+                .saturating_sub(st.mem[d].in_use());
+            (d as u32, need, cap)
+        });
+        let (device, predicted, capacity) = home
+            .chain(residual)
             .max_by_key(|&(_, need, cap)| need.saturating_sub(cap))
             .expect("platform has devices");
         Err(Denial::Reject(RejectReason::MemoryExceeded {
@@ -480,6 +503,31 @@ mod tests {
         gov.observe(Some(1), &stats_with(1, 1));
         let g = gov.decide(Priority::Normal, &ladder).unwrap();
         assert_eq!(g.reserved, vec![60, 40, 70]);
+    }
+
+    #[test]
+    fn dead_device_must_load_its_own_share_before_rehoming() {
+        // The engine loads device 1's 50 B partition on device 1 (40 B)
+        // before the crash fires, so width 2 cannot launch even though
+        // its re-homed load (60 B on device 0) would fit.
+        let gov = Governor::new(vec![100, 40], true, 1.0, None);
+        gov.observe(Some(1), &stats_with(1, 0));
+        let ladder = vec![(2, vec![10, 50]), (1, vec![10, 30])];
+        let g = gov.decide(Priority::Normal, &ladder).unwrap();
+        assert_eq!(g.width, 1);
+        assert_eq!(g.reserved, vec![40, 0]);
+        gov.release(&g.reserved);
+
+        // No rung loads at home: the rejection names the dead device.
+        assert_eq!(
+            gov.decide(Priority::Normal, &[(1, vec![10, 50])])
+                .unwrap_err(),
+            Denial::Reject(RejectReason::MemoryExceeded {
+                device: 1,
+                predicted: 50,
+                capacity: 40
+            })
+        );
     }
 
     #[test]
