@@ -18,7 +18,7 @@
 //! * `saturation` — a 2-slot queue against a 12-job burst.
 //!
 //! Every scenario reports availability = (completed + cache hits) /
-//! accepted, the retry/degradation/shed counters, and p50/p99
+//! accepted, the degradation/shed counters, and p50/p99
 //! client-observed latencies of the jobs that did complete, on stderr:
 //! the latencies are host-clock figures and the degradation counts move
 //! with thread timing, so nothing here is committed. Counters must
@@ -139,11 +139,10 @@ fn reconcile(label: &str, s: &ServerStats) {
 fn report(label: &str, lats: &[f64], s: &ServerStats) {
     let served = s.completed + s.cache_hits;
     eprintln!(
-        "{label:>16}: availability {:.3} ({served}/{} accepted) | retries {} degraded {} \
+        "{label:>16}: availability {:.3} ({served}/{} accepted) | degraded {} \
          shed {} rejected {} expired {} failed {} | p50 {:.1}ms p99 {:.1}ms",
         served as f64 / s.accepted.max(1) as f64,
         s.accepted,
-        s.retries,
         s.degraded,
         s.shed,
         s.rejected_gov + s.rejected_saturated,
@@ -253,10 +252,10 @@ fn main() {
             faulty_cfg(link_plan()),
             ServeConfig {
                 workers: 1,
-                start_paused: true,
                 ..ServeConfig::default()
             },
         );
+        server.pause();
         let jobs = stream(&server);
         let (stale, fresh) = jobs.split_at(jobs.len() / 2);
         let stale_handles: Vec<_> = stale
@@ -292,10 +291,9 @@ fn main() {
                 workers: 1,
                 queue_capacity: 2,
                 cache_capacity: 0,
-                start_paused: true,
-                ..ServeConfig::default()
             },
         );
+        server.pause();
         let reqs: Vec<JobRequest> = (1..=12)
             .map(|k| JobRequest::new(JobSpec::KCore { k }))
             .collect();

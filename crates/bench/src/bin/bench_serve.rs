@@ -115,8 +115,6 @@ fn main() {
             workers: conc,
             queue_capacity: 256,
             cache_capacity: 128,
-            start_paused: false,
-            ..ServeConfig::default()
         };
         let t_load = Instant::now();
         let server = JobServer::load(

@@ -66,17 +66,6 @@ pub enum RunError {
     EmptyGraph,
 }
 
-impl RunError {
-    /// True when retrying the same job with a *smaller working set* could
-    /// succeed. OOM is the only such failure: a K-lane batch that does not
-    /// fit can be split into narrower launches (or run scalar). A platform
-    /// with no devices or an empty graph stays broken no matter how the
-    /// job is shaped, so those are terminal.
-    pub fn is_retriable(&self) -> bool {
-        matches!(self, RunError::Oom { .. })
-    }
-}
-
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -40,6 +40,10 @@ use dirgl_gpusim::{DeviceHealth, HealthTracker, MemoryTracker};
 
 use crate::job::Priority;
 
+/// Effective-capacity multiplier for a straggling device: pressure steers
+/// wide batches away from slow devices before they inflate the barrier.
+const STRAGGLER_CAPACITY_FACTOR: f64 = 0.9;
+
 /// Why the governor refused to launch an accepted job.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RejectReason {
@@ -141,9 +145,6 @@ struct GovState {
 
 /// The admission governor (see module docs). One per [`crate::JobServer`].
 pub(crate) struct Governor {
-    enabled: bool,
-    /// Effective-capacity multiplier for straggling devices, in `(0, 1]`.
-    straggler_factor: f64,
     state: Mutex<GovState>,
 }
 
@@ -152,12 +153,7 @@ impl Governor {
     /// straggler window in the server's fault plan pre-registers that
     /// device as slow; crashes are observed from job reports as they
     /// happen.
-    pub(crate) fn new(
-        capacities: Vec<u64>,
-        enabled: bool,
-        straggler_factor: f64,
-        straggler: Option<(u32, f64)>,
-    ) -> Governor {
+    pub(crate) fn new(capacities: Vec<u64>, straggler: Option<(u32, f64)>) -> Governor {
         let n = capacities.len() as u32;
         let mut health = HealthTracker::new(n);
         if let Some((dev, factor)) = straggler {
@@ -166,8 +162,6 @@ impl Governor {
             }
         }
         Governor {
-            enabled,
-            straggler_factor: straggler_factor.clamp(f64::EPSILON, 1.0),
             state: Mutex::new(GovState {
                 mem: capacities.into_iter().map(MemoryTracker::new).collect(),
                 health,
@@ -177,10 +171,12 @@ impl Governor {
 
     /// Effective capacity of device `d`: 0 when dead, health-scaled
     /// otherwise.
-    fn effective_capacity(&self, st: &GovState, d: usize) -> u64 {
+    fn effective_capacity(st: &GovState, d: usize) -> u64 {
         match st.health.health(d as u32) {
             DeviceHealth::Dead => 0,
-            DeviceHealth::Straggler => (st.mem[d].capacity() as f64 * self.straggler_factor) as u64,
+            DeviceHealth::Straggler => {
+                (st.mem[d].capacity() as f64 * STRAGGLER_CAPACITY_FACTOR) as u64
+            }
             DeviceHealth::Healthy => st.mem[d].capacity(),
         }
     }
@@ -219,11 +215,11 @@ impl Governor {
 
     /// True when `pred` loads on its home devices and its re-homed
     /// `mapped` load fits every device's effective residual.
-    fn fits(&self, st: &GovState, pred: &[u64], mapped: &[u64]) -> bool {
+    fn fits(st: &GovState, pred: &[u64], mapped: &[u64]) -> bool {
         Self::fits_home(st, pred)
             && mapped.iter().enumerate().all(|(d, &need)| {
                 need == 0
-                    || st.mem[d].in_use().saturating_add(need) <= self.effective_capacity(st, d)
+                    || st.mem[d].in_use().saturating_add(need) <= Self::effective_capacity(st, d)
             })
     }
 
@@ -231,12 +227,12 @@ impl Governor {
     /// device's effective capacity with zero reservations. Separates
     /// transient pressure (reservations clear) from terminal
     /// infeasibility.
-    fn fits_idle(&self, st: &GovState, pred: &[u64], mapped: &[u64]) -> bool {
+    fn fits_idle(st: &GovState, pred: &[u64], mapped: &[u64]) -> bool {
         Self::fits_home(st, pred)
             && mapped
                 .iter()
                 .enumerate()
-                .all(|(d, &need)| need == 0 || need <= self.effective_capacity(st, d))
+                .all(|(d, &need)| need == 0 || need <= Self::effective_capacity(st, d))
     }
 
     /// Walks the degradation `ladder` (widest rung first, each a
@@ -255,13 +251,6 @@ impl Governor {
         ladder: &[(usize, Vec<u64>)],
     ) -> Result<Grant, Denial> {
         let requested = ladder.first().map(|(w, _)| *w).unwrap_or(1);
-        if !self.enabled {
-            return Ok(Grant {
-                width: requested,
-                degraded: false,
-                reserved: Vec::new(),
-            });
-        }
         let mut st = self.state.lock().unwrap();
         let mut feasible = false; // some rung fits an idle server
         let mut last: Option<(&[u64], Vec<u64>)> = None;
@@ -269,7 +258,7 @@ impl Governor {
             let Some(mapped) = Self::rehome(&st, pred) else {
                 return Err(Denial::Reject(RejectReason::NoAliveDevices));
             };
-            if !feasible && self.fits_idle(&st, pred, &mapped) {
+            if !feasible && Self::fits_idle(&st, pred, &mapped) {
                 feasible = true;
                 if *width < requested && priority == Priority::Low {
                     return Err(Denial::Reject(RejectReason::Shed {
@@ -277,7 +266,7 @@ impl Governor {
                     }));
                 }
             }
-            if self.fits(&st, pred, &mapped) {
+            if Self::fits(&st, pred, &mapped) {
                 if *width < requested && priority == Priority::Low {
                     // Low is never granted degraded width; since the shed
                     // check above passed, the requested width fits an idle
@@ -309,9 +298,7 @@ impl Governor {
             .enumerate()
             .map(|(d, &need)| (d as u32, need, st.mem[d].capacity()));
         let residual = mapped.iter().enumerate().map(|(d, &need)| {
-            let cap = self
-                .effective_capacity(&st, d)
-                .saturating_sub(st.mem[d].in_use());
+            let cap = Self::effective_capacity(&st, d).saturating_sub(st.mem[d].in_use());
             (d as u32, need, cap)
         });
         let (device, predicted, capacity) = home
@@ -327,9 +314,6 @@ impl Governor {
 
     /// Returns a grant's reservation to the pool.
     pub(crate) fn release(&self, reserved: &[u64]) {
-        if reserved.is_empty() {
-            return;
-        }
         let mut st = self.state.lock().unwrap();
         for (d, &need) in reserved.iter().enumerate() {
             st.mem[d].free(need);
@@ -361,7 +345,7 @@ impl Governor {
         let st = self.state.lock().unwrap();
         (0..st.mem.len())
             .map(|d| {
-                let effective = self.effective_capacity(&st, d);
+                let effective = Self::effective_capacity(&st, d);
                 DeviceStatus {
                     device: d as u32,
                     health: st.health.health(d as u32),
@@ -409,7 +393,7 @@ mod tests {
 
     #[test]
     fn admits_widest_fitting_rung_and_reserves() {
-        let gov = Governor::new(vec![100, 100], true, 1.0, None);
+        let gov = Governor::new(vec![100, 100], None);
         // 64 lanes need 120 B/device, 32 need 60, scalar needs 10.
         let ladder = vec![(64, vec![120, 120]), (32, vec![60, 60]), (1, vec![10, 10])];
         let g = gov.decide(Priority::Normal, &ladder).unwrap();
@@ -439,7 +423,7 @@ mod tests {
 
     #[test]
     fn low_priority_is_shed_instead_of_degraded() {
-        let gov = Governor::new(vec![100], true, 1.0, None);
+        let gov = Governor::new(vec![100], None);
         let ladder = vec![(64, vec![200]), (32, vec![50])];
         assert_eq!(
             gov.decide(Priority::Low, &ladder).unwrap_err(),
@@ -469,7 +453,7 @@ mod tests {
 
     #[test]
     fn nothing_fits_rejects_with_worst_device() {
-        let gov = Governor::new(vec![100, 40], true, 1.0, None);
+        let gov = Governor::new(vec![100, 40], None);
         let ladder = vec![(2, vec![90, 90]), (1, vec![50, 50])];
         assert_eq!(
             gov.decide(Priority::High, &ladder).unwrap_err(),
@@ -483,7 +467,7 @@ mod tests {
 
     #[test]
     fn dead_device_rehomes_onto_least_loaded_survivor() {
-        let gov = Governor::new(vec![100, 100, 100], true, 1.0, None);
+        let gov = Governor::new(vec![100, 100, 100], None);
         gov.observe(Some(1), &stats_with(1, 0)); // crash, no rejoin
         let status = gov.device_status();
         assert_eq!(status[1].health, DeviceHealth::Dead);
@@ -510,7 +494,7 @@ mod tests {
         // The engine loads device 1's 50 B partition on device 1 (40 B)
         // before the crash fires, so width 2 cannot launch even though
         // its re-homed load (60 B on device 0) would fit.
-        let gov = Governor::new(vec![100, 40], true, 1.0, None);
+        let gov = Governor::new(vec![100, 40], None);
         gov.observe(Some(1), &stats_with(1, 0));
         let ladder = vec![(2, vec![10, 50]), (1, vec![10, 30])];
         let g = gov.decide(Priority::Normal, &ladder).unwrap();
@@ -532,7 +516,7 @@ mod tests {
 
     #[test]
     fn all_dead_rejects() {
-        let gov = Governor::new(vec![100], true, 1.0, None);
+        let gov = Governor::new(vec![100], None);
         gov.observe(Some(0), &stats_with(1, 0));
         assert_eq!(
             gov.decide(Priority::Normal, &[(1, vec![10])]).unwrap_err(),
@@ -542,23 +526,15 @@ mod tests {
 
     #[test]
     fn straggler_shrinks_effective_capacity() {
-        let gov = Governor::new(vec![100, 100], true, 0.5, Some((1, 4.0)));
+        let gov = Governor::new(vec![100, 100], Some((1, 4.0)));
         let status = gov.device_status();
         assert_eq!(status[1].health, DeviceHealth::Straggler);
         assert_eq!(status[1].slow_factor, 4.0);
-        assert_eq!(status[1].residual, 50, "capacity × straggler factor");
+        assert_eq!(status[1].residual, 90, "capacity × straggler factor");
 
-        // 60 B fits device 0 but not the straggler's shrunk 50 B.
-        let ladder = vec![(2, vec![60, 60]), (1, vec![30, 30])];
+        // 95 B fits device 0 but not the straggler's shrunk 90 B.
+        let ladder = vec![(2, vec![95, 95]), (1, vec![30, 30])];
         let g = gov.decide(Priority::Normal, &ladder).unwrap();
         assert_eq!(g.width, 1, "pressure steers wide batches off stragglers");
-    }
-
-    #[test]
-    fn disabled_governor_admits_everything_unreserved() {
-        let gov = Governor::new(vec![10], false, 1.0, None);
-        let g = gov.decide(Priority::Low, &[(64, vec![u64::MAX])]).unwrap();
-        assert_eq!(g.width, 64);
-        assert!(g.reserved.is_empty());
     }
 }

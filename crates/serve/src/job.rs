@@ -214,29 +214,26 @@ pub struct JobResult {
     pub from_cache: bool,
     /// Graph epoch the result belongs to.
     pub epoch: u64,
-    /// How this job was kept alive: attempts, lane-width degradation and
-    /// the engine-level fault/recovery counters. All default (zero
-    /// attempts) for cache-served results.
+    /// How this job was kept alive: lane-width degradation and the
+    /// engine-level fault/recovery counters. All default for cache-served
+    /// results.
     pub resilience: JobResilience,
 }
 
-/// Per-job resilience record: what the admission governor and the retry
-/// ladder did to keep this job alive, plus the engine-level recovery
-/// counters aggregated across every phase and attempt.
+/// Per-job resilience record: what the admission governor did to keep
+/// this job alive, plus the engine-level recovery counters aggregated
+/// across every phase.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobResilience {
-    /// Engine launches performed (1 for a clean first-try run; 0 when the
-    /// result came from the cache).
-    pub attempts: u32,
     /// Lane width the job asked for (sources per launch; 1 = scalar).
     pub requested_width: usize,
-    /// Lane width the job actually ran at after admission and retries.
+    /// Lane width the admission governor granted and the job ran at.
     pub granted_width: usize,
     /// True when `granted_width < requested_width` (the degradation
     /// ladder narrowed the job to fit memory or health pressure).
     pub degraded: bool,
     /// Engine-level fault and recovery counters (link retries, crashes,
-    /// rollbacks, re-homed masters), summed over all phases and attempts.
+    /// rollbacks, re-homed masters), summed over all phases.
     pub engine: ResilienceStats,
 }
 
@@ -293,20 +290,17 @@ impl std::error::Error for SubmitError {}
 /// Why an *accepted* job did not produce a result.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JobError {
-    /// The engine refused the run on every attempt. Carries the *last*
-    /// attempt's full [`RunError`] (device, predicted vs available bytes
-    /// for OOM) and how many launches were tried before giving up.
+    /// The engine refused the run. Carries its full [`RunError`] (device,
+    /// predicted vs available bytes for OOM).
     Run {
-        /// The final attempt's failure, structure intact.
+        /// The engine's failure, structure intact.
         error: RunError,
-        /// Engine launches performed before surrendering.
-        attempts: u32,
     },
     /// The admission governor refused to launch the job at any lane width
     /// (memory pressure or dead devices); the engine was never invoked.
     Rejected(RejectReason),
-    /// The job's deadline passed while it was queued, mid-retry-backoff,
-    /// or before a retry could launch.
+    /// The job's deadline passed while it was queued or while it waited
+    /// for the admission governor to reserve its memory.
     DeadlineExpired,
     /// The server shut down before the job ran.
     ShutDown,
@@ -315,9 +309,7 @@ pub enum JobError {
 impl std::fmt::Display for JobError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JobError::Run { error, attempts } => {
-                write!(f, "run failed after {attempts} attempt(s): {error}")
-            }
+            JobError::Run { error } => write!(f, "run failed: {error}"),
             JobError::Rejected(r) => write!(f, "rejected by admission governor: {r}"),
             JobError::DeadlineExpired => write!(f, "deadline expired before execution"),
             JobError::ShutDown => write!(f, "server shut down before the job ran"),

@@ -9,7 +9,7 @@
 //! answer many concurrent queries (bfs/sssp/bc from arbitrary sources,
 //! pagerank, cc, kcore) against it.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`JobSpec`]/[`JobRequest`]/[`JobHandle`] (the `job` module) —
 //!   the client vocabulary: what to compute, at which [`Priority`], with
@@ -20,14 +20,14 @@
 //! * [`JobServer`] — admission control (source validation, bounded queue
 //!   with reject-with-reason), a priority queue, a fixed executor pool
 //!   bounding jobs in flight, and counters ([`ServerStats`]).
-//! * the resilience layer (the `governor` module + per-job recovery) —
-//!   before launch, the admission governor predicts the job's per-device
-//!   memory footprint with the engine's own formula, checks it against
-//!   health-shrunk residual capacity and walks the lane-width degradation
-//!   ladder (64 → 32 → … → scalar) until it fits, shedding Low-priority
-//!   work under pressure; retriable engine failures retry with capped
-//!   exponential backoff and width halving, deadlines are enforced across
-//!   retries, and every result carries its [`JobResilience`] record.
+//! * the admission governor (the `governor` module) — the one place a
+//!   job's lane width is picked: before the job's single launch it
+//!   predicts the per-device memory footprint with the engine's own
+//!   formula, checks it against health-shrunk residual capacity and walks
+//!   the lane-width degradation ladder (64 → 32 → … → scalar) until it
+//!   fits, shedding Low-priority work under pressure; deadlines are
+//!   enforced while a job waits for admission, and every result carries
+//!   its [`JobResilience`] record.
 //!
 //! Traversal specs (bfs/sssp/bc) carry a *set* of sources and run them as
 //! lanes of one K-lane batched engine pass (K ≤ 64). At dequeue, a worker

@@ -23,9 +23,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
-
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dirgl_apps::{
     batched_betweenness_centrality_prepared, betweenness_centrality_prepared, BcBackward,
@@ -45,7 +43,11 @@ use crate::job::{
     Priority, SubmitError,
 };
 
-/// Server sizing and policy knobs.
+/// How long a worker waits before asking the governor again after a
+/// transient ([`Denial::Busy`]) denial.
+const BUSY_PAUSE: Duration = Duration::from_millis(1);
+
+/// Server sizing.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Executor threads = maximum jobs in flight at once.
@@ -55,26 +57,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Result-cache entries (LRU-evicted; 0 disables caching).
     pub cache_capacity: usize,
-    /// Start with execution paused; jobs queue (and admission control
-    /// applies) but nothing runs until [`JobServer::resume`]. Tests use
-    /// this to make saturation and deadline behavior deterministic.
-    pub start_paused: bool,
-    /// Run every launch through the admission governor (predict the
-    /// per-device footprint, degrade the lane width until it fits, shed
-    /// Low-priority work under pressure, reject what cannot fit at all).
-    /// Disabled, jobs launch at their requested width and the engine's
-    /// own load check is the only guard.
-    pub governor: bool,
-    /// Effective-capacity multiplier the governor applies to a straggling
-    /// device, in `(0, 1]` — pressure steers wide batches away from slow
-    /// devices before they inflate the barrier.
-    pub straggler_capacity_factor: f64,
-    /// Retries after a retriable engine failure (OOM); each retry halves
-    /// the lane width. `0` disables retrying.
-    pub max_retries: u32,
-    /// Base retry pause; attempt `i` (0-based) backs off `2^i ×` this,
-    /// truncated at the job's deadline.
-    pub retry_backoff: Duration,
 }
 
 impl Default for ServeConfig {
@@ -83,11 +65,6 @@ impl Default for ServeConfig {
             workers: 4,
             queue_capacity: 64,
             cache_capacity: 128,
-            start_paused: false,
-            governor: true,
-            straggler_capacity_factor: 0.9,
-            max_retries: 3,
-            retry_backoff: Duration::from_millis(1),
         }
     }
 }
@@ -106,7 +83,6 @@ struct Counters {
     cache_misses: AtomicU64,
     invalidated: AtomicU64,
     coalesced: AtomicU64,
-    retries: AtomicU64,
     degraded: AtomicU64,
     shed: AtomicU64,
     rejected_gov: AtomicU64,
@@ -139,11 +115,13 @@ pub struct ServerStats {
     /// Jobs served as lanes of a coalesced multi-source engine launch
     /// (counts every member of a merged batch).
     pub coalesced: u64,
-    /// Engine relaunches after a retriable failure (each halves the lane
-    /// width).
+    /// Always 0, kept so that code written against the deleted OOM-retry
+    /// ladder still compiles (the frozen `benchmark/` workload reads it):
+    /// admission picks a job's width before its one launch, so nothing
+    /// relaunches.
     pub retries: u64,
     /// Jobs that completed at a lane width below the one they requested
-    /// (admission degradation or retry narrowing).
+    /// (the governor degraded them at admission).
     pub degraded: u64,
     /// Low-priority jobs the governor shed under memory pressure (a
     /// subset of [`ServerStats::rejected_gov`]).
@@ -220,8 +198,6 @@ struct Inner {
     /// Device the server's fault plan crashes (observed from job reports
     /// to keep the governor's health picture current).
     crash_device: Option<u32>,
-    max_retries: u32,
-    retry_backoff: Duration,
     sched: Mutex<Sched>,
     /// Signaled when work arrives, pause state flips, or shutdown begins.
     work: Condvar,
@@ -432,12 +408,10 @@ impl Inner {
     }
 
     /// The full serve path for one (possibly coalesced) launch: governor
-    /// admission over the degradation ladder, execution at the granted
-    /// width, and on retriable failure a capped exponential-backoff retry
-    /// loop that halves the width per attempt — all under `deadline`
-    /// (checked before every launch and across every backoff pause).
-    /// Returns the outcome plus the job's resilience record; the caller
-    /// owns counter bookkeeping.
+    /// admission over the degradation ladder, then one execution at the
+    /// granted width, under `deadline` (checked across every admission
+    /// wait and before the launch). Returns the outcome plus the job's
+    /// resilience record; the caller owns counter bookkeeping.
     fn execute_governed(
         &self,
         spec: &JobSpec,
@@ -459,56 +433,25 @@ impl Inner {
                 Ok(g) => break g,
                 Err(Denial::Reject(r)) => return Err(JobError::Rejected(r)),
                 Err(Denial::Busy) => {
-                    let pause = self.retry_backoff.max(Duration::from_micros(200));
                     if let Some(dl) = deadline {
                         let now = Instant::now();
-                        if now + pause >= dl {
+                        if now + BUSY_PAUSE >= dl {
                             std::thread::sleep(dl.saturating_duration_since(now));
                             return Err(JobError::DeadlineExpired);
                         }
                     }
-                    std::thread::sleep(pause);
+                    std::thread::sleep(BUSY_PAUSE);
                 }
             }
         };
 
-        let mut width = grant.width;
-        let mut attempts: u32 = 0;
-        let outcome = loop {
-            if deadline.is_some_and(|dl| Instant::now() > dl) {
-                self.gov.release(&grant.reserved);
-                return Err(JobError::DeadlineExpired);
-            }
-            attempts += 1;
-            match self.execute_at(spec, width) {
-                Ok(outcome) => break outcome,
-                Err(e) => {
-                    if e.is_retriable() && width > 1 && attempts <= self.max_retries {
-                        // Narrow and back off; a pause that would cross
-                        // the deadline expires the job instead (exactly
-                        // once, at the deadline).
-                        width = (width / 2).max(1);
-                        let pause = self
-                            .retry_backoff
-                            .saturating_mul(1u32 << (attempts - 1).min(16));
-                        if let Some(dl) = deadline {
-                            let now = Instant::now();
-                            if now + pause >= dl {
-                                std::thread::sleep(dl.saturating_duration_since(now));
-                                self.gov.release(&grant.reserved);
-                                return Err(JobError::DeadlineExpired);
-                            }
-                        }
-                        std::thread::sleep(pause);
-                        self.c.retries.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    self.gov.release(&grant.reserved);
-                    return Err(JobError::Run { error: e, attempts });
-                }
-            }
-        };
+        if deadline.is_some_and(|dl| Instant::now() > dl) {
+            self.gov.release(&grant.reserved);
+            return Err(JobError::DeadlineExpired);
+        }
+        let result = self.execute_at(spec, grant.width);
         self.gov.release(&grant.reserved);
+        let outcome = result.map_err(|error| JobError::Run { error })?;
 
         let mut engine = ResilienceStats::default();
         for r in &outcome.reports {
@@ -519,10 +462,9 @@ impl Inner {
         self.gov.observe(self.crash_device, &engine);
 
         let resilience = JobResilience {
-            attempts,
             requested_width: requested,
-            granted_width: width,
-            degraded: width < requested,
+            granted_width: grant.width,
+            degraded: grant.degraded,
             engine,
         };
         if resilience.degraded {
@@ -638,11 +580,12 @@ impl Inner {
     /// resilience record), and the cache is filled per source under the
     /// canonical singleton spec, so later single-source queries hit.
     ///
-    /// Member deadlines are enforced before the launch only: the batch
-    /// retries without a deadline, so a member whose deadline passes
-    /// mid-run still receives its (late) result rather than poisoning the
-    /// shared launch. Jobs that need hard mid-run expiry should not
-    /// coalesce (multi-source specs never do).
+    /// Member deadlines are enforced before admission only: the batch
+    /// waits for admission and launches without a deadline, so a member
+    /// whose deadline passes meanwhile still receives its (late) result
+    /// rather than poisoning the shared launch. Jobs that need expiry
+    /// during the admission wait should not coalesce (multi-source specs
+    /// never do).
     fn serve_coalesced(&self, jobs: Vec<Queued>) {
         let epoch = jobs[0].epoch;
         let mut run = Vec::with_capacity(jobs.len());
@@ -826,12 +769,7 @@ impl JobServer {
         let faults = &rt.config.faults;
         let straggler = faults.straggler.map(|s| (s.device, s.factor));
         let crash_device = faults.crash.map(|c| c.device);
-        let gov = Governor::new(
-            capacities,
-            serve.governor,
-            serve.straggler_capacity_factor,
-            straggler,
-        );
+        let gov = Governor::new(capacities, straggler);
         let inner = Arc::new(Inner {
             rt,
             directed,
@@ -841,12 +779,10 @@ impl JobServer {
             cache_enabled: serve.cache_capacity > 0,
             gov,
             crash_device,
-            max_retries: serve.max_retries,
-            retry_backoff: serve.retry_backoff,
             sched: Mutex::new(Sched {
                 queue: BinaryHeap::new(),
                 in_flight: 0,
-                paused: serve.start_paused,
+                paused: false,
                 shutdown: false,
                 next_seq: 0,
             }),
@@ -1029,7 +965,7 @@ impl JobServer {
             cache_misses: c.cache_misses.load(Ordering::Relaxed),
             invalidated: c.invalidated.load(Ordering::Relaxed),
             coalesced: c.coalesced.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
+            retries: 0,
             degraded: c.degraded.load(Ordering::Relaxed),
             shed: c.shed.load(Ordering::Relaxed),
             rejected_gov: c.rejected_gov.load(Ordering::Relaxed),

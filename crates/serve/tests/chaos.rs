@@ -258,11 +258,11 @@ fn deadline_churn_expires_stale_work_only() {
         clean_config().with_faults(FaultPlan::seeded(fault_seed()).with_drop(0.05)),
         ServeConfig {
             workers: 1,
-            start_paused: true,
             ..ServeConfig::default()
         },
     )
     .unwrap();
+    srv.pause();
 
     // Three stale jobs: queued with a deadline that passes while paused.
     let stale: Vec<_> = [JobSpec::Cc, JobSpec::KCore { k: 2 }, JobSpec::Pagerank]
@@ -310,11 +310,10 @@ fn saturation_sheds_the_burst_and_reconciles() {
             workers: 1,
             queue_capacity: 2,
             cache_capacity: 0,
-            start_paused: true,
-            ..ServeConfig::default()
         },
     )
     .unwrap();
+    srv.pause();
 
     // Six distinct non-coalescible jobs against a 2-slot queue.
     let burst: Vec<JobSpec> = (1..=6).map(|k| JobSpec::KCore { k }).collect();
@@ -355,11 +354,11 @@ fn shutdown_under_chaos_keeps_the_books() {
         clean_config().with_faults(storm(true)).with_checkpoints(2),
         ServeConfig {
             workers: 1,
-            start_paused: true,
             ..ServeConfig::default()
         },
     )
     .unwrap();
+    srv.pause();
     let handles = submit_all(
         &srv,
         &[JobSpec::Cc, JobSpec::Pagerank, JobSpec::KCore { k: 2 }],

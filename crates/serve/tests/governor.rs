@@ -1,13 +1,13 @@
 //! The admission governor end to end: footprint prediction pinned to the
 //! engine's memory charge across the policy × lane-width matrix (the
 //! uk07/CVC/K=64 OOM of DESIGN §3.12 included), the degradation ladder
-//! serving what used to be a missing data point, retry narrowing,
-//! deadline enforcement mid-backoff, shedding, rejection, and the
+//! serving what used to be a missing data point at admission, deadline
+//! enforcement during the admission wait, shedding, rejection, and the
 //! operator status snapshot. Counters must reconcile after every story:
 //! `accepted = completed + cache_hits + failed + expired + rejected_gov +
 //! shut_down`.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dirgl_core::{MultiSourceProgram, RunConfig, Runtime, Variant};
 use dirgl_gpusim::{DeviceHealth, Platform};
@@ -310,55 +310,9 @@ fn spill_prediction_covers_batched_bc() {
     reconciles(&srv.stats());
 }
 
-/// With the governor disabled the engine itself OOMs at the requested
-/// width; the retry ladder must relaunch with halved widths (backing
-/// off) until the run fits, and report the attempts.
-#[test]
-fn retry_narrows_width_after_engine_oom() {
-    let g = graph();
-    let config = RunConfig::new(Policy::Cvc, Variant::var1());
-    // Probe footprints on an uncapped server, then pick a capacity that
-    // rejects width 16 but fits width 8.
-    let probe = JobServer::load(
-        &g,
-        Platform::bridges(4),
-        config.clone(),
-        ServeConfig::default(),
-    )
-    .unwrap();
-    let spec = JobSpec::Sssp {
-        sources: sources(&g, 16),
-    };
-    let f16 = *probe.predict_footprint(&spec, 16).iter().max().unwrap();
-    let f8 = *probe.predict_footprint(&spec, 8).iter().max().unwrap();
-    assert!(f8 < f16);
-    drop(probe);
-
-    let srv = JobServer::load(
-        &g,
-        capped(4, (f8 + f16) / 2),
-        config,
-        ServeConfig {
-            governor: false,
-            retry_backoff: Duration::from_micros(100),
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let r = srv.submit_spec(spec).unwrap().wait().unwrap();
-    assert_eq!(r.resilience.attempts, 2, "one OOM launch, one retry");
-    assert_eq!(r.resilience.granted_width, 8);
-    assert!(r.resilience.degraded);
-    assert_eq!(r.outcome.per_source.len(), 16);
-    let stats = srv.stats();
-    assert_eq!(stats.retries, 1);
-    assert_eq!(stats.degraded, 1);
-    assert_eq!(stats.failed, 0);
-    reconciles(&stats);
-}
-
-/// The same pressure with the governor on never launches a doomed run:
-/// the ladder is walked at admission, zero engine OOMs, zero retries.
+/// Pressure between the 8- and 16-wide footprints never launches a
+/// doomed run: the ladder is walked at admission, the job runs once at
+/// width 8 and no engine launch fails.
 #[test]
 fn governor_degrades_without_burning_an_attempt() {
     let g = graph();
@@ -385,11 +339,11 @@ fn governor_degrades_without_burning_an_attempt() {
     )
     .unwrap();
     let r = srv.submit_spec(spec).unwrap().wait().unwrap();
-    assert_eq!(r.resilience.attempts, 1, "no engine launch may fail");
     assert_eq!(r.resilience.granted_width, 8);
     assert!(r.resilience.degraded);
+    assert_eq!(r.outcome.per_source.len(), 16);
     let stats = srv.stats();
-    assert_eq!(stats.retries, 0);
+    assert_eq!(stats.failed, 0, "no engine launch may fail");
     assert_eq!(stats.degraded, 1);
     reconciles(&stats);
 }
@@ -484,12 +438,13 @@ fn low_priority_is_shed_where_normal_degrades() {
     reconciles(&stats);
 }
 
-/// A deadline that expires during retry backoff fails the job with
-/// `DeadlineExpired` — counted exactly once — instead of letting the
-/// retry ladder outlive the caller's patience.
+/// A deadline that passes while a job waits for admission expires it,
+/// counted exactly once. Job A holds its reservation for its whole run;
+/// job B fits an idle server but not beside A, so the governor answers
+/// B with a transient denial until B's deadline passes.
 #[test]
-fn deadline_expires_mid_backoff_exactly_once() {
-    let g = graph();
+fn deadline_expires_while_waiting_for_admission() {
+    let g = dirgl_graph::RmatConfig::new(14, 16).seed(13).generate();
     let config = RunConfig::new(Policy::Cvc, Variant::var1());
     let probe = JobServer::load(
         &g,
@@ -498,33 +453,48 @@ fn deadline_expires_mid_backoff_exactly_once() {
         ServeConfig::default(),
     )
     .unwrap();
-    let spec = JobSpec::Sssp {
-        sources: sources(&g, 16),
-    };
-    let f1 = *probe.predict_footprint(&spec, 1).iter().max().unwrap();
+    let fp = probe.predict_footprint(&JobSpec::Pagerank, 1);
+    // B's deadline is a quarter of a pagerank's run time on this host and
+    // build, so A outlives it in debug and release builds alike.
+    let t = Instant::now();
+    probe
+        .submit_spec(JobSpec::Pagerank)
+        .unwrap()
+        .wait()
+        .unwrap();
+    let deadline = t.elapsed() / 4;
     drop(probe);
 
-    // Governor off and nothing fits: every attempt OOMs, and the first
-    // backoff pause (5 s) crosses the 300 ms deadline.
+    // Every device holds one pagerank; the fullest cannot hold two.
     let srv = JobServer::load(
         &g,
-        capped(4, f1 / 2),
+        capped(4, *fp.iter().max().unwrap()),
         config,
         ServeConfig {
-            governor: false,
-            retry_backoff: Duration::from_secs(5),
+            workers: 2,
+            cache_capacity: 0, // B must not be served from A's result
             ..ServeConfig::default()
         },
     )
     .unwrap();
-    let err = srv
-        .submit(JobRequest::new(spec).deadline(Duration::from_millis(300)))
-        .unwrap()
-        .wait()
-        .unwrap_err();
-    assert_eq!(err, JobError::DeadlineExpired);
+    let a = srv.submit_spec(JobSpec::Pagerank).unwrap();
+    while srv.status().devices.iter().all(|d| d.reserved == 0) {
+        assert!(!a.is_done(), "premise broken: A finished unobserved");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let b = srv
+        .submit(JobRequest::new(JobSpec::Pagerank).deadline(deadline))
+        .unwrap();
+    assert_eq!(b.wait().unwrap_err(), JobError::DeadlineExpired);
+    assert!(
+        !a.is_done(),
+        "B must expire while A still holds its reservation"
+    );
+    a.wait().unwrap();
+    srv.drain();
     let stats = srv.stats();
     assert_eq!(stats.expired, 1, "expiry must be counted exactly once");
+    assert_eq!(stats.completed, 1);
     assert_eq!(stats.failed, 0);
     reconciles(&stats);
 }
@@ -559,7 +529,7 @@ fn status_reports_devices_and_counters() {
     reconciles(&status.stats);
 }
 
-/// A clean single-source run's resilience record: one attempt, no
+/// A clean single-source run's resilience record: executed, no
 /// degradation, all engine counters zero.
 #[test]
 fn clean_run_resilience_record_is_quiet() {
@@ -572,15 +542,15 @@ fn clean_run_resilience_record_is_quiet() {
     )
     .unwrap();
     let r = srv.submit_spec(JobSpec::bfs(0)).unwrap().wait().unwrap();
-    assert_eq!(r.resilience.attempts, 1);
+    assert!(!r.from_cache);
     assert_eq!(r.resilience.requested_width, 1);
     assert_eq!(r.resilience.granted_width, 1);
     assert!(!r.resilience.degraded);
     assert_eq!(r.resilience.engine, Default::default());
 
-    // A cache hit performs zero launches.
+    // A cache hit launches nothing, so its record is all default.
     srv.drain();
     let hit = srv.submit_spec(JobSpec::bfs(0)).unwrap().wait().unwrap();
     assert!(hit.from_cache);
-    assert_eq!(hit.resilience.attempts, 0);
+    assert_eq!(hit.resilience, Default::default());
 }

@@ -161,10 +161,9 @@ fn coalesced_sixteen_job_batch_matches_serial_and_fills_cache_per_source() {
             workers: 1,
             queue_capacity: 32,
             cache_capacity: 64,
-            start_paused: true,
-            ..ServeConfig::default()
         },
     );
+    srv.pause();
     let handles: Vec<_> = sources
         .iter()
         .map(|&s| srv.submit_spec(JobSpec::bfs(s)).unwrap())
@@ -316,10 +315,9 @@ fn saturation_rejects_with_reason() {
             workers: 1,
             queue_capacity: 2,
             cache_capacity: 16,
-            start_paused: true,
-            ..ServeConfig::default()
         },
     );
+    srv.pause();
     let h1 = srv.submit_spec(JobSpec::bfs(1)).unwrap();
     let h2 = srv.submit_spec(JobSpec::bfs(2)).unwrap();
     let refused = srv.submit_spec(JobSpec::bfs(3));
@@ -385,10 +383,9 @@ fn deadline_expires_while_queued() {
             workers: 1,
             queue_capacity: 8,
             cache_capacity: 16,
-            start_paused: true,
-            ..ServeConfig::default()
         },
     );
+    srv.pause();
     let h = srv
         .submit(JobRequest::new(JobSpec::bfs(1)).deadline(Duration::from_millis(1)))
         .unwrap();
@@ -412,10 +409,9 @@ fn high_priority_overtakes_low_in_the_queue() {
             workers: 1,
             queue_capacity: 8,
             cache_capacity: 0, // no cache: both jobs must truly execute
-            start_paused: true,
-            ..ServeConfig::default()
         },
     );
+    srv.pause();
     let low = srv
         .submit(JobRequest::new(JobSpec::sssp(1)).priority(Priority::Low))
         .unwrap();
@@ -461,10 +457,9 @@ fn shutdown_fails_queued_jobs() {
             workers: 1,
             queue_capacity: 8,
             cache_capacity: 16,
-            start_paused: true,
-            ..ServeConfig::default()
         },
     );
+    srv.pause();
     let h = srv.submit_spec(JobSpec::Cc).unwrap();
     drop(srv); // shutdown path
     assert_eq!(h.wait().unwrap_err(), JobError::ShutDown);
