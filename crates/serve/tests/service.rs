@@ -250,30 +250,46 @@ fn multi_source_spec_canonicalizes_and_matches_scalar_runs() {
     assert!(Arc::ptr_eq(&r.outcome, &hit.outcome));
 }
 
-/// bc (two-phase, forward + transpose backward) served from the resident
-/// views matches the one-shot driver bit for bit.
+/// A lone traversal job (one worker, nothing else queued) reproduces its
+/// one-shot run: the same reports and values as `runner(...).execute()`
+/// for bfs and sssp, and as the two-phase driver for bc (forward on the
+/// graph, backward on its resident transpose), on both engines.
 #[test]
-fn served_bc_matches_one_shot_driver() {
+fn lone_traversal_job_matches_one_shot_driver() {
     let g = graph();
     let src = g.max_out_degree_vertex();
-    let rt = Runtime::new(Platform::bridges(4), config(Variant::var4()));
-    let want = betweenness_centrality(&rt, &g, src).unwrap();
+    for variant in [Variant::var1(), Variant::var4()] {
+        let rt = Runtime::new(Platform::bridges(4), config(variant));
+        let bfs = rt.runner(&g, &Bfs::new(src)).execute().unwrap();
+        let sssp = rt.runner(&g, &Sssp::new(src)).execute().unwrap();
+        let bc = betweenness_centrality(&rt, &g, src).unwrap();
+        let want = [
+            (JobSpec::bfs(src), vec![bfs.report], bfs.values),
+            (JobSpec::sssp(src), vec![sssp.report], sssp.values),
+            (JobSpec::bc(src), vec![bc.forward, bc.backward], bc.scores),
+        ];
 
-    let srv = server(Variant::var4(), ServeConfig::default());
-    let r = srv.submit_spec(JobSpec::bc(src)).unwrap().wait().unwrap();
-    assert_eq!(
-        r.outcome.reports.len(),
-        2,
-        "bc has forward + backward phases"
-    );
-    assert_eq!(
-        fingerprint(&r.outcome.reports[0], r.outcome.values()),
-        fingerprint(&want.forward, &want.scores)
-    );
-    assert_eq!(
-        format!("{:?}", r.outcome.reports[1]),
-        format!("{:?}", want.backward)
-    );
+        let srv = server(
+            variant,
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        );
+        for (spec, reports, values) in want {
+            let r = srv.submit_spec(spec.clone()).unwrap().wait().unwrap();
+            assert!(!r.from_cache);
+            let label = format!("{} on {}", spec.name(), variant.label());
+            assert_eq!(
+                format!("{:?}", r.outcome.reports),
+                format!("{reports:?}"),
+                "{label}"
+            );
+            assert_eq!(r.outcome.per_source.len(), 1, "{label}");
+            assert_eq!(bits(r.outcome.values()), bits(&values), "{label}");
+        }
+        assert_eq!(srv.stats().coalesced, 0);
+    }
 }
 
 /// A cache hit returns the very bytes of the cold run (the same `Arc`,
