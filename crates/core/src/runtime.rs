@@ -35,6 +35,8 @@
 //! execution; results are byte-identical to the equivalent one-shot
 //! `runner(...).execute()` (pinned by `crates/serve` tests).
 
+use std::borrow::Cow;
+
 use dirgl_comm::{NetModel, SimTime, SyncPlan};
 use dirgl_gpusim::{GraphRepr, OomError, Platform, ReprCost};
 use dirgl_graph::csr::{Csr, VertexId};
@@ -276,9 +278,7 @@ impl PreparedPartition {
     /// match, as the `Runner::partition` contract already requires).
     pub fn from_partition(graph: Csr, part: Partition) -> PreparedPartition {
         let plan = SyncPlan::build(&part, true, true);
-        let out_degrees = (0..graph.num_vertices())
-            .map(|v| graph.out_degree(v))
-            .collect();
+        let out_degrees = compute_out_degrees(&graph);
         PreparedPartition {
             graph,
             part,
@@ -327,15 +327,14 @@ impl PreparedPartition {
 }
 
 /// How a [`Runner`] receives its partition: borrowed (harnesses reusing a
-/// cached partition across variants), owned (built for this run), or
+/// cached partition across variants; the run builds only the sync plan
+/// and the out-degrees, and copies neither graph nor partition) or
 /// prepared (a resident [`PreparedPartition`] whose plan and degrees are
 /// reused as well — the handle's graph view overrides the runner's graph
 /// argument). A run only ever reads the partition, whichever way it came.
 pub enum PartitionArg<'a> {
     /// Reuse a caller-held partition.
     Borrowed(&'a Partition),
-    /// Consume a partition built for this run.
-    Owned(Partition),
     /// Run against a resident prepared handle (see [`Runtime::job`]).
     Prepared(&'a PreparedPartition),
 }
@@ -343,12 +342,6 @@ pub enum PartitionArg<'a> {
 impl<'a> From<&'a Partition> for PartitionArg<'a> {
     fn from(p: &'a Partition) -> PartitionArg<'a> {
         PartitionArg::Borrowed(p)
-    }
-}
-
-impl From<Partition> for PartitionArg<'_> {
-    fn from(p: Partition) -> PartitionArg<'static> {
-        PartitionArg::Owned(p)
     }
 }
 
@@ -374,9 +367,10 @@ pub struct Runner<'a, P: VertexProgram> {
 }
 
 impl<'a, P: VertexProgram> Runner<'a, P> {
-    /// Runs on an existing partition instead of building one. The graph is
-    /// used as given (no symmetrization): a caller-supplied partition is
-    /// taken to already match the intended graph view, as the former
+    /// Runs on an existing partition instead of building one: a borrowed
+    /// [`Partition`] or a [`PreparedPartition`]. The graph is used as
+    /// given (no symmetrization): a caller-supplied partition is taken to
+    /// already match the intended graph view, as the former
     /// `run_partitioned` contract did. Passing a [`PreparedPartition`]
     /// additionally substitutes the handle's own graph view.
     pub fn partition(mut self, part: impl Into<PartitionArg<'a>>) -> Self {
@@ -445,63 +439,8 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
             sink,
             backend: _,
         } = self;
-        if rt.platform.num_devices() == 0 {
-            return Err(RunError::NoDevices);
-        }
-
-        // --- Resolve the graph view, partition, plan and degrees. The
-        // prepared path reuses everything; the other paths build what they
-        // are missing. Storage for the owned variants lives here so the
-        // borrows handed to `execute_job` all have one lifetime.
-        let sym;
-        let owned_part;
-        let built_plan;
-        let built_degrees;
-
-        let (g, part_ref, plan, out_degrees): (&Csr, &Partition, &SyncPlan, &[u32]) = match part {
-            Some(PartitionArg::Prepared(prep)) => {
-                (&prep.graph, &prep.part, &prep.plan, &prep.out_degrees[..])
-            }
-            Some(PartitionArg::Borrowed(p)) => {
-                if graph.num_vertices() == 0 {
-                    return Err(RunError::EmptyGraph);
-                }
-                built_plan = SyncPlan::build(p, true, true);
-                built_degrees = compute_out_degrees(graph);
-                (graph, p, &built_plan, &built_degrees)
-            }
-            Some(PartitionArg::Owned(p)) => {
-                if graph.num_vertices() == 0 {
-                    return Err(RunError::EmptyGraph);
-                }
-                owned_part = p;
-                built_plan = SyncPlan::build(&owned_part, true, true);
-                built_degrees = compute_out_degrees(graph);
-                (graph, &owned_part, &built_plan, &built_degrees)
-            }
-            None => {
-                if graph.num_vertices() == 0 {
-                    return Err(RunError::EmptyGraph);
-                }
-                let g = if program.needs_symmetric() {
-                    sym = graph.symmetrize();
-                    &sym
-                } else {
-                    graph
-                };
-                owned_part = Partition::build(
-                    g,
-                    rt.config.policy,
-                    rt.platform.num_devices(),
-                    rt.config.seed,
-                );
-                built_plan = SyncPlan::build(&owned_part, true, true);
-                built_degrees = compute_out_degrees(g);
-                (g, &owned_part, &built_plan, &built_degrees)
-            }
-        };
-
-        execute_job(rt, g, part_ref, plan, out_degrees, program, aux, sink)
+        let view = resolve(rt, graph, program, part)?;
+        execute_job(rt, &view, program, aux, sink)
     }
 }
 
@@ -564,35 +503,8 @@ where
             sources,
             lane_width,
         } = self;
-        if rt.platform.num_devices() == 0 {
-            return Err(RunError::NoDevices);
-        }
-
         // Resolve the partitioned view once, for every run in the batch.
-        // Non-prepared arguments are promoted to a PreparedPartition so
-        // the whole batch shares one plan and one degree vector.
-        let prep_storage;
-        let prep: &PreparedPartition = match part {
-            Some(PartitionArg::Prepared(p)) => p,
-            Some(PartitionArg::Borrowed(p)) => {
-                if graph.num_vertices() == 0 {
-                    return Err(RunError::EmptyGraph);
-                }
-                prep_storage = PreparedPartition::from_partition(graph.clone(), p.clone());
-                &prep_storage
-            }
-            Some(PartitionArg::Owned(p)) => {
-                if graph.num_vertices() == 0 {
-                    return Err(RunError::EmptyGraph);
-                }
-                prep_storage = PreparedPartition::from_partition(graph.clone(), p);
-                &prep_storage
-            }
-            None => {
-                prep_storage = rt.prepare(graph, program.needs_symmetric())?;
-                &prep_storage
-            }
-        };
+        let view = resolve(rt, graph, program, part)?;
 
         let mut engine_reports = Vec::new();
         let mut lanes: Vec<LaneOutput> = Vec::with_capacity(sources.len());
@@ -600,16 +512,7 @@ where
             Backend::Scalar => {
                 for &s in &sources {
                     let prog = program.for_source(s);
-                    let (out, _) = execute_job(
-                        rt,
-                        &prep.graph,
-                        &prep.part,
-                        &prep.plan,
-                        &prep.out_degrees,
-                        &prog,
-                        aux,
-                        None,
-                    )?;
+                    let (out, _) = execute_job(rt, &view, &prog, aux, None)?;
                     lanes.push(LaneOutput {
                         source: s,
                         summary: LaneSummary::of(&out.values),
@@ -621,16 +524,7 @@ where
             Backend::Lanes => {
                 for chunk in sources.chunks(lane_width) {
                     let batched = program.batched(chunk);
-                    let (out, states) = execute_job(
-                        rt,
-                        &prep.graph,
-                        &prep.part,
-                        &prep.plan,
-                        &prep.out_degrees,
-                        &batched,
-                        aux,
-                        None,
-                    )?;
+                    let (out, states) = execute_job(rt, &view, &batched, aux, None)?;
                     for (l, &s) in chunk.iter().enumerate() {
                         let values: Vec<f64> =
                             states.iter().map(|st| batched.lane_output(l, st)).collect();
@@ -656,23 +550,76 @@ fn compute_out_degrees(g: &Csr) -> Vec<u32> {
     (0..g.num_vertices()).map(|v| g.out_degree(v)).collect()
 }
 
+/// The partitioned view one run (or one batch of runs) executes on.
+struct View<'a> {
+    graph: Cow<'a, Csr>,
+    part: Cow<'a, Partition>,
+    plan: Cow<'a, SyncPlan>,
+    out_degrees: Cow<'a, [u32]>,
+}
+
+/// Resolves a runner's partition argument — the one way both
+/// [`Runner`] and [`MultiRunner`] reach their view. A prepared handle
+/// lends everything; a borrowed partition lends graph and partition and
+/// builds the plan and degrees; no argument builds the partition too,
+/// after symmetrizing `graph` when `program` needs the undirected view.
+fn resolve<'a, P: VertexProgram>(
+    rt: &Runtime,
+    graph: &'a Csr,
+    program: &P,
+    part: Option<PartitionArg<'a>>,
+) -> Result<View<'a>, RunError> {
+    if rt.platform.num_devices() == 0 {
+        return Err(RunError::NoDevices);
+    }
+    let (graph, part) = match part {
+        Some(PartitionArg::Prepared(prep)) => {
+            return Ok(View {
+                graph: Cow::Borrowed(&prep.graph),
+                part: Cow::Borrowed(&prep.part),
+                plan: Cow::Borrowed(&prep.plan),
+                out_degrees: Cow::Borrowed(&prep.out_degrees),
+            });
+        }
+        _ if graph.num_vertices() == 0 => return Err(RunError::EmptyGraph),
+        Some(PartitionArg::Borrowed(p)) => (Cow::Borrowed(graph), Cow::Borrowed(p)),
+        None => {
+            let g = if program.needs_symmetric() {
+                Cow::Owned(graph.symmetrize())
+            } else {
+                Cow::Borrowed(graph)
+            };
+            let p = Partition::build(
+                &g,
+                rt.config.policy,
+                rt.platform.num_devices(),
+                rt.config.seed,
+            );
+            (g, Cow::Owned(p))
+        }
+    };
+    Ok(View {
+        plan: Cow::Owned(SyncPlan::build(&part, true, true)),
+        out_degrees: Cow::Owned(compute_out_degrees(&graph)),
+        graph,
+        part,
+    })
+}
+
 /// The per-job execution path: OOM admission, device-state initialization
 /// (each job gets its own `DeviceRun`s — and thus its own round scratch —
 /// over the partition's one set of local graphs), engine dispatch, and
 /// master gather. Everything passed in is shared immutable state a
 /// resident service keeps loaded; nothing here mutates or copies it.
-#[allow(clippy::too_many_arguments)]
 fn execute_job<P: VertexProgram>(
     rt: &Runtime,
-    g: &Csr,
-    part: &Partition,
-    plan: &SyncPlan,
-    out_degrees: &[u32],
+    view: &View<'_>,
     program: &P,
     aux: Option<&[u64]>,
     sink: Option<&mut dyn TraceSink>,
 ) -> Result<(RunOutput, Vec<P::State>), RunError> {
     let config = &rt.config;
+    let (g, part, plan) = (&*view.graph, &*view.part, &*view.plan);
     let locals = &part.locals[..];
 
     // --- Load check: every device must hold its partition, raw or (with
@@ -696,7 +643,7 @@ fn execute_job<P: VertexProgram>(
     // --- Initialize device state.
     let ctx = InitCtx {
         num_vertices: g.num_vertices(),
-        out_degrees,
+        out_degrees: &view.out_degrees,
         aux,
     };
     let mut devices: Vec<DeviceRun<'_, P>> = locals

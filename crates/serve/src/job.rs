@@ -117,12 +117,6 @@ impl JobSpec {
     pub fn needs_symmetric(&self) -> bool {
         matches!(self, JobSpec::Cc | JobSpec::KCore { .. })
     }
-
-    /// True when the job also needs the resident transpose view (bc's
-    /// backward phase).
-    pub fn needs_transpose(&self) -> bool {
-        matches!(self, JobSpec::Bc { .. })
-    }
 }
 
 /// Scheduling priority; higher runs first, FIFO within a level.

@@ -15,6 +15,15 @@
 //! executor threads bounds the jobs in flight; inside a job, the engine's
 //! per-device loops fan out over the process-wide worker pool as usual, so
 //! concurrent jobs share the same pool the one-shot harness uses.
+//!
+//! A dequeued job reaches the engine by one path. The worker widens it
+//! into a coalescing window (queued single-source traversals of the same
+//! kind join as lanes; a lone job is a window of one). Each member is
+//! checked for its deadline and for a cached result, and the survivors
+//! share one governed launch (admission over the lane-width ladder, then
+//! one execution). A traversal spec always runs as a batch of its
+//! sources; a single source is a batch of one.
+//!
 //! Completed outcomes land in the keyed result cache
 //! (epoch × program × params) with LRU eviction; repeated queries are
 //! O(lookup) and return the very bytes the cold run produced.
@@ -30,13 +39,13 @@ use dirgl_apps::{
     BcForward, Bfs, Cc, KCore, PageRank, Sssp,
 };
 use dirgl_core::{
-    Backend, ExecutionReport, Lanes, MultiSourceProgram, PreparedPartition, ResilienceStats,
+    Backend, DeviceFootprint, Lanes, MultiSourceProgram, PreparedPartition, ResilienceStats,
     RunConfig, RunError, RunOutput, Runtime, LANE_WIDTH,
 };
 use dirgl_gpusim::Platform;
 use dirgl_graph::Csr;
 
-use crate::cache::{CacheKey, ResultCache};
+use crate::cache::ResultCache;
 use crate::governor::{ladder_widths, Denial, DeviceStatus, Governor, RejectReason};
 use crate::job::{
     JobCell, JobError, JobHandle, JobOutcome, JobRequest, JobResilience, JobResult, JobSpec,
@@ -192,7 +201,6 @@ struct Inner {
     /// Transposed view (bc backward).
     transpose: Arc<PreparedPartition>,
     queue_capacity: usize,
-    cache_enabled: bool,
     /// Memory/health-aware admission (see [`crate::governor`]).
     gov: Governor,
     /// Device the server's fault plan crashes (observed from job reports
@@ -223,37 +231,20 @@ impl Inner {
     /// Executes `spec` against the resident views at lane width `width`.
     /// Pure with respect to server state: all shared inputs are immutable,
     /// every mutable buffer is job-local, so any number of these may run
-    /// concurrently and each single-source job reproduces its one-shot
-    /// equivalent byte for byte. Multi-source traversal specs run the
-    /// K-lane batched backend in `width`-lane chunks (`width == 1` runs
-    /// each source through the scalar backend — the ladder's last rung);
-    /// every width produces bit-identical per-source values.
+    /// concurrently. Traversal specs run their sources as a batch — a
+    /// single source is a batch of one — with the K-lane backend in
+    /// `width`-lane chunks; `width == 1` runs each source through the
+    /// scalar backend (the ladder's last rung), which is exactly the
+    /// one-shot run. Every width produces bit-identical per-source values.
     fn execute_at(&self, spec: &JobSpec, width: usize) -> Result<JobOutcome, RunError> {
-        if let Some(sources) = spec.sources() {
-            if sources.len() > 1 {
-                return self
-                    .execute_lanes(spec, sources, width)
-                    .map(|(reports, per_source)| JobOutcome {
-                        reports,
-                        per_source,
-                    });
-            }
-        }
+        let width = width.clamp(1, LANE_WIDTH);
         let single = |out: RunOutput| JobOutcome {
             reports: vec![out.report],
             per_source: vec![out.values],
         };
         match spec {
-            JobSpec::Bfs { sources } => self
-                .rt
-                .job(&self.directed, &Bfs::new(sources[0]))
-                .execute()
-                .map(single),
-            JobSpec::Sssp { sources } => self
-                .rt
-                .job(&self.directed, &Sssp::new(sources[0]))
-                .execute()
-                .map(single),
+            JobSpec::Bfs { sources } => self.execute_batch(&Bfs::new(sources[0]), sources, width),
+            JobSpec::Sssp { sources } => self.execute_batch(&Sssp::new(sources[0]), sources, width),
             JobSpec::Pagerank => self
                 .rt
                 .job(&self.directed, &PageRank::new())
@@ -265,89 +256,63 @@ impl Inner {
                 .job(&self.symmetric, &KCore::new(*k))
                 .execute()
                 .map(single),
-            JobSpec::Bc { sources } => betweenness_centrality_prepared(
-                &self.rt,
-                &self.directed,
-                &self.transpose,
-                sources[0],
-            )
-            .map(|bc| JobOutcome {
-                reports: vec![bc.forward, bc.backward],
-                per_source: vec![bc.scores],
-            }),
+            JobSpec::Bc { sources } => {
+                let mut outs = Vec::with_capacity(sources.len());
+                if width > 1 {
+                    for chunk in sources.chunks(width) {
+                        outs.extend(batched_betweenness_centrality_prepared(
+                            &self.rt,
+                            &self.directed,
+                            &self.transpose,
+                            chunk,
+                        )?);
+                    }
+                } else {
+                    // Scalar rung: one two-phase driver run per source.
+                    for &src in sources {
+                        outs.push(betweenness_centrality_prepared(
+                            &self.rt,
+                            &self.directed,
+                            &self.transpose,
+                            src,
+                        )?);
+                    }
+                }
+                let reports = vec![outs[0].forward.clone(), outs[0].backward.clone()];
+                Ok(JobOutcome {
+                    reports,
+                    per_source: outs.into_iter().map(|b| b.scores).collect(),
+                })
+            }
         }
     }
 
-    /// Runs a traversal spec's kind from every source in `sources` with
-    /// the K-lane backend in `width`-lane chunks (scalar backend when
-    /// `width == 1`). Returns the per-launch phase reports and one value
-    /// vector per source, in `sources` order.
-    fn execute_lanes(
+    /// Runs `program`'s family from every source in `sources` on the
+    /// directed view, in `width`-lane chunks (scalar backend when
+    /// `width == 1`): one phase report per launch and one value vector
+    /// per source, in `sources` order.
+    fn execute_batch<P: MultiSourceProgram>(
         &self,
-        spec: &JobSpec,
+        program: &P,
         sources: &[u32],
         width: usize,
-    ) -> Result<(Vec<ExecutionReport>, Vec<Vec<f64>>), RunError> {
-        let width = width.clamp(1, LANE_WIDTH);
+    ) -> Result<JobOutcome, RunError> {
         let backend = if width > 1 {
             Backend::Lanes
         } else {
             Backend::Scalar
         };
-        match spec {
-            JobSpec::Bfs { .. } => self
-                .rt
-                .job(&self.directed, &Bfs::new(sources[0]))
-                .backend(backend)
-                .batch(sources)
-                .lane_width(width)
-                .execute()
-                .map(|out| {
-                    let vals = out.lanes.into_iter().map(|l| l.values).collect();
-                    (out.engine_reports, vals)
-                }),
-            JobSpec::Sssp { .. } => self
-                .rt
-                .job(&self.directed, &Sssp::new(sources[0]))
-                .backend(backend)
-                .batch(sources)
-                .lane_width(width)
-                .execute()
-                .map(|out| {
-                    let vals = out.lanes.into_iter().map(|l| l.values).collect();
-                    (out.engine_reports, vals)
-                }),
-            JobSpec::Bc { .. } if width > 1 => {
-                let mut outs = Vec::with_capacity(sources.len());
-                for chunk in sources.chunks(width) {
-                    outs.extend(batched_betweenness_centrality_prepared(
-                        &self.rt,
-                        &self.directed,
-                        &self.transpose,
-                        chunk,
-                    )?);
-                }
-                let reports = vec![outs[0].forward.clone(), outs[0].backward.clone()];
-                Ok((reports, outs.into_iter().map(|b| b.scores).collect()))
-            }
-            JobSpec::Bc { .. } => {
-                // Scalar rung: one two-phase driver run per source.
-                let mut outs = Vec::with_capacity(sources.len());
-                for &src in sources {
-                    outs.push(betweenness_centrality_prepared(
-                        &self.rt,
-                        &self.directed,
-                        &self.transpose,
-                        src,
-                    )?);
-                }
-                let reports = vec![outs[0].forward.clone(), outs[0].backward.clone()];
-                Ok((reports, outs.into_iter().map(|b| b.scores).collect()))
-            }
-            JobSpec::Pagerank | JobSpec::Cc | JobSpec::KCore { .. } => {
-                unreachable!("only traversal specs carry sources")
-            }
-        }
+        let out = self
+            .rt
+            .job(&self.directed, program)
+            .backend(backend)
+            .batch(sources)
+            .lane_width(width)
+            .execute()?;
+        Ok(JobOutcome {
+            reports: out.engine_reports,
+            per_source: out.lanes.into_iter().map(|l| l.values).collect(),
+        })
     }
 
     /// Predicts `spec`'s per-device footprint at lane width `width` with
@@ -365,17 +330,11 @@ impl Inner {
             .map_or(1, |s| width.clamp(1, LANE_WIDTH).min(s.len()));
         // One footprint per engine phase the job runs.
         let phases = match spec {
-            JobSpec::Bfs { sources } if k > 1 => {
-                let prog = Bfs::new(sources[0]).batched(&sources[..k]);
-                vec![rt.footprint(&self.directed, &prog)]
-            }
-            JobSpec::Bfs { sources } => vec![rt.footprint(&self.directed, &Bfs::new(sources[0]))],
-            JobSpec::Sssp { sources } if k > 1 => {
-                let prog = Sssp::new(sources[0]).batched(&sources[..k]);
-                vec![rt.footprint(&self.directed, &prog)]
+            JobSpec::Bfs { sources } => {
+                vec![self.batch_footprint(&Bfs::new(sources[0]), &sources[..k])]
             }
             JobSpec::Sssp { sources } => {
-                vec![rt.footprint(&self.directed, &Sssp::new(sources[0]))]
+                vec![self.batch_footprint(&Sssp::new(sources[0]), &sources[..k])]
             }
             JobSpec::Pagerank => vec![rt.footprint(&self.directed, &PageRank::new())],
             JobSpec::Cc => vec![rt.footprint(&self.symmetric, &Cc)],
@@ -407,11 +366,26 @@ impl Inner {
         bytes
     }
 
-    /// The full serve path for one (possibly coalesced) launch: governor
-    /// admission over the degradation ladder, then one execution at the
-    /// granted width, under `deadline` (checked across every admission
-    /// wait and before the launch). Returns the outcome plus the job's
-    /// resilience record; the caller owns counter bookkeeping.
+    /// The footprint of the first launch [`Inner::execute_batch`] makes for
+    /// `program` over `lanes` (one chunk's sources): the batched program
+    /// for two or more lanes, the scalar program for one.
+    fn batch_footprint<P: MultiSourceProgram>(
+        &self,
+        program: &P,
+        lanes: &[u32],
+    ) -> Vec<DeviceFootprint> {
+        if lanes.len() > 1 {
+            self.rt.footprint(&self.directed, &program.batched(lanes))
+        } else {
+            self.rt.footprint(&self.directed, program)
+        }
+    }
+
+    /// One engine launch: governor admission over the degradation ladder,
+    /// then one execution at the granted width, under `deadline` (checked
+    /// across every admission wait and before the launch). Returns the
+    /// outcome plus the launch's resilience record; the caller owns
+    /// counter bookkeeping.
     fn execute_governed(
         &self,
         spec: &JobSpec,
@@ -467,9 +441,6 @@ impl Inner {
             degraded: grant.degraded,
             engine,
         };
-        if resilience.degraded {
-            self.c.degraded.fetch_add(1, Ordering::Relaxed);
-        }
         Ok((outcome, resilience))
     }
 
@@ -500,12 +471,12 @@ impl Inner {
     /// The executor loop: pop the highest-priority job, widen it into a
     /// coalescing window (same-kind single-source traversal jobs at the
     /// same epoch merge into one K-lane engine launch, up to the lane
-    /// width), serve the batch, fulfill every handle. Exits on shutdown
+    /// width), serve the window, fulfill every handle. Exits on shutdown
     /// after the queue has been drained (drained jobs complete with
     /// [`JobError::ShutDown`]).
     fn worker_loop(self: &Arc<Inner>) {
         loop {
-            let batch = {
+            let window = {
                 let mut s = self.sched.lock().unwrap();
                 loop {
                     if s.shutdown {
@@ -520,23 +491,17 @@ impl Inner {
                     }
                     if !s.paused {
                         if let Some(j) = s.queue.pop() {
-                            let batch = Self::coalesce_window(&mut s.queue, j);
-                            s.in_flight += batch.len();
-                            break batch;
+                            let window = Self::coalesce_window(&mut s.queue, j);
+                            s.in_flight += window.len();
+                            break window;
                         }
                     }
                     s = self.work.wait(s).unwrap();
                 }
             };
 
-            let n = batch.len();
-            if n == 1 {
-                let job = &batch[0];
-                let result = self.serve_one(job);
-                job.cell.fulfill(result);
-            } else {
-                self.serve_coalesced(batch);
-            }
+            let n = window.len();
+            self.serve_window(window);
 
             let mut s = self.sched.lock().unwrap();
             s.in_flight -= n;
@@ -573,97 +538,104 @@ impl Inner {
         batch
     }
 
-    /// Serves a coalesced window: per-job deadline and cache checks still
-    /// apply individually, then the surviving singletons run as lanes of
-    /// one governed batched engine launch at the batch's highest member
-    /// priority. Each job gets its own outcome (sharing the batch's
-    /// resilience record), and the cache is filled per source under the
-    /// canonical singleton spec, so later single-source queries hit.
+    /// Serves a dequeued window (a lone job is a window of one). Each
+    /// member is checked for its deadline and then for a cached result
+    /// (an identical job may have completed while it queued); the
+    /// survivors share one governed launch at their highest priority:
     ///
-    /// Member deadlines are enforced before admission only: the batch
-    /// waits for admission and launches without a deadline, so a member
-    /// whose deadline passes meanwhile still receives its (late) result
-    /// rather than poisoning the shared launch. Jobs that need expiry
-    /// during the admission wait should not coalesce (multi-source specs
-    /// never do).
-    fn serve_coalesced(&self, jobs: Vec<Queued>) {
-        let epoch = jobs[0].epoch;
-        let mut run = Vec::with_capacity(jobs.len());
-        for job in jobs {
-            if let Some(dl) = job.deadline {
-                if Instant::now() > dl {
-                    self.c.expired.fetch_add(1, Ordering::Relaxed);
-                    job.cell.fulfill(Err(JobError::DeadlineExpired));
-                    continue;
-                }
+    /// - one survivor launches its own spec under its own deadline, and
+    ///   its outcome is cached under its own key;
+    /// - two or more launch the deduplicated batch of their sources with
+    ///   no deadline, and the cache is filled per source under the
+    ///   canonical singleton spec, so later single-source queries hit.
+    ///
+    /// So a batch member whose deadline passes during the admission wait
+    /// still receives its (late) result rather than poisoning the shared
+    /// launch; multi-source specs never coalesce and always keep their
+    /// deadline. Every member gets the launch's resilience record and is
+    /// counted as one job (`completed`, `degraded`, `coalesced`).
+    fn serve_window(&self, window: Vec<Queued>) {
+        let epoch = window[0].epoch;
+        let mut run = Vec::with_capacity(window.len());
+        for job in window {
+            if job.deadline.is_some_and(|dl| Instant::now() > dl) {
+                self.c.expired.fetch_add(1, Ordering::Relaxed);
+                job.cell.fulfill(Err(JobError::DeadlineExpired));
+                continue;
             }
-            if self.cache_enabled {
-                let key: CacheKey = (epoch, job.spec.clone());
-                if let Some(outcome) = self.cache.lock().unwrap().get(&key) {
-                    self.c.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    job.cell.fulfill(Ok(JobResult {
-                        outcome,
-                        from_cache: true,
-                        epoch,
-                        resilience: JobResilience::default(),
-                    }));
-                    continue;
-                }
+            let hit = self.cache.lock().unwrap().get(&(epoch, job.spec.clone()));
+            if let Some(outcome) = hit {
+                self.c.cache_hits.fetch_add(1, Ordering::Relaxed);
+                job.cell.fulfill(Ok(JobResult {
+                    outcome,
+                    from_cache: true,
+                    epoch,
+                    resilience: JobResilience::default(),
+                }));
+                continue;
             }
             self.c.cache_misses.fetch_add(1, Ordering::Relaxed);
             run.push(job);
         }
-        if run.is_empty() {
-            return;
-        }
 
-        // Distinct sources become lanes; duplicate submissions share one.
-        let mut sources: Vec<u32> = run
-            .iter()
-            .map(|q| q.spec.sources().expect("coalesced jobs have sources")[0])
-            .collect();
-        sources.sort_unstable();
-        sources.dedup();
-
-        let batch_spec = run[0]
-            .spec
-            .with_sources(sources.clone())
-            .expect("coalesced jobs are traversal specs");
-        let priority = run
-            .iter()
-            .map(|q| q.priority)
-            .max()
-            .expect("batch is non-empty");
-
-        match self.execute_governed(&batch_spec, priority, None) {
-            Ok((outcome, resilience)) => {
-                if run.len() > 1 {
-                    self.c
-                        .coalesced
-                        .fetch_add(run.len() as u64, Ordering::Relaxed);
-                }
-                // One singleton outcome per source, shared between the
-                // cache, this batch's duplicates, and future hits.
-                let outcomes: Vec<Arc<JobOutcome>> = outcome
-                    .per_source
-                    .into_iter()
-                    .map(|values| {
-                        Arc::new(JobOutcome {
-                            reports: outcome.reports.clone(),
-                            per_source: vec![values],
-                        })
-                    })
+        // The launch, and the specs its outcome splits into.
+        let (spec, deadline, parts) = match &run[..] {
+            [] => return,
+            [job] => (job.spec.clone(), job.deadline, vec![job.spec.clone()]),
+            [first, ..] => {
+                // Distinct sources become lanes; duplicates share one.
+                let mut sources: Vec<u32> = run
+                    .iter()
+                    .map(|q| q.spec.sources().expect("coalesced jobs have sources")[0])
                     .collect();
-                if self.cache_enabled {
+                sources.sort_unstable();
+                sources.dedup();
+                let parts = sources
+                    .iter()
+                    .map(|&s| first.spec.with_sources(vec![s]).expect("traversal spec"))
+                    .collect();
+                let batch = first.spec.with_sources(sources).expect("traversal spec");
+                (batch, None, parts)
+            }
+        };
+        let priority = run.iter().map(|q| q.priority).max().expect("non-empty");
+
+        match self.execute_governed(&spec, priority, deadline) {
+            Ok((outcome, resilience)) => {
+                let n = run.len() as u64;
+                if n > 1 {
+                    self.c.coalesced.fetch_add(n, Ordering::Relaxed);
+                }
+                if resilience.degraded {
+                    self.c.degraded.fetch_add(n, Ordering::Relaxed);
+                }
+                // One outcome per part, shared between the cache, this
+                // window's duplicates, and future hits.
+                let outcomes: Vec<Arc<JobOutcome>> = if parts.len() == 1 {
+                    vec![Arc::new(outcome)]
+                } else {
+                    outcome
+                        .per_source
+                        .into_iter()
+                        .map(|values| {
+                            Arc::new(JobOutcome {
+                                reports: outcome.reports.clone(),
+                                per_source: vec![values],
+                            })
+                        })
+                        .collect()
+                };
+                {
                     let mut cache = self.cache.lock().unwrap();
-                    for (i, &src) in sources.iter().enumerate() {
-                        let spec = run[0].spec.with_sources(vec![src]).expect("traversal spec");
-                        cache.insert((epoch, spec), Arc::clone(&outcomes[i]));
+                    for (part, o) in parts.iter().zip(&outcomes) {
+                        cache.insert((epoch, part.clone()), Arc::clone(o));
                     }
                 }
                 for job in run {
-                    let src = job.spec.sources().expect("traversal spec")[0];
-                    let i = sources.binary_search(&src).expect("source is a lane");
+                    let i = parts
+                        .iter()
+                        .position(|p| *p == job.spec)
+                        .expect("job is a part");
                     self.c.completed.fetch_add(1, Ordering::Relaxed);
                     job.cell.fulfill(Ok(JobResult {
                         outcome: Arc::clone(&outcomes[i]),
@@ -678,50 +650,6 @@ impl Inner {
                     self.count_error(&e);
                     job.cell.fulfill(Err(e.clone()));
                 }
-            }
-        }
-    }
-
-    /// Serves one dequeued job: deadline check, cache re-check (an
-    /// identical job may have completed while this one queued), then
-    /// governed execution + cache fill.
-    fn serve_one(&self, job: &Queued) -> Result<JobResult, JobError> {
-        if let Some(dl) = job.deadline {
-            if Instant::now() > dl {
-                self.c.expired.fetch_add(1, Ordering::Relaxed);
-                return Err(JobError::DeadlineExpired);
-            }
-        }
-        let key: CacheKey = (job.epoch, job.spec.clone());
-        if self.cache_enabled {
-            if let Some(outcome) = self.cache.lock().unwrap().get(&key) {
-                self.c.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(JobResult {
-                    outcome,
-                    from_cache: true,
-                    epoch: job.epoch,
-                    resilience: JobResilience::default(),
-                });
-            }
-        }
-        self.c.cache_misses.fetch_add(1, Ordering::Relaxed);
-        match self.execute_governed(&job.spec, job.priority, job.deadline) {
-            Ok((outcome, resilience)) => {
-                let outcome = Arc::new(outcome);
-                if self.cache_enabled {
-                    self.cache.lock().unwrap().insert(key, Arc::clone(&outcome));
-                }
-                self.c.completed.fetch_add(1, Ordering::Relaxed);
-                Ok(JobResult {
-                    outcome,
-                    from_cache: false,
-                    epoch: job.epoch,
-                    resilience,
-                })
-            }
-            Err(e) => {
-                self.count_error(&e);
-                Err(e)
             }
         }
     }
@@ -776,7 +704,6 @@ impl JobServer {
             symmetric,
             transpose,
             queue_capacity: serve.queue_capacity,
-            cache_enabled: serve.cache_capacity > 0,
             gov,
             crash_device,
             sched: Mutex::new(Sched {
@@ -837,19 +764,18 @@ impl JobServer {
         let epoch = inner.epoch.load(Ordering::SeqCst);
 
         // Cache fast path: a repeated query never occupies a queue slot.
-        if inner.cache_enabled {
-            if let Some(outcome) = inner.cache.lock().unwrap().get(&(epoch, spec.clone())) {
-                inner.c.cache_hits.fetch_add(1, Ordering::Relaxed);
-                inner.c.accepted.fetch_add(1, Ordering::Relaxed);
-                return Ok(JobHandle {
-                    cell: JobCell::completed(Ok(JobResult {
-                        outcome,
-                        from_cache: true,
-                        epoch,
-                        resilience: JobResilience::default(),
-                    })),
-                });
-            }
+        let hit = inner.cache.lock().unwrap().get(&(epoch, spec.clone()));
+        if let Some(outcome) = hit {
+            inner.c.cache_hits.fetch_add(1, Ordering::Relaxed);
+            inner.c.accepted.fetch_add(1, Ordering::Relaxed);
+            return Ok(JobHandle {
+                cell: JobCell::completed(Ok(JobResult {
+                    outcome,
+                    from_cache: true,
+                    epoch,
+                    resilience: JobResilience::default(),
+                })),
+            });
         }
 
         let deadline = req.deadline.map(|d| Instant::now() + d);

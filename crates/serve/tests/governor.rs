@@ -310,6 +310,25 @@ fn spill_prediction_covers_batched_bc() {
     reconciles(&srv.stats());
 }
 
+/// Devices whose memory lies halfway between the 8- and the 16-wide
+/// footprint of an sssp over `sources(g, 16)`: the governor must narrow
+/// that batch to width 8.
+fn between_8_and_16_wide(g: &Csr, config: &RunConfig) -> Platform {
+    let probe = JobServer::load(
+        g,
+        Platform::bridges(4),
+        config.clone(),
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let spec = JobSpec::Sssp {
+        sources: sources(g, 16),
+    };
+    let f16 = *probe.predict_footprint(&spec, 16).iter().max().unwrap();
+    let f8 = *probe.predict_footprint(&spec, 8).iter().max().unwrap();
+    capped(4, (f8 + f16) / 2)
+}
+
 /// Pressure between the 8- and 16-wide footprints never launches a
 /// doomed run: the ladder is walked at admission, the job runs once at
 /// width 8 and no engine launch fails.
@@ -317,27 +336,11 @@ fn spill_prediction_covers_batched_bc() {
 fn governor_degrades_without_burning_an_attempt() {
     let g = graph();
     let config = RunConfig::new(Policy::Cvc, Variant::var1());
-    let probe = JobServer::load(
-        &g,
-        Platform::bridges(4),
-        config.clone(),
-        ServeConfig::default(),
-    )
-    .unwrap();
+    let platform = between_8_and_16_wide(&g, &config);
+    let srv = JobServer::load(&g, platform, config, ServeConfig::default()).unwrap();
     let spec = JobSpec::Sssp {
         sources: sources(&g, 16),
     };
-    let f16 = *probe.predict_footprint(&spec, 16).iter().max().unwrap();
-    let f8 = *probe.predict_footprint(&spec, 8).iter().max().unwrap();
-    drop(probe);
-
-    let srv = JobServer::load(
-        &g,
-        capped(4, (f8 + f16) / 2),
-        config,
-        ServeConfig::default(),
-    )
-    .unwrap();
     let r = srv.submit_spec(spec).unwrap().wait().unwrap();
     assert_eq!(r.resilience.granted_width, 8);
     assert!(r.resilience.degraded);
@@ -345,6 +348,37 @@ fn governor_degrades_without_burning_an_attempt() {
     let stats = srv.stats();
     assert_eq!(stats.failed, 0, "no engine launch may fail");
     assert_eq!(stats.degraded, 1);
+    reconciles(&stats);
+}
+
+/// `degraded` counts jobs, not launches: 16 queued single-source sssp
+/// jobs coalesce into one launch that the governor narrows to width 8,
+/// and each of the 16 completes degraded.
+#[test]
+fn degraded_counts_every_job_of_a_narrowed_window() {
+    let g = graph();
+    let config = RunConfig::new(Policy::Cvc, Variant::var1());
+    let platform = between_8_and_16_wide(&g, &config);
+    let serve = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let srv = JobServer::load(&g, platform, config, serve).unwrap();
+    srv.pause();
+    let handles: Vec<_> = sources(&g, 16)
+        .into_iter()
+        .map(|s| srv.submit_spec(JobSpec::sssp(s)).unwrap())
+        .collect();
+    srv.resume();
+    for h in &handles {
+        let r = h.wait().unwrap();
+        assert!(r.resilience.degraded);
+        assert_eq!(r.resilience.granted_width, 8);
+    }
+    srv.drain();
+    let stats = srv.stats();
+    assert_eq!(stats.coalesced, 16, "premise: one window of 16");
+    assert_eq!(stats.degraded, 16);
     reconciles(&stats);
 }
 

@@ -38,7 +38,7 @@ fn main() {
 
             let runtime = Runtime::new(Platform::bridges(devices), RunConfig::var4(policy));
             let app = Sssp::from_max_out_degree(&graph);
-            match runtime.runner(&graph, &app).partition(part).execute() {
+            match runtime.runner(&graph, &app).partition(&part).execute() {
                 Ok(out) => println!(
                     "{:>6}  {:>6.2}  {:>9.2}  {:>9}  {:>9.3}  {:>10.3}  {:>9}",
                     policy.name(),
