@@ -25,16 +25,18 @@
 //!   predicts the per-device memory footprint with the engine's own
 //!   formula, checks it against health-shrunk residual capacity and walks
 //!   the lane-width degradation ladder (64 → 32 → … → scalar) until it
-//!   fits, shedding Low-priority work under pressure; deadlines are
-//!   enforced while a job waits for admission, and every result carries
-//!   its [`JobResilience`] record.
+//!   fits, shedding Low-priority work under pressure; a job that launches
+//!   alone keeps its deadline while it waits for admission, and every
+//!   result carries its [`JobResilience`] record.
 //!
 //! Traversal specs (bfs/sssp/bc) carry a *set* of sources and run them as
-//! lanes of one K-lane batched engine pass (K ≤ 64). At dequeue, a worker
-//! additionally widens its job into a **coalescing window**: queued
-//! single-source jobs of the same kind and epoch merge into one batched
-//! launch, each job keeps its own handle and outcome, and the result cache
-//! is filled per source — later identical singletons hit without running.
+//! lanes of one K-lane batched engine pass (K ≤ 64); a single source is a
+//! batch of one. At dequeue, a worker widens its job into a **coalescing
+//! window** (a lone job is a window of one): queued single-source jobs of
+//! the same kind and epoch merge into one batched launch, which waits for
+//! admission without a deadline, each job keeps its own handle and
+//! outcome, and the result cache is filled per source — later identical
+//! singletons hit without running.
 //!
 //! Determinism carries over: each served job is byte-identical to its
 //! serial `runner(...).execute()` equivalent, because the server's
