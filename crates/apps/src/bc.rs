@@ -22,7 +22,8 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use dirgl_core::{
-    InitCtx, Lanes, MultiSourceProgram, RunError, Runtime, Style, VertexProgram, LANE_WIDTH,
+    DeviceFootprint, InitCtx, Lanes, MultiSourceProgram, PreparedPartition, RunError, Runtime,
+    Style, VertexProgram, LANE_WIDTH,
 };
 use dirgl_graph::csr::{Csr, VertexId};
 
@@ -322,101 +323,123 @@ pub fn betweenness_centrality(
 /// any number of sources — the service shape.
 pub fn betweenness_centrality_prepared(
     runtime: &Runtime,
-    fwd: &dirgl_core::PreparedPartition,
-    bwd: &dirgl_core::PreparedPartition,
+    fwd: &PreparedPartition,
+    bwd: &PreparedPartition,
     source: VertexId,
 ) -> Result<BcOutput, RunError> {
     // Forward: levels and path counts.
     let (fwd_out, fwd_states) = runtime
         .job(fwd, &BcForward { source })
         .execute_with_states()?;
-    let max_level = fwd_states
-        .iter()
-        .map(|s| if s.dist == UNREACHED { 0 } else { s.dist })
-        .max()
-        .unwrap_or(0);
-    let aux: Vec<u64> = fwd_states
-        .iter()
-        .map(|s| ((s.dist as u64) << 32) | s.sigma.to_bits() as u64)
-        .collect();
+    let (max_level, aux) = backward_inputs(fwd_states.iter());
 
     // Backward: dependency sweep on the transpose.
     let (bwd_out, bwd_states) = runtime
         .job(bwd, &BcBackward::new(max_level))
         .aux(&aux)
         .execute_with_states()?;
-
-    let mut scores: Vec<f64> = bwd_states.iter().map(|s| s.delta as f64).collect();
-    // Brandes excludes the source from its own dependency accumulation.
-    scores[source as usize] = 0.0;
     Ok(BcOutput {
-        scores,
+        scores: scores(bwd_states.iter(), source),
         forward: fwd_out.report,
         backward: bwd_out.report,
     })
 }
 
-/// [`betweenness_centrality_prepared`] for a batch of sources with
-/// K-lane batched phases: per ≤64-source chunk, **one** forward engine
-/// run and **one** backward engine run advance every source. Each
-/// lane's scores are identical to the corresponding single-source
-/// driver's (the short-lane rounds a longer lane forces are rejected by
-/// the child-level accumulate guard, so they never touch values).
-/// The per-chunk phase reports are shared: every output in a chunk
-/// carries the same forward/backward report.
+/// [`betweenness_centrality_prepared`] for a batch of sources: per
+/// ≤64-source chunk, **one** forward engine run and **one** backward
+/// engine run advance every source, with K-lane batched phases; a chunk
+/// of one source is exactly the single-source driver. Each lane's scores
+/// are identical to the corresponding single-source driver's (the
+/// short-lane rounds a longer lane forces are rejected by the child-level
+/// accumulate guard, so they never touch values). The per-chunk phase
+/// reports are shared: every output in a chunk carries the same
+/// forward/backward report.
 pub fn batched_betweenness_centrality_prepared(
     runtime: &Runtime,
-    fwd: &dirgl_core::PreparedPartition,
-    bwd: &dirgl_core::PreparedPartition,
+    fwd: &PreparedPartition,
+    bwd: &PreparedPartition,
     sources: &[VertexId],
 ) -> Result<Vec<BcOutput>, RunError> {
     let mut outs = Vec::with_capacity(sources.len());
     for chunk in sources.chunks(LANE_WIDTH) {
+        if let [source] = *chunk {
+            outs.push(betweenness_centrality_prepared(runtime, fwd, bwd, source)?);
+            continue;
+        }
         // Forward: one batched run computes every lane's levels and σ.
-        let fwd_prog = Lanes::new(&BcForward { source: chunk[0] }, chunk);
+        let fwd_prog = BcForward { source: chunk[0] }.batched(chunk);
         let (fwd_out, fwd_states) = runtime.job(fwd, &fwd_prog).execute_with_states()?;
 
         // Backward: each lane gets its own round gate (its forward max
         // level) and its own aux words (its forward levels and σ).
-        let mut bwd_progs = Vec::with_capacity(chunk.len());
-        let mut lane_aux = Vec::with_capacity(chunk.len());
-        for l in 0..chunk.len() {
-            let max_level = fwd_states
-                .iter()
-                .map(|s| {
-                    let d = s.lane[l].dist;
-                    if d == UNREACHED {
-                        0
-                    } else {
-                        d
-                    }
-                })
-                .max()
-                .unwrap_or(0);
-            let aux: Vec<u64> = fwd_states
-                .iter()
-                .map(|s| ((s.lane[l].dist as u64) << 32) | s.lane[l].sigma.to_bits() as u64)
-                .collect();
-            bwd_progs.push(BcBackward::new(max_level));
-            lane_aux.push(aux);
-        }
-        let mut bwd_prog = Lanes::from_programs(bwd_progs);
+        let (levels, lane_aux): (Vec<u32>, Vec<Vec<u64>>) = (0..chunk.len())
+            .map(|l| backward_inputs(fwd_states.iter().map(|s| &s.lane[l])))
+            .unzip();
+        let mut bwd_prog = Lanes::from_programs(levels.into_iter().map(BcBackward::new).collect());
         for (l, aux) in lane_aux.into_iter().enumerate() {
             bwd_prog.set_lane_aux(l, aux);
         }
         let (bwd_out, bwd_states) = runtime.job(bwd, &bwd_prog).execute_with_states()?;
 
         for (l, &src) in chunk.iter().enumerate() {
-            let mut scores: Vec<f64> = bwd_states.iter().map(|s| s.lane[l].delta as f64).collect();
-            scores[src as usize] = 0.0;
             outs.push(BcOutput {
-                scores,
+                scores: scores(bwd_states.iter().map(|s| &s.lane[l]), src),
                 forward: fwd_out.report.clone(),
                 backward: bwd_out.report.clone(),
             });
         }
     }
     Ok(outs)
+}
+
+/// The per-device footprints of the forward and backward launches
+/// [`batched_betweenness_centrality_prepared`] makes for `chunk`, one
+/// launch's sources (`1..=64` of them), costed by the engine's own load
+/// check ([`Runtime::footprint`]).
+pub fn batched_betweenness_centrality_footprint(
+    runtime: &Runtime,
+    fwd: &PreparedPartition,
+    bwd: &PreparedPartition,
+    chunk: &[VertexId],
+) -> [Vec<DeviceFootprint>; 2] {
+    // The backward round gate does not change what a lane costs.
+    match *chunk {
+        [source] => [
+            runtime.footprint(fwd, &BcForward { source }),
+            runtime.footprint(bwd, &BcBackward::new(0)),
+        ],
+        _ => [
+            runtime.footprint(fwd, &BcForward { source: chunk[0] }.batched(chunk)),
+            runtime.footprint(
+                bwd,
+                &Lanes::from_programs(chunk.iter().map(|_| BcBackward::new(0)).collect()),
+            ),
+        ],
+    }
+}
+
+/// The backward phase's inputs from one source's forward states: the
+/// deepest reached level (its round gate) and the per-vertex aux words
+/// packing each vertex's level and σ.
+fn backward_inputs<'a>(states: impl Iterator<Item = &'a BcFwdState>) -> (u32, Vec<u64>) {
+    let mut max_level = 0;
+    let aux = states
+        .map(|s| {
+            if s.dist != UNREACHED {
+                max_level = max_level.max(s.dist);
+            }
+            ((s.dist as u64) << 32) | s.sigma.to_bits() as u64
+        })
+        .collect();
+    (max_level, aux)
+}
+
+/// One source's dependency scores from its backward states.
+fn scores<'a>(states: impl Iterator<Item = &'a BcBwdState>, source: VertexId) -> Vec<f64> {
+    let mut scores: Vec<f64> = states.map(|s| s.delta as f64).collect();
+    // Brandes excludes the source from its own dependency accumulation.
+    scores[source as usize] = 0.0;
+    scores
 }
 
 /// Sequential Brandes reference (single source, unweighted).
@@ -521,6 +544,18 @@ mod tests {
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "lane {k} (source {src}) diverged from its solo run");
         }
+        // A batch of one source is the single-source driver, reports
+        // included.
+        let solo = betweenness_centrality_prepared(&rt, &fwd, &bwd, sources[0]).unwrap();
+        let one = batched_betweenness_centrality_prepared(&rt, &fwd, &bwd, &sources[..1]).unwrap();
+        assert_eq!(
+            format!("{:?}", one[0].forward),
+            format!("{:?}", solo.forward)
+        );
+        assert_eq!(
+            format!("{:?}", one[0].backward),
+            format!("{:?}", solo.backward)
+        );
     }
 
     #[test]

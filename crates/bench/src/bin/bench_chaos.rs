@@ -226,8 +226,18 @@ fn main() {
         let wide = JobSpec::Sssp {
             sources: (0..16).map(|k| (k * g.num_vertices()) / 16).collect(),
         };
-        let f16 = *probe.predict_footprint(&wide, 16).iter().max().unwrap();
-        let f4 = *probe.predict_footprint(&wide, 4).iter().max().unwrap();
+        let f16 = *probe
+            .predict_footprint(&wide, 16)
+            .unwrap()
+            .iter()
+            .max()
+            .unwrap();
+        let f4 = *probe
+            .predict_footprint(&wide, 4)
+            .unwrap()
+            .iter()
+            .max()
+            .unwrap();
         probe.shutdown();
         let mut platform = Platform::bridges(DEVICES);
         for gpu in &mut platform.gpus {

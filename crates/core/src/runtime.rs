@@ -112,15 +112,17 @@ pub struct RunOutput {
     pub values: Vec<f64>,
 }
 
-/// How a multi-source batch executes (see [`Runner::batch`]).
+/// A name for a multi-source batch's lane width (see [`Runner::batch`]).
+/// The width alone picks each launch's program: a launch of one source
+/// runs the scalar program, a launch of two or more the batched form.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// One scalar engine run per source — the baseline every lane of the
-    /// batched backend must reproduce byte for byte.
+    /// Width 1: one scalar engine run per source — the baseline every
+    /// lane of a wider launch must reproduce byte for byte.
     #[default]
     Scalar,
-    /// K-lane bit-matrix batching: one engine run advances up to
-    /// [`LANE_WIDTH`] sources through [`crate::multi::Lanes`].
+    /// Width [`LANE_WIDTH`]: one engine run advances up to 64 sources
+    /// through the program's batched form.
     Lanes,
 }
 
@@ -200,9 +202,8 @@ pub struct LaneOutput {
 }
 
 /// A completed multi-source run: per-source outputs plus the engine
-/// reports that produced them (one per source under
-/// [`Backend::Scalar`], one per ≤64-lane chunk under
-/// [`Backend::Lanes`]).
+/// reports that produced them (one per launch: per source at width 1,
+/// per ≤64-lane chunk under [`Backend::Lanes`]).
 #[derive(Clone, Debug)]
 pub struct MultiRunOutput {
     /// Engine-level reports in execution order.
@@ -363,7 +364,7 @@ pub struct Runner<'a, P: VertexProgram> {
     part: Option<PartitionArg<'a>>,
     aux: Option<&'a [u64]>,
     sink: Option<&'a mut dyn TraceSink>,
-    backend: Backend,
+    lane_width: usize,
 }
 
 impl<'a, P: VertexProgram> Runner<'a, P> {
@@ -393,10 +394,13 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
         self
     }
 
-    /// Selects the multi-source execution backend (default
-    /// [`Backend::Scalar`]); only consulted by [`Runner::batch`].
+    /// Sets the lane width [`Runner::batch`] starts from to the one
+    /// `backend` names (default [`Backend::Scalar`], width 1).
     pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.lane_width = match backend {
+            Backend::Scalar => 1,
+            Backend::Lanes => LANE_WIDTH,
+        };
         self
     }
 
@@ -414,9 +418,8 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
             program: self.program,
             part: self.part,
             aux: self.aux,
-            backend: self.backend,
             sources: sources.to_vec(),
-            lane_width: LANE_WIDTH,
+            lane_width: self.lane_width,
         }
     }
 
@@ -437,7 +440,7 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
             part,
             aux,
             sink,
-            backend: _,
+            lane_width: _,
         } = self;
         let view = resolve(rt, graph, program, part)?;
         execute_job(rt, &view, program, aux, sink)
@@ -447,18 +450,18 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
 /// A configured multi-source batch, built by [`Runner::batch`].
 ///
 /// The partition, sync plan and out-degrees are resolved **once** and
-/// shared by every run the batch performs — one engine run per source
-/// under [`Backend::Scalar`], one per ≤64-lane chunk under
-/// [`Backend::Lanes`] — so both backends traverse the identical
-/// partitioned view and their per-lane values can be compared bit for
-/// bit.
+/// shared by every launch the batch performs — one per `lane_width`
+/// chunk of the sources — so every width traverses the identical
+/// partitioned view and its per-lane values can be compared bit for bit.
+/// The width alone picks a launch's program: a chunk of one source runs
+/// [`MultiSourceProgram::for_source`], a longer chunk
+/// [`MultiSourceProgram::batched`].
 pub struct MultiRunner<'a, P: VertexProgram> {
     rt: &'a Runtime,
     graph: &'a Csr,
     program: &'a P,
     part: Option<PartitionArg<'a>>,
     aux: Option<&'a [u64]>,
-    backend: Backend,
     sources: Vec<VertexId>,
     lane_width: usize,
 }
@@ -467,81 +470,89 @@ impl<'a, P> MultiRunner<'a, P>
 where
     P: MultiSourceProgram,
 {
-    /// Selects the execution backend (default [`Backend::Scalar`]).
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Caps the lanes per engine launch under [`Backend::Lanes`]
-    /// (clamped to `1..=`[`LANE_WIDTH`], default [`LANE_WIDTH`]).
-    /// Narrower launches trade scan amortization for a smaller per-device
-    /// working set — the serve layer's degradation ladder splits a K=64
-    /// batch into 2×32 / 4×16 / … launches until the footprint fits.
-    /// Per-lane values are unaffected: every chunking of the same source
-    /// list produces bit-identical lane outputs.
+    /// Caps the lanes per engine launch (clamped to `1..=`[`LANE_WIDTH`];
+    /// the default is the width [`Runner::backend`] named). Narrower
+    /// launches trade scan amortization for a smaller per-device working
+    /// set — the serve layer's admission ladder splits a K=64 batch into
+    /// 2×32 / 4×16 / … launches until the footprint fits. Per-lane values
+    /// are unaffected: every chunking of the same source list produces
+    /// bit-identical lane outputs.
     pub fn lane_width(mut self, width: usize) -> Self {
         self.lane_width = width.clamp(1, LANE_WIDTH);
         self
     }
 
-    /// Executes every source to convergence. Panics on an empty source
-    /// list (the serve layer refuses those at admission; a direct caller
-    /// passing none is a bug, not a runtime condition).
+    /// The per-device footprint of the batch's first launch — the widest,
+    /// since a full chunk dominates its narrower tail — costed by the
+    /// engine's own load check ([`Runtime::footprint`]) for the very
+    /// program [`MultiRunner::execute`] launches first. Panics on an
+    /// empty source list, as `execute` does.
+    pub fn footprint(self) -> Result<Vec<DeviceFootprint>, RunError> {
+        let first = self.first_chunk().to_vec();
+        let (rt, program) = (self.rt, self.program);
+        let view = resolve(rt, self.graph, program, self.part)?;
+        let (locals, plan) = (&view.part.locals[..], &*view.plan);
+        Ok(match first[..] {
+            [s] => rt.footprint_of(locals, plan, &program.for_source(s)),
+            _ => rt.footprint_of(locals, plan, &program.batched(&first)),
+        })
+    }
+
+    /// Executes every source to convergence, one launch per `lane_width`
+    /// chunk. Panics on an empty source list (the serve layer refuses
+    /// those at admission; a direct caller passing none is a bug, not a
+    /// runtime condition).
     pub fn execute(self) -> Result<MultiRunOutput, RunError> {
-        assert!(
-            !self.sources.is_empty(),
-            "multi-source batch needs at least one source"
-        );
+        // Refuse an empty batch before resolving anything.
+        self.first_chunk();
         let MultiRunner {
             rt,
             graph,
             program,
             part,
             aux,
-            backend,
             sources,
             lane_width,
         } = self;
-        // Resolve the partitioned view once, for every run in the batch.
+        // Resolve the partitioned view once, for every launch in the batch.
         let view = resolve(rt, graph, program, part)?;
 
         let mut engine_reports = Vec::new();
         let mut lanes: Vec<LaneOutput> = Vec::with_capacity(sources.len());
-        match backend {
-            Backend::Scalar => {
-                for &s in &sources {
-                    let prog = program.for_source(s);
-                    let (out, _) = execute_job(rt, &view, &prog, aux, None)?;
-                    lanes.push(LaneOutput {
-                        source: s,
-                        summary: LaneSummary::of(&out.values),
-                        values: out.values,
-                    });
-                    engine_reports.push(out.report);
+        for chunk in sources.chunks(lane_width) {
+            let (report, values) = match *chunk {
+                [s] => {
+                    let (out, _) = execute_job(rt, &view, &program.for_source(s), aux, None)?;
+                    (out.report, vec![out.values])
                 }
-            }
-            Backend::Lanes => {
-                for chunk in sources.chunks(lane_width) {
+                _ => {
                     let batched = program.batched(chunk);
                     let (out, states) = execute_job(rt, &view, &batched, aux, None)?;
-                    for (l, &s) in chunk.iter().enumerate() {
-                        let values: Vec<f64> =
-                            states.iter().map(|st| batched.lane_output(l, st)).collect();
-                        lanes.push(LaneOutput {
-                            source: s,
-                            summary: LaneSummary::of(&values),
-                            values,
-                        });
-                    }
-                    engine_reports.push(out.report);
+                    let lane = |l| states.iter().map(|st| batched.lane_output(l, st)).collect();
+                    (out.report, (0..chunk.len()).map(lane).collect())
                 }
+            };
+            engine_reports.push(report);
+            for (&source, values) in chunk.iter().zip(values) {
+                lanes.push(LaneOutput {
+                    source,
+                    summary: LaneSummary::of(&values),
+                    values,
+                });
             }
         }
         Ok(MultiRunOutput {
             engine_reports,
             lanes,
         })
+    }
+
+    /// The sources of the first launch; panics on an empty source list.
+    fn first_chunk(&self) -> &[VertexId] {
+        self.sources
+            .chunks(self.lane_width)
+            .next()
+            .expect("multi-source batch needs at least one source")
     }
 }
 
@@ -756,7 +767,7 @@ impl Runtime {
             part: None,
             aux: None,
             sink: None,
-            backend: Backend::Scalar,
+            lane_width: 1,
         }
     }
 
@@ -844,7 +855,7 @@ impl Runtime {
             part: Some(PartitionArg::Prepared(prep)),
             aux: None,
             sink: None,
-            backend: Backend::Scalar,
+            lane_width: 1,
         }
     }
 

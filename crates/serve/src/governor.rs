@@ -110,7 +110,7 @@ pub(crate) enum Denial {
 /// What the governor granted for one job.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Grant {
-    /// Lanes per engine launch (1 = the scalar backend).
+    /// Lanes per engine launch (1 = the scalar program).
     pub width: usize,
     /// True when `width` is below the requested width.
     pub degraded: bool,

@@ -35,11 +35,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dirgl_apps::{
-    batched_betweenness_centrality_prepared, betweenness_centrality_prepared, BcBackward,
-    BcForward, Bfs, Cc, KCore, PageRank, Sssp,
+    batched_betweenness_centrality_footprint, batched_betweenness_centrality_prepared, Bfs, Cc,
+    KCore, PageRank, Sssp,
 };
 use dirgl_core::{
-    Backend, DeviceFootprint, Lanes, MultiSourceProgram, PreparedPartition, ResilienceStats,
+    DeviceFootprint, MultiRunner, MultiSourceProgram, PreparedPartition, ResilienceStats,
     RunConfig, RunError, RunOutput, Runtime, LANE_WIDTH,
 };
 use dirgl_gpusim::Platform;
@@ -228,16 +228,34 @@ impl Inner {
         }
     }
 
+    /// Refuses a degenerate spec — an empty source set or an out-of-range
+    /// source (the error names the offending id) — so the resident process
+    /// never dies (or even spins) on one.
+    fn validate(&self, spec: &JobSpec) -> Result<(), SubmitError> {
+        let Some(sources) = spec.sources() else {
+            return Ok(());
+        };
+        if sources.is_empty() {
+            return Err(SubmitError::EmptySources);
+        }
+        let n = self.view_for(spec).num_vertices();
+        match sources.iter().find(|&&s| s >= n) {
+            Some(&source) => Err(SubmitError::InvalidSource {
+                source,
+                num_vertices: n,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Executes `spec` against the resident views at lane width `width`.
     /// Pure with respect to server state: all shared inputs are immutable,
     /// every mutable buffer is job-local, so any number of these may run
-    /// concurrently. Traversal specs run their sources as a batch — a
-    /// single source is a batch of one — with the K-lane backend in
-    /// `width`-lane chunks; `width == 1` runs each source through the
-    /// scalar backend (the ladder's last rung), which is exactly the
-    /// one-shot run. Every width produces bit-identical per-source values.
+    /// concurrently. Traversal specs run their sources as a batch in
+    /// `width`-source launches; the width alone picks each launch's
+    /// program (one source runs the scalar program, exactly the one-shot
+    /// run). Every width produces bit-identical per-source values.
     fn execute_at(&self, spec: &JobSpec, width: usize) -> Result<JobOutcome, RunError> {
-        let width = width.clamp(1, LANE_WIDTH);
         let single = |out: RunOutput| JobOutcome {
             reports: vec![out.report],
             per_source: vec![out.values],
@@ -258,25 +276,13 @@ impl Inner {
                 .map(single),
             JobSpec::Bc { sources } => {
                 let mut outs = Vec::with_capacity(sources.len());
-                if width > 1 {
-                    for chunk in sources.chunks(width) {
-                        outs.extend(batched_betweenness_centrality_prepared(
-                            &self.rt,
-                            &self.directed,
-                            &self.transpose,
-                            chunk,
-                        )?);
-                    }
-                } else {
-                    // Scalar rung: one two-phase driver run per source.
-                    for &src in sources {
-                        outs.push(betweenness_centrality_prepared(
-                            &self.rt,
-                            &self.directed,
-                            &self.transpose,
-                            src,
-                        )?);
-                    }
+                for chunk in sources.chunks(width) {
+                    outs.extend(batched_betweenness_centrality_prepared(
+                        &self.rt,
+                        &self.directed,
+                        &self.transpose,
+                        chunk,
+                    )?);
                 }
                 let reports = vec![outs[0].forward.clone(), outs[0].backward.clone()];
                 Ok(JobOutcome {
@@ -287,28 +293,30 @@ impl Inner {
         }
     }
 
-    /// Runs `program`'s family from every source in `sources` on the
-    /// directed view, in `width`-lane chunks (scalar backend when
-    /// `width == 1`): one phase report per launch and one value vector
-    /// per source, in `sources` order.
+    /// The batch [`Inner::execute_at`] runs for `program`'s family from
+    /// every source in `sources` on the directed view, in `width`-source
+    /// launches — and whose first launch [`Inner::predict`] costs.
+    fn batch<'a, P: MultiSourceProgram>(
+        &'a self,
+        program: &'a P,
+        sources: &[u32],
+        width: usize,
+    ) -> MultiRunner<'a, P> {
+        self.rt
+            .job(&self.directed, program)
+            .batch(sources)
+            .lane_width(width)
+    }
+
+    /// Runs [`Inner::batch`]: one phase report per launch and one value
+    /// vector per source, in `sources` order.
     fn execute_batch<P: MultiSourceProgram>(
         &self,
         program: &P,
         sources: &[u32],
         width: usize,
     ) -> Result<JobOutcome, RunError> {
-        let backend = if width > 1 {
-            Backend::Lanes
-        } else {
-            Backend::Scalar
-        };
-        let out = self
-            .rt
-            .job(&self.directed, program)
-            .backend(backend)
-            .batch(sources)
-            .lane_width(width)
-            .execute()?;
+        let out = self.batch(program, sources, width).execute()?;
         Ok(JobOutcome {
             reports: out.engine_reports,
             per_source: out.lanes.into_iter().map(|l| l.values).collect(),
@@ -317,44 +325,34 @@ impl Inner {
 
     /// Predicts `spec`'s per-device footprint at lane width `width` with
     /// the engine's own load check ([`dirgl_core::Runtime::footprint`],
-    /// spill decision included), instantiating exactly the program
-    /// [`Inner::execute_at`] would launch — batched adapter for
-    /// `width ≥ 2`, the scalar program for the scalar rung — so
-    /// prediction and the engine's charge cannot disagree. Chunked
-    /// runs execute sequentially and a full-width chunk's footprint
-    /// dominates its narrower tail, so the first chunk is the maximum.
+    /// spill decision included), costing exactly the first launch
+    /// [`Inner::execute_at`] makes — launches run sequentially and the
+    /// first is the widest, so it is the maximum — so prediction and the
+    /// engine's charge cannot disagree.
     fn predict(&self, spec: &JobSpec, width: usize) -> Vec<u64> {
         let rt = &self.rt;
-        let k = spec
-            .sources()
-            .map_or(1, |s| width.clamp(1, LANE_WIDTH).min(s.len()));
+        // A resident view always resolves, so costing a batch cannot fail.
+        let fp = |r: Result<Vec<DeviceFootprint>, RunError>| vec![r.expect("resident view")];
         // One footprint per engine phase the job runs.
         let phases = match spec {
-            JobSpec::Bfs { sources } => {
-                vec![self.batch_footprint(&Bfs::new(sources[0]), &sources[..k])]
-            }
-            JobSpec::Sssp { sources } => {
-                vec![self.batch_footprint(&Sssp::new(sources[0]), &sources[..k])]
-            }
+            JobSpec::Bfs { sources } => fp(self
+                .batch(&Bfs::new(sources[0]), sources, width)
+                .footprint()),
+            JobSpec::Sssp { sources } => fp(self
+                .batch(&Sssp::new(sources[0]), sources, width)
+                .footprint()),
             JobSpec::Pagerank => vec![rt.footprint(&self.directed, &PageRank::new())],
             JobSpec::Cc => vec![rt.footprint(&self.symmetric, &Cc)],
             JobSpec::KCore { k } => vec![rt.footprint(&self.symmetric, &KCore::new(*k))],
-            JobSpec::Bc { sources } => {
-                // Two sequential phases on two views.
-                let fwd = BcForward { source: sources[0] };
-                if k > 1 {
-                    let bwd: Vec<BcBackward> = (0..k).map(|_| BcBackward::new(0)).collect();
-                    vec![
-                        rt.footprint(&self.directed, &Lanes::new(&fwd, &sources[..k])),
-                        rt.footprint(&self.transpose, &Lanes::from_programs(bwd)),
-                    ]
-                } else {
-                    vec![
-                        rt.footprint(&self.directed, &fwd),
-                        rt.footprint(&self.transpose, &BcBackward::new(0)),
-                    ]
-                }
-            }
+            JobSpec::Bc { sources } => Vec::from(batched_betweenness_centrality_footprint(
+                rt,
+                &self.directed,
+                &self.transpose,
+                sources
+                    .chunks(width)
+                    .next()
+                    .expect("a validated spec has sources"),
+            )),
         };
         // The job's footprint on a device is its largest phase's.
         let mut bytes = vec![0u64; rt.platform.num_devices() as usize];
@@ -364,21 +362,6 @@ impl Inner {
             }
         }
         bytes
-    }
-
-    /// The footprint of the first launch [`Inner::execute_batch`] makes for
-    /// `program` over `lanes` (one chunk's sources): the batched program
-    /// for two or more lanes, the scalar program for one.
-    fn batch_footprint<P: MultiSourceProgram>(
-        &self,
-        program: &P,
-        lanes: &[u32],
-    ) -> Vec<DeviceFootprint> {
-        if lanes.len() > 1 {
-            self.rt.footprint(&self.directed, &program.batched(lanes))
-        } else {
-            self.rt.footprint(&self.directed, program)
-        }
     }
 
     /// One engine launch: governor admission over the degradation ladder,
@@ -744,21 +727,9 @@ impl JobServer {
         let mut spec = req.spec;
         spec.canonicalize();
 
-        // Degenerate jobs are refused at the door — the resident process
-        // must never die (or even spin) on one.
-        if let Some(sources) = spec.sources() {
-            if sources.is_empty() {
-                inner.c.rejected_invalid.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::EmptySources);
-            }
-            let n = inner.view_for(&spec).num_vertices();
-            if let Some(&source) = sources.iter().find(|&&s| s >= n) {
-                inner.c.rejected_invalid.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::InvalidSource {
-                    source,
-                    num_vertices: n,
-                });
-            }
+        if let Err(e) = inner.validate(&spec) {
+            inner.c.rejected_invalid.fetch_add(1, Ordering::Relaxed);
+            return Err(e);
         }
 
         let epoch = inner.epoch.load(Ordering::SeqCst);
@@ -908,11 +879,13 @@ impl JobServer {
     /// `width` — the exact bytes the engine's load check will charge
     /// (the admission governor's oracle; see
     /// [`dirgl_core::Runtime::footprint`]). The spec is canonicalized
-    /// first, mirroring submission.
-    pub fn predict_footprint(&self, spec: &JobSpec, width: usize) -> Vec<u64> {
+    /// and validated first, mirroring submission, and refused for the
+    /// same reasons.
+    pub fn predict_footprint(&self, spec: &JobSpec, width: usize) -> Result<Vec<u64>, SubmitError> {
         let mut spec = spec.clone();
         spec.canonicalize();
-        self.inner.predict(&spec, width.clamp(1, LANE_WIDTH))
+        self.inner.validate(&spec)?;
+        Ok(self.inner.predict(&spec, width.clamp(1, LANE_WIDTH)))
     }
 
     /// Operator snapshot: per-device health and residual memory as the

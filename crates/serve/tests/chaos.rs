@@ -210,8 +210,18 @@ fn memory_pressure_degrades_but_answers_do_not_change() {
     )
     .unwrap();
     let want = clean.submit_spec(spec.clone()).unwrap().wait().unwrap();
-    let f16 = *clean.predict_footprint(&spec, 16).iter().max().unwrap();
-    let f4 = *clean.predict_footprint(&spec, 4).iter().max().unwrap();
+    let f16 = *clean
+        .predict_footprint(&spec, 16)
+        .unwrap()
+        .iter()
+        .max()
+        .unwrap();
+    let f4 = *clean
+        .predict_footprint(&spec, 4)
+        .unwrap()
+        .iter()
+        .max()
+        .unwrap();
     assert!(f4 < f16);
 
     let mut platform = Platform::bridges(DEVICES);

@@ -16,6 +16,7 @@ use dirgl_graph::Csr;
 use dirgl_partition::Policy;
 use dirgl_serve::{
     JobError, JobRequest, JobServer, JobSpec, Priority, RejectReason, ServeConfig, ServerStats,
+    SubmitError,
 };
 
 fn graph() -> Csr {
@@ -78,7 +79,7 @@ fn predicted_footprint_is_the_engine_charge_across_policy_and_width() {
                     sources: sources(&g, k),
                 },
             ] {
-                let predicted = srv.predict_footprint(&spec, k as usize);
+                let predicted = srv.predict_footprint(&spec, k as usize).unwrap();
                 let r = srv.submit_spec(spec.clone()).unwrap().wait().unwrap();
                 assert_eq!(
                     r.resilience.granted_width, k as usize,
@@ -97,7 +98,7 @@ fn predicted_footprint_is_the_engine_charge_across_policy_and_width() {
             let spec = JobSpec::Bc {
                 sources: sources(&g, k),
             };
-            let predicted = srv.predict_footprint(&spec, k as usize);
+            let predicted = srv.predict_footprint(&spec, k as usize).unwrap();
             let r = srv.submit_spec(spec).unwrap().wait().unwrap();
             let fwd = &r.outcome.reports[0].memory_per_device;
             let bwd = &r.outcome.reports[1].memory_per_device;
@@ -109,7 +110,7 @@ fn predicted_footprint_is_the_engine_charge_across_policy_and_width() {
         }
         // Parameterless kinds predict their scalar footprint.
         for spec in [JobSpec::Pagerank, JobSpec::Cc, JobSpec::KCore { k: 3 }] {
-            let predicted = srv.predict_footprint(&spec, 1);
+            let predicted = srv.predict_footprint(&spec, 1).unwrap();
             let r = srv.submit_spec(spec.clone()).unwrap().wait().unwrap();
             assert_eq!(
                 r.outcome.report().memory_per_device,
@@ -126,6 +127,43 @@ fn predicted_footprint_is_the_engine_charge_across_policy_and_width() {
 /// CVC replication OOMs at K = 64 on 4 devices. The governor must admit
 /// the job anyway — degraded down the lane-width ladder until it fits —
 /// and every lane's values must be bit-identical to its scalar run.
+/// Prediction refuses what submission refuses, for the same reasons: an
+/// empty source set or an out-of-range source is an error, not a panic.
+#[test]
+fn predicted_footprint_refuses_what_submission_refuses() {
+    let g = graph();
+    let n = g.num_vertices();
+    let srv = JobServer::load(
+        &g,
+        Platform::bridges(4),
+        RunConfig::new(Policy::Cvc, Variant::var1()),
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let empty = JobSpec::Bfs { sources: vec![] };
+    assert_eq!(
+        srv.predict_footprint(&empty, 1),
+        Err(SubmitError::EmptySources)
+    );
+    let out_of_range = JobSpec::Bc {
+        sources: vec![0, n],
+    };
+    let invalid = SubmitError::InvalidSource {
+        source: n,
+        num_vertices: n,
+    };
+    assert_eq!(
+        srv.predict_footprint(&out_of_range, 2),
+        Err(invalid.clone())
+    );
+    assert_eq!(
+        srv.submit_spec(empty).err(),
+        Some(SubmitError::EmptySources)
+    );
+    assert_eq!(srv.submit_spec(out_of_range).err(), Some(invalid));
+    reconciles(&srv.stats());
+}
+
 #[test]
 fn uk07_cvc_k64_oom_is_served_degraded_and_bit_identical() {
     let ds = DatasetId::Uk07.load_scaled(8); // extra-small for test speed
@@ -147,14 +185,14 @@ fn uk07_cvc_k64_oom_is_served_degraded_and_bit_identical() {
     // The premise: at full width the predicted footprint exceeds device
     // capacity (this is the run that simply vanished from the paper's
     // figures), while the scalar rung fits.
-    let full = srv.predict_footprint(&spec, 64);
+    let full = srv.predict_footprint(&spec, 64).unwrap();
     let cap = Platform::bridges(4).gpus[0].memory_bytes;
     assert!(
         full.iter().any(|&b| b > cap),
         "premise broken: K=64 sssp no longer OOMs the uk07 analogue \
          (predicted {full:?} vs capacity {cap})"
     );
-    let scalar = srv.predict_footprint(&spec, 1);
+    let scalar = srv.predict_footprint(&spec, 1).unwrap();
     assert!(
         scalar.iter().all(|&b| b <= cap),
         "premise broken: even the scalar rung OOMs ({scalar:?})"
@@ -256,7 +294,7 @@ fn spill_serves_full_width_where_raw_cannot() {
         },
     )
     .unwrap();
-    let predicted = srv.predict_footprint(&spec, 16);
+    let predicted = srv.predict_footprint(&spec, 16).unwrap();
     assert!(predicted.iter().all(|&b| b <= cap), "oracle over cap");
     let r = srv.submit_spec(spec).unwrap().wait().unwrap();
     assert_eq!(r.resilience.granted_width, 16, "spill must avoid degrading");
@@ -289,10 +327,16 @@ fn spill_prediction_covers_batched_bc() {
         sources: sources(&g, 4),
     };
     let ample = JobServer::load(&g, Platform::bridges(4), config.clone(), serve_config()).unwrap();
-    let cap = *ample.predict_footprint(&spec, 4).iter().max().unwrap() - 1;
+    let cap = *ample
+        .predict_footprint(&spec, 4)
+        .unwrap()
+        .iter()
+        .max()
+        .unwrap()
+        - 1;
 
     let srv = JobServer::load(&g, capped(4, cap), config.with_spill(true), serve_config()).unwrap();
-    let predicted = srv.predict_footprint(&spec, 4);
+    let predicted = srv.predict_footprint(&spec, 4).unwrap();
     assert!(
         predicted.iter().all(|&b| b <= cap),
         "prediction ignores spill: {predicted:?} over cap {cap}"
@@ -324,8 +368,18 @@ fn between_8_and_16_wide(g: &Csr, config: &RunConfig) -> Platform {
     let spec = JobSpec::Sssp {
         sources: sources(g, 16),
     };
-    let f16 = *probe.predict_footprint(&spec, 16).iter().max().unwrap();
-    let f8 = *probe.predict_footprint(&spec, 8).iter().max().unwrap();
+    let f16 = *probe
+        .predict_footprint(&spec, 16)
+        .unwrap()
+        .iter()
+        .max()
+        .unwrap();
+    let f8 = *probe
+        .predict_footprint(&spec, 8)
+        .unwrap()
+        .iter()
+        .max()
+        .unwrap();
     capped(4, (f8 + f16) / 2)
 }
 
@@ -398,7 +452,12 @@ fn impossible_job_is_rejected_with_structured_reason() {
     let spec = JobSpec::Sssp {
         sources: sources(&g, 4),
     };
-    let f1 = *probe.predict_footprint(&spec, 1).iter().max().unwrap();
+    let f1 = *probe
+        .predict_footprint(&spec, 1)
+        .unwrap()
+        .iter()
+        .max()
+        .unwrap();
     drop(probe);
 
     let srv = JobServer::load(&g, capped(4, f1 / 2), config, ServeConfig::default()).unwrap();
@@ -435,8 +494,18 @@ fn low_priority_is_shed_where_normal_degrades() {
     let spec = JobSpec::Bfs {
         sources: sources(&g, 16),
     };
-    let f16 = *probe.predict_footprint(&spec, 16).iter().max().unwrap();
-    let f8 = *probe.predict_footprint(&spec, 8).iter().max().unwrap();
+    let f16 = *probe
+        .predict_footprint(&spec, 16)
+        .unwrap()
+        .iter()
+        .max()
+        .unwrap();
+    let f8 = *probe
+        .predict_footprint(&spec, 8)
+        .unwrap()
+        .iter()
+        .max()
+        .unwrap();
     drop(probe);
 
     let srv = JobServer::load(
@@ -487,7 +556,7 @@ fn deadline_expires_while_waiting_for_admission() {
         ServeConfig::default(),
     )
     .unwrap();
-    let fp = probe.predict_footprint(&JobSpec::Pagerank, 1);
+    let fp = probe.predict_footprint(&JobSpec::Pagerank, 1).unwrap();
     // B's deadline is a quarter of a pagerank's run time on this host and
     // build, so A outlives it in debug and release builds alike.
     let t = Instant::now();

@@ -94,8 +94,8 @@ fn spilled<P: VertexProgram>(g: &Csr, config: RunConfig, capacity: u64, program:
 fn batch<P: MultiSourceProgram>(rt: &Runtime, g: &Csr, program: &P, sources: &[u32]) -> [u64; 3] {
     let out = rt
         .runner(g, program)
-        .batch(sources)
         .backend(Backend::Lanes)
+        .batch(sources)
         .execute()
         .unwrap();
     [

@@ -179,7 +179,8 @@ proptest! {
     /// scalar single-source run: values, source labeling and summary, for
     /// bfs and sssp, K ∈ {1, 3, 64}, across the four paper policies and
     /// both engines (`Backend::Scalar` runs the K serial one-source jobs;
-    /// `Backend::Lanes` packs them into one bit-matrix-frontier pass).
+    /// `Backend::Lanes` packs them into one bit-matrix-frontier pass). A
+    /// batch of one source is the scalar run itself, reports included.
     #[test]
     fn batched_lanes_match_scalar_runs(
         seed in 0u64..1_000,
@@ -223,6 +224,12 @@ proptest! {
             let scalar = rt.runner(g, base).batch(sources).execute().unwrap();
             prop_assert_eq!(lanes.lanes.len(), sources.len());
             prop_assert_eq!(scalar.lanes.len(), sources.len());
+            if sources.len() == 1 {
+                prop_assert_eq!(
+                    format!("{:?}", lanes.engine_reports),
+                    format!("{:?}", scalar.engine_reports)
+                );
+            }
             for (l, s) in lanes.lanes.iter().zip(&scalar.lanes) {
                 prop_assert_eq!(l.source, s.source);
                 prop_assert_eq!(&l.summary, &s.summary);
