@@ -49,13 +49,6 @@ impl PageRank {
     pub fn new() -> PageRank {
         Self::default()
     }
-
-    /// Fixed round count (used for Lux parity runs, which have no
-    /// convergence check).
-    pub fn with_rounds_cap(mut self, cap: u32) -> PageRank {
-        self.rounds_cap = cap;
-        self
-    }
 }
 
 impl VertexProgram for PageRank {
@@ -219,11 +212,5 @@ mod tests {
         assert!(!pr.merge_canonical_async(&mut s, 0.0));
         pr.consume_after_pull(&mut s);
         assert_eq!(s.residual, 0.0);
-    }
-
-    #[test]
-    fn rounds_cap_builder() {
-        let pr = PageRank::new().with_rounds_cap(42);
-        assert_eq!(pr.max_rounds(), 42);
     }
 }

@@ -100,22 +100,6 @@ impl DenseBitset {
         })
     }
 
-    /// Ascending iterator over positions set in both `self` and `other` —
-    /// `a ∧ b` word by word, without materializing the intersection. The
-    /// cost is proportional to the word count plus the number of common
-    /// bits, never to the set sizes.
-    pub fn intersect_iter<'a>(&'a self, other: &'a DenseBitset) -> impl Iterator<Item = u32> + 'a {
-        assert_eq!(self.len, other.len);
-        self.words
-            .iter()
-            .zip(&other.words)
-            .enumerate()
-            .flat_map(|(wi, (&a, &b))| BitIter {
-                word: a & b,
-                base: wi as u32 * 64,
-            })
-    }
-
     /// Ascending iterator over set positions within `range` (clamped to
     /// the bitset's capacity). Touches only the words overlapping the
     /// range.
@@ -153,14 +137,6 @@ impl DenseBitset {
             .iter()
             .enumerate()
             .any(|(k, &w)| mask_word(w, (w0 + k) as u32 * 64, lo, hi) != 0)
-    }
-
-    /// In-place union.
-    pub fn union_with(&mut self, other: &DenseBitset) {
-        assert_eq!(self.len, other.len);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
     }
 
     /// Size on the wire: the bitset header UO messages carry.
@@ -284,37 +260,10 @@ mod tests {
     }
 
     #[test]
-    fn union() {
-        let mut a = DenseBitset::new(100);
-        let mut b = DenseBitset::new(100);
-        a.set(3);
-        b.set(70);
-        a.union_with(&b);
-        assert!(a.get(3) && a.get(70));
-        assert_eq!(a.count_ones(), 2);
-    }
-
-    #[test]
     fn wire_bytes_rounds_up_to_words() {
         assert_eq!(DenseBitset::new(1).wire_bytes(), 8);
         assert_eq!(DenseBitset::new(64).wire_bytes(), 8);
         assert_eq!(DenseBitset::new(65).wire_bytes(), 16);
-    }
-
-    #[test]
-    fn intersect_iter_matches_filtered_iteration() {
-        let mut a = DenseBitset::new(300);
-        let mut b = DenseBitset::new(300);
-        for i in (0..300).step_by(3) {
-            a.set(i);
-        }
-        for i in (0..300).step_by(5) {
-            b.set(i);
-        }
-        let fast: Vec<u32> = a.intersect_iter(&b).collect();
-        let slow: Vec<u32> = a.iter_set().filter(|&i| b.get(i)).collect();
-        assert_eq!(fast, slow);
-        assert_eq!(fast, (0..300).step_by(15).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -103,17 +103,6 @@ impl FaultPlan {
         }
     }
 
-    /// The same fault *schedule* under a different decision seed: crash,
-    /// straggler window and probabilities carry over unchanged, only the
-    /// link-fate draws re-roll. This is how a chaos harness sweeps one
-    /// scenario across a seed matrix without re-describing it.
-    pub fn reseeded(&self, seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            ..self.clone()
-        }
-    }
-
     /// True when the plan schedules nothing.
     pub fn is_none(&self) -> bool {
         !self.has_link_faults() && self.crash.is_none() && self.straggler.is_none()
@@ -532,24 +521,6 @@ mod tests {
         assert!(FaultPlan::parse("bogus=1").is_err());
         assert!(FaultPlan::parse("crash=17").is_err());
         assert!(FaultPlan::parse("drop").is_err());
-    }
-
-    #[test]
-    fn reseeding_keeps_the_schedule_but_rerolls_fates() {
-        let base = FaultPlan::seeded(1)
-            .with_drop(0.3)
-            .with_crash(2, 4, false)
-            .with_straggler(1, 3, 2, 4.0);
-        let re = base.reseeded(99);
-        assert_eq!(re.seed, 99);
-        assert_eq!(re.crash, base.crash, "crash schedule must carry over");
-        assert_eq!(re.straggler, base.straggler);
-        assert_eq!(re.drop, base.drop);
-        let fates = |p: &FaultPlan| -> Vec<LinkFate> {
-            let inj = FaultInjector::new(p.clone());
-            (0..256).map(|s| inj.link_fate(0, 1, s, 0)).collect()
-        };
-        assert_ne!(fates(&base), fates(&re), "new seed, new link fates");
     }
 
     #[test]

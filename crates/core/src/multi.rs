@@ -83,9 +83,6 @@ pub trait MultiSourceProgram: VertexProgram + Sized {
 /// [`VertexProgram`] whose per-vertex state carries one lane per source,
 /// and which can report each lane's scalar output.
 pub trait BatchedProgram: VertexProgram {
-    /// Number of lanes (K).
-    fn width(&self) -> usize;
-
     /// Lane `l`'s scalar output for `state` — what the corresponding
     /// single-source run's [`VertexProgram::output`] would report.
     fn lane_output(&self, l: usize, state: &Self::State) -> f64;
@@ -220,21 +217,10 @@ impl<P: VertexProgram> Lanes<P> {
         }
     }
 
-    /// Number of lanes (K).
-    pub fn width(&self) -> usize {
-        self.progs.len()
-    }
-
     /// Seeds lane `l`'s initialization with its own auxiliary words
     /// (overrides any runner-level aux for that lane).
     pub fn set_lane_aux(&mut self, l: usize, aux: Vec<u64>) {
         self.lane_aux[l] = Some(aux);
-    }
-
-    /// Lane `l`'s scalar output for `state` — what the corresponding
-    /// single-source run's [`VertexProgram::output`] would report.
-    pub fn lane_output(&self, l: usize, state: &LaneState<P::State>) -> f64 {
-        self.progs[l].output(&state.lane[l])
     }
 
     /// The init context lane `l` sees: the global one with its aux words
@@ -253,12 +239,8 @@ where
     P: VertexProgram,
     P::Wire: Default,
 {
-    fn width(&self) -> usize {
-        Lanes::width(self)
-    }
-
     fn lane_output(&self, l: usize, state: &LaneState<P::State>) -> f64 {
-        Lanes::lane_output(self, l, state)
+        self.progs[l].output(&state.lane[l])
     }
 }
 
@@ -700,10 +682,6 @@ impl VertexProgram for MsBfs {
 }
 
 impl BatchedProgram for MsBfs {
-    fn width(&self) -> usize {
-        self.sources.len()
-    }
-
     fn lane_output(&self, l: usize, state: &MsBfsState) -> f64 {
         MsBfs::level_out(state.level[l])
     }
@@ -862,7 +840,6 @@ mod tests {
         vals[1] = 1;
         let w = LaneWire { mask: 0b010, vals };
         assert_eq!(b.wire_payload_bytes(&w), 8 + VAL_BYTES);
-        assert_eq!(b.width(), 3);
     }
 
     #[test]
@@ -951,7 +928,6 @@ mod tests {
     fn ms_bfs_wire_is_one_word_regardless_of_width() {
         let b = MsBfs::new(&[1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(b.wire_bytes(), 8);
-        assert_eq!(b.width(), 8);
         assert!(!b.supports_async());
         let degs = vec![0u32; 10];
         let ctx = InitCtx::new(10, &degs);

@@ -66,14 +66,6 @@ impl HealthTracker {
         }
     }
 
-    /// Ends a straggler window.
-    pub fn clear_straggler(&mut self, device: u32) {
-        if self.status[device as usize] == DeviceHealth::Straggler {
-            self.status[device as usize] = DeviceHealth::Healthy;
-            self.slow_factor[device as usize] = 1.0;
-        }
-    }
-
     /// Compute-time multiplier for `device` (1.0 unless straggling).
     pub fn factor(&self, device: u32) -> f64 {
         self.slow_factor[device as usize]
@@ -104,12 +96,6 @@ impl HealthTracker {
     pub fn num_devices(&self) -> u32 {
         self.status.len() as u32
     }
-
-    /// Per-device health snapshot (index = device id) — what an
-    /// operator-facing status endpoint reports alongside residual memory.
-    pub fn statuses(&self) -> &[DeviceHealth] {
-        &self.status
-    }
 }
 
 #[cfg(test)]
@@ -129,22 +115,17 @@ mod tests {
         assert!(!h.all_healthy());
         assert_eq!(h.alive_count(), 4, "stragglers are alive");
 
-        h.clear_straggler(1);
-        assert!(h.all_healthy());
-        assert_eq!(h.factor(1), 1.0);
-
         h.mark_dead(2);
         assert!(!h.is_alive(2));
         assert_eq!(h.alive_count(), 3);
         assert_eq!(h.num_devices(), 4);
         assert_eq!(h.alive_flags(), vec![true, true, false, true]);
-        assert_eq!(h.statuses()[2], DeviceHealth::Dead);
         // Dead devices can't straggle.
         h.set_straggler(2, 2.0);
         assert_eq!(h.health(2), DeviceHealth::Dead);
 
         h.revive(2);
         assert!(h.is_alive(2));
-        assert!(h.all_healthy());
+        assert_eq!(h.health(2), DeviceHealth::Healthy);
     }
 }

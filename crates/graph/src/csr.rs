@@ -298,16 +298,6 @@ impl Csr {
         }
     }
 
-    /// The weights parallel to [`Csr::neighbors`], or `None` if unweighted.
-    #[inline]
-    pub fn edge_weights(&self, v: VertexId) -> Option<&[u32]> {
-        self.weights.as_ref().map(|w| {
-            let lo = self.offsets[v as usize] as usize;
-            let hi = self.offsets[v as usize + 1] as usize;
-            &w[lo..hi]
-        })
-    }
-
     /// Neighbors of `v` zipped with weights (weight 0 when unweighted).
     pub fn edges(&self, v: VertexId) -> impl Iterator<Item = (VertexId, u32)> + '_ {
         let lo = self.offsets[v as usize] as usize;

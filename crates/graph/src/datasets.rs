@@ -435,11 +435,6 @@ impl Dataset {
     pub fn paper_equivalent_bytes(&self, measured: u64) -> u64 {
         measured * self.divisor
     }
-
-    /// Paper-equivalent GB for `measured` bytes.
-    pub fn paper_equivalent_gb(&self, measured: u64) -> f64 {
-        self.paper_equivalent_bytes(measured) as f64 / 1e9
-    }
 }
 
 impl std::fmt::Display for DatasetId {
@@ -505,7 +500,6 @@ mod tests {
         let ds = DatasetId::Orkut.load_scaled(4);
         assert_eq!(ds.divisor, 1024);
         assert_eq!(ds.paper_equivalent_bytes(1000), 1_024_000);
-        assert!((ds.paper_equivalent_gb(1_000_000) - 1.024).abs() < 1e-9);
     }
 
     #[test]

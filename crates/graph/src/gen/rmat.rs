@@ -49,15 +49,6 @@ impl RmatConfig {
         self
     }
 
-    /// Sets quadrant probabilities `a`, `b`, `c` (`d = 1 - a - b - c`).
-    pub fn quadrants(mut self, a: f64, b: f64, c: f64) -> Self {
-        assert!(a + b + c <= 1.0 + 1e-9);
-        self.a = a;
-        self.b = b;
-        self.c = c;
-        self
-    }
-
     /// Streams the raw (pre-dedup) edge sequence without materializing it —
     /// the streaming ingest path feeds this straight into an external sort
     /// ([`crate::stream::EdgeSpill`]). [`RmatConfig::generate_edges`]

@@ -216,14 +216,6 @@ impl Partition {
     pub fn total_edges(&self) -> u64 {
         self.locals.iter().map(|l| l.num_edges()).sum()
     }
-
-    /// Devices owning at least one mirror of masters on `owner` — the
-    /// broadcast partner set before update filtering.
-    pub fn mirror_holders(&self, owner: u32) -> Vec<u32> {
-        (0..self.num_devices)
-            .filter(|&h| h != owner && !self.link(h, owner).is_empty())
-            .collect()
-    }
 }
 
 /// Where every global vertex's master lives: the whole of the global→local

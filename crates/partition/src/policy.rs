@@ -126,18 +126,6 @@ impl Grid {
         debug_assert!(r < self.pr && c < self.pc);
         r * self.pc + c
     }
-
-    /// Devices sharing a grid row with `d` (including `d`).
-    pub fn row_peers(&self, d: u32) -> impl Iterator<Item = u32> + '_ {
-        let r = self.row(d);
-        (0..self.pc).map(move |c| self.device_at(r, c))
-    }
-
-    /// Devices sharing a grid column with `d` (including `d`).
-    pub fn col_peers(&self, d: u32) -> impl Iterator<Item = u32> + '_ {
-        let c = self.col(d);
-        (0..self.pr).map(move |r| self.device_at(r, c))
-    }
 }
 
 #[cfg(test)]
@@ -163,13 +151,6 @@ mod tests {
         for d in 0..32 {
             assert_eq!(g.device_at(g.row(d), g.col(d)), d);
         }
-    }
-
-    #[test]
-    fn row_and_col_peers() {
-        let g = Grid::for_devices(8); // 4x2
-        assert_eq!(g.row_peers(5).collect::<Vec<_>>(), vec![4, 5]);
-        assert_eq!(g.col_peers(5).collect::<Vec<_>>(), vec![1, 3, 5, 7]);
     }
 
     #[test]
