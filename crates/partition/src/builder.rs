@@ -161,44 +161,6 @@ impl Partition {
         }
     }
 
-    /// Reassembles a partition from previously serialized parts,
-    /// validating basic consistency (used by [`crate::io`]).
-    #[allow(clippy::result_large_err)]
-    pub fn from_parts(
-        policy: Policy,
-        num_devices: u32,
-        grid: Option<Grid>,
-        num_global_vertices: u32,
-        locals: Vec<LocalGraph>,
-        links: Vec<PairLink>,
-    ) -> Result<Partition, String> {
-        if locals.len() != num_devices as usize {
-            return Err(format!(
-                "expected {num_devices} locals, got {}",
-                locals.len()
-            ));
-        }
-        if links.len() as u64 != u64::from(num_devices) * u64::from(num_devices) {
-            return Err("link table size mismatch".into());
-        }
-        for (d, lg) in locals.iter().enumerate() {
-            if lg.device != d as u32 {
-                return Err(format!("local {d} carries device id {}", lg.device));
-            }
-            if lg.num_masters > lg.num_vertices() {
-                return Err("more masters than vertices".into());
-            }
-        }
-        Ok(Partition {
-            policy,
-            num_devices,
-            grid,
-            num_global_vertices,
-            locals,
-            links,
-        })
-    }
-
     /// The exchange link for mirrors held on `holder` whose masters live on
     /// `owner`.
     #[inline]
