@@ -472,6 +472,45 @@ mod tests {
         assert!(same.arrival < cross.arrival);
     }
 
+    /// §V-B3: "there is a threshold below which the overhead of extracting
+    /// the updated values outweighs the benefits of volume reduction. This
+    /// threshold can be determined using microbenchmarking." Here it is
+    /// determined by this model: one 500 000-entry cross-host message on
+    /// Bridges, where UO also pays the prefix-scan extraction before it
+    /// departs. AS arrives at 1 240.7 µs; UO arrives at 185.5 µs with
+    /// nothing updated, 768.8 µs at 50 % and 1 235.5 µs at 90 %, and loses
+    /// from 91 % (1 247.1 µs) on: the crossover is near 90.5 %.
+    #[test]
+    fn uo_wins_below_the_modelled_threshold() {
+        use crate::message::{as_message_bytes, uo_message_bytes, VAL_BYTES};
+        use dirgl_gpusim::{GpuSpec, KernelModel};
+
+        const ENTRIES: u64 = 500_000;
+        let m = model(4);
+        let arrival = |bytes: u64, depart: f64| {
+            let msg = SendDesc {
+                from: 0,
+                to: 2,
+                bytes,
+                depart: SimTime::from_secs_f64(depart),
+            };
+            m.send(&mut m.new_state(), msg).arrival.as_secs_f64() * 1e6
+        };
+        let scan = KernelModel::new(GpuSpec::p100()).scan_time(ENTRIES);
+        let as_us = arrival(as_message_bytes(ENTRIES, VAL_BYTES), 0.0);
+        let uo_us = |pct: u64| {
+            arrival(
+                uo_message_bytes(ENTRIES, ENTRIES * pct / 100, VAL_BYTES),
+                scan,
+            )
+        };
+        assert!((as_us - 1240.7).abs() < 0.1, "AS {as_us} µs");
+        assert!(uo_us(90) < as_us, "UO {} µs at 90 %", uo_us(90));
+        for pct in [91, 100] {
+            assert!(uo_us(pct) > as_us, "UO {} µs at {pct} %", uo_us(pct));
+        }
+    }
+
     #[test]
     fn nic_serializes_messages() {
         let m = model(8);
