@@ -19,7 +19,7 @@
 //! when the compressed path is retired or `--min-divisor` is reached.
 //! At every step where both paths fit, bfs runs end-to-end on both
 //! partitions and the reports + vertex values must be byte-identical
-//! (asserted: the same contract `tests/scale_determinism.rs` pins).
+//! (asserted: the same contract `tests/golden_digests.rs` pins).
 //!
 //! Sizes, ratios, both peaks and the depth summary go to stdout. At one
 //! pool thread they repeat byte for byte (the plain path's peak depends on

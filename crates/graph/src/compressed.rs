@@ -10,8 +10,8 @@
 //!
 //! The representation is lossless and order-preserving: `to_csr()` rebuilds
 //! the exact [`Csr`] (same row order, same weights), which is what the
-//! compressed-vs-plain determinism contracts in `tests/scale_determinism.rs`
-//! pin. Decoding is row-at-a-time into caller-provided scratch
+//! golden corpus's `Compressed` launch transform (`tests/golden_digests.rs`)
+//! pins. Decoding is row-at-a-time into caller-provided scratch
 //! ([`CompressedCsr::decode_row_into`]), so steady-state consumers touch the
 //! allocator only until the scratch grows to the maximum degree — the same
 //! pooling discipline as the engine's `RoundScratch`.

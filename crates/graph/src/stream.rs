@@ -10,8 +10,7 @@
 //! edges, `EdgeList::dedup`'s output is exactly the ascending unique
 //! `(src, dst)` sequence with self-loops dropped — which is also exactly
 //! what the merge yields, so the streaming path is bit-identical to the
-//! in-memory one by construction (pinned by tests below and in
-//! `tests/scale_determinism.rs`).
+//! in-memory one by construction (pinned by the tests below).
 //!
 //! Weights are drawn *inline* during the merge with the same RNG sequence
 //! `randomize_weights` uses (per-edge in CSR order), so the streamed

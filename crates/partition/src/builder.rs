@@ -87,7 +87,7 @@ impl Partition {
     /// Two-pass chunked partition build over any [`EdgeSource`] — the
     /// out-of-core counterpart of [`Partition::build`], bit-identical to it
     /// for every supported policy (pinned by tests here and in
-    /// `tests/scale_determinism.rs`).
+    /// `tests/partition_digests.rs` and `tests/golden_digests.rs`).
     ///
     /// Pass 1 streams the edges once to accumulate out/in-degree
     /// histograms, from which
