@@ -9,11 +9,6 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
-/// Texts that no longer match what their bins print and so are not
-/// diffed yet. Regenerating one means adding its diff step to CI and
-/// taking it off this list (the test fails until both are done).
-const NOT_YET_DIFFED: [&str; 1] = ["fig6"];
-
 /// Bin names whose committed text a workflow diffs against the bin's
 /// stdout.
 fn diffed_in(workflow: &str) -> BTreeSet<String> {
@@ -54,12 +49,8 @@ fn every_committed_text_is_diffed_in_ci() {
         .collect();
     let diffed =
         diffed_in(&std::fs::read_to_string(root.join(".github/workflows/ci.yml")).unwrap());
-    let waiting: BTreeSet<String> = NOT_YET_DIFFED.iter().map(|s| s.to_string()).collect();
 
-    let ungated: Vec<_> = committed
-        .difference(&diffed)
-        .filter(|f| !waiting.contains(*f))
-        .collect();
+    let ungated: Vec<_> = committed.difference(&diffed).collect();
     assert!(
         ungated.is_empty(),
         "committed but not diffed in CI: {ungated:?}"
@@ -68,14 +59,6 @@ fn every_committed_text_is_diffed_in_ci() {
     assert!(
         missing.is_empty(),
         "diffed in CI but not committed: {missing:?}"
-    );
-    let stale: Vec<_> = waiting
-        .iter()
-        .filter(|f| !committed.contains(*f) || diffed.contains(*f))
-        .collect();
-    assert!(
-        stale.is_empty(),
-        "NOT_YET_DIFFED lists texts that are diffed or gone: {stale:?}"
     );
 }
 
