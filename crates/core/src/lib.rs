@@ -51,7 +51,7 @@ pub use multi::{
     lanes_of, BatchedProgram, LaneState, LaneWire, Lanes, MsBfs, MsBfsState, MultiSourceProgram,
     LANE_WIDTH, MS_UNREACHED,
 };
-pub use program::{InitCtx, Style, VertexProgram, PULL_THRESHOLD};
+pub use program::{InitCtx, MinLabel, MinState, Style, VertexProgram, PULL_THRESHOLD};
 pub use report::{ExecutionReport, RoundSummary};
 pub use resilience::ResilienceStats;
 pub use runtime::{

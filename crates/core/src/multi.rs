@@ -690,6 +690,7 @@ impl BatchedProgram for MsBfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::MinLabel;
 
     /// Minimal min-propagation program, one instance per source.
     #[derive(Clone)]
@@ -698,50 +699,22 @@ mod tests {
         style: Style,
     }
 
-    impl VertexProgram for MinFrom {
-        type State = u32;
-        type Wire = u32;
-        fn name(&self) -> &'static str {
+    impl MinLabel for MinFrom {
+        fn program_name(&self) -> &'static str {
             "minfrom"
         }
-        fn style(&self) -> Style {
+        fn program_style(&self) -> Style {
             self.style
         }
-        fn init_state(&self, gv: VertexId, _ctx: &InitCtx<'_>) -> u32 {
+        fn seed(&self, gv: VertexId) -> u32 {
             if gv == self.source {
                 0
             } else {
                 u32::MAX
             }
         }
-        fn initially_active(&self, gv: VertexId, _ctx: &InitCtx<'_>) -> bool {
-            gv == self.source
-        }
-        fn edge_msg(&self, state: &u32, _w: u32) -> Option<u32> {
-            (*state != u32::MAX).then(|| *state + 1)
-        }
-        fn accumulate(&self, state: &mut u32, msg: u32) -> bool {
-            if msg < *state {
-                *state = msg;
-                true
-            } else {
-                false
-            }
-        }
-        fn absorb(&self, _state: &mut u32) -> bool {
-            false
-        }
-        fn take_delta(&self, state: &mut u32) -> u32 {
-            *state
-        }
-        fn canonical(&self, state: &u32) -> u32 {
-            *state
-        }
-        fn set_canonical(&self, state: &mut u32, v: u32) -> bool {
-            self.accumulate(state, v)
-        }
-        fn output(&self, state: &u32) -> f64 {
-            *state as f64
+        fn relax(&self, level: u32, _w: u32) -> u32 {
+            level + 1
         }
     }
 
@@ -775,8 +748,8 @@ mod tests {
         let ctx = InitCtx::new(10, &degs);
         let s5 = b.init_state(5, &ctx);
         assert_eq!(s5.pending, 0b010, "vertex 5 is lane 1's source");
-        assert_eq!(s5.lane[1], 0);
-        assert_eq!(s5.lane[0], u32::MAX);
+        assert_eq!(s5.lane[1].label, 0);
+        assert_eq!(s5.lane[0].label, u32::MAX);
         assert!(b.initially_active(5, &ctx));
         assert!(!b.initially_active(3, &ctx));
     }
@@ -809,8 +782,8 @@ mod tests {
         vals[2] = 9;
         assert!(b.accumulate(&mut s, LaneWire { mask: 0b101, vals }));
         assert_eq!(s.updated, 0b101);
-        assert_eq!(s.lane[0], 4);
-        assert_eq!(s.lane[2], 9);
+        assert_eq!(s.lane[0].acc, 4);
+        assert_eq!(s.lane[2].acc, 9);
         // Worse values change nothing.
         assert!(!b.accumulate(&mut s, LaneWire { mask: 0b101, vals }));
         let d = b.take_delta(&mut s);

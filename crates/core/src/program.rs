@@ -243,62 +243,218 @@ pub trait VertexProgram: Sync {
     fn output(&self, state: &Self::State) -> f64;
 }
 
+/// Per-proxy state of a [`MinLabel`] program. Both fields hold `u32::MAX`,
+/// the identity of `min`, while empty.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MinState {
+    /// Best known label (canonical on masters).
+    pub label: u32,
+    /// Best candidate received since the last absorb or reduce.
+    pub acc: u32,
+}
+
+/// A data-driven program whose reduction is `min` over `u32` with identity
+/// `u32::MAX` (bfs levels, sssp distances, cc component ids, §IV-B). It
+/// declares a seed label and an edge operator; the [`VertexProgram`]
+/// implementation for every `MinLabel` derives the fold. The method names
+/// differ from [`VertexProgram`]'s, so calls stay unambiguous where both
+/// traits are in scope.
+pub trait MinLabel: Sync {
+    /// [`VertexProgram::name`].
+    fn program_name(&self) -> &'static str;
+
+    /// [`VertexProgram::style`]; data-driven push unless overridden.
+    fn program_style(&self) -> Style {
+        Style::PushDataDriven
+    }
+
+    /// [`VertexProgram::needs_symmetric`].
+    fn symmetric(&self) -> bool {
+        false
+    }
+
+    /// [`VertexProgram::uses_weights`].
+    fn weighted(&self) -> bool {
+        false
+    }
+
+    /// Initial label of global vertex `gv`, `u32::MAX` for none. A
+    /// labelled vertex starts active.
+    fn seed(&self, gv: VertexId) -> u32;
+
+    /// The label a vertex labelled `label` sends over an edge of weight
+    /// `weight`.
+    fn relax(&self, label: u32, weight: u32) -> u32;
+}
+
+impl<T: MinLabel> VertexProgram for T {
+    type State = MinState;
+    type Wire = u32;
+
+    fn name(&self) -> &'static str {
+        self.program_name()
+    }
+
+    fn style(&self) -> Style {
+        self.program_style()
+    }
+
+    fn needs_symmetric(&self) -> bool {
+        self.symmetric()
+    }
+
+    fn uses_weights(&self) -> bool {
+        self.weighted()
+    }
+
+    fn init_state(&self, gv: VertexId, _ctx: &InitCtx<'_>) -> MinState {
+        MinState {
+            label: self.seed(gv),
+            acc: u32::MAX,
+        }
+    }
+
+    fn initially_active(&self, gv: VertexId, _ctx: &InitCtx<'_>) -> bool {
+        self.seed(gv) != u32::MAX
+    }
+
+    fn edge_msg(&self, state: &MinState, weight: u32) -> Option<u32> {
+        (state.label != u32::MAX).then(|| self.relax(state.label, weight))
+    }
+
+    fn accumulate(&self, state: &mut MinState, msg: u32) -> bool {
+        // A compare-and-select: in a relax loop whether a candidate
+        // improves follows the edge weights, so a branch on it would
+        // mispredict often.
+        let better = msg < state.acc.min(state.label);
+        state.acc = std::hint::select_unpredictable(better, msg, state.acc);
+        better
+    }
+
+    fn absorb(&self, state: &mut MinState) -> bool {
+        if state.acc < state.label {
+            state.label = state.acc;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn take_delta(&self, state: &mut MinState) -> u32 {
+        let d = state.acc.min(state.label);
+        state.acc = u32::MAX;
+        d
+    }
+
+    fn canonical(&self, state: &MinState) -> u32 {
+        state.label
+    }
+
+    fn set_canonical(&self, state: &mut MinState, v: u32) -> bool {
+        if v < state.label {
+            state.label = v;
+            true
+        } else {
+            false
+        }
+    }
+
+    fn output(&self, state: &MinState) -> f64 {
+        state.label as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A minimal min-propagation program used to exercise defaults.
+    const NONE: u32 = u32::MAX;
+
+    /// Labels every vertex with its own id and relaxes by the edge weight.
     struct MinProp;
 
-    impl VertexProgram for MinProp {
-        type State = u32;
-        type Wire = u32;
-        fn name(&self) -> &'static str {
+    impl MinLabel for MinProp {
+        fn program_name(&self) -> &'static str {
             "minprop"
         }
-        fn style(&self) -> Style {
-            Style::PushDataDriven
-        }
-        fn init_state(&self, gv: VertexId, _ctx: &InitCtx<'_>) -> u32 {
+        fn seed(&self, gv: VertexId) -> u32 {
             gv
         }
-        fn initially_active(&self, _gv: VertexId, _ctx: &InitCtx<'_>) -> bool {
-            true
-        }
-        fn edge_msg(&self, state: &u32, _w: u32) -> Option<u32> {
-            Some(*state)
-        }
-        fn accumulate(&self, state: &mut u32, msg: u32) -> bool {
-            if msg < *state {
-                *state = msg;
-                true
-            } else {
-                false
-            }
-        }
-        fn absorb(&self, _state: &mut u32) -> bool {
-            false
-        }
-        fn take_delta(&self, state: &mut u32) -> u32 {
-            *state
-        }
-        fn canonical(&self, state: &u32) -> u32 {
-            *state
-        }
-        fn set_canonical(&self, state: &mut u32, v: u32) -> bool {
-            self.accumulate(state, v)
-        }
-        fn output(&self, state: &u32) -> f64 {
-            *state as f64
+        fn relax(&self, label: u32, weight: u32) -> u32 {
+            label.saturating_add(weight)
         }
     }
 
+    fn st(label: u32, acc: u32) -> MinState {
+        MinState { label, acc }
+    }
+
     #[test]
-    fn defaults_are_sensible() {
-        let p = MinProp;
-        assert!(!p.needs_symmetric());
+    fn defaults_and_derived_hooks() {
+        let (p, degs) = (MinProp, [1u32; 4]);
+        let ctx = InitCtx::new(4, &degs);
+        assert!(!p.needs_symmetric() && !p.uses_weights());
+        assert_eq!(p.style(), Style::PushDataDriven);
         assert_eq!(p.max_rounds(), 100_000);
-        let mut s = 5;
-        assert!(p.begin_push(&mut s));
+        assert!(p.begin_push(&mut st(5, 7)));
+        assert_eq!(p.init_state(3, &ctx), st(3, NONE));
+        assert!(p.initially_active(3, &ctx));
+        assert!(!p.initially_active(NONE, &ctx));
+        assert_eq!(p.edge_msg(&st(3, 1), 4), Some(7));
+        assert_eq!(p.edge_msg(&st(NONE, 1), 4), None);
+        // A run of candidates between absorbs keeps only the best.
+        let mut s = st(100, NONE);
+        assert!(p.accumulate(&mut s, 40) && p.accumulate(&mut s, 30));
+        assert!(!p.accumulate(&mut s, 35));
+        assert!(p.absorb(&mut s));
+        assert_eq!(s.label, 30);
+    }
+
+    /// The branchy form the compare-and-select replaced.
+    fn accumulate_branchy(state: &mut MinState, msg: u32) -> bool {
+        if msg < state.acc && msg < state.label {
+            state.acc = msg;
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Every hook of the fold over a table of labels and accumulators,
+    /// with messages that tie either field, the sentinel, and one below
+    /// each field.
+    #[test]
+    fn min_fold_over_the_value_grid() {
+        let p = MinProp;
+        let values = [0, 7, 8, 9, NONE - 1, NONE];
+        for (label, acc) in values.into_iter().flat_map(|l| values.map(|a| (l, a))) {
+            let (s, best) = (st(label, acc), label.min(acc));
+            let below = |x: u32| x.saturating_sub(1);
+            for msg in [acc, label, NONE, below(acc), below(label)] {
+                let (mut got, mut want) = (s, s);
+                let took = p.accumulate(&mut got, msg);
+                assert_eq!(took, accumulate_branchy(&mut want, msg), "{s:?} <- {msg}");
+                assert_eq!(got, want, "{s:?} <- {msg}");
+                // Neither a tie nor the sentinel ever improves.
+                assert_eq!(took, msg < best, "{s:?} <- {msg}");
+            }
+            // take_delta ships the better field (an untouched mirror its
+            // canonical label) and resets the accumulator.
+            let mut t = s;
+            assert_eq!(p.take_delta(&mut t), best);
+            assert_eq!(t, st(label, NONE));
+            // absorb installs a better accumulator, and only once.
+            let mut a = s;
+            assert_eq!(p.absorb(&mut a), acc < label);
+            assert_eq!((p.canonical(&a), p.output(&a)), (best, best as f64));
+            assert!(!p.absorb(&mut a));
+            assert_eq!(a, st(best, acc));
+            // set_canonical takes only a strictly better label.
+            for v in values {
+                let mut m = s;
+                assert_eq!(p.set_canonical(&mut m, v), v < label, "{s:?} <- {v}");
+                assert_eq!(m, st(label.min(v), acc), "{s:?} <- {v}");
+            }
+        }
     }
 }

@@ -3,8 +3,8 @@
 
 use dirgl_comm::{CommMode, SimTime};
 use dirgl_core::{
-    CollectingSink, EngineKind, ExecModel, InitCtx, LayoutChoice, RunConfig, Runtime, Style,
-    Variant, VertexProgram,
+    CollectingSink, EngineKind, ExecModel, LayoutChoice, MinLabel, RunConfig, Runtime, Style,
+    Variant,
 };
 use dirgl_gpusim::{Balancer, Platform};
 use dirgl_graph::csr::{Csr, CsrBuilder, VertexId};
@@ -28,74 +28,29 @@ impl MinProp {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Debug)]
-struct St {
-    dist: u32,
-    acc: u32,
-}
-
-impl VertexProgram for MinProp {
-    type State = St;
-    type Wire = u32;
-    fn name(&self) -> &'static str {
+impl MinLabel for MinProp {
+    fn program_name(&self) -> &'static str {
         "minprop"
     }
-    fn style(&self) -> Style {
+    fn program_style(&self) -> Style {
         if self.pull {
             Style::PullTopologyDriven
         } else {
             Style::PushDataDriven
         }
     }
-    fn uses_weights(&self) -> bool {
+    fn weighted(&self) -> bool {
         self.pull
     }
-    fn init_state(&self, gv: VertexId, _ctx: &InitCtx<'_>) -> St {
-        St {
-            dist: if gv == self.source { 0 } else { u32::MAX },
-            acc: u32::MAX,
-        }
-    }
-    fn initially_active(&self, gv: VertexId, _ctx: &InitCtx<'_>) -> bool {
-        gv == self.source
-    }
-    fn edge_msg(&self, state: &St, w: u32) -> Option<u32> {
-        (state.dist != u32::MAX).then(|| state.dist + if self.pull { w } else { 1 })
-    }
-    fn accumulate(&self, state: &mut St, msg: u32) -> bool {
-        if msg < state.acc && msg < state.dist {
-            state.acc = msg;
-            true
+    fn seed(&self, gv: VertexId) -> u32 {
+        if gv == self.source {
+            0
         } else {
-            false
+            u32::MAX
         }
     }
-    fn absorb(&self, state: &mut St) -> bool {
-        if state.acc < state.dist {
-            state.dist = state.acc;
-            true
-        } else {
-            false
-        }
-    }
-    fn take_delta(&self, state: &mut St) -> u32 {
-        let d = state.acc.min(state.dist);
-        state.acc = u32::MAX;
-        d
-    }
-    fn canonical(&self, state: &St) -> u32 {
-        state.dist
-    }
-    fn set_canonical(&self, state: &mut St, v: u32) -> bool {
-        if v < state.dist {
-            state.dist = v;
-            true
-        } else {
-            false
-        }
-    }
-    fn output(&self, state: &St) -> f64 {
-        state.dist as f64
+    fn relax(&self, dist: u32, w: u32) -> u32 {
+        dist + if self.pull { w } else { 1 }
     }
 }
 

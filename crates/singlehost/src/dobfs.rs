@@ -8,8 +8,7 @@
 //! inputs the bottom-up phase skips the enormous middle-frontier edge
 //! expansion, which is exactly Gunrock's Table II advantage.
 
-use dirgl_apps::bfs::BfsState;
-use dirgl_core::{InitCtx, Style, VertexProgram};
+use dirgl_core::{MinLabel, Style};
 use dirgl_graph::csr::{Csr, VertexId};
 
 /// Direction-optimizing BFS from `source`.
@@ -37,51 +36,20 @@ impl DoBfs {
     }
 }
 
-impl VertexProgram for DoBfs {
-    type State = BfsState;
-    type Wire = u32;
-
-    fn name(&self) -> &'static str {
+impl MinLabel for DoBfs {
+    fn program_name(&self) -> &'static str {
         "bfs(direction-optimizing)"
     }
 
-    fn style(&self) -> Style {
+    fn program_style(&self) -> Style {
         Style::HybridPushPull
     }
 
-    fn init_state(&self, gv: VertexId, ctx: &InitCtx<'_>) -> BfsState {
-        self.inner().init_state(gv, ctx)
+    fn seed(&self, gv: VertexId) -> u32 {
+        self.inner().seed(gv)
     }
 
-    fn initially_active(&self, gv: VertexId, ctx: &InitCtx<'_>) -> bool {
-        self.inner().initially_active(gv, ctx)
-    }
-
-    fn edge_msg(&self, state: &BfsState, weight: u32) -> Option<u32> {
-        self.inner().edge_msg(state, weight)
-    }
-
-    fn accumulate(&self, state: &mut BfsState, msg: u32) -> bool {
-        self.inner().accumulate(state, msg)
-    }
-
-    fn absorb(&self, state: &mut BfsState) -> bool {
-        self.inner().absorb(state)
-    }
-
-    fn take_delta(&self, state: &mut BfsState) -> u32 {
-        self.inner().take_delta(state)
-    }
-
-    fn canonical(&self, state: &BfsState) -> u32 {
-        self.inner().canonical(state)
-    }
-
-    fn set_canonical(&self, state: &mut BfsState, v: u32) -> bool {
-        self.inner().set_canonical(state, v)
-    }
-
-    fn output(&self, state: &BfsState) -> f64 {
-        self.inner().output(state)
+    fn relax(&self, level: u32, weight: u32) -> u32 {
+        self.inner().relax(level, weight)
     }
 }

@@ -15,10 +15,9 @@
 //! none does. HVC adds links with entries that do not take part, some of
 //! them in words below the first participant's.
 
-use dirgl::apps::sssp::SsspState;
 use dirgl::comm::{ExtractIndex, SyncPlan};
 use dirgl::core::device::{DeviceRun, SyncDir};
-use dirgl::core::InitCtx;
+use dirgl::core::{InitCtx, MinState};
 use dirgl::graph::weights::{randomize_weights, DEFAULT_MAX_WEIGHT};
 use dirgl::prelude::*;
 
@@ -102,8 +101,8 @@ impl Fixture {
         );
         let mut rng = Rng(seed ^ (u64::from(me) << 32));
         for lv in 0..dev.lg.num_vertices() {
-            dev.state[lv as usize] = SsspState {
-                dist: (rng.next() % 1000) as u32,
+            dev.state[lv as usize] = MinState {
+                label: (rng.next() % 1000) as u32,
                 acc: (rng.next() % 1000) as u32,
             };
             if rng.chance(density) {
