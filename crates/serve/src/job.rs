@@ -253,8 +253,6 @@ pub enum SubmitError {
     },
     /// A traversal spec arrived with an empty source set.
     EmptySources,
-    /// The server is shutting down and accepts no new work.
-    ShuttingDown,
 }
 
 impl std::fmt::Display for SubmitError {
@@ -274,7 +272,6 @@ impl std::fmt::Display for SubmitError {
                 "source vertex {source} out of range (graph has {num_vertices} vertices)"
             ),
             SubmitError::EmptySources => write!(f, "traversal spec has no sources"),
-            SubmitError::ShuttingDown => write!(f, "server is shutting down"),
         }
     }
 }

@@ -751,9 +751,6 @@ impl JobServer {
 
         let deadline = req.deadline.map(|d| Instant::now() + d);
         let mut s = inner.sched.lock().unwrap();
-        if s.shutdown {
-            return Err(SubmitError::ShuttingDown);
-        }
         if s.queue.len() >= inner.queue_capacity {
             inner.c.rejected_saturated.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::Saturated {
@@ -901,9 +898,9 @@ impl JobServer {
         }
     }
 
-    /// Shuts the server down: refuses new submissions, fails queued jobs
-    /// with [`JobError::ShutDown`], lets in-flight jobs finish, joins the
-    /// executors.
+    /// Shuts the server down: fails queued jobs with
+    /// [`JobError::ShutDown`], lets in-flight jobs finish, joins the
+    /// executors. It takes the server, so no submission can follow.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
