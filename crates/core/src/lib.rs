@@ -48,8 +48,8 @@ pub mod trace;
 pub use config::{ExecModel, RunConfig, Variant};
 pub use engine::{run_engine, EngineOutcome, ExecutionModel};
 pub use multi::{
-    lanes_of, BatchedProgram, LaneState, LaneWire, Lanes, MsBfs, MsBfsState, MultiSourceProgram,
-    LANE_WIDTH, MS_UNREACHED,
+    at_width_class, lanes_of, AtWidth, BatchedProgram, LaneState, LaneWire, Lanes, MsBfs,
+    MsBfsState, MultiSourceProgram, LANE_WIDTH, MS_UNREACHED,
 };
 pub use program::{InitCtx, MinLabel, MinState, Style, VertexProgram, PULL_THRESHOLD};
 pub use report::{ExecutionReport, RoundSummary};

@@ -45,7 +45,7 @@ use dirgl_partition::{LocalGraph, Partition};
 use crate::config::RunConfig;
 use crate::device::DeviceRun;
 use crate::engine::run_engine;
-use crate::multi::{BatchedProgram, MultiSourceProgram, LANE_WIDTH};
+use crate::multi::{at_width_class, AtWidth, BatchedProgram, MultiSourceProgram, LANE_WIDTH};
 use crate::program::{InitCtx, VertexProgram};
 use crate::report::{ExecutionReport, RoundSummary};
 use crate::trace::{ForkSink, NoopSink, TraceSink};
@@ -122,7 +122,8 @@ pub enum Backend {
     #[default]
     Scalar,
     /// Width [`LANE_WIDTH`]: one engine run advances up to 64 sources
-    /// through the program's batched form.
+    /// through the program's batched form, at the narrowest lane-width
+    /// class that holds them ([`crate::multi::at_width_class`]).
     Lanes,
 }
 
@@ -455,7 +456,8 @@ impl<'a, P: VertexProgram> Runner<'a, P> {
 /// partitioned view and its per-lane values can be compared bit for bit.
 /// The width alone picks a launch's program: a chunk of one source runs
 /// [`MultiSourceProgram::for_source`], a longer chunk
-/// [`MultiSourceProgram::batched`].
+/// [`MultiSourceProgram::batched`] at the chunk's width class
+/// ([`at_width_class`]).
 pub struct MultiRunner<'a, P: VertexProgram> {
     rt: &'a Runtime,
     graph: &'a Csr,
@@ -494,7 +496,16 @@ where
         let (locals, plan) = (&view.part.locals[..], &*view.plan);
         Ok(match first[..] {
             [s] => rt.footprint_of(locals, plan, &program.for_source(s)),
-            _ => rt.footprint_of(locals, plan, &program.batched(&first)),
+            _ => at_width_class(
+                first.len(),
+                BatchFootprint(BatchLaunch {
+                    rt,
+                    view: &view,
+                    program,
+                    aux: self.aux,
+                    sources: &first,
+                }),
+            ),
         })
     }
 
@@ -525,12 +536,16 @@ where
                     let (out, _) = execute_job(rt, &view, &program.for_source(s), aux, None)?;
                     (out.report, vec![out.values])
                 }
-                _ => {
-                    let batched = program.batched(chunk);
-                    let (out, states) = execute_job(rt, &view, &batched, aux, None)?;
-                    let lane = |l| states.iter().map(|st| batched.lane_output(l, st)).collect();
-                    (out.report, (0..chunk.len()).map(lane).collect())
-                }
+                _ => at_width_class(
+                    chunk.len(),
+                    BatchLaunch {
+                        rt,
+                        view: &view,
+                        program,
+                        aux,
+                        sources: chunk,
+                    },
+                )?,
             };
             engine_reports.push(report);
             for (&source, values) in chunk.iter().zip(values) {
@@ -553,6 +568,46 @@ where
             .chunks(self.lane_width)
             .next()
             .expect("multi-source batch needs at least one source")
+    }
+}
+
+/// One batched launch of [`MultiRunner::execute`]: its report and one
+/// value vector per lane.
+struct BatchLaunch<'r, 'a, P> {
+    rt: &'r Runtime,
+    view: &'r View<'a>,
+    program: &'r P,
+    aux: Option<&'r [u64]>,
+    sources: &'r [VertexId],
+}
+
+impl<P: MultiSourceProgram> AtWidth for BatchLaunch<'_, '_, P> {
+    type Output = Result<(ExecutionReport, Vec<Vec<f64>>), RunError>;
+
+    fn at<const N: usize>(self) -> Self::Output {
+        let batched = self.program.batched::<N>(self.sources);
+        let (out, states) = execute_job(self.rt, self.view, &batched, self.aux, None)?;
+        let lane = |l| states.iter().map(|st| batched.lane_output(l, st)).collect();
+        Ok((out.report, (0..self.sources.len()).map(lane).collect()))
+    }
+}
+
+/// The footprint of a [`BatchLaunch`] ([`MultiRunner::footprint`]).
+struct BatchFootprint<'r, 'a, P>(BatchLaunch<'r, 'a, P>);
+
+impl<P: MultiSourceProgram> AtWidth for BatchFootprint<'_, '_, P> {
+    type Output = Vec<DeviceFootprint>;
+
+    fn at<const N: usize>(self) -> Vec<DeviceFootprint> {
+        let BatchLaunch {
+            rt,
+            view,
+            program,
+            sources,
+            ..
+        } = self.0;
+        let locals = &view.part.locals[..];
+        rt.footprint_of(locals, &view.plan, &program.batched::<N>(sources))
     }
 }
 
