@@ -19,10 +19,12 @@ impl MinLabel for Cc {
     }
 
     /// Every vertex starts as its own component, so all start active.
+    #[inline]
     fn seed(&self, gv: VertexId) -> u32 {
         gv
     }
 
+    #[inline]
     fn relax(&self, comp: u32, _weight: u32) -> u32 {
         comp
     }

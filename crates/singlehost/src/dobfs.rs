@@ -45,10 +45,12 @@ impl MinLabel for DoBfs {
         Style::HybridPushPull
     }
 
+    #[inline]
     fn seed(&self, gv: VertexId) -> u32 {
         self.inner().seed(gv)
     }
 
+    #[inline]
     fn relax(&self, level: u32, weight: u32) -> u32 {
         self.inner().relax(level, weight)
     }
