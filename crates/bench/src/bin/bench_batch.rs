@@ -1,23 +1,28 @@
 //! Multi-source batching benchmark: how many bfs sources per second does
 //! the K-lane bit-matrix backend sustain versus running the same sources
-//! as serial scalar jobs?
+//! as serial scalar jobs — and what does the value-lane adapter cost for
+//! sssp on the same input?
 //!
 //! One partition is built and reused; then for K ∈ {1, 4, 8, 64} the
-//! same source set runs twice — `Backend::Scalar` (K one-source engine runs,
-//! the baseline) and `Backend::Lanes` (one engine pass advancing all K
-//! frontiers). Every lane is asserted byte-identical to its scalar run,
+//! same bfs source set runs twice — `Backend::Scalar` (K one-source engine
+//! runs, the baseline) and `Backend::Lanes` (one engine pass advancing all
+//! K frontiers). Every lane is asserted byte-identical to its scalar run,
 //! so the speedup is never bought with divergent answers. K = 4 and 8 run
 //! at the 8-lane width class and K = 64 at the 64-lane one, so both
-//! classes appear, one of them part-filled.
+//! classes appear, one of them part-filled. An sssp block then does the
+//! same at K ∈ {1, 4, 8} through the value-lane adapter (`Lanes`), which
+//! ships one value per lane where MS-BFS ships one bit.
 //!
 //! The headline sources/sec and the asserted ≥4× floor are in
 //! *paper-equivalent simulated time*, deterministic run to run and at any
 //! pool size, so stdout repeats byte for byte and
 //! `bench_results/bench_batch.txt` holds it (CI diffs it). Host wall
-//! times go to stderr, for reference. The simulated win is the MS-BFS
-//! claim itself: a vertex on many lanes' frontiers is scanned once per
-//! round, not once per lane, so one batched pass costs about one scalar
-//! pass.
+//! times and the host lanes/scalar ratio go to stderr, for reference: a
+//! value-lane batch wins in simulated time but costs more host time than
+//! its scalar runs, which is why the job-server batches bfs only. The
+//! simulated win is the MS-BFS claim itself: a vertex on many lanes'
+//! frontiers is scanned once per round, not once per lane, so one batched
+//! pass costs about one scalar pass.
 //!
 //! ```sh
 //! cargo run --release --bin bench_batch -- [--scale N] [--gpus N]
@@ -34,7 +39,8 @@ use dirgl_graph::DatasetId;
 use dirgl_partition::Policy;
 
 const USAGE: &str = "usage: bench_batch [--scale N] [--gpus N]";
-const LANE_COUNTS: [usize; 4] = [1, 4, 8, 64];
+const BFS_LANE_COUNTS: [usize; 4] = [1, 4, 8, 64];
+const SSSP_LANE_COUNTS: [usize; 3] = [1, 4, 8];
 
 struct Opts {
     extra_scale: NonZeroU64,
@@ -127,39 +133,23 @@ fn main() {
     )
     .expect("warmup failed");
 
-    let mut speedup_64 = 0.0f64;
-    for k in LANE_COUNTS {
+    // One K-source comparison of `bench`: both backends, every lane
+    // identical, the simulated line on stdout and host times on stderr.
+    // Returns the simulated speedup.
+    let mut compare = |bench: BenchId, k: usize| {
         let sources = spread_sources(n, base, k);
-
-        let t = Instant::now();
-        let scalar = run_dirgl_batch(
-            BenchId::Bfs,
-            &ld,
-            &mut cache,
-            &platform,
-            cfg(),
-            &sources,
-            Backend::Scalar,
-        )
-        .expect("scalar batch failed");
-        let scalar_s = t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        let lanes = run_dirgl_batch(
-            BenchId::Bfs,
-            &ld,
-            &mut cache,
-            &platform,
-            cfg(),
-            &sources,
-            Backend::Lanes,
-        )
-        .expect("lanes batch failed");
-        let lanes_s = t.elapsed().as_secs_f64();
+        let mut run = |backend| {
+            let t = Instant::now();
+            let out = run_dirgl_batch(bench, &ld, &mut cache, &platform, cfg(), &sources, backend)
+                .unwrap_or_else(|e| panic!("{bench} K={k} on {backend:?} failed: {e}"));
+            (out, t.elapsed().as_secs_f64())
+        };
+        let (scalar, scalar_s) = run(Backend::Scalar);
+        let (lanes, lanes_s) = run(Backend::Lanes);
 
         assert!(
             identical(&lanes, &scalar),
-            "K={k}: a lane diverged from its scalar run"
+            "{bench} K={k}: a lane diverged from its scalar run"
         );
         assert_eq!(
             scalar.engine_reports.len(),
@@ -174,23 +164,34 @@ fn main() {
         let scalar_sps = k as f64 / scalar_sim;
         let lanes_sps = k as f64 / lanes_sim;
         let speedup = lanes_sps / scalar_sps;
-        if k == 64 {
-            speedup_64 = speedup;
-        }
         println!(
             "K={k:>2}: scalar {scalar_sim:.6}s ({scalar_sps:.3} src/s) | lanes \
              {lanes_sim:.6}s ({lanes_sps:.3} src/s) | speedup {speedup:.3}x | \
              engine_passes {passes} | identical",
         );
         eprintln!(
-            "K={k:>2}: host scalar {scalar_s:.6}s, lanes {lanes_s:.6}s ({:.3}x)",
-            scalar_s / lanes_s
+            "{bench} K={k:>2}: host scalar {scalar_s:.6}s, lanes {lanes_s:.6}s \
+             (lanes/scalar {:.2}x)",
+            lanes_s / scalar_s
         );
-    }
+        speedup
+    };
 
+    let mut speedup_64 = 0.0f64;
+    for k in BFS_LANE_COUNTS {
+        let speedup = compare(BenchId::Bfs, k);
+        if k == 64 {
+            speedup_64 = speedup;
+        }
+    }
     println!("\nK=64 speedup: {speedup_64:.2}x (acceptance floor: 4x)");
     assert!(
         speedup_64 >= 4.0,
         "K=64 batched bfs must sustain >= 4x the serial scalar sources/sec, got {speedup_64:.2}x"
     );
+
+    println!("\nsssp, value lanes, same input and partition:");
+    for k in SSSP_LANE_COUNTS {
+        compare(BenchId::Sssp, k);
+    }
 }
