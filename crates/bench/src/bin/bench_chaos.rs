@@ -12,7 +12,8 @@
 //! * `crash_rejoin` / `crash_dead` — device 1 crashes at round 2 (with and
 //!   without rejoin) under 5% drop, plus a 4× straggler window on device 2.
 //! * `memory_pressure` — device capacities tightened (via the server's own
-//!   footprint oracle) so wide batches must walk the degradation ladder.
+//!   footprint oracle) so the wide bfs batch must walk the degradation
+//!   ladder.
 //! * `deadline_churn` — half the stream queued behind a paused server with
 //!   already-hopeless deadlines, the rest fresh.
 //! * `saturation` — a 2-slot queue against a 12-job burst.
@@ -215,7 +216,7 @@ fn main() {
     }
 
     // memory_pressure: tighten capacities between the 4-wide and 16-wide
-    // footprints of the wide sssp batch, so it must degrade to fit.
+    // footprints of the wide bfs batch, so it must degrade to fit.
     {
         let probe = load(
             g,
@@ -223,7 +224,7 @@ fn main() {
             base_cfg(),
             ServeConfig::default(),
         );
-        let wide = JobSpec::Sssp {
+        let wide = JobSpec::Bfs {
             sources: (0..16).map(|k| (k * g.num_vertices()) / 16).collect(),
         };
         let f16 = *probe

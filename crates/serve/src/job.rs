@@ -12,11 +12,12 @@ use crate::governor::RejectReason;
 /// cache-key payload: two jobs with equal specs (in the same graph epoch)
 /// are the same computation and may be served from the result cache.
 ///
-/// The traversal specs carry a *set* of sources: one spec runs all of them
-/// in a single K-lane batched pass (K ≤ 64 per engine launch), and its
-/// outcome holds one value vector per source, in source order. Sources are
-/// canonicalized (sorted, deduplicated) at admission so `bfs from {3, 7}`
-/// and `bfs from {7, 3, 3}` are the same cache entry.
+/// The traversal specs carry a *set* of sources, run under one admission
+/// grant: bfs runs them as lanes of one K-lane batched pass (K ≤ 64 per
+/// engine launch), sssp and bc as one scalar launch per source. The
+/// outcome holds one value vector per source, in source order. Sources
+/// are canonicalized (sorted, deduplicated) at admission so
+/// `bfs from {3, 7}` and `bfs from {7, 3, 3}` are the same cache entry.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum JobSpec {
     /// Breadth-first search from one or more sources.
@@ -38,8 +39,8 @@ pub enum JobSpec {
         /// Core threshold.
         k: u32,
     },
-    /// Betweenness centrality from one or more sources (two-phase per
-    /// batch: forward on the graph, backward on its resident transpose).
+    /// Betweenness centrality from one or more sources (two phases per
+    /// source: forward on the graph, backward on its resident transpose).
     Bc {
         /// Source vertices (canonicalized at admission).
         sources: Vec<u32>,
@@ -166,15 +167,16 @@ impl JobRequest {
     }
 }
 
-/// A completed job's output: one [`ExecutionReport`] per phase (exactly
-/// one for the single-phase programs; bc has forward + backward) and one
+/// A completed job's output: the [`ExecutionReport`] of every engine
+/// phase it launched, in launch order (one per launch for the
+/// single-phase programs; bc has forward + backward per source), and one
 /// per-global-vertex value vector **per source**, in the spec's canonical
 /// source order (parameterless jobs have exactly one entry). Shared behind
 /// `Arc` between the requester and the result cache, so a cache hit
 /// returns the very same bytes the cold run produced.
 #[derive(Clone, Debug)]
 pub struct JobOutcome {
-    /// Per-phase reports, in phase order.
+    /// Per-phase reports of every launch, in launch order.
     pub reports: Vec<ExecutionReport>,
     /// One final value vector per source (canonical source order);
     /// parameterless jobs have exactly one.
@@ -182,8 +184,9 @@ pub struct JobOutcome {
 }
 
 impl JobOutcome {
-    /// The primary (last-phase) report — the one whose total time answers
-    /// "how long did this query take" for multi-phase jobs too.
+    /// The last launch's last-phase report — for a single-source job, the
+    /// one whose total time answers "how long did this query take", for
+    /// multi-phase jobs too.
     pub fn report(&self) -> &ExecutionReport {
         self.reports
             .last()
@@ -219,7 +222,9 @@ pub struct JobResult {
 /// across every phase.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct JobResilience {
-    /// Lane width the job asked for (sources per launch; 1 = scalar).
+    /// Lane width the job asked for: the width its family batches at,
+    /// `min(K, 64)` for bfs and 1 (one scalar launch per source) for
+    /// every other kind.
     pub requested_width: usize,
     /// Lane width the admission governor granted and the job ran at.
     pub granted_width: usize,
@@ -227,7 +232,8 @@ pub struct JobResilience {
     /// ladder narrowed the job to fit memory or health pressure).
     pub degraded: bool,
     /// Engine-level fault and recovery counters (link retries, crashes,
-    /// rollbacks, re-homed masters), summed over all phases.
+    /// rollbacks, re-homed masters), summed over every phase of every
+    /// launch.
     pub engine: ResilienceStats,
 }
 

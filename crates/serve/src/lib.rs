@@ -21,22 +21,26 @@
 //!   with reject-with-reason), a priority queue, a fixed executor pool
 //!   bounding jobs in flight, and counters ([`ServerStats`]).
 //! * the admission governor (the `governor` module) — the one place a
-//!   job's lane width is picked: before the job's single launch it
-//!   predicts the per-device memory footprint with the engine's own
-//!   formula, checks it against health-shrunk residual capacity and walks
-//!   the lane-width degradation ladder (64 → 32 → … → scalar) until it
-//!   fits, shedding Low-priority work under pressure; a job that launches
-//!   alone keeps its deadline while it waits for admission, and every
-//!   result carries its [`JobResilience`] record.
+//!   job's lane width is picked: before the job runs it predicts the
+//!   per-device memory footprint with the engine's own formula, checks it
+//!   against health-shrunk residual capacity and walks the lane-width
+//!   degradation ladder (64 → 32 → … → scalar) until it fits, shedding
+//!   Low-priority work under pressure; a job that launches alone keeps its
+//!   deadline while it waits for admission, and every result carries its
+//!   [`JobResilience`] record.
 //!
-//! Traversal specs (bfs/sssp/bc) carry a *set* of sources and run them as
-//! lanes of one K-lane batched engine pass (K ≤ 64); a single source is a
-//! batch of one. At dequeue, a worker widens its job into a **coalescing
-//! window** (a lone job is a window of one): queued single-source jobs of
-//! the same kind and epoch merge into one batched launch, which waits for
-//! admission without a deadline, each job keeps its own handle and
-//! outcome, and the result cache is filled per source — later identical
-//! singletons hit without running.
+//! Traversal specs (bfs/sssp/bc) carry a *set* of sources. Only a family
+//! whose batched form is bit-parallel is served batched: bfs runs its
+//! sources as lanes of K-lane `MsBfs` engine passes (K ≤ 64), a single
+//! source being a batch of one. sssp and bc batch through the value-lane
+//! adapter, which on the host costs more than running the sources one by
+//! one, so they run one scalar launch per source under the job's one
+//! admission grant. At dequeue, a worker widens its job into a
+//! **coalescing window** (a lone job is a window of one): queued
+//! single-source jobs of the same kind and epoch merge into one
+//! multi-source job, which waits for admission without a deadline, each
+//! job keeps its own handle and outcome, and the result cache is filled
+//! per source — later identical singletons hit without running.
 //!
 //! Determinism carries over: each served job is byte-identical to its
 //! serial `runner(...).execute()` equivalent, because the server's

@@ -17,8 +17,9 @@
 
 use std::time::Duration;
 
+use dirgl_apps::betweenness_centrality_prepared;
 use dirgl_comm::FaultPlan;
-use dirgl_core::{RunConfig, Variant};
+use dirgl_core::{ResilienceStats, RunConfig, Runtime, Variant};
 use dirgl_gpusim::Platform;
 use dirgl_graph::weights::randomize_weights;
 use dirgl_graph::{Csr, RmatConfig};
@@ -193,12 +194,12 @@ fn mixed_stream_under_link_and_device_chaos_is_exact() {
 }
 
 /// Memory pressure (tightened device capacities) on top of lossy links:
-/// wide batches degrade down the lane-width ladder, still answering
+/// a wide bfs batch degrades down the lane-width ladder, still answering
 /// bit-identically to the unconstrained fault-free run.
 #[test]
 fn memory_pressure_degrades_but_answers_do_not_change() {
     let g = rmat();
-    let spec = JobSpec::Sssp {
+    let spec = JobSpec::Bfs {
         sources: sources(&g, 16),
     };
 
@@ -255,6 +256,57 @@ fn memory_pressure_degrades_but_answers_do_not_change() {
     assert!(stats.degraded >= 1);
     assert_eq!(stats.failed, 0);
     reconciles(&stats);
+}
+
+/// A multi-source bc job reports every launch: one scalar launch per
+/// source, each a forward and a backward phase, in launch order. So its
+/// resilience record sums the faults of every launch, equal to the
+/// merged stats of the per-source direct runs under the same fault plan,
+/// and every source's scores are bit-identical to its direct run.
+#[test]
+fn bc_job_reports_every_launch_and_its_faults() {
+    let g = rmat();
+    let config = clean_config().with_faults(FaultPlan::seeded(fault_seed()).with_drop(0.05));
+    let srv = JobServer::load(
+        &g,
+        Platform::bridges(DEVICES),
+        config.clone(),
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let srcs = sources(&g, 3);
+    let r = srv
+        .submit_spec(JobSpec::Bc {
+            sources: srcs.clone(),
+        })
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(
+        r.outcome.reports.len(),
+        6,
+        "forward and backward per source"
+    );
+
+    let rt = Runtime::new(Platform::bridges(DEVICES), config);
+    let fwd = rt.prepare(&g, false).unwrap();
+    let bwd = rt.prepare(&g.transpose(), false).unwrap();
+    let mut want = ResilienceStats::default();
+    for (l, &s) in srcs.iter().enumerate() {
+        let direct = betweenness_centrality_prepared(&rt, &fwd, &bwd, s).unwrap();
+        want.merge(&direct.forward.resilience);
+        want.merge(&direct.backward.resilience);
+        assert_eq!(
+            bits(&r.outcome.per_source[l]),
+            bits(&direct.scores),
+            "source {s}"
+        );
+    }
+    assert!(
+        want.faults.retransmits > 0,
+        "premise: the lossy links forced retransmissions"
+    );
+    assert_eq!(r.resilience.engine, want);
 }
 
 /// Deadline churn: stale work expires (exactly once each), fresh work
