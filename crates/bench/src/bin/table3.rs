@@ -1,7 +1,8 @@
 //! Table III: maximum memory usage (GB) across the 6 GPUs of Tuxedo for cc
-//! (Lux uses a static memory allocation, so its column is constant).
+//! (Lux uses a static memory allocation, so its column is constant). Ends
+//! with the claim `lux_memory_constant_dirgl_below_lux`.
 
-use dirgl_bench::{print_row, Args, BenchId, LoadedDataset, PartitionCache};
+use dirgl_bench::{print_claim, print_row, Args, BenchId, LoadedDataset, PartitionCache};
 use dirgl_core::Variant;
 use dirgl_gpusim::Platform;
 use dirgl_graph::DatasetId;
@@ -9,8 +10,9 @@ use dirgl_partition::Policy;
 use lux_sim::LuxRuntime;
 use singlehost_sim::{GrouteSim, GunrockSim};
 
-fn gb(bytes: u64) -> String {
-    format!("{:.2}", bytes as f64 / 1e9)
+/// A max-memory cell: GB, or OOM (`None`).
+fn gb(bytes: &Option<u64>) -> String {
+    bytes.map_or("OOM".into(), |b| format!("{:.2}", b as f64 / 1e9))
 }
 
 fn main() {
@@ -27,59 +29,57 @@ fn main() {
     header.extend(datasets.iter().map(|ld| ld.ds.id.name().to_string()));
     print_row(&header, &widths);
 
-    let mut rows: Vec<(String, Vec<String>)> = Vec::new();
-
-    let mut gunrock = Vec::new();
-    let mut groute = Vec::new();
-    let mut lux = Vec::new();
-    let mut dirgl = Vec::new();
+    // Max memory per system (rows) and input (columns); `None` is OOM.
+    let mut memory: [(&str, Vec<Option<u64>>); 4] = [
+        ("Gunrock", Vec::new()),
+        ("Groute", Vec::new()),
+        ("Lux", Vec::new()),
+        ("D-IrGL", Vec::new()),
+    ];
     for ld in &datasets {
-        gunrock.push(
-            match GunrockSim::new(platform.clone(), ld.ds.divisor).run_cc(ld.graph_for(BenchId::Cc))
-            {
-                Ok(o) => gb(o.report.max_memory()),
-                Err(_) => "OOM".into(),
-            },
-        );
-        groute.push(
-            match GrouteSim::new(platform.clone(), ld.ds.divisor).run_cc(ld.graph_for(BenchId::Cc))
-            {
-                Ok(o) => gb(o.report.max_memory()),
-                Err(_) => "OOM".into(),
-            },
-        );
-        lux.push(
-            match LuxRuntime::new(platform.clone(), ld.ds.divisor).run_cc(ld.graph_for(BenchId::Cc))
-            {
-                Ok(o) => gb(o.report.max_memory()),
-                Err(_) => "OOM".into(),
-            },
-        );
+        let g = ld.graph_for(BenchId::Cc);
+        let divisor = ld.ds.divisor;
         let mut cache = PartitionCache::new();
-        dirgl.push(
-            match dirgl_bench::run_dirgl(
+        let runs = [
+            GunrockSim::new(platform.clone(), divisor).run_cc(g),
+            GrouteSim::new(platform.clone(), divisor).run_cc(g),
+            LuxRuntime::new(platform.clone(), divisor).run_cc(g),
+            dirgl_bench::run_dirgl(
                 BenchId::Cc,
                 ld,
                 &mut cache,
                 &platform,
                 Policy::Cvc,
                 Variant::var4(),
-            ) {
-                Ok(o) => gb(o.report.max_memory()),
-                Err(_) => "OOM".into(),
-            },
-        );
+            ),
+        ];
+        for ((_, cells), r) in memory.iter_mut().zip(runs) {
+            cells.push(r.ok().map(|o| o.report.max_memory()));
+        }
     }
-    rows.push(("Gunrock".into(), gunrock));
-    rows.push(("Groute".into(), groute));
-    rows.push(("Lux".into(), lux));
-    rows.push(("D-IrGL".into(), dirgl));
-    for (name, cells) in rows {
-        let mut row = vec![name];
-        row.extend(cells);
+    for (name, cells) in &memory {
+        let mut row = vec![name.to_string()];
+        row.extend(cells.iter().map(gb));
         print_row(&row, &widths);
     }
     println!("\nPaper shape: Lux's column is a constant static reservation (5.85 GB);");
     println!("D-IrGL uses the least memory; Gunrock's random partitioning replicates");
     println!("the most among the working-set-sized frameworks.");
+
+    // Lux's memory is a graph-independent constant; D-IrGL's is working-set
+    // sized and below it. (D-IrGL is not the smallest everywhere: Groute
+    // is below it on rmat23, EXPERIMENTS.md's known divergence 7.)
+    let [_, _, (_, lux), (_, dirgl)] = &memory;
+    let show = |cells: &[Option<u64>]| cells.iter().map(gb).collect::<Vec<_>>().join(" / ");
+    print_claim(
+        "lux_memory_constant_dirgl_below_lux",
+        lux.iter().all(|&l| l.is_some() && l == lux[0])
+            && dirgl.iter().zip(lux).all(|(d, l)| d.is_some() && d < l),
+        &format!(
+            "cc on Tuxedo, {}: Lux {} GB, D-IrGL (CVC, Var4) {} GB",
+            header[1..].join(" / "),
+            show(lux),
+            show(dirgl)
+        ),
+    );
 }

@@ -394,6 +394,31 @@ pub fn fmt_result(r: &Result<RunOutput, RunError>) -> String {
     }
 }
 
+/// A run's simulated total in seconds; a cell that ran out of memory is
+/// infinitely slow.
+pub fn total_secs(r: &Result<RunOutput, RunError>) -> f64 {
+    r.as_ref()
+        .map_or(f64::INFINITY, |out| out.report.total_time.as_secs_f64())
+}
+
+/// Prints one of the paper's claims as `claim <name>: holds (<evidence>)`
+/// or `claim <name>: fails (<evidence>)`. The bin that computes a claim's
+/// cells prints it after its figure, so CI's diff of the committed text
+/// gates the claim with the cells, and `tests/experiment_shapes.rs` reads
+/// it back through [`parse_claim`].
+pub fn print_claim(name: &str, holds: bool, evidence: &str) {
+    let verdict = if holds { "holds" } else { "fails" };
+    println!("claim {name}: {verdict} ({evidence})");
+}
+
+/// Reads a line of a committed text as `(name, holds)`, or `None` when it
+/// is not a claim line. A claim line that does not read `holds` fails.
+pub fn parse_claim(line: &str) -> Option<(&str, bool)> {
+    let claim = line.strip_prefix("claim ")?;
+    let (name, verdict) = claim.split_once(": ").unwrap_or((claim, ""));
+    Some((name, verdict.split_whitespace().next() == Some("holds")))
+}
+
 /// Prints one row of a fixed-width table.
 pub fn print_row(cells: &[String], widths: &[usize]) {
     let mut line = String::new();
@@ -545,6 +570,15 @@ mod tests {
             err.message
         );
         assert!(err.message.contains("parent directory"), "{}", err.message);
+    }
+
+    #[test]
+    fn claim_lines_read_back() {
+        assert_eq!(parse_claim("claim a_b: holds (1/1)"), Some(("a_b", true)));
+        assert_eq!(parse_claim("claim a_b: fails (0/1)"), Some(("a_b", false)));
+        assert_eq!(parse_claim("claim a_b: holdsx"), Some(("a_b", false)));
+        assert_eq!(parse_claim("claim a_b"), Some(("a_b", false)));
+        assert_eq!(parse_claim("Paper shape: claim"), None);
     }
 
     #[test]
