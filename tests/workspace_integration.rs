@@ -140,12 +140,3 @@ fn all_frameworks_agree_on_components() {
         assert_eq!(vals[..], want[..], "{name} components differ");
     }
 }
-
-#[test]
-fn graph_io_roundtrip_through_facade() {
-    let g = graph();
-    let mut buf = Vec::new();
-    dirgl::graph::io::write_binary(&g, &mut buf).unwrap();
-    let g2 = dirgl::graph::io::read_binary(&buf[..]).unwrap();
-    assert_eq!(g, g2);
-}
