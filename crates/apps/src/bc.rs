@@ -22,8 +22,8 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use dirgl_core::{
-    at_width_class, AtWidth, DeviceFootprint, InitCtx, Lanes, MultiSourceProgram,
-    PreparedPartition, RunError, Runtime, Style, VertexProgram, LANE_WIDTH,
+    at_width_class, AtWidth, InitCtx, Lanes, MultiSourceProgram, PreparedPartition, RunError,
+    Runtime, Style, VertexProgram, LANE_WIDTH,
 };
 use dirgl_graph::csr::{Csr, VertexId};
 
@@ -426,52 +426,19 @@ impl AtWidth for BatchedBc<'_> {
 }
 
 /// The per-device footprints of the forward and backward launches
-/// [`batched_betweenness_centrality_prepared`] makes for `chunk`, one
-/// launch's sources (`1..=64` of them), costed by the engine's own load
-/// check ([`Runtime::footprint`]).
-pub fn batched_betweenness_centrality_footprint(
+/// [`betweenness_centrality_prepared`] makes for `source`, costed by the
+/// engine's own load check ([`Runtime::footprint`]).
+pub fn betweenness_centrality_footprint(
     runtime: &Runtime,
     fwd: &PreparedPartition,
     bwd: &PreparedPartition,
-    chunk: &[VertexId],
-) -> [Vec<DeviceFootprint>; 2] {
-    // The backward round gate does not change what a lane costs.
-    match *chunk {
-        [source] => [
-            runtime.footprint(fwd, &BcForward { source }),
-            runtime.footprint(bwd, &BcBackward::new(0)),
-        ],
-        _ => at_width_class(
-            chunk.len(),
-            BatchedBcFootprint(BatchedBc {
-                runtime,
-                fwd,
-                bwd,
-                sources: chunk,
-            }),
-        ),
-    }
-}
-
-/// The two phase footprints of one [`BatchedBc`] chunk.
-struct BatchedBcFootprint<'a>(BatchedBc<'a>);
-
-impl AtWidth for BatchedBcFootprint<'_> {
-    type Output = [Vec<DeviceFootprint>; 2];
-
-    fn at<const N: usize>(self) -> Self::Output {
-        let BatchedBc {
-            runtime,
-            fwd,
-            bwd,
-            sources,
-        } = self.0;
-        let backward = sources.iter().map(|_| BcBackward::new(0)).collect();
-        [
-            runtime.footprint(fwd, &BcForward { source: sources[0] }.batched::<N>(sources)),
-            runtime.footprint(bwd, &Lanes::<_, N>::from_programs(backward)),
-        ]
-    }
+    source: VertexId,
+) -> [Vec<u64>; 2] {
+    // The backward round gate does not change what the launch costs.
+    [
+        runtime.footprint(fwd, &BcForward { source }),
+        runtime.footprint(bwd, &BcBackward::new(0)),
+    ]
 }
 
 /// The backward phase's inputs from one source's forward states: the

@@ -25,8 +25,9 @@ pub mod reference;
 pub mod sssp;
 
 pub use bc::{
-    batched_betweenness_centrality_footprint, batched_betweenness_centrality_prepared,
-    betweenness_centrality, betweenness_centrality_prepared, BcBackward, BcForward, BcOutput,
+    batched_betweenness_centrality_prepared, betweenness_centrality,
+    betweenness_centrality_footprint, betweenness_centrality_prepared, BcBackward, BcForward,
+    BcOutput,
 };
 pub use bfs::Bfs;
 pub use cc::Cc;

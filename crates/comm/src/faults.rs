@@ -258,17 +258,15 @@ pub struct RetryConfig {
     pub max_retries: u32,
 }
 
-impl Default for RetryConfig {
-    fn default() -> RetryConfig {
-        RetryConfig {
-            // Well above the ~0.5 ms cross-host RTT of both modelled
-            // clusters, well below any round's compute time at full scale.
-            timeout_secs: 2e-3,
-            backoff: 2.0,
-            max_retries: 5,
-        }
-    }
-}
+/// The transport's retry ladder, a protocol constant of every run: a 2 ms
+/// first ack timeout — well above the ~0.5 ms cross-host RTT of both
+/// modelled clusters, well below any round's compute time at full scale —
+/// doubling over 5 retransmissions.
+pub const RETRY_LADDER: RetryConfig = RetryConfig {
+    timeout_secs: 2e-3,
+    backoff: 2.0,
+    max_retries: 5,
+};
 
 impl RetryConfig {
     /// Total waiting time across the whole retry ladder — how long after
@@ -525,12 +523,7 @@ mod tests {
 
     #[test]
     fn retry_ladder_sums_the_backoff() {
-        let r = RetryConfig {
-            timeout_secs: 1e-3,
-            backoff: 2.0,
-            max_retries: 3,
-        };
-        // 1 + 2 + 4 + 8 ms.
-        assert_eq!(r.give_up_after(), SimTime::from_secs_f64(15e-3));
+        // 2 + 4 + 8 + 16 + 32 + 64 ms.
+        assert_eq!(RETRY_LADDER.give_up_after(), SimTime::from_secs_f64(126e-3));
     }
 }

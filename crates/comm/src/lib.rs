@@ -35,6 +35,7 @@ pub use bitset::{live_mask, DenseBitset};
 pub use clock::SimTime;
 pub use faults::{
     CrashSpec, FaultCounters, FaultInjector, FaultPlan, LinkFate, RetryConfig, StragglerSpec,
+    RETRY_LADDER,
 };
 pub use message::{as_message_bytes, message_bytes_sized, uo_message_bytes, CommMode, VAL_BYTES};
 pub use net::{Delivery, ExchangeOutcome, MessageTrace, NetModel, NetState, SendDesc};

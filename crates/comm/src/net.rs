@@ -382,7 +382,7 @@ fn service_order(sends: &[SendDesc], order: &mut Vec<(u32, u32)>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultCounters, FaultPlan, RetryConfig};
+    use crate::faults::{FaultCounters, FaultPlan};
     use crate::reliable::{ReliableExchange, ReliableNet, ReliableState};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
@@ -401,7 +401,7 @@ mod tests {
         trace: Option<&mut Vec<MessageTrace>>,
         out: &mut ReliableExchange,
     ) {
-        let r = ReliableNet::new(m, FaultPlan::none(), RetryConfig::default());
+        let r = ReliableNet::new(m, FaultPlan::none());
         let mut counters = FaultCounters::default();
         let mut events = Vec::new();
         r.exchange_reliable(

@@ -26,7 +26,7 @@
 use dirgl_gpusim::HealthTracker;
 
 use crate::clock::SimTime;
-use crate::faults::{FaultCounters, FaultInjector, FaultPlan, LinkFate, RetryConfig};
+use crate::faults::{FaultCounters, FaultInjector, FaultPlan, LinkFate, RETRY_LADDER};
 use crate::net::{Delivery, ExchangeOutcome, MessageTrace, NetModel, NetState, SendDesc};
 
 /// Receiver/sender bookkeeping for reliable delivery: the next sequence
@@ -144,19 +144,17 @@ pub struct ReliableExchange {
 pub struct ReliableNet<'a> {
     net: &'a NetModel,
     injector: FaultInjector,
-    retry: RetryConfig,
     /// The plan schedules no link fault.
     lossless: bool,
 }
 
 impl<'a> ReliableNet<'a> {
     /// Wraps `net` with reliability under `plan`.
-    pub fn new(net: &'a NetModel, plan: FaultPlan, retry: RetryConfig) -> ReliableNet<'a> {
+    pub fn new(net: &'a NetModel, plan: FaultPlan) -> ReliableNet<'a> {
         ReliableNet {
             net,
             lossless: !plan.has_link_faults(),
             injector: FaultInjector::new(plan),
-            retry,
         }
     }
 
@@ -291,7 +289,8 @@ impl<'a> ReliableNet<'a> {
                         });
                     }
                     counters.timeouts += 1;
-                    let wait = self.retry.timeout_secs * self.retry.backoff.powi(attempt as i32);
+                    let wait =
+                        RETRY_LADDER.timeout_secs * RETRY_LADDER.backoff.powi(attempt as i32);
                     let timeout_at = d.host_send_done + SimTime::from_secs_f64(wait);
                     events.push(LinkEvent {
                         at: timeout_at,
@@ -301,7 +300,7 @@ impl<'a> ReliableNet<'a> {
                         attempt,
                         kind: LinkEventKind::Timeout,
                     });
-                    if attempt >= self.retry.max_retries {
+                    if attempt >= RETRY_LADDER.max_retries {
                         counters.delivery_failures += 1;
                         events.push(LinkEvent {
                             at: timeout_at,
@@ -425,7 +424,7 @@ mod tests {
         let plan = FaultPlan::seeded(9)
             .with_crash(1, 0, true)
             .with_straggler(2, 0, 3, 4.0);
-        let r = ReliableNet::new(&m, plan, RetryConfig::default());
+        let r = ReliableNet::new(&m, plan);
         let (mut st, mut raw_st) = (m.new_state(), m.new_state());
         let mut rst = ReliableState::for_devices(4);
         let mut counters = FaultCounters::default();
@@ -447,7 +446,7 @@ mod tests {
     fn drops_cause_retransmits_but_everything_arrives() {
         let m = model(4);
         let plan = FaultPlan::seeded(0xFA17).with_drop(0.3);
-        let r = ReliableNet::new(&m, plan, RetryConfig::default());
+        let r = ReliableNet::new(&m, plan);
         let mut st = m.new_state();
         let mut rst = ReliableState::for_devices(4);
         let mut counters = FaultCounters::default();
@@ -481,8 +480,7 @@ mod tests {
     #[test]
     fn dead_receiver_exhausts_the_budget() {
         let m = model(4);
-        let retry = RetryConfig::default();
-        let r = ReliableNet::new(&m, FaultPlan::none(), retry);
+        let r = ReliableNet::new(&m, FaultPlan::none());
         let mut st = m.new_state();
         let mut rst = ReliableState::for_devices(4);
         let mut counters = FaultCounters::default();
@@ -495,13 +493,13 @@ mod tests {
         };
         let v = r.send_reliable(&mut st, &mut rst, msg, false, &mut counters, &mut events);
         assert_eq!(v.arrival, None);
-        assert_eq!(v.attempts, retry.max_retries + 1);
+        assert_eq!(v.attempts, RETRY_LADDER.max_retries + 1);
         let gave_up = v.gave_up_at.expect("must give up");
         // Detection happens after the whole backoff ladder.
-        assert!(gave_up > msg.depart + retry.give_up_after());
+        assert!(gave_up > msg.depart + RETRY_LADDER.give_up_after());
         assert_eq!(counters.delivery_failures, 1);
-        assert_eq!(counters.timeouts as u32, retry.max_retries + 1);
-        assert_eq!(counters.retransmits as u32, retry.max_retries);
+        assert_eq!(counters.timeouts as u32, RETRY_LADDER.max_retries + 1);
+        assert_eq!(counters.retransmits as u32, RETRY_LADDER.max_retries);
         // A dead receiver is not an "injected" drop.
         assert_eq!(counters.drops_injected, 0);
         assert!(events.iter().any(|e| e.kind == LinkEventKind::GiveUp));
@@ -511,7 +509,7 @@ mod tests {
     fn duplicates_are_suppressed_and_charged() {
         let m = model(4);
         let plan = FaultPlan::seeded(7).with_duplicate(0.9);
-        let r = ReliableNet::new(&m, plan, RetryConfig::default());
+        let r = ReliableNet::new(&m, plan);
         let mut st = m.new_state();
         let mut rst = ReliableState::for_devices(4);
         let mut counters = FaultCounters::default();
@@ -542,7 +540,7 @@ mod tests {
         let m = model(4);
         let delay = 3e-3;
         let plan = FaultPlan::seeded(3).with_delay(0.999, delay);
-        let r = ReliableNet::new(&m, plan, RetryConfig::default());
+        let r = ReliableNet::new(&m, plan);
         let msg = SendDesc {
             from: 0,
             to: 2,

@@ -48,7 +48,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use dirgl_comm::{NetModel, NetState, SendDesc, SimTime, SyncPlan};
+use dirgl_comm::{NetModel, NetState, SendDesc, SimTime, SyncPlan, RETRY_LADDER};
 use dirgl_partition::Partition;
 
 use crate::config::RunConfig;
@@ -490,7 +490,7 @@ pub fn run_basp<P: VertexProgram>(
             // expires one full retry ladder past the last activity.
             None if fctx.dead_unrecovered(p) => {
                 sched.busy.iter().copied().max().unwrap_or(SimTime::ZERO)
-                    + config.retry.give_up_after()
+                    + RETRY_LADDER.give_up_after()
             }
             None => break,
         };

@@ -41,7 +41,9 @@
 
 use rayon::prelude::*;
 
-use dirgl_comm::{CommMode, FaultCounters, NetModel, NetState, SendDesc, SimTime, SyncPlan};
+use dirgl_comm::{
+    CommMode, FaultCounters, NetModel, NetState, SendDesc, SimTime, SyncPlan, RETRY_LADDER,
+};
 use dirgl_partition::Partition;
 
 use crate::config::RunConfig;
@@ -310,7 +312,7 @@ pub fn run_bsp<P: VertexProgram>(
                 .iter()
                 .copied()
                 .max()
-                .unwrap_or(pre_max + config.retry.give_up_after());
+                .unwrap_or(pre_max + RETRY_LADDER.give_up_after());
             let resume = restore_checkpoint(
                 program,
                 devices,

@@ -1,6 +1,6 @@
 //! Run configuration: the optimization variants of §IV-C.
 
-use dirgl_comm::{CommMode, FaultPlan, RetryConfig};
+use dirgl_comm::{CommMode, FaultPlan};
 use dirgl_gpusim::Balancer;
 use dirgl_partition::Policy;
 
@@ -116,23 +116,11 @@ pub struct RunConfig {
     /// the retry/ack transport; under the default, [`FaultPlan::none()`],
     /// each takes one attempt and costs one link-model send.
     pub faults: FaultPlan,
-    /// Retry policy of the transport (reached only when an attempt is
-    /// lost).
-    pub retry: RetryConfig,
     /// Checkpoint every `k` rounds, charging each dump's PCIe time, with
     /// or without a fault plan. When `k > 0` or the plan schedules a crash,
     /// round 0 is checkpointed too; 0 with no crash takes none.
     /// Rollback-based recovery replays from the most recent checkpoint.
     pub checkpoint_every_rounds: u32,
-    /// Allow devices whose raw working set exceeds capacity to run
-    /// *spilled*: the adjacency is held in delta-gap varint form
-    /// ([`dirgl_graph::CompressedCsr`]) and decoded row-by-row into scratch
-    /// each round, charging [`dirgl_gpusim::KernelModel::decode_time`] per
-    /// compute phase. Admission stays raw whenever raw fits — spill only
-    /// widens the feasible region, it never changes an admitted raw run.
-    /// Values, reports, and traces are byte-identical either way (the
-    /// decode reproduces the exact CSR windows; pinned by tests).
-    pub spill: bool,
 }
 
 impl RunConfig {
@@ -152,9 +140,7 @@ impl RunConfig {
             runtime_round_overhead_secs: 0.0,
             basp_round_gap_secs: 0.0,
             faults: FaultPlan::none(),
-            retry: RetryConfig::default(),
             checkpoint_every_rounds: 0,
-            spill: false,
         }
     }
 
@@ -173,13 +159,6 @@ impl RunConfig {
     /// Sets the checkpoint interval in rounds (builder style).
     pub fn with_checkpoints(mut self, every_rounds: u32) -> RunConfig {
         self.checkpoint_every_rounds = every_rounds;
-        self
-    }
-
-    /// Enables compressed-adjacency spill for over-capacity devices
-    /// (builder style).
-    pub fn with_spill(mut self, spill: bool) -> RunConfig {
-        self.spill = spill;
         self
     }
 }

@@ -3,7 +3,7 @@
 //! that do not depend on the schedule.
 //!
 //! [`run_engine`] dispatches a prepared device set to [`crate::bsp`] or
-//! [`crate::basp`] by [`ExecutionModel`], with the trace sink always in the
+//! [`crate::basp`] by [`ExecModel`], with the trace sink always in the
 //! signature (pass a [`crate::trace::NoopSink`] for untraced runs — a
 //! disabled sink skips all record assembly, so the untraced path costs
 //! nothing).
@@ -36,21 +36,17 @@ use dirgl_partition::Partition;
 
 use crate::basp::run_basp;
 use crate::bsp::run_bsp;
-use crate::config::RunConfig;
+use crate::config::{ExecModel, RunConfig};
 use crate::device::DeviceRun;
 use crate::program::VertexProgram;
 use crate::resilience::{checkpoint_transfer, DeviceSnapshot, HomeMap, ResilienceStats};
 use crate::trace::{EngineKind, FaultEvent, RoundRecord, TraceDirection, TraceSink};
 
-/// Which engine executes the run — a clearer-named alias of
-/// [`crate::config::ExecModel`] for dispatch call sites.
-pub use crate::config::ExecModel as ExecutionModel;
-
 /// Runs `program` on the prepared `devices` under the chosen execution
 /// model, emitting per-round records into `sink`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_engine<P: VertexProgram>(
-    model: ExecutionModel,
+    model: ExecModel,
     program: &P,
     devices: &mut [DeviceRun<'_, P>],
     part: &Partition,
@@ -60,8 +56,8 @@ pub fn run_engine<P: VertexProgram>(
     sink: &mut dyn TraceSink,
 ) -> EngineOutcome {
     match model {
-        ExecutionModel::Sync => run_bsp(program, devices, part, plan, net, config, sink),
-        ExecutionModel::Async => run_basp(program, devices, part, plan, net, config, sink),
+        ExecModel::Sync => run_bsp(program, devices, part, plan, net, config, sink),
+        ExecModel::Async => run_basp(program, devices, part, plan, net, config, sink),
     }
 }
 
@@ -216,7 +212,7 @@ impl<'a> FaultCtx<'a> {
     pub(crate) fn new(net: &'a NetModel, config: &RunConfig) -> FaultCtx<'a> {
         let p = net.platform().num_devices();
         FaultCtx {
-            rnet: ReliableNet::new(net, config.faults.clone(), config.retry),
+            rnet: ReliableNet::new(net, config.faults.clone()),
             rstate: ReliableState::for_devices(p),
             health: HealthTracker::new(p),
             home: HomeMap::identity(p),

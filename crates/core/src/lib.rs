@@ -15,7 +15,7 @@
 //! * [`bsp`] / [`basp`] — the two execution models of §III-B, each reduced
 //!   to its schedule (global rounds vs. a virtual-time event heap),
 //!   dispatched through [`engine::run_engine`] by
-//!   [`engine::ExecutionModel`]; [`engine`] also holds what they share
+//!   [`config::ExecModel`]; [`engine`] also holds what they share
 //!   of the one transport (the retry/ack `ReliableNet` every message goes
 //!   through) and of the fault layer (crash firing, checkpoint capture and
 //!   restore, the rejoin-or-rehome recovery tail);
@@ -28,7 +28,7 @@
 //!   asked for;
 //! * [`runtime::Runtime`] — partition, load, execute, and report; the
 //!   load check ([`runtime::Runtime::footprint`]) is the one place a
-//!   device's memory is costed and its adjacency representation chosen;
+//!   device's memory is costed;
 //! * [`report::ExecutionReport`] — the Max Compute / Min Wait / Device
 //!   Comm. decomposition with volume, rounds, work items and per-device
 //!   memory, feeding every figure and table of the evaluation.
@@ -46,7 +46,7 @@ pub mod runtime;
 pub mod trace;
 
 pub use config::{ExecModel, RunConfig, Variant};
-pub use engine::{run_engine, EngineOutcome, ExecutionModel};
+pub use engine::{run_engine, EngineOutcome};
 pub use multi::{
     at_width_class, lanes_of, AtWidth, BatchedProgram, LaneState, LaneWire, Lanes, MsBfs,
     MsBfsState, MultiSourceProgram, LANE_WIDTH, MS_UNREACHED,
@@ -55,8 +55,8 @@ pub use program::{InitCtx, MinLabel, MinState, Style, VertexProgram, PULL_THRESH
 pub use report::{ExecutionReport, RoundSummary};
 pub use resilience::ResilienceStats;
 pub use runtime::{
-    Backend, DeviceFootprint, LaneOutput, LaneSummary, LayoutChoice, MultiRunOutput, MultiRunner,
-    PartitionArg, PreparedPartition, RunError, RunOutput, Runner, Runtime,
+    Backend, LaneOutput, LaneSummary, LayoutChoice, MultiRunOutput, MultiRunner, PartitionArg,
+    PreparedPartition, RunError, RunOutput, Runner, Runtime,
 };
 pub use trace::{
     CollectingSink, EngineKind, FaultEvent, JsonLinesSink, NoopSink, RoundRecord, TraceDirection,

@@ -38,7 +38,7 @@
 use std::borrow::Cow;
 
 use dirgl_comm::{NetModel, SimTime, SyncPlan};
-use dirgl_gpusim::{GraphRepr, OomError, Platform, ReprCost};
+use dirgl_gpusim::{OomError, Platform};
 use dirgl_graph::csr::{Csr, VertexId};
 use dirgl_partition::{LocalGraph, Partition};
 
@@ -79,29 +79,6 @@ impl std::fmt::Display for RunError {
 }
 
 impl std::error::Error for RunError {}
-
-/// One device's memory cost for one job (see [`Runtime::footprint`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DeviceFootprint {
-    /// Bytes under each adjacency representation. The compressed candidate
-    /// is costed only under [`RunConfig::spill`]; without it, it repeats
-    /// the raw one.
-    pub cost: ReprCost,
-    /// The representation the load check picks, `None` when the device
-    /// cannot hold the partition (the run OOMs).
-    pub repr: Option<GraphRepr>,
-}
-
-impl DeviceFootprint {
-    /// Bytes the device is charged — or, when nothing fits, the smallest
-    /// footprint that was refused.
-    pub fn bytes(&self) -> u64 {
-        match self.repr {
-            Some(repr) => self.cost.bytes(repr),
-            None => self.cost.raw.min(self.cost.compressed),
-        }
-    }
-}
 
 /// A completed run: the report plus per-global-vertex outputs for
 /// verification.
@@ -489,7 +466,7 @@ where
     /// engine's own load check ([`Runtime::footprint`]) for the very
     /// program [`MultiRunner::execute`] launches first. Panics on an
     /// empty source list, as `execute` does.
-    pub fn footprint(self) -> Result<Vec<DeviceFootprint>, RunError> {
+    pub fn footprint(self) -> Result<Vec<u64>, RunError> {
         let first = self.first_chunk().to_vec();
         let (rt, program) = (self.rt, self.program);
         let view = resolve(rt, self.graph, program, self.part)?;
@@ -596,9 +573,9 @@ impl<P: MultiSourceProgram> AtWidth for BatchLaunch<'_, '_, P> {
 struct BatchFootprint<'r, 'a, P>(BatchLaunch<'r, 'a, P>);
 
 impl<P: MultiSourceProgram> AtWidth for BatchFootprint<'_, '_, P> {
-    type Output = Vec<DeviceFootprint>;
+    type Output = Vec<u64>;
 
-    fn at<const N: usize>(self) -> Vec<DeviceFootprint> {
+    fn at<const N: usize>(self) -> Vec<u64> {
         let BatchLaunch {
             rt,
             view,
@@ -688,22 +665,20 @@ fn execute_job<P: VertexProgram>(
     let (g, part, plan) = (&*view.graph, &*view.part, &*view.plan);
     let locals = &part.locals[..];
 
-    // --- Load check: every device must hold its partition, raw or (with
-    // `config.spill`) compressed.
+    // --- Load check: every device must hold its partition.
     let footprint = rt.footprint_of(locals, plan, program);
-    if let Some((lg, fp)) = locals
-        .iter()
-        .zip(&footprint)
-        .find(|(_, fp)| fp.repr.is_none())
-    {
-        return Err(RunError::Oom {
-            device: lg.device,
-            err: OomError {
-                requested: fp.bytes(),
-                in_use: 0,
-                capacity: rt.platform.gpus[lg.device as usize].memory_bytes,
-            },
-        });
+    for (lg, &requested) in locals.iter().zip(&footprint) {
+        let capacity = rt.platform.gpus[lg.device as usize].memory_bytes;
+        if requested > capacity {
+            return Err(RunError::Oom {
+                device: lg.device,
+                err: OomError {
+                    requested,
+                    in_use: 0,
+                    capacity,
+                },
+            });
+        }
     }
 
     // --- Initialize device state.
@@ -715,13 +690,10 @@ fn execute_job<P: VertexProgram>(
     let mut devices: Vec<DeviceRun<'_, P>> = locals
         .iter()
         .zip(&footprint)
-        .map(|(lg, fp)| {
+        .map(|(lg, &bytes)| {
             let spec = rt.platform.gpus[lg.device as usize];
             let mut d = DeviceRun::new(lg, spec, program, &ctx);
-            d.peak_memory = fp.bytes();
-            if fp.repr == Some(GraphRepr::Compressed) {
-                d.enable_spill();
-            }
+            d.peak_memory = bytes;
             d
         })
         .collect();
@@ -848,49 +820,29 @@ impl Runtime {
 
     /// Predicts the per-device memory footprint of running `program`
     /// against `prep`. This is the computation the load check of every
-    /// run performs (`Runtime::footprint_of`), so `footprint(...)[d]
-    /// .bytes()` equals what a run records in
+    /// run performs (`Runtime::footprint_of`), so `footprint(...)[d]`
+    /// equals what a run records in
     /// [`ExecutionReport::memory_per_device`] for device `d`, and the run
-    /// OOMs iff some `footprint(...)[d].repr` is `None`. The admission
+    /// OOMs iff some `footprint(...)[d]` exceeds that device's capacity
+    /// (a [`RunError::Oom`] naming the first such device). The admission
     /// governor predicts with it: prediction and engine admission cannot
     /// disagree because they are one computation.
-    pub fn footprint<P: VertexProgram>(
-        &self,
-        prep: &PreparedPartition,
-        program: &P,
-    ) -> Vec<DeviceFootprint> {
+    pub fn footprint<P: VertexProgram>(&self, prep: &PreparedPartition, program: &P) -> Vec<u64> {
         self.footprint_of(&prep.part.locals, &prep.plan, program)
     }
 
-    /// Costs every device of `locals` for `program` (including the
-    /// K-scaled `state_bytes` of batched programs) and picks its adjacency
-    /// representation: raw whenever raw fits the device's capacity, else —
-    /// only with [`RunConfig::spill`] — compressed
-    /// ([`crate::device::SpillState`]) when that fits. Spill only widens
-    /// the feasible region; it never changes an admitted raw run.
+    /// The bytes every device of `locals` is charged for `program`
+    /// (including the K-scaled `state_bytes` of batched programs).
     fn footprint_of<P: VertexProgram>(
         &self,
         locals: &[LocalGraph],
         plan: &SyncPlan,
         program: &P,
-    ) -> Vec<DeviceFootprint> {
+    ) -> Vec<u64> {
         let divisor = self.config.scale_divisor;
         locals
             .iter()
-            .map(|lg| {
-                let raw = DeviceRun::required_bytes(lg, plan, program, divisor, false);
-                let compressed = if self.config.spill {
-                    DeviceRun::required_bytes(lg, plan, program, divisor, true)
-                } else {
-                    raw
-                };
-                let cost = ReprCost { raw, compressed };
-                let capacity = self.platform.gpus[lg.device as usize].memory_bytes;
-                DeviceFootprint {
-                    cost,
-                    repr: cost.choose(capacity),
-                }
-            })
+            .map(|lg| DeviceRun::required_bytes(lg, plan, program, divisor))
             .collect()
     }
 

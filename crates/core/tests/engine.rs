@@ -413,27 +413,6 @@ fn weighted_pull_matches_bellman_ford() {
             assert_eq!(out.values, want, "{policy} {}", variant.label());
         }
     }
-
-    // Spilled: a capacity between the largest compressed and the largest
-    // raw footprint, so at least one device decodes its in-edges.
-    let config = RunConfig::new(Policy::Cvc, Variant::var3()).with_spill(true);
-    let rt = Runtime::new(Platform::bridges(4), config.clone());
-    let prep = rt.prepare(&g, false).unwrap();
-    let costs: Vec<_> = rt
-        .footprint(&prep, &prog)
-        .iter()
-        .map(|fp| fp.cost)
-        .collect();
-    let raw = costs.iter().map(|c| c.raw).max().unwrap();
-    let cap = (raw + costs.iter().map(|c| c.compressed).max().unwrap()) / 2;
-    let mut tight = Platform::bridges(4);
-    tight.gpus.iter_mut().for_each(|gpu| gpu.memory_bytes = cap);
-    let out = Runtime::new(tight, config)
-        .job(&prep, &prog)
-        .execute()
-        .unwrap();
-    assert!(out.report.memory_per_device.iter().all(|&m| m <= cap) && raw > cap);
-    assert_eq!(out.values, want, "spilled");
 }
 
 #[test]

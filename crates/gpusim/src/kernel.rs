@@ -51,19 +51,6 @@ impl KernelModel {
         }
         self.spec.scan_overhead + items as f64 / self.spec.scan_throughput
     }
-
-    /// Times the per-round varint decode of `edges` compressed adjacency
-    /// entries when a partition runs spilled (held compressed on-device and
-    /// expanded row-by-row into scratch). Modeled as a scan-shaped pass at a
-    /// quarter of the scan throughput: decoding is sequential within a row
-    /// (each gap depends on the previous target) but rows decode
-    /// independently, so it streams — just slower than a pure gather.
-    pub fn decode_time(&self, edges: u64) -> f64 {
-        if edges == 0 {
-            return 0.0;
-        }
-        self.spec.scan_overhead + edges as f64 / (self.spec.scan_throughput / 4.0)
-    }
 }
 
 #[cfg(test)]
@@ -94,18 +81,6 @@ mod tests {
         let p100 = KernelModel::new(GpuSpec::p100()).launch(Balancer::Alb, degs.clone(), 64);
         let k80 = KernelModel::new(GpuSpec::k80()).launch(Balancer::Alb, degs, 64);
         assert!(k80.time > p100.time);
-    }
-
-    #[test]
-    fn decode_is_slower_than_scan_and_free_when_empty() {
-        let m = KernelModel::new(GpuSpec::p100());
-        assert_eq!(m.decode_time(0), 0.0);
-        let edges = 10_000_000;
-        assert!(m.decode_time(edges) > m.scan_time(edges));
-        // Quarter throughput: the variable part is exactly 4x the scan's.
-        let scan_var = m.scan_time(edges) - m.spec.scan_overhead;
-        let dec_var = m.decode_time(edges) - m.spec.scan_overhead;
-        assert!((dec_var - 4.0 * scan_var).abs() < 1e-9 * dec_var.abs());
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod spec;
 
 pub use health::{DeviceHealth, HealthTracker};
 pub use kernel::{KernelModel, KernelResult};
-pub use memory::{GraphRepr, MemoryTracker, OomError, ReprCost};
+pub use memory::{MemoryTracker, OomError};
 pub use platform::{ClusterSpec, Platform};
 pub use sched::Balancer;
 pub use spec::GpuSpec;

@@ -30,60 +30,6 @@ impl std::fmt::Display for OomError {
 
 impl std::error::Error for OomError {}
 
-/// Which adjacency representation a device holds its partition in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum GraphRepr {
-    /// Plain CSR arrays — full edge throughput, full footprint.
-    Raw,
-    /// Delta-gap varint adjacency, decoded row-by-row each round — smaller
-    /// footprint, pays a per-round decode charge.
-    Compressed,
-}
-
-impl GraphRepr {
-    /// Display name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            GraphRepr::Raw => "raw",
-            GraphRepr::Compressed => "compressed",
-        }
-    }
-}
-
-/// Predicted device footprint of one partition under each representation.
-/// The admission side computes both candidates once and picks the cheapest
-/// representation the capacity admits — raw preferred (no decode charge),
-/// compressed as the spill fallback.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReprCost {
-    /// Bytes with plain CSR adjacency.
-    pub raw: u64,
-    /// Bytes with compressed adjacency.
-    pub compressed: u64,
-}
-
-impl ReprCost {
-    /// The representation a device of `capacity` bytes can hold, or `None`
-    /// when even the compressed footprint does not fit.
-    pub fn choose(&self, capacity: u64) -> Option<GraphRepr> {
-        if self.raw <= capacity {
-            Some(GraphRepr::Raw)
-        } else if self.compressed <= capacity {
-            Some(GraphRepr::Compressed)
-        } else {
-            None
-        }
-    }
-
-    /// The footprint of the chosen representation.
-    pub fn bytes(&self, repr: GraphRepr) -> u64 {
-        match repr {
-            GraphRepr::Raw => self.raw,
-            GraphRepr::Compressed => self.compressed,
-        }
-    }
-}
-
 /// Tracks allocations against a fixed device capacity.
 #[derive(Clone, Debug)]
 pub struct MemoryTracker {
@@ -180,21 +126,6 @@ mod tests {
         // Exactly filling works.
         m.alloc(20).unwrap();
         assert_eq!(m.in_use(), 100);
-    }
-
-    #[test]
-    fn repr_cost_prefers_raw_and_falls_back_to_compressed() {
-        let c = ReprCost {
-            raw: 100,
-            compressed: 40,
-        };
-        assert_eq!(c.choose(120), Some(GraphRepr::Raw));
-        assert_eq!(c.choose(100), Some(GraphRepr::Raw));
-        assert_eq!(c.choose(99), Some(GraphRepr::Compressed));
-        assert_eq!(c.choose(40), Some(GraphRepr::Compressed));
-        assert_eq!(c.choose(39), None);
-        assert_eq!(c.bytes(GraphRepr::Raw), 100);
-        assert_eq!(c.bytes(GraphRepr::Compressed), 40);
     }
 
     #[test]

@@ -30,13 +30,6 @@ fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
 }
 
-/// Number of bytes the LEB128 varint encoding of `z` occupies.
-#[inline]
-fn varint_len(z: u64) -> u64 {
-    // ceil(bits/7) with a floor of 1 byte for z == 0.
-    (64 - z.max(1).leading_zeros() as u64).div_ceil(7)
-}
-
 #[inline]
 fn write_varint(buf: &mut Vec<u8>, mut z: u64) {
     while z >= 0x80 {
@@ -59,21 +52,6 @@ fn read_varint(data: &[u8], pos: &mut usize) -> u64 {
         }
         shift += 7;
     }
-}
-
-/// Varint bytes needed for one row's targets (and optionally weights),
-/// without materializing anything. Shared by the encoder and by
-/// [`Csr::compressed_bytes_with`] so size prediction and actual encoding
-/// cannot drift apart.
-#[inline]
-fn row_target_bytes(v: VertexId, targets: &[VertexId]) -> u64 {
-    let mut prev = v as i64;
-    let mut bytes = 0u64;
-    for &t in targets {
-        bytes += varint_len(zigzag(t as i64 - prev));
-        prev = t as i64;
-    }
-    bytes
 }
 
 /// CSR adjacency with per-vertex delta-gap + varint neighbor lists.
@@ -173,19 +151,6 @@ impl CompressedCsr {
         }
     }
 
-    /// Decode-into-scratch convenience returning `(targets, weights)` slices
-    /// shaped like [`Csr::edge_window`] (empty weight slice when
-    /// unweighted).
-    pub fn decode_window<'a>(
-        &self,
-        v: VertexId,
-        targets: &'a mut Vec<u32>,
-        weights: &'a mut Vec<u32>,
-    ) -> (&'a [u32], &'a [u32]) {
-        self.decode_row_into(v, targets, weights);
-        (targets, weights)
-    }
-
     /// Streams every edge as `(src, dst, weight)` in row order (weight 0
     /// when unweighted) — the same order [`Csr::edges`] walks.
     pub fn for_each_edge(&self, f: &mut dyn FnMut(u32, u32, u32)) {
@@ -211,25 +176,6 @@ impl Csr {
     /// [`CompressedCsr::memory_bytes`].
     pub fn memory_bytes(&self) -> u64 {
         self.bytes()
-    }
-
-    /// Bytes a [`CompressedCsr`] of this graph would occupy, measured
-    /// without allocating the encoding. `with_weights` mirrors
-    /// [`Csr::bytes_with`]: weight varints are counted only when the graph
-    /// carries weights *and* the consumer needs them. Exact — the spill
-    /// admission decision and the bytes actually charged are the same
-    /// computation.
-    pub fn compressed_bytes_with(&self, with_weights: bool) -> u64 {
-        let n = self.num_vertices();
-        let mut bytes = 8 * (n as u64 + 1) + 4 * n as u64;
-        for v in 0..n {
-            let (targets, weights) = self.edge_window(v);
-            bytes += row_target_bytes(v, targets);
-            if with_weights && self.is_weighted() {
-                bytes += weights.iter().map(|&w| varint_len(w as u64)).sum::<u64>();
-            }
-        }
-        bytes
     }
 }
 
@@ -427,16 +373,15 @@ mod tests {
         for v in 0..g.num_vertices() {
             assert_eq!(c.out_degree(v), g.out_degree(v));
             let (targets, weights) = g.edge_window(v);
-            let (cts, cws) = c.decode_window(v, &mut ts, &mut ws);
-            assert_eq!(cts, targets);
+            c.decode_row_into(v, &mut ts, &mut ws);
+            assert_eq!(ts, targets);
             if g.is_weighted() {
-                assert_eq!(cws, weights);
+                assert_eq!(ws, weights);
             } else {
-                assert!(cws.is_empty());
+                assert!(ws.is_empty());
             }
         }
         assert_eq!(&c.to_csr(), g);
-        assert_eq!(c.memory_bytes(), g.compressed_bytes_with(true));
     }
 
     #[test]
@@ -470,27 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn size_prediction_is_exact() {
-        let g = rmat(9, 12, 5);
-        let gw = randomize_weights(&g, 100, 11);
-        assert_eq!(
-            CompressedCsr::from_csr(&g).memory_bytes(),
-            g.compressed_bytes_with(false)
-        );
-        assert_eq!(
-            CompressedCsr::from_csr(&gw).memory_bytes(),
-            gw.compressed_bytes_with(true)
-        );
-        // Dropping weights from the prediction must shrink it by exactly
-        // the weight-varint payload.
-        assert!(gw.compressed_bytes_with(false) < gw.compressed_bytes_with(true));
-        assert_eq!(
-            gw.compressed_bytes_with(false),
-            g.compressed_bytes_with(false)
-        );
-    }
-
-    #[test]
     fn graph_view_agrees_across_representations() {
         let g = randomize_weights(&rmat(8, 10, 21), 100, 2);
         let plain = GraphView::Plain(g.clone());
@@ -521,7 +445,6 @@ mod tests {
             assert_eq!(unzigzag(zigzag(v)), v);
             let mut buf = Vec::new();
             write_varint(&mut buf, zigzag(v));
-            assert_eq!(buf.len() as u64, varint_len(zigzag(v)));
             let mut pos = 0;
             assert_eq!(read_varint(&buf, &mut pos), zigzag(v));
             assert_eq!(pos, buf.len());

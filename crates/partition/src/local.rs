@@ -94,28 +94,6 @@ impl LocalGraph {
         b += self.num_vertices() as u64 * (label_bytes + 4); // labels + l2g
         b
     }
-
-    /// [`LocalGraph::device_bytes_for`] with the adjacency held compressed
-    /// (delta-gap varint, decoded row-by-row each round): the CSR terms
-    /// shrink to their exact encoded size while labels, l2g, and every other
-    /// array the kernels index stay raw — only the edge arrays spill.
-    pub fn device_bytes_spilled_for(
-        &self,
-        label_bytes: u64,
-        needs_out: bool,
-        needs_in: bool,
-        with_weights: bool,
-    ) -> u64 {
-        let mut b = 0;
-        if needs_out {
-            b += self.csr.compressed_bytes_with(with_weights);
-        }
-        if needs_in {
-            b += self.in_csr.compressed_bytes_with(with_weights);
-        }
-        b += self.num_vertices() as u64 * (label_bytes + 4); // labels + l2g
-        b
-    }
 }
 
 #[cfg(test)]
@@ -154,22 +132,5 @@ mod tests {
         let pull = lg.device_bytes(8, true);
         assert!(pull > push);
         assert_eq!(pull - push, lg.in_csr.bytes());
-    }
-
-    #[test]
-    fn spilled_bytes_shrink_only_the_adjacency_terms() {
-        let g = RmatConfig::new(10, 8).seed(5).generate();
-        let part = Partition::build(&g, Policy::Cvc, 4, 0);
-        for lg in &part.locals {
-            let raw = lg.device_bytes_for(8, true, true, true);
-            let spilled = lg.device_bytes_spilled_for(8, true, true, true);
-            assert!(spilled < raw, "dev {}: {spilled} !< {raw}", lg.device);
-            // The non-adjacency remainder (labels + l2g) is identical.
-            let raw_fixed = raw - lg.csr.bytes_with(true) - lg.in_csr.bytes_with(true);
-            let sp_fixed = spilled
-                - lg.csr.compressed_bytes_with(true)
-                - lg.in_csr.compressed_bytes_with(true);
-            assert_eq!(raw_fixed, sp_fixed);
-        }
     }
 }

@@ -9,8 +9,8 @@
 //! 1. **Predict.** Before launching, the server computes the job's
 //!    per-device footprint with [`dirgl_core::Runtime::footprint`] — the
 //!    engine's load check itself (K-scaled `state_bytes`, CSR arrays,
-//!    bitsets, comm buffers, and the raw-or-spilled decision), so
-//!    prediction and engine admission cannot disagree.
+//!    bitsets, comm buffers), so prediction and engine admission cannot
+//!    disagree.
 //! 2. **Check.** The predicted bytes are held against each device's
 //!    *residual* capacity: raw capacity minus bytes already reserved by
 //!    in-flight jobs, shrunk further by health — a dead device contributes

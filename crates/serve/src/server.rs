@@ -36,8 +36,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dirgl_apps::{
-    batched_betweenness_centrality_footprint, betweenness_centrality_prepared, Bfs, Cc, KCore,
-    PageRank, Sssp,
+    betweenness_centrality_footprint, betweenness_centrality_prepared, Bfs, Cc, KCore, PageRank,
+    Sssp,
 };
 use dirgl_core::{
     ExecutionReport, MultiRunner, PreparedPartition, ResilienceStats, RunConfig, RunError,
@@ -347,8 +347,8 @@ impl Inner {
     }
 
     /// Predicts `spec`'s per-device footprint at lane width `width` with
-    /// the engine's own load check ([`dirgl_core::Runtime::footprint`],
-    /// spill decision included), costing exactly the first launch
+    /// the engine's own load check ([`dirgl_core::Runtime::footprint`]),
+    /// costing exactly the first launch
     /// [`Inner::execute_at`] makes — launches run sequentially and the
     /// first is the widest, so it is the maximum (a scalar launch costs
     /// the same from every source) — so prediction and the engine's
@@ -365,18 +365,18 @@ impl Inner {
             JobSpec::Pagerank => vec![rt.footprint(&self.directed, &PageRank::new())],
             JobSpec::Cc => vec![rt.footprint(&self.symmetric, &Cc)],
             JobSpec::KCore { k } => vec![rt.footprint(&self.symmetric, &KCore::new(*k))],
-            JobSpec::Bc { sources } => Vec::from(batched_betweenness_centrality_footprint(
+            JobSpec::Bc { sources } => Vec::from(betweenness_centrality_footprint(
                 rt,
                 &self.directed,
                 &self.transpose,
-                &sources[..1],
+                sources[0],
             )),
         };
         // The job's footprint on a device is its largest phase's.
         let mut bytes = vec![0u64; rt.platform.num_devices() as usize];
         for phase in &phases {
-            for (b, fp) in bytes.iter_mut().zip(phase) {
-                *b = (*b).max(fp.bytes());
+            for (b, &fp) in bytes.iter_mut().zip(phase) {
+                *b = (*b).max(fp);
             }
         }
         bytes

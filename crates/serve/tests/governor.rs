@@ -9,7 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-use dirgl_core::{MultiSourceProgram, RunConfig, Runtime, Variant};
+use dirgl_core::{RunConfig, Runtime, Variant};
 use dirgl_gpusim::{DeviceHealth, Platform};
 use dirgl_graph::datasets::DatasetId;
 use dirgl_graph::Csr;
@@ -212,7 +212,7 @@ fn uk07_cvc_k64_oom_is_served_degraded_and_bit_identical() {
         .footprint()
         .unwrap();
     assert!(
-        batch.iter().any(|f| f.bytes() > cap),
+        batch.iter().any(|&b| b > cap),
         "premise broken: the K=64 sssp batch no longer OOMs the uk07 analogue"
     );
 
@@ -300,137 +300,6 @@ fn uk07_cvc_k64_oom_is_served_degraded_and_bit_identical() {
             srcs[i]
         );
     }
-}
-
-/// The spill fallback: a capacity that raw admission refuses at the
-/// requested width is served *at full width* when [`RunConfig::spill`]
-/// holds the over-capacity devices compressed — no degradation — and the
-/// governor's spill-aware oracle still equals the engine's measured
-/// charge exactly. The same pressure without spill must not grant the
-/// full width.
-#[test]
-fn spill_serves_full_width_where_raw_cannot() {
-    // Denser than `graph()`: compression pays per *edge* while costing a
-    // fixed 4 B per vertex over raw offsets, so the adjacency must carry
-    // enough edges per vertex for the compressed footprint to win.
-    let g = dirgl_graph::RmatConfig::new(10, 32).seed(13).generate();
-    let config = RunConfig::new(Policy::Cvc, Variant::var1());
-    let srcs = sources(&g, 16);
-    let spec = JobSpec::Bfs {
-        sources: srcs.clone(),
-    };
-
-    // Probe both representations' footprints with the engine's own load
-    // check, on exactly the partition the server prepares.
-    let rt = Runtime::new(Platform::bridges(4), config.clone().with_spill(true));
-    let prep = rt.prepare(&g, false).unwrap();
-    let prog = dirgl_apps::Bfs::new(srcs[0]).batched::<64>(&srcs);
-    let costs = rt.footprint(&prep, &prog);
-    let raw16 = costs.iter().map(|fp| fp.cost.raw).max().unwrap();
-    let spilled16 = costs.iter().map(|fp| fp.cost.compressed).max().unwrap();
-    assert!(
-        spilled16 < raw16,
-        "premise broken: compression saved nothing ({spilled16} !< {raw16})"
-    );
-    let cap = spilled16 + (raw16 - spilled16) / 2;
-
-    // Without spill, this capacity cannot grant the full 16 lanes: the
-    // job either degrades to a narrower rung or is rejected outright.
-    let raw_srv = JobServer::load(
-        &g,
-        capped(4, cap),
-        config.clone(),
-        ServeConfig {
-            cache_capacity: 0,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    match raw_srv.submit_spec(spec.clone()).unwrap().wait() {
-        Ok(r) => assert!(
-            r.resilience.granted_width < 16,
-            "premise broken: raw fits at full width under cap {cap}"
-        ),
-        Err(JobError::Rejected(RejectReason::MemoryExceeded { .. })) => {}
-        Err(other) => panic!("unexpected failure: {other:?}"),
-    }
-    reconciles(&raw_srv.stats());
-
-    // With spill, the same capacity serves the full width, and the
-    // prediction is the engine's exact (compressed) memory charge.
-    let srv = JobServer::load(
-        &g,
-        capped(4, cap),
-        config.with_spill(true),
-        ServeConfig {
-            cache_capacity: 0,
-            ..ServeConfig::default()
-        },
-    )
-    .unwrap();
-    let predicted = srv.predict_footprint(&spec, 16).unwrap();
-    assert!(predicted.iter().all(|&b| b <= cap), "oracle over cap");
-    let r = srv.submit_spec(spec).unwrap().wait().unwrap();
-    assert_eq!(r.resilience.granted_width, 16, "spill must avoid degrading");
-    assert!(!r.resilience.degraded);
-    assert_eq!(
-        r.outcome.report().memory_per_device,
-        predicted,
-        "spill-aware prediction must equal the measured peak"
-    );
-    let stats = srv.stats();
-    assert_eq!(stats.completed, 1);
-    assert_eq!(stats.degraded, 0);
-    reconciles(&stats);
-}
-
-/// The same contract for a multi-source bc job: it runs one two-phase
-/// scalar launch per source, and the prediction must make the engine's
-/// spill decision for both phases too. At a capacity one byte under the
-/// job's largest raw footprint the spilling server predicts within
-/// capacity, serves every source at the width it asked for, undegraded,
-/// and every launch measures exactly the predicted charge.
-#[test]
-fn spill_prediction_covers_batched_bc() {
-    let g = dirgl_graph::RmatConfig::new(10, 32).seed(13).generate();
-    let config = RunConfig::new(Policy::Cvc, Variant::var1());
-    let serve_config = || ServeConfig {
-        cache_capacity: 0,
-        ..ServeConfig::default()
-    };
-    let spec = JobSpec::Bc {
-        sources: sources(&g, 4),
-    };
-    let ample = JobServer::load(&g, Platform::bridges(4), config.clone(), serve_config()).unwrap();
-    let cap = *ample
-        .predict_footprint(&spec, 4)
-        .unwrap()
-        .iter()
-        .max()
-        .unwrap()
-        - 1;
-
-    let srv = JobServer::load(&g, capped(4, cap), config.with_spill(true), serve_config()).unwrap();
-    let predicted = srv.predict_footprint(&spec, 4).unwrap();
-    assert!(
-        predicted.iter().all(|&b| b <= cap),
-        "prediction ignores spill: {predicted:?} over cap {cap}"
-    );
-    let r = srv.submit_spec(spec).unwrap().wait().unwrap();
-    assert_eq!(r.resilience.requested_width, 1, "bc runs scalar launches");
-    assert_eq!(r.resilience.granted_width, 1, "spill must avoid degrading");
-    assert!(!r.resilience.degraded);
-    assert_eq!(r.outcome.per_source.len(), 4);
-    assert_eq!(r.outcome.reports.len(), 8, "two phases per source");
-    for launch in r.outcome.reports.chunks(2) {
-        let (fwd, bwd) = (&launch[0].memory_per_device, &launch[1].memory_per_device);
-        let peak: Vec<u64> = fwd.iter().zip(bwd).map(|(&a, &b)| a.max(b)).collect();
-        assert_eq!(
-            peak, predicted,
-            "spill-aware prediction must equal the larger phase's measured peak"
-        );
-    }
-    reconciles(&srv.stats());
 }
 
 /// Devices whose memory lies halfway between the 8- and the 16-wide

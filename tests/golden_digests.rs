@@ -13,9 +13,8 @@
 //!
 //! The corpus is {bfs, cc, kcore, pagerank, sssp} × {OEC, IEC, HVC, CVC} ×
 //! {Var1, Var3, Var4} on a weighted R-MAT scale-10 graph over 8 devices,
-//! plus direction-optimizing bfs, K=3 lane batches, Lux's pagerank, a
-//! spilled push run and a spilled pull run, and crash recovery (rejoin and
-//! re-home) under both engines; then bfs and
+//! plus direction-optimizing bfs, K=3 lane batches, Lux's pagerank, and
+//! crash recovery (rejoin and re-home) under both engines; then bfs and
 //! sssp on a long-tail web crawl over 32 devices (100+ rounds of mostly
 //! idle devices and empty messages), plain and through a mid-run crash
 //! with message drops; last, BASP pagerank through a crash that fires
@@ -23,9 +22,9 @@
 //!
 //! Every determinism contract is a [`Transform`] of how a case launches,
 //! and each must reproduce the committed line: a pool of 1, 2 or 4
-//! threads, a prepared partition, a partition streamed from the compressed
-//! graph, and spill at ample capacity. The tier-1 test runs case `i` under
-//! transform `i mod 6`; the ignored `every_case_under_every_transform` runs
+//! threads, a prepared partition, and a partition streamed from the
+//! compressed graph. The tier-1 test runs case `i` under transform
+//! `i mod 5`; the ignored `every_case_under_every_transform` runs
 //! all of them:
 //!
 //! ```sh
@@ -66,18 +65,15 @@ enum Transform {
     /// The same view, partitioned by the streaming builder from its
     /// compressed form.
     Compressed,
-    /// Spill on, on devices that hold their raw partitions (a spilled
-    /// case's tight devices have it on already).
-    SpillAmple,
 }
 
 use Transform::*;
 
-const TRANSFORMS: [Transform; 6] = [Pool(1), Pool(2), Pool(4), Prepared, Compressed, SpillAmple];
+const TRANSFORMS: [Transform; 5] = [Pool(1), Pool(2), Pool(4), Prepared, Compressed];
 
 /// What a transform sets up before its case runs.
-struct Launch {
-    rt: Runtime,
+struct Launch<'r> {
+    rt: &'r Runtime,
     /// The process's own thread count unless the transform names one.
     pool: ThreadPool,
     prep: Option<PreparedPartition>,
@@ -86,9 +82,9 @@ struct Launch {
 impl Transform {
     /// Sets up a launch of a program on `g` on `rt`; `symmetric` is the
     /// program's `needs_symmetric`.
-    fn launch(self, rt: &Runtime, g: &Csr, symmetric: bool) -> Launch {
+    fn launch<'r>(self, rt: &'r Runtime, g: &Csr, symmetric: bool) -> Launch<'r> {
         let mut launch = Launch {
-            rt: Runtime::new(rt.platform.clone(), rt.config.clone()),
+            rt,
             pool: ThreadPoolBuilder::new().build().unwrap(),
             prep: None,
         };
@@ -106,13 +102,12 @@ impl Transform {
                 );
                 launch.prep = Some(PreparedPartition::from_partition(view, part));
             }
-            SpillAmple => launch.rt.config = rt.config.clone().with_spill(true),
         }
         launch
     }
 }
 
-impl Launch {
+impl Launch<'_> {
     /// Hands `run` the runner of `program` on `g` (or on the prepared
     /// view), inside the launch's pool.
     fn run<'a, P: VertexProgram, T>(
@@ -160,35 +155,6 @@ fn traced<P: VertexProgram>(
     ];
     let trace = String::from_utf8(buf).expect("JSONL is UTF-8");
     (out.report, trace, digest)
-}
-
-/// The digests of a traced run on 4 devices of `capacity` bytes with spill
-/// on, after checking that some device spilled: its memory charge differs
-/// from the run's on full-size devices. Both runs go under `t`.
-fn spilled<P: VertexProgram>(
-    t: Transform,
-    g: &Csr,
-    config: RunConfig,
-    capacity: u64,
-    program: &P,
-) -> [u64; 3] {
-    let (raw, _, _) = traced(
-        t,
-        &Runtime::new(Platform::bridges(4), config.clone()),
-        g,
-        program,
-    );
-    let mut tight = Platform::bridges(4);
-    for gpu in &mut tight.gpus {
-        gpu.memory_bytes = capacity;
-    }
-    let rt = Runtime::new(tight, config.with_spill(true));
-    let (report, _, digest) = traced(t, &rt, g, program);
-    assert_ne!(
-        report.memory_per_device, raw.memory_per_device,
-        "premise broken: nothing spilled at {capacity} B"
-    );
-    digest
 }
 
 fn batch<P: MultiSourceProgram>(
@@ -284,12 +250,6 @@ fn corpus(rotation: Option<usize>) -> Vec<(String, [u64; 3])> {
         batch(next(&cases), &rt, &g, &Sssp::new(src), &sources),
     ));
 
-    // A spilled run: each capacity is below the raw footprint of the
-    // fixture's largest CVC partitions and above their compressed one.
-    let config = RunConfig::new(Policy::Cvc, Variant::var1());
-    let digest = spilled(next(&cases), &g, config, 33_000, &Sssp::new(src));
-    cases.push(("spill/sssp/CVC/Var1".into(), digest));
-
     // Lux's power-iteration pagerank: the second pull program, whose
     // `accumulate` skips zero contributions instead of adding them.
     for variant in [Variant::var1(), Variant::var3()] {
@@ -297,11 +257,6 @@ fn corpus(rotation: Option<usize>) -> Vec<(String, [u64; 3])> {
         let (_, _, digest) = traced(next(&cases), &rt, &g, &LuxPageRank::new(20));
         cases.push((format!("lux-pagerank/IEC/{}", variant.label()), digest));
     }
-
-    // A spilled pull run: the in-edge windows decode from compressed rows.
-    let config = RunConfig::new(Policy::Cvc, Variant::var3());
-    let digest = spilled(next(&cases), &g, config, 34_500, &PageRank::new());
-    cases.push(("spill/pagerank/CVC/Var3".into(), digest));
 
     // Crash recovery, both tails (rejoin, re-home) under both engines, with
     // lossy links and a straggler window on top.
@@ -481,7 +436,7 @@ fn corpus_matches_committed_digests() {
 }
 
 #[test]
-#[ignore = "runs the corpus six times; CI runs it in release"]
+#[ignore = "runs the corpus five times; CI runs it in release"]
 fn every_case_under_every_transform() {
     let want = committed();
     let moved: String = (0..TRANSFORMS.len()).map(|r| moved(r, &want)).collect();
