@@ -7,7 +7,6 @@ use dirgl_core::Variant;
 use dirgl_gpusim::Platform;
 use dirgl_graph::DatasetId;
 use dirgl_partition::Policy;
-use lux_sim::LuxRuntime;
 
 fn main() {
     let args = Args::parse();
@@ -17,40 +16,23 @@ fn main() {
         let ld = LoadedDataset::load(id, args.extra_scale);
         let mut cache = PartitionCache::new();
         for bench in [BenchId::Cc, BenchId::Pagerank] {
-            let mut rows = Vec::new();
-            let lux = LuxRuntime::new(platform.clone(), ld.ds.divisor);
-            let lux_result = match bench {
-                BenchId::Cc => lux.run_cc(ld.graph_for(BenchId::Cc)),
-                BenchId::Pagerank => {
-                    let rounds = dirgl_bench::run_dirgl(
-                        BenchId::Pagerank,
+            let rows = [
+                Breakdown {
+                    label: "Lux".into(),
+                    result: dirgl_bench::run_lux(bench, &ld, &mut cache, &platform),
+                },
+                Breakdown {
+                    label: "D-IrGL(Var1)".into(),
+                    result: dirgl_bench::run_dirgl(
+                        bench,
                         &ld,
                         &mut cache,
                         &platform,
                         Policy::Iec,
-                        Variant::var3(),
-                    )
-                    .map(|o| o.report.rounds)
-                    .unwrap_or(50);
-                    lux.run_pagerank(&ld.ds.graph, rounds)
-                }
-                _ => unreachable!(),
-            };
-            rows.push(Breakdown {
-                label: "Lux".into(),
-                result: lux_result,
-            });
-            rows.push(Breakdown {
-                label: "D-IrGL(Var1)".into(),
-                result: dirgl_bench::run_dirgl(
-                    bench,
-                    &ld,
-                    &mut cache,
-                    &platform,
-                    Policy::Iec,
-                    Variant::var1(),
-                ),
-            });
+                        Variant::var1(),
+                    ),
+                },
+            ];
             print_breakdown(&format!("{} / {} @ 4 GPUs", bench.name(), id.name()), &rows);
         }
     }

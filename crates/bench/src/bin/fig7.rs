@@ -12,7 +12,6 @@ use dirgl_core::Variant;
 use dirgl_gpusim::Platform;
 use dirgl_graph::DatasetId;
 use dirgl_partition::Policy;
-use lux_sim::LuxRuntime;
 
 fn main() {
     let args = Args::parse();
@@ -47,24 +46,7 @@ fn main() {
             if matches!(bench, BenchId::Cc | BenchId::Pagerank) {
                 let mut row = vec!["Lux".to_string()];
                 for &n in &counts {
-                    let lux = LuxRuntime::new(Platform::bridges(n), ld.ds.divisor);
-                    let r = match bench {
-                        BenchId::Cc => lux.run_cc(ld.graph_for(BenchId::Cc)),
-                        BenchId::Pagerank => {
-                            let rounds = dirgl_bench::run_dirgl(
-                                BenchId::Pagerank,
-                                &ld,
-                                &mut cache,
-                                &Platform::bridges(n),
-                                Policy::Iec,
-                                Variant::var3(),
-                            )
-                            .map(|o| o.report.rounds)
-                            .unwrap_or(50);
-                            lux.run_pagerank(&ld.ds.graph, rounds)
-                        }
-                        _ => unreachable!(),
-                    };
+                    let r = dirgl_bench::run_lux(bench, &ld, &mut cache, &Platform::bridges(n));
                     row.push(fmt_result(&r));
                 }
                 print_row(&row, &widths);

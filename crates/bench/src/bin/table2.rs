@@ -8,7 +8,6 @@ use dirgl_core::{RunError, RunOutput, Variant};
 use dirgl_gpusim::Platform;
 use dirgl_graph::DatasetId;
 use dirgl_partition::Policy;
-use lux_sim::LuxRuntime;
 use singlehost_sim::{GrouteSim, GunrockSim};
 
 /// Best (time, gpus, tag) over a set of candidate runs.
@@ -103,30 +102,9 @@ fn main() {
             let mut row = vec![bench.name().to_string(), "Lux".to_string()];
             for ld in &datasets {
                 let mut cands = Vec::new();
+                let mut cache = PartitionCache::new();
                 for &n in &counts {
-                    if n < 1 {
-                        continue;
-                    }
-                    let lux = LuxRuntime::new(Platform::tuxedo_n(n), ld.ds.divisor);
-                    let r = match bench {
-                        BenchId::Cc => lux.run_cc(ld.graph_for(BenchId::Cc)),
-                        // Round parity with D-IrGL's converged pr.
-                        BenchId::Pagerank => {
-                            let mut cache = PartitionCache::new();
-                            let rounds = dirgl_bench::run_dirgl(
-                                BenchId::Pagerank,
-                                ld,
-                                &mut cache,
-                                &Platform::tuxedo_n(n),
-                                Policy::Iec,
-                                Variant::var3(),
-                            )
-                            .map(|o| o.report.rounds)
-                            .unwrap_or(50);
-                            lux.run_pagerank(&ld.ds.graph, rounds)
-                        }
-                        _ => unreachable!(),
-                    };
+                    let r = dirgl_bench::run_lux(bench, ld, &mut cache, &Platform::tuxedo_n(n));
                     cands.push((r, n, "IEC".to_string()));
                 }
                 row.push(best(cands));

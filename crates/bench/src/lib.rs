@@ -40,6 +40,7 @@ use dirgl_core::{
 use dirgl_gpusim::Platform;
 use dirgl_graph::{Csr, Dataset, DatasetId};
 use dirgl_partition::{Partition, Policy};
+use lux_sim::LuxRuntime;
 
 /// The concrete sink type behind `--trace`: JSON lines into a buffered
 /// file.
@@ -254,6 +255,36 @@ pub fn run_dirgl(
     run_dirgl_cfg(bench, ld, cache, platform, {
         RunConfig::new(policy, variant).scale(ld.ds.divisor)
     })
+}
+
+/// Runs Lux's `bench` on `ld` — cc on the symmetric view, pagerank for
+/// as many rounds as D-IrGL's IEC/Var3 run takes to converge (50 when that
+/// run does not fit). Lux runs these two benchmarks only; any other
+/// panics.
+pub fn run_lux(
+    bench: BenchId,
+    ld: &LoadedDataset,
+    cache: &mut PartitionCache,
+    platform: &Platform,
+) -> Result<RunOutput, RunError> {
+    let lux = LuxRuntime::new(platform.clone(), ld.ds.divisor);
+    match bench {
+        BenchId::Cc => lux.run_cc(ld.graph_for(BenchId::Cc)),
+        BenchId::Pagerank => {
+            let rounds = run_dirgl(
+                BenchId::Pagerank,
+                ld,
+                cache,
+                platform,
+                Policy::Iec,
+                Variant::var3(),
+            )
+            .map(|o| o.report.rounds)
+            .unwrap_or(50);
+            lux.run_pagerank(&ld.ds.graph, rounds)
+        }
+        _ => panic!("Lux runs cc and pagerank only, not {bench}"),
+    }
 }
 
 /// [`run_dirgl`] with per-round trace emission into `sink`. When `sink`

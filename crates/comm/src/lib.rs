@@ -38,7 +38,7 @@ pub use faults::{
     RETRY_LADDER,
 };
 pub use message::{as_message_bytes, message_bytes_sized, uo_message_bytes, CommMode, VAL_BYTES};
-pub use net::{Delivery, ExchangeOutcome, MessageTrace, NetModel, NetState, SendDesc};
+pub use net::{Delivery, ExchangeOutcome, NetModel, NetState, SendDesc};
 pub use plan::{ExtractIndex, Partner, SyncPlan};
 pub use reliable::{
     Failure, LinkEvent, LinkEventKind, ReliableExchange, ReliableNet, ReliableState, SendVerdict,

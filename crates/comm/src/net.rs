@@ -90,39 +90,6 @@ pub struct Delivery {
     /// When the sending *host* finished pushing the message into the
     /// network (NIC occupancy end).
     pub host_send_done: SimTime,
-    /// Time the message queued behind earlier traffic on the sender's PCIe
-    /// lane before its upload started.
-    pub pcie_out_queue: SimTime,
-    /// Time the message queued behind earlier traffic on the sending
-    /// host's NIC (zero for same-host transfers).
-    pub nic_queue: SimTime,
-    /// Time the message queued behind earlier traffic on the receiver's
-    /// PCIe lane before its download started.
-    pub pcie_in_queue: SimTime,
-}
-
-/// One message's full timing, reported by
-/// [`crate::ReliableNet::exchange_reliable`] when the caller asks for
-/// per-message attribution — this is what lets a trace say *which link* a device's
-/// wait time queued on.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MessageTrace {
-    /// Sending device.
-    pub from: u32,
-    /// Receiving device.
-    pub to: u32,
-    /// Wire bytes.
-    pub bytes: u64,
-    /// When the sender had the payload ready.
-    pub depart: SimTime,
-    /// When the payload was applied on the receiver.
-    pub arrival: SimTime,
-    /// Queueing delay on the sender's PCIe lane.
-    pub pcie_out_queue: SimTime,
-    /// Queueing delay on the sending host's NIC.
-    pub nic_queue: SimTime,
-    /// Queueing delay on the receiver's PCIe lane.
-    pub pcie_in_queue: SimTime,
 }
 
 /// Timing model bound to one platform.
@@ -213,14 +180,10 @@ impl NetModel {
                     arrival,
                     sender_free: arrival,
                     host_send_done: arrival,
-                    pcie_out_queue: SimTime::ZERO,
-                    nic_queue: SimTime::ZERO,
-                    pcie_in_queue: SimTime::ZERO,
                 };
             }
             let nic_free = &mut st.nic_free[hf as usize];
             let start = msg.depart.max(*nic_free);
-            let nic_queue = start.saturating_sub(msg.depart);
             let done = start + nic();
             *nic_free = done;
             let arrival = done + self.net_latency;
@@ -228,9 +191,6 @@ impl NetModel {
                 arrival,
                 sender_free: done,
                 host_send_done: done,
-                pcie_out_queue: SimTime::ZERO,
-                nic_queue,
-                pcie_in_queue: SimTime::ZERO,
             };
         }
 
@@ -240,27 +200,24 @@ impl NetModel {
         // Hop 1: device -> host over the sender's PCIe lane.
         let out = &mut st.pcie_out_free[msg.from as usize];
         let up_start = msg.depart.max(*out);
-        let pcie_out_queue = up_start.saturating_sub(msg.depart);
         let up_done = up_start + pcie;
         *out = up_done;
 
         // Hop 2: host -> host (skipped within a host: staged in pinned
         // host memory, which hop 1/3 already price).
-        let (at_recv_host, host_send_done, nic_queue) = if hf == ht {
-            (up_done, up_done, SimTime::ZERO)
+        let (at_recv_host, host_send_done) = if hf == ht {
+            (up_done, up_done)
         } else {
             let nic_free = &mut st.nic_free[hf as usize];
             let start = up_done.max(*nic_free);
-            let nic_queue = start.saturating_sub(up_done);
             let done = start + nic();
             *nic_free = done;
-            (done + self.net_latency, done, nic_queue)
+            (done + self.net_latency, done)
         };
 
         // Hop 3: host -> device over the receiver's PCIe lane.
         let inl = &mut st.pcie_in_free[msg.to as usize];
         let down_start = at_recv_host.max(*inl);
-        let pcie_in_queue = down_start.saturating_sub(at_recv_host);
         let down_done = down_start + pcie;
         *inl = down_done;
 
@@ -268,9 +225,6 @@ impl NetModel {
             arrival: down_done,
             sender_free: up_done,
             host_send_done,
-            pcie_out_queue,
-            nic_queue,
-            pcie_in_queue,
         }
     }
 
@@ -398,7 +352,6 @@ mod tests {
         st: &mut NetState,
         clock: &[SimTime],
         sends: &[SendDesc],
-        trace: Option<&mut Vec<MessageTrace>>,
         out: &mut ReliableExchange,
     ) {
         let r = ReliableNet::new(m, FaultPlan::none());
@@ -412,7 +365,6 @@ mod tests {
             &dirgl_gpusim::HealthTracker::new(m.platform().num_devices()),
             &mut counters,
             &mut events,
-            trace,
             out,
         );
         assert!(out.failures.is_empty() && !counters.any() && events.is_empty());
@@ -421,7 +373,7 @@ mod tests {
     /// One barrier-style exchange on fresh link state.
     fn exchange(m: &NetModel, clock: &[SimTime], sends: &[SendDesc]) -> ExchangeOutcome {
         let mut out = ReliableExchange::default();
-        exchange_into(m, &mut m.new_state(), clock, sends, None, &mut out);
+        exchange_into(m, &mut m.new_state(), clock, sends, &mut out);
         out.outcome
     }
 
@@ -606,8 +558,8 @@ mod tests {
 
         let mut st = m.new_state();
         let (mut first, mut second) = (ReliableExchange::default(), ReliableExchange::default());
-        exchange_into(&m, &mut st, &clocks, &sends, None, &mut first);
-        exchange_into(&m, &mut st, &clocks, &sends, None, &mut second);
+        exchange_into(&m, &mut st, &clocks, &sends, &mut first);
+        exchange_into(&m, &mut st, &clocks, &sends, &mut second);
         let (first, second) = (first.outcome, second.outcome);
         assert!(
             second.device_done[2] > first.device_done[2],
@@ -649,54 +601,6 @@ mod tests {
         // A device that neither sends nor receives keeps its clock.
         assert_eq!(out.sender_free[1], SimTime::ZERO);
         assert_eq!(out.device_done[1], SimTime::ZERO);
-    }
-
-    #[test]
-    fn message_trace_attributes_queueing_to_links() {
-        let m = model(8);
-        let clocks = vec![SimTime::ZERO; 8];
-        // Two cross-host messages from the same host (devices 0 and 1
-        // share host 0): the second queues on the shared NIC, not on its
-        // own idle PCIe lane.
-        let sends = vec![
-            SendDesc {
-                from: 0,
-                to: 4,
-                bytes: 10_000_000,
-                depart: SimTime::ZERO,
-            },
-            SendDesc {
-                from: 1,
-                to: 6,
-                bytes: 10_000_000,
-                depart: SimTime::ZERO,
-            },
-        ];
-        let mut trace = Vec::new();
-        let mut st = m.new_state();
-        exchange_into(
-            &m,
-            &mut st,
-            &clocks,
-            &sends,
-            Some(&mut trace),
-            &mut ReliableExchange::default(),
-        );
-        assert_eq!(trace.len(), 2);
-        let a = trace.iter().find(|t| t.from == 0).unwrap();
-        let b = trace.iter().find(|t| t.from == 1).unwrap();
-        assert_eq!(a.nic_queue, SimTime::ZERO);
-        assert!(
-            b.nic_queue > SimTime::ZERO,
-            "second message queues on the shared NIC"
-        );
-        assert_eq!(
-            b.pcie_out_queue,
-            SimTime::ZERO,
-            "its own PCIe lane was idle"
-        );
-        assert_eq!(a.bytes, 10_000_000);
-        assert!(b.arrival > a.arrival);
     }
 
     #[test]
@@ -747,7 +651,6 @@ mod tests {
         st: &mut NetState,
         device_clock: &[SimTime],
         sends: &[SendDesc],
-        trace: &mut Vec<MessageTrace>,
     ) -> ExchangeOutcome {
         let platform = m.platform();
         let h = platform.num_hosts() as usize;
@@ -777,16 +680,6 @@ mod tests {
             sender_free[msg.from as usize] = sender_free[msg.from as usize].max(d.sender_free);
             host_send_done[hf] = host_send_done[hf].max(d.host_send_done);
             host_last_arrival[ht] = host_last_arrival[ht].max(d.arrival);
-            trace.push(MessageTrace {
-                from: msg.from,
-                to: msg.to,
-                bytes: msg.bytes,
-                depart: msg.depart,
-                arrival: d.arrival,
-                pcie_out_queue: d.pcie_out_queue,
-                nic_queue: d.nic_queue,
-                pcie_in_queue: d.pcie_in_queue,
-            });
         }
         for (done, free) in device_done.iter_mut().zip(&sender_free) {
             *done = (*done).max(*free);
@@ -829,8 +722,8 @@ mod tests {
 
         /// Whatever the shape of the input — the engines' runs, the same
         /// shuffled or reversed, or with runs that share a `(depart, from)` — two
-        /// exchanges in a row give the outcome, the per-message trace and
-        /// the link state of the full sort.
+        /// exchanges in a row give the outcome and the link state of the
+        /// full sort.
         #[test]
         fn service_order_is_the_full_sort(
             seed in any::<u64>(),
@@ -867,11 +760,9 @@ mod tests {
                         sends.extend(again);
                     }
                 }
-                let (mut trace, mut ref_trace) = (Vec::new(), Vec::new());
-                exchange_into(&m, &mut st, &clocks, &sends, Some(&mut trace), &mut out);
-                let want = reference_exchange(&m, &mut ref_st, &clocks, &sends, &mut ref_trace);
+                exchange_into(&m, &mut st, &clocks, &sends, &mut out);
+                let want = reference_exchange(&m, &mut ref_st, &clocks, &sends);
                 prop_assert_eq!(format!("{:?}", out.outcome), format!("{want:?}"));
-                prop_assert_eq!(trace, ref_trace);
                 prop_assert_eq!(&st.pcie_out_free, &ref_st.pcie_out_free);
                 prop_assert_eq!(&st.pcie_in_free, &ref_st.pcie_in_free);
                 prop_assert_eq!(&st.nic_free, &ref_st.nic_free);

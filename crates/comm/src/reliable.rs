@@ -11,8 +11,8 @@
 //! A plan that schedules no link faults (the default,
 //! [`FaultPlan::none`]) gives every message to a live receiver exactly
 //! one attempt, priced by one [`NetModel::send`]: such a send draws no
-//! sequence number, since sequence numbers only key fate draws and
-//! [`LinkEvent::seq`]. [`ReliableNet::exchange_reliable`] is the BSP
+//! sequence number, since sequence numbers only key fate draws.
+//! [`ReliableNet::exchange_reliable`] is the BSP
 //! exchange: service order, per-host send floor and per-device/per-host
 //! aggregates, written into a [`ReliableExchange`] the caller keeps, so a
 //! run's exchanges allocate once.
@@ -27,7 +27,7 @@ use dirgl_gpusim::HealthTracker;
 
 use crate::clock::SimTime;
 use crate::faults::{FaultCounters, FaultInjector, FaultPlan, LinkFate, RETRY_LADDER};
-use crate::net::{Delivery, ExchangeOutcome, MessageTrace, NetModel, NetState, SendDesc};
+use crate::net::{ExchangeOutcome, NetModel, NetState, SendDesc};
 
 /// Receiver/sender bookkeeping for reliable delivery: the next sequence
 /// number per ordered device pair. Lives with the caller, like
@@ -84,8 +84,6 @@ pub struct LinkEvent {
     pub from: u32,
     /// Receiving device.
     pub to: u32,
-    /// Per-link sequence number of the affected message.
-    pub seq: u64,
     /// Transmission attempt (0 = first send).
     pub attempt: u32,
     /// What happened.
@@ -110,8 +108,6 @@ pub struct SendVerdict {
     pub attempts: u32,
     /// Actual bytes put on the wire, counting every attempt and duplicate.
     pub wire_bytes: u64,
-    /// Raw link timing of the final attempt (for per-message traces).
-    pub last: Delivery,
 }
 
 /// A message abandoned after the full retry budget.
@@ -189,7 +185,6 @@ impl<'a> ReliableNet<'a> {
                 gave_up_at: None,
                 attempts: 1,
                 wire_bytes: msg.bytes,
-                last: d,
             };
         }
         self.send_with_retries(st, rst, msg, dest_alive, counters, events)
@@ -218,7 +213,6 @@ impl<'a> ReliableNet<'a> {
                     at: depart,
                     from: msg.from,
                     to: msg.to,
-                    seq,
                     attempt,
                     kind: LinkEventKind::Retransmit,
                 });
@@ -242,7 +236,6 @@ impl<'a> ReliableNet<'a> {
                             at: d.arrival,
                             from: msg.from,
                             to: msg.to,
-                            seq,
                             attempt,
                             kind: LinkEventKind::DelaySpike,
                         });
@@ -261,7 +254,6 @@ impl<'a> ReliableNet<'a> {
                             at: dd.arrival,
                             from: msg.from,
                             to: msg.to,
-                            seq,
                             attempt,
                             kind: LinkEventKind::Duplicate,
                         });
@@ -273,7 +265,6 @@ impl<'a> ReliableNet<'a> {
                         gave_up_at: None,
                         attempts: attempt + 1,
                         wire_bytes,
-                        last: d,
                     };
                 }
                 LinkFate::Drop => {
@@ -283,7 +274,6 @@ impl<'a> ReliableNet<'a> {
                             at: d.arrival,
                             from: msg.from,
                             to: msg.to,
-                            seq,
                             attempt,
                             kind: LinkEventKind::Drop,
                         });
@@ -296,7 +286,6 @@ impl<'a> ReliableNet<'a> {
                         at: timeout_at,
                         from: msg.from,
                         to: msg.to,
-                        seq,
                         attempt,
                         kind: LinkEventKind::Timeout,
                     });
@@ -306,7 +295,6 @@ impl<'a> ReliableNet<'a> {
                             at: timeout_at,
                             from: msg.from,
                             to: msg.to,
-                            seq,
                             attempt,
                             kind: LinkEventKind::GiveUp,
                         });
@@ -317,7 +305,6 @@ impl<'a> ReliableNet<'a> {
                             gave_up_at: Some(timeout_at),
                             attempts: attempt + 1,
                             wire_bytes,
-                            last: d,
                         };
                     }
                     depart = timeout_at;
@@ -334,9 +321,7 @@ impl<'a> ReliableNet<'a> {
     /// [`ReliableNet::send_reliable`]; link occupancy left in `st` by
     /// earlier exchanges delays this one and vice versa. Sends addressed to
     /// a device `health` marks dead exhaust their budget and come back in
-    /// `out.failures`. When `trace` is given, one [`MessageTrace`] per
-    /// delivered send is appended, attributing its queueing to the PCIe
-    /// lanes and NIC it crossed. A caller that keeps `st` and `out` across
+    /// `out.failures`. A caller that keeps `st` and `out` across
     /// exchanges pays no allocation after the first.
     #[allow(clippy::too_many_arguments)]
     pub fn exchange_reliable(
@@ -348,7 +333,6 @@ impl<'a> ReliableNet<'a> {
         health: &HealthTracker,
         counters: &mut FaultCounters,
         events: &mut Vec<LinkEvent>,
-        mut trace: Option<&mut Vec<MessageTrace>>,
         out: &mut ReliableExchange,
     ) {
         let outcome = &mut out.outcome;
@@ -367,27 +351,13 @@ impl<'a> ReliableNet<'a> {
                     v.host_send_done,
                     v.arrival,
                 );
-                match v.arrival {
-                    Some(arrival) => {
-                        if let Some(tr) = trace.as_deref_mut() {
-                            tr.push(MessageTrace {
-                                from: msg.from,
-                                to: msg.to,
-                                bytes: msg.bytes,
-                                depart: msg.depart,
-                                arrival,
-                                pcie_out_queue: v.last.pcie_out_queue,
-                                nic_queue: v.last.nic_queue,
-                                pcie_in_queue: v.last.pcie_in_queue,
-                            });
-                        }
-                    }
-                    None => out.failures.push(Failure {
+                if v.arrival.is_none() {
+                    out.failures.push(Failure {
                         index: i,
                         from: msg.from,
                         to: msg.to,
                         gave_up_at: v.gave_up_at.expect("no arrival implies give-up"),
-                    }),
+                    });
                 }
             }
         }
@@ -434,7 +404,8 @@ mod tests {
             let d = m.send(&mut raw_st, msg);
             assert_eq!(v.attempts, 1);
             assert_eq!(v.arrival, Some(d.arrival));
-            assert_eq!(v.last, d);
+            assert_eq!(v.sender_free, d.sender_free);
+            assert_eq!(v.host_send_done, d.host_send_done);
             assert_eq!(v.wire_bytes, msg.bytes);
         }
         assert_eq!(counters, FaultCounters::default());
@@ -461,7 +432,6 @@ mod tests {
             &HealthTracker::new(4),
             &mut counters,
             &mut events,
-            None,
             &mut rel,
         );
         assert!(counters.drops_injected > 0);
@@ -524,7 +494,6 @@ mod tests {
             &HealthTracker::new(4),
             &mut counters,
             &mut events,
-            None,
             &mut rel,
         );
         assert!(counters.duplicates_injected > 0);

@@ -599,9 +599,7 @@ fn run_exchange(
         }));
         (&phys_sends[..], &phys_clock[..])
     };
-    rnet.exchange_reliable(
-        st, rstate, wire_clock, wire, health, counters, events, None, ex,
-    );
+    rnet.exchange_reliable(st, rstate, wire_clock, wire, health, counters, events, ex);
     let outcome = &ex.outcome;
     for (l, t) in tally.iter_mut().enumerate() {
         let d = home.phys(l as u32) as usize;

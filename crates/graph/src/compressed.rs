@@ -170,15 +170,6 @@ impl CompressedCsr {
     }
 }
 
-impl Csr {
-    /// Bytes the raw representation occupies — alias of [`Csr::bytes`] under
-    /// the name the memory-budget code pairs with
-    /// [`CompressedCsr::memory_bytes`].
-    pub fn memory_bytes(&self) -> u64 {
-        self.bytes()
-    }
-}
-
 /// Incremental encoder: rows must arrive in ascending vertex order (gaps
 /// are zero-degree rows). Used by [`CompressedCsr::from_csr`] and by the
 /// streaming ingest path, which pushes edges straight off the external
@@ -283,76 +274,6 @@ impl CompressedCsrBuilder {
     }
 }
 
-/// Either adjacency representation behind one accessor surface. Ingest-side
-/// consumers (the chunked partition builder, footprint accounting, dataset
-/// loaders) take a `GraphView` so the raw and compressed paths share code.
-#[derive(Clone, Debug)]
-pub enum GraphView {
-    Plain(Csr),
-    Compressed(CompressedCsr),
-}
-
-impl GraphView {
-    pub fn num_vertices(&self) -> u32 {
-        match self {
-            GraphView::Plain(g) => g.num_vertices(),
-            GraphView::Compressed(g) => g.num_vertices(),
-        }
-    }
-
-    pub fn num_edges(&self) -> u64 {
-        match self {
-            GraphView::Plain(g) => g.num_edges(),
-            GraphView::Compressed(g) => g.num_edges(),
-        }
-    }
-
-    pub fn is_weighted(&self) -> bool {
-        match self {
-            GraphView::Plain(g) => g.is_weighted(),
-            GraphView::Compressed(g) => g.is_weighted(),
-        }
-    }
-
-    pub fn out_degree(&self, v: VertexId) -> u32 {
-        match self {
-            GraphView::Plain(g) => g.out_degree(v),
-            GraphView::Compressed(g) => g.out_degree(v),
-        }
-    }
-
-    /// Bytes this representation holds resident.
-    pub fn memory_bytes(&self) -> u64 {
-        match self {
-            GraphView::Plain(g) => g.memory_bytes(),
-            GraphView::Compressed(g) => g.memory_bytes(),
-        }
-    }
-
-    /// Streams `(src, dst, weight)` in row order — identical order for both
-    /// representations of the same graph.
-    pub fn for_each_edge(&self, f: &mut dyn FnMut(u32, u32, u32)) {
-        match self {
-            GraphView::Plain(g) => {
-                for u in 0..g.num_vertices() {
-                    for (v, w) in g.edges(u) {
-                        f(u, v, w);
-                    }
-                }
-            }
-            GraphView::Compressed(g) => g.for_each_edge(f),
-        }
-    }
-
-    /// Materializes the plain [`Csr`] (cheap clone for `Plain`).
-    pub fn to_plain(&self) -> Csr {
-        match self {
-            GraphView::Plain(g) => g.clone(),
-            GraphView::Compressed(g) => g.to_csr(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,22 +333,6 @@ mod tests {
             }
         }
         assert_eq!(b.build(), by_row);
-    }
-
-    #[test]
-    fn graph_view_agrees_across_representations() {
-        let g = randomize_weights(&rmat(8, 10, 21), 100, 2);
-        let plain = GraphView::Plain(g.clone());
-        let comp = GraphView::Compressed(CompressedCsr::from_csr(&g));
-        assert_eq!(plain.num_vertices(), comp.num_vertices());
-        assert_eq!(plain.num_edges(), comp.num_edges());
-        assert!(comp.memory_bytes() < plain.memory_bytes());
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        plain.for_each_edge(&mut |u, v, w| a.push((u, v, w)));
-        comp.for_each_edge(&mut |u, v, w| b.push((u, v, w)));
-        assert_eq!(a, b);
-        assert_eq!(comp.to_plain(), g);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod stats;
 pub mod stream;
 pub mod weights;
 
-pub use compressed::{CompressedCsr, CompressedCsrBuilder, GraphView};
+pub use compressed::{CompressedCsr, CompressedCsrBuilder};
 pub use csr::{Csr, CsrBuilder, EdgeList, VertexId, INVALID_VERTEX};
 pub use datasets::{CompressedDataset, Dataset, DatasetId, PaperProps, SizeClass};
 pub use gen::rmat::RmatConfig;

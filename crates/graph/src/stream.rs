@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::compressed::{CompressedCsr, CompressedCsrBuilder, GraphView};
+use crate::compressed::{CompressedCsr, CompressedCsrBuilder};
 use crate::csr::Csr;
 
 /// One adjacency source the ingest path can stream, whatever its
@@ -35,7 +35,6 @@ use crate::csr::Csr;
 /// unweighted) — the chunked partition builder makes two passes.
 pub trait EdgeSource {
     fn num_vertices(&self) -> u32;
-    fn num_edges(&self) -> u64;
     fn is_weighted(&self) -> bool;
     fn for_each_edge(&self, f: &mut dyn FnMut(u32, u32, u32));
 }
@@ -43,10 +42,6 @@ pub trait EdgeSource {
 impl EdgeSource for Csr {
     fn num_vertices(&self) -> u32 {
         Csr::num_vertices(self)
-    }
-
-    fn num_edges(&self) -> u64 {
-        Csr::num_edges(self)
     }
 
     fn is_weighted(&self) -> bool {
@@ -67,34 +62,12 @@ impl EdgeSource for CompressedCsr {
         CompressedCsr::num_vertices(self)
     }
 
-    fn num_edges(&self) -> u64 {
-        CompressedCsr::num_edges(self)
-    }
-
     fn is_weighted(&self) -> bool {
         CompressedCsr::is_weighted(self)
     }
 
     fn for_each_edge(&self, f: &mut dyn FnMut(u32, u32, u32)) {
         CompressedCsr::for_each_edge(self, f)
-    }
-}
-
-impl EdgeSource for GraphView {
-    fn num_vertices(&self) -> u32 {
-        GraphView::num_vertices(self)
-    }
-
-    fn num_edges(&self) -> u64 {
-        GraphView::num_edges(self)
-    }
-
-    fn is_weighted(&self) -> bool {
-        GraphView::is_weighted(self)
-    }
-
-    fn for_each_edge(&self, f: &mut dyn FnMut(u32, u32, u32)) {
-        GraphView::for_each_edge(self, f)
     }
 }
 
@@ -122,7 +95,14 @@ pub struct EdgeSpill {
     num_vertices: u32,
     chunk_edges: usize,
     buf: Vec<u64>,
-    runs: Vec<PathBuf>,
+    runs: Vec<Run>,
+}
+
+/// One sorted spill-file run and the number of 8-byte records written to
+/// it, so a reader can tell a run that lost its tail from one that ended.
+struct Run {
+    path: PathBuf,
+    records: u64,
 }
 
 impl EdgeSpill {
@@ -165,7 +145,10 @@ impl EdgeSpill {
             w.write_all(&e.to_le_bytes()).expect("write edge spill run");
         }
         w.flush().expect("flush edge spill run");
-        self.runs.push(path);
+        self.runs.push(Run {
+            path,
+            records: self.buf.len() as u64,
+        });
         self.buf.clear();
     }
 
@@ -194,8 +177,8 @@ impl EdgeSpill {
 
 impl Drop for EdgeSpill {
     fn drop(&mut self) {
-        for p in &self.runs {
-            let _ = std::fs::remove_file(p);
+        for run in &self.runs {
+            let _ = std::fs::remove_file(&run.path);
         }
     }
 }
@@ -206,30 +189,47 @@ impl Drop for EdgeSpill {
 pub struct SortedEdges {
     num_vertices: u32,
     mem: Vec<u64>,
-    runs: Vec<PathBuf>,
+    runs: Vec<Run>,
 }
 
-struct RunReader {
+struct RunReader<'a> {
+    run: &'a Run,
     r: BufReader<File>,
+    read: u64,
     next: Option<u64>,
 }
 
-impl RunReader {
-    fn open(path: &PathBuf) -> Self {
+impl<'a> RunReader<'a> {
+    fn open(run: &'a Run) -> Self {
         let mut rr = RunReader {
-            r: BufReader::new(File::open(path).expect("open edge spill run")),
+            run,
+            r: BufReader::new(File::open(&run.path).expect("open edge spill run")),
+            read: 0,
             next: None,
         };
         rr.advance();
         rr
     }
 
+    /// Reads the next record, or ends the run after the last one written.
+    /// A run that ends early, or mid-record, panics: merging it would
+    /// silently drop edges.
     fn advance(&mut self) {
+        if self.read == self.run.records {
+            self.next = None;
+            return;
+        }
         let mut b = [0u8; 8];
-        self.next = match self.r.read_exact(&mut b) {
-            Ok(()) => Some(u64::from_le_bytes(b)),
-            Err(_) => None,
-        };
+        if self.r.read_exact(&mut b).is_err() {
+            panic!(
+                "edge spill run {} holds {} whole records of the {} written",
+                self.run.path.display(),
+                self.read,
+                self.run.records
+            );
+        }
+        self.read += 1;
+        self.next = Some(u64::from_le_bytes(b));
     }
 }
 
@@ -277,8 +277,8 @@ impl SortedEdges {
 
 impl Drop for SortedEdges {
     fn drop(&mut self) {
-        for p in &self.runs {
-            let _ = std::fs::remove_file(p);
+        for run in &self.runs {
+            let _ = std::fs::remove_file(&run.path);
         }
     }
 }
@@ -374,6 +374,46 @@ mod tests {
         EdgeSource::for_each_edge(&g, &mut |u, v, w| a.push((u, v, w)));
         EdgeSource::for_each_edge(&c, &mut |u, v, w| b.push((u, v, w)));
         assert_eq!(a, b);
-        assert_eq!(EdgeSource::num_edges(&g), EdgeSource::num_edges(&c));
+    }
+
+    /// Spills several runs, cuts `cut` bytes off the first, and checks that
+    /// `for_each` panics naming the run, the records written and the whole
+    /// records found.
+    fn assert_truncated_run_panics(cut: u64) {
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut spill = EdgeSpill::new(200, 1024);
+        for _ in 0..4_000 {
+            spill.push(rng.gen_range(0..200), rng.gen_range(0..200));
+        }
+        let sorted = spill.finish();
+        assert!(sorted.runs.len() >= 2);
+        let run = &sorted.runs[0];
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&run.path)
+            .unwrap();
+        file.set_len(run.records * 8 - cut).unwrap();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sorted.for_each(&mut |_, _| {})
+        }))
+        .expect_err("a short run must not merge into a smaller graph");
+        let msg = err.downcast::<String>().map(|m| *m).unwrap_or_default();
+        let want = format!(
+            "edge spill run {} holds {} whole records of the {} written",
+            run.path.display(),
+            run.records - 1,
+            run.records
+        );
+        assert_eq!(msg, want);
+    }
+
+    #[test]
+    fn a_run_that_ends_mid_record_panics() {
+        assert_truncated_run_panics(3);
+    }
+
+    #[test]
+    fn a_run_that_lost_a_record_panics() {
+        assert_truncated_run_panics(8);
     }
 }

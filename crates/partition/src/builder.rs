@@ -102,9 +102,8 @@ impl Partition {
     /// Peak memory is the degree/owner arrays (`O(|V|)`), one device's edge
     /// set (`~|E| / p`, which the per-device CSR must hold anyway) and the
     /// accumulated local graphs — never the full global edge list. The
-    /// traversal-based policies (`MetisLike`, `Xtrapulp`) need the whole
-    /// graph in memory and panic here; partition them via
-    /// [`Partition::build`].
+    /// traversal-based `MetisLike` needs the whole graph in memory and
+    /// panics here; partition it via [`Partition::build`].
     pub fn build_streamed(
         src: &dyn EdgeSource,
         policy: Policy,

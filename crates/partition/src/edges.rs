@@ -44,9 +44,7 @@ impl<'a> EdgeRule<'a> {
     pub fn device_of(&self, u: VertexId, v: VertexId) -> u32 {
         match self.policy {
             // All out-edges of u colocate with u's master.
-            Policy::Oec | Policy::Random | Policy::MetisLike | Policy::Xtrapulp => {
-                self.owner[u as usize]
-            }
+            Policy::Oec | Policy::Random | Policy::MetisLike => self.owner[u as usize],
             // All in-edges of v colocate with v's master.
             Policy::Iec => self.owner[v as usize],
             // Low-in-degree destinations behave like IEC; high-in-degree

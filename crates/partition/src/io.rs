@@ -38,7 +38,6 @@ fn policy_tag(p: Policy) -> u32 {
         Policy::Cvc => 3,
         Policy::Random => 4,
         Policy::MetisLike => 5,
-        Policy::Xtrapulp => 6,
     }
 }
 

@@ -128,60 +128,6 @@ pub fn bfs_grow(g: &Csr, parts: u32, seed: u64) -> Vec<u32> {
     owner
 }
 
-/// XtraPulp-style label-propagation refinement: start from total-degree-
-/// balanced blocks, then iteratively move each vertex to the partition
-/// where most of its (undirected) neighbors live, subject to a weight
-/// ceiling of `(1 + epsilon) × mean`. A simplified single-threaded version
-/// of Slota et al.'s constrained label propagation.
-pub fn label_propagation(g: &Csr, parts: u32, iterations: u32, epsilon: f64) -> Vec<u32> {
-    let n = g.num_vertices() as usize;
-    // Seed from a degree-balanced blocked assignment.
-    let weights: Vec<u32> = (0..n as u32).map(|v| g.out_degree(v) + 1).collect();
-    let starts = balanced_blocks(&weights, parts);
-    let mut owner = vec![0u32; n];
-    for p in 0..parts as usize {
-        for v in starts[p]..starts[p + 1] {
-            owner[v as usize] = p as u32;
-        }
-    }
-    let rev = g.transpose();
-    let total_w: u64 = weights.iter().map(|&w| w as u64).sum();
-    let ceiling = ((total_w as f64 / parts as f64) * (1.0 + epsilon)) as u64;
-    let mut load = vec![0u64; parts as usize];
-    for v in 0..n {
-        load[owner[v] as usize] += weights[v] as u64;
-    }
-    let mut counts = vec![0u32; parts as usize];
-    for _ in 0..iterations {
-        let mut moved = 0u32;
-        for v in 0..n as u32 {
-            counts.iter_mut().for_each(|c| *c = 0);
-            for &u in g.neighbors(v).iter().chain(rev.neighbors(v)) {
-                counts[owner[u as usize] as usize] += 1;
-            }
-            let cur = owner[v as usize];
-            let Some((best, &cnt)) = counts.iter().enumerate().max_by_key(|&(_, &c)| c) else {
-                continue;
-            };
-            let best = best as u32;
-            if cnt > 0
-                && best != cur
-                && counts[best as usize] > counts[cur as usize]
-                && load[best as usize] + weights[v as usize] as u64 <= ceiling
-            {
-                load[cur as usize] -= weights[v as usize] as u64;
-                load[best as usize] += weights[v as usize] as u64;
-                owner[v as usize] = best;
-                moved += 1;
-            }
-        }
-        if moved == 0 {
-            break;
-        }
-    }
-    owner
-}
-
 /// Assigns masters for `policy` over `num_devices` devices.
 pub fn assign_masters(g: &Csr, policy: Policy, num_devices: u32, seed: u64) -> MasterAssignment {
     match policy {
@@ -200,18 +146,14 @@ pub fn assign_masters(g: &Csr, policy: Policy, num_devices: u32, seed: u64) -> M
             owner: bfs_grow(g, num_devices, seed),
             block_starts: Vec::new(),
         },
-        Policy::Xtrapulp => MasterAssignment {
-            owner: label_propagation(g, num_devices, 3, 0.1),
-            block_starts: Vec::new(),
-        },
     }
 }
 
 /// Degree-histogram master assignment — the subset of [`assign_masters`]
 /// that needs only per-vertex degrees, not the materialized graph. This is
 /// what the chunked partition builder calls after its first streaming pass;
-/// the traversal-based policies (`MetisLike`, `Xtrapulp`) have no
-/// histogram form and panic here.
+/// the traversal-based `MetisLike` has no histogram form and panics
+/// here.
 ///
 /// `in_deg` may be empty for policies that do not consult it
 /// (OEC/CVC/Random).
@@ -242,8 +184,8 @@ pub fn assign_masters_from_degrees(
                 block_starts: Vec::new(),
             }
         }
-        Policy::MetisLike | Policy::Xtrapulp => panic!(
-            "{policy} needs the materialized graph (BFS/label propagation); \
+        Policy::MetisLike => panic!(
+            "{policy} needs the materialized graph (BFS); \
              the degree-histogram path cannot assign it"
         ),
     }
@@ -328,51 +270,6 @@ mod tests {
         for &c in &counts {
             assert!((c as f64) > 0.15 * n as f64 && (c as f64) < 0.35 * n as f64);
         }
-    }
-
-    #[test]
-    fn label_propagation_improves_locality_under_balance() {
-        let g = dirgl_graph::WebCrawlConfig::new(4_000, 60_000, 300, 200, 12)
-            .seed(9)
-            .generate();
-        let owner = label_propagation(&g, 4, 3, 0.1);
-        assert!(owner.iter().all(|&o| o < 4));
-        // Balance constraint: per-partition degree weight within the
-        // ceiling band.
-        let mut load = vec![0u64; 4];
-        for v in 0..g.num_vertices() {
-            load[owner[v as usize] as usize] += g.out_degree(v) as u64 + 1;
-        }
-        let mean = load.iter().sum::<u64>() as f64 / 4.0;
-        for &l in &load {
-            assert!((l as f64) < 1.15 * mean, "load {load:?}");
-        }
-        // Locality: beats a blocked split without refinement.
-        let weights: Vec<u32> = (0..g.num_vertices()).map(|v| g.out_degree(v) + 1).collect();
-        let starts = balanced_blocks(&weights, 4);
-        let mut blocked = vec![0u32; g.num_vertices() as usize];
-        for p in 0..4usize {
-            for v in starts[p]..starts[p + 1] {
-                blocked[v as usize] = p as u32;
-            }
-        }
-        let internal = |own: &[u32]| -> u64 {
-            let mut k = 0;
-            for u in 0..g.num_vertices() {
-                for &v in g.neighbors(u) {
-                    if own[u as usize] == own[v as usize] {
-                        k += 1;
-                    }
-                }
-            }
-            k
-        };
-        assert!(
-            internal(&owner) >= internal(&blocked),
-            "LP {} vs blocked {}",
-            internal(&owner),
-            internal(&blocked)
-        );
     }
 
     #[test]

@@ -21,11 +21,6 @@ pub enum Policy {
     Random,
     /// BFS-grow locality-seeking edge-cut, standing in for METIS (Groute).
     MetisLike,
-    /// XtraPulp-style edge-cut (Slota et al., cited in §III-C): label
-    /// propagation refines a blocked start towards neighborhood locality
-    /// under a balance constraint. An extension beyond the paper's
-    /// evaluated policies.
-    Xtrapulp,
 }
 
 impl Policy {
@@ -41,7 +36,6 @@ impl Policy {
             Policy::Cvc => "CVC",
             Policy::Random => "Random",
             Policy::MetisLike => "MetisLike",
-            Policy::Xtrapulp => "XtraPulp",
         }
     }
 
@@ -55,10 +49,7 @@ impl Policy {
     /// master's device (push-style programs then never read at mirrors, so
     /// broadcast is elided — §III-D1).
     pub fn out_edges_at_master(self) -> bool {
-        matches!(
-            self,
-            Policy::Oec | Policy::Random | Policy::MetisLike | Policy::Xtrapulp
-        )
+        matches!(self, Policy::Oec | Policy::Random | Policy::MetisLike)
     }
 
     /// True when the policy guarantees every in-edge of a vertex is on the

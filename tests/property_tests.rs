@@ -52,13 +52,14 @@ proptest! {
     }
 
     /// Every partition policy covers each edge exactly once and gives each
-    /// vertex exactly one master.
+    /// vertex exactly one master, and every policy with a degree-histogram
+    /// form (all but `MetisLike`) builds the same partition streamed.
     #[test]
     fn partition_covers_edges(
         (n, edges) in arb_graph(),
         policy in prop::sample::select(vec![
             Policy::Oec, Policy::Iec, Policy::Hvc, Policy::Cvc,
-            Policy::Random, Policy::MetisLike, Policy::Xtrapulp,
+            Policy::Random, Policy::MetisLike,
         ]),
         devices in 1u32..9,
     ) {
@@ -73,6 +74,9 @@ proptest! {
         }
         prop_assert!(masters.iter().all(|&m| m == 1));
         prop_assert!(part.replication_factor() >= 1.0 - 1e-12);
+        if policy != Policy::MetisLike {
+            prop_assert_eq!(&Partition::build_streamed(&g, policy, devices, 7), &part);
+        }
     }
 
     /// Distributed BFS equals sequential BFS on arbitrary graphs, any
